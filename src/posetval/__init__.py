@@ -12,7 +12,7 @@ from .cantor import (Word, embed, level, project, pushforward_counting,
 from .chain import (Cdf, QuantileMap, cdf, lower_adjoint,
                     pushforward_lebesgue, quantile_leq)
 from .dyadic import ONE, ZERO, Dyadic, parse_dyadic
-from .flow import Flow, FlowNetwork, max_flow, min_cut
+from .flow import Flow, FlowNetwork, max_flow
 from .pipeline import (SkorohodWitness, SubprobabilityWitness, skorohod,
                        skorohod_sequence, skorohod_subprobability)
 from .poset import Poset, UpperSet, format_poset, parse_poset
@@ -29,7 +29,7 @@ from .valuation import (PosetMap, SimpleValuation, TransportPlan, add, delta,
 __all__ = [
     "Dyadic", "ZERO", "ONE", "parse_dyadic",
     "Poset", "UpperSet", "parse_poset", "format_poset",
-    "FlowNetwork", "Flow", "max_flow", "min_cut",
+    "FlowNetwork", "Flow", "max_flow",
     "SimpleValuation", "TransportPlan", "PosetMap", "delta", "scale", "add",
     "leq", "leq_oracle", "leq_witness", "transport_plan", "way_below",
     "integrate_monotone", "normalize", "pushforward", "portmanteau_check",

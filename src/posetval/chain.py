@@ -25,7 +25,7 @@ from .valuation import SimpleValuation
 
 
 def _require_chain(p: Poset):
-    if not p.classify()["is_chain"]:
+    if not p._is_chain():
         raise NotAChain("poset is not totally ordered")
 
 

@@ -167,20 +167,20 @@ def _run(args, stdout) -> int:
     out = getattr(args, "out", None)
 
     if args.command == "order":
-        holds = valmod.leq(mu, nu)
+        net = valmod.order_network(mu, nu)
+        flow = flowmod.max_flow(net)
+        witness = valmod._witness(mu, flow)
+        holds = witness is None
         lines = ["LEQ: %s" % _bool(holds)]
         if holds:
-            lines.extend(valmod.transport_plan(mu, nu).lines())
+            lines.extend(valmod._plan(mu, nu, flow).lines())
         else:
-            witness = valmod.leq_witness(mu, nu)
             lines.append("witness %s" % witness)
             lines.append("mu %s" % mu.evaluate(witness))
             lines.append("nu %s" % nu.evaluate(witness))
         _write(out, "\n".join(lines) + "\n", stdout)
         if args.dot:
-            net = valmod.order_network(mu, nu)
-            _write(args.dot, flowmod.to_dot(net, flowmod.max_flow(net)),
-                   stdout)
+            _write(args.dot, flowmod.to_dot(net, flow), stdout)
         return 0 if holds else 1
 
     if args.command == "waybelow":

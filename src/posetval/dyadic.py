@@ -35,10 +35,12 @@ class Dyadic:
         num, exp = self.num, self.exp
         if num == 0:
             exp = 0
-        else:
-            while exp > 0 and num % 2 == 0:
-                num //= 2
-                exp -= 1
+        elif exp and not num & 1:
+            shift = (num & -num).bit_length() - 1  # trailing zero bits
+            if shift > exp:
+                shift = exp
+            num >>= shift
+            exp -= shift
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "exp", exp)
 

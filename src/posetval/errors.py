@@ -34,7 +34,7 @@ class OrderViolation(Error):
 
 
 class TooLarge(Error):
-    """An exhaustive enumeration was requested above the oracle bound."""
+    """An exhaustive enumeration or table was requested above its bound."""
 
 
 # -- valuations ------------------------------------------------------------

@@ -7,9 +7,12 @@ capacities are rescaled to a common denominator 2^p, the search runs over
 plain integers (so termination and exactness are trivial), and results are
 scaled back; every returned flow is therefore dyadic with exponent <= p.
 
-Augmenting paths are found breadth-first with nodes explored in declaration
-order, which makes the returned flow (and hence every transport plan built
-from it) deterministic.
+The residual network is kept as adjacency lists. Augmenting paths are found
+breadth-first with each node's neighbours explored in declaration order,
+which makes the returned flow (and hence every transport plan built from
+it) deterministic. The last search, the one that fails to reach the sink,
+marks the source side of a minimum cut; the returned flow carries it, so
+one solve answers both the flow and the cut question.
 """
 
 from __future__ import annotations
@@ -57,112 +60,87 @@ class FlowNetwork:
 
 @dataclass
 class Flow:
-    """A feasible flow; capacity and conservation hold exactly."""
+    """A maximum flow; capacity and conservation hold exactly.
+
+    `cut` is the source side of a minimum cut: SOURCE plus the tagged nodes
+    ("left", x) / ("right", y) still reachable in the final residual
+    network. Its crossing capacity equals `value`.
+    """
 
     value: Dyadic
     from_source: dict = field(default_factory=dict)
     across: dict = field(default_factory=dict)
     to_sink: dict = field(default_factory=dict)
+    cut: frozenset = frozenset()
 
 
-def _solve(net: FlowNetwork):
-    """Integer Edmonds-Karp; returns (scale p, node list, residual, caps)."""
+def max_flow(net: FlowNetwork) -> Flow:
+    """A maximum flow together with a minimum cut (integer Edmonds-Karp)."""
     p = net.common_exponent()
     nodes = [SOURCE] + [("left", x) for x in net.left] \
         + [("right", y) for y in net.right] + [SINK]
     idx = {v: i for i, v in enumerate(nodes)}
     n = len(nodes)
-    cap = [[0] * n for _ in range(n)]
+    sink = n - 1
+    # res[u][v] is the residual capacity of u -> v; the network has no
+    # antiparallel edges, so an edge's reverse entry holds exactly its flow
+    res = [{} for _ in range(n)]
+
+    def edge(u, v, c):
+        res[u][v] = c.rescale(p)
+        res[v][u] = 0
+
     for x, c in net.source_caps.items():
-        cap[0][idx["left", x]] = c.rescale(p)
+        edge(0, idx["left", x], c)
     for (x, y), c in net.mid_caps.items():
-        cap[idx["left", x]][idx["right", y]] = c.rescale(p)
+        edge(idx["left", x], idx["right", y], c)
     for y, c in net.sink_caps.items():
-        cap[idx["right", y]][n - 1] = c.rescale(p)
-    res = [row[:] for row in cap]
+        edge(idx["right", y], sink, c)
+    adj = [sorted(r) for r in res]
     while True:
         parent = [-1] * n
         parent[0] = 0
         queue = deque([0])
-        while queue:
+        while queue and parent[sink] < 0:
             u = queue.popleft()
-            if u == n - 1:
-                break
-            for v in range(n):
-                if parent[v] < 0 and res[u][v] > 0:
+            ru = res[u]
+            for v in adj[u]:
+                if parent[v] < 0 and ru[v] > 0:
                     parent[v] = u
                     queue.append(v)
-        if parent[n - 1] < 0:
-            break
-        bottleneck = None
-        v = n - 1
-        while v != 0:
-            u = parent[v]
-            r = res[u][v]
-            bottleneck = r if bottleneck is None else min(bottleneck, r)
-            v = u
-        v = n - 1
-        while v != 0:
-            u = parent[v]
+        if parent[sink] < 0:
+            break  # this search reached exactly the source side of a cut
+        path = []
+        v = sink
+        while v:
+            path.append((parent[v], v))
+            v = parent[v]
+        bottleneck = min(res[u][v] for u, v in path)
+        for u, v in path:
             res[u][v] -= bottleneck
             res[v][u] += bottleneck
-            v = u
-    return p, nodes, idx, cap, res
 
+    def units(u, v):
+        return res[v].get(u, 0)
 
-def max_flow(net: FlowNetwork) -> Flow:
-    """A maximum flow; its value equals the minimum cut capacity."""
-    p, nodes, idx, cap, res = _solve(net)
-    n = len(nodes)
-
-    def d(units):
-        return Dyadic(units, p)
-
-    flow = Flow(value=ZERO)
+    flow = Flow(value=ZERO,
+                cut=frozenset(nodes[i] for i in range(n) if parent[i] >= 0))
     total = 0
     for x in net.left:
-        units = cap[0][idx["left", x]] - res[0][idx["left", x]]
-        total += units
-        if units:
-            flow.from_source[x] = d(units)
-    flow.value = d(total)
+        k = units(0, idx["left", x])
+        total += k
+        if k:
+            flow.from_source[x] = Dyadic(k, p)
+    flow.value = Dyadic(total, p)
     for (x, y) in net.mid_caps:
-        i, j = idx["left", x], idx["right", y]
-        units = cap[i][j] - res[i][j]
-        if units:
-            flow.across[x, y] = d(units)
+        k = units(idx["left", x], idx["right", y])
+        if k:
+            flow.across[x, y] = Dyadic(k, p)
     for y in net.right:
-        i = idx["right", y]
-        units = cap[i][n - 1] - res[i][n - 1]
-        if units:
-            flow.to_sink[y] = d(units)
+        k = units(idx["right", y], sink)
+        if k:
+            flow.to_sink[y] = Dyadic(k, p)
     return flow
-
-
-def min_cut(net: FlowNetwork):
-    """A minimum cut as (value, left_side node set).
-
-    The left side contains SOURCE plus tagged nodes ("left", x) /
-    ("right", y); its crossing capacity equals the max-flow value.
-    """
-    p, nodes, idx, cap, res = _solve(net)
-    n = len(nodes)
-    reach = [False] * n
-    reach[0] = True
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for v in range(n):
-            if not reach[v] and res[u][v] > 0:
-                reach[v] = True
-                queue.append(v)
-    value = 0
-    for u in range(n):
-        for v in range(n):
-            if reach[u] and not reach[v]:
-                value += cap[u][v]
-    side = frozenset(nodes[i] for i in range(n) if reach[i])
-    return Dyadic(value, p), side
 
 
 def to_dot(net: FlowNetwork, flow: Flow | None = None) -> str:

@@ -141,11 +141,15 @@ class Poset:
                     e for j, e in enumerate(self.elements) if mask >> j & 1)))
         return out
 
+    def _is_chain(self) -> bool:
+        """True iff every two elements are comparable."""
+        n = len(self.elements)
+        return all(self._leq[i][j] or self._leq[j][i]
+                   for i in range(n) for j in range(i + 1, n))
+
     def classify(self) -> dict:
         """Shape flags, each decided by exhaustive meet/join checks."""
         n = len(self.elements)
-        is_chain = all(self._leq[i][j] or self._leq[j][i]
-                       for i in range(n) for j in range(i + 1, n))
         has_meet = has_join = True
         for i in range(n):
             for j in range(i, n):
@@ -157,7 +161,7 @@ class Poset:
                          if self._leq[i][k] and self._leq[j][k]]
                 if not any(all(self._leq[k][u] for u in upper) for k in upper):
                     has_join = False
-        return {"is_chain": is_chain,
+        return {"is_chain": self._is_chain(),
                 "is_bounded_complete": has_meet,
                 "is_lattice": has_meet and has_join}
 

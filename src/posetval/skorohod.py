@@ -20,11 +20,14 @@ from dataclasses import dataclass
 from .cantor import Word, level, project, pushforward_counting
 from .dyadic import Dyadic
 from .errors import (DepthExceeded, NotComparable, NotConvergent,
-                     NotProbability, ParseError, SourceExhausted,
+                     NotProbability, ParseError, SourceExhausted, TooLarge,
                      UnknownElement)
 from .poset import Poset
-from .valuation import (SimpleValuation, add, delta, leq, portmanteau_check,
+from .valuation import (SimpleValuation, add, delta, portmanteau_check,
                         scale, transport_plan, way_below)
+
+# deepest layer lift_step builds; a layer tabulates all 2^depth words
+MAX_DEPTH = 16
 
 
 @dataclass
@@ -91,16 +94,19 @@ def lift_step(current: Layer, target: SimpleValuation, base: Poset) -> Layer:
     each word's extensions are then dealt out to the transported targets
     in lexicographic order against the poset's declaration order, which
     makes the result deterministic and monotone over the current layer.
+    Raises TooLarge, before tabulating anything, when that depth exceeds
+    MAX_DEPTH.
     """
     law = pushforward_counting(current.table, current.depth, base)
     if not target.is_probability():
         raise NotProbability("lift target must have mass 1")
-    if not leq(law, target):
-        raise NotComparable("current law does not lie below the lift target")
-    plan = transport_plan(law, target)
+    plan = transport_plan(law, target)  # NotComparable unless law <= target
     depth = max(current.depth + 1,
                 law.max_exponent(), target.max_exponent(),
                 max((t.exp for t in plan.entries.values()), default=0))
+    if depth > MAX_DEPTH:
+        raise TooLarge("representation depth %d exceeds the bound %d"
+                       % (depth, MAX_DEPTH))
     budgets = {xy: t.rescale(depth) for xy, t in plan.entries.items()}
     targets = target.support
     table = {}

@@ -9,19 +9,21 @@ independent ways:
 
 * :func:`leq` routes mu's mass upward into nu's mass through a max-flow
   network whose middle edges follow the poset order; the order holds iff
-  the flow saturates mu. The resulting flow doubles as an explicit
-  transport plan witnessing the comparison.
+  the flow saturates mu. The same flow doubles as an explicit transport
+  plan witnessing the comparison, and its minimum cut yields the upper set
+  refuting it.
 * :func:`leq_oracle` enumerates every upper set and compares values
   directly. It exists purely to cross-check the flow route.
 
-Way-below, integration against monotone functions, normalization to
-probability mass, pushforward along monotone maps, and a finite-scale
-weak-convergence (Portmanteau) check complete the module.
+Way-below (also one max-flow, in either mode), integration against
+monotone functions, normalization to probability mass, pushforward along
+monotone maps, and a finite-scale weak-convergence (Portmanteau) check
+complete the module.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import flow as flowmod
 from .dyadic import ONE, ZERO, Dyadic, parse_dyadic
@@ -143,18 +145,22 @@ def leq(mu: SimpleValuation, nu: SimpleValuation) -> bool:
     return flowmod.max_flow(order_network(mu, nu)).value == mu.mass
 
 
-def leq_witness(mu: SimpleValuation, nu: SimpleValuation):
-    """On failure of leq, an upper set U with mu(U) > nu(U), else None.
+def _witness(mu: SimpleValuation, f: flowmod.Flow):
+    """An upper set refuting mu <= nu, read off the order network's flow f.
 
-    The witness is read off the minimum cut: the left-side support elements
-    generate an upper set whose nu-mass is beaten by its mu-mass.
+    None when f saturates mu; otherwise mu's support on the source side of
+    f's minimum cut generates an upper set U with mu(U) > nu(U).
     """
-    _same_base(mu, nu)
-    value, side = flowmod.min_cut(order_network(mu, nu))
-    if value == mu.mass:
+    if f.value == mu.mass:
         return None
-    blocked = [x for x in mu.support if ("left", x) in side]
+    blocked = [x for x in mu.support if ("left", x) in f.cut]
     return UpperSet(mu.base, mu.base.upward_closure(blocked))
+
+
+def leq_witness(mu: SimpleValuation, nu: SimpleValuation):
+    """On failure of leq, an upper set U with mu(U) > nu(U), else None."""
+    _same_base(mu, nu)
+    return _witness(mu, flowmod.max_flow(order_network(mu, nu)))
 
 
 @dataclass
@@ -200,15 +206,20 @@ class TransportPlan:
             yield "t %s %s %s" % (x, y, self.entries[x, y])
 
 
-def transport_plan(mu: SimpleValuation, nu: SimpleValuation) -> TransportPlan:
-    """Extract transport numbers from the maximum flow; requires mu <= nu."""
-    _same_base(mu, nu)
-    f = flowmod.max_flow(order_network(mu, nu))
+def _plan(mu: SimpleValuation, nu: SimpleValuation,
+          f: flowmod.Flow) -> TransportPlan:
+    """The transport numbers of the order network's flow f."""
     if f.value != mu.mass:
         raise NotComparable("valuations are not ordered; no transport plan")
     plan = TransportPlan(mu, nu, dict(f.across))
     plan.verify()
     return plan
+
+
+def transport_plan(mu: SimpleValuation, nu: SimpleValuation) -> TransportPlan:
+    """Extract transport numbers from the maximum flow; requires mu <= nu."""
+    _same_base(mu, nu)
+    return _plan(mu, nu, flowmod.max_flow(order_network(mu, nu)))
 
 
 def leq_oracle(mu: SimpleValuation, nu: SimpleValuation,
@@ -221,19 +232,6 @@ def leq_oracle(mu: SimpleValuation, nu: SimpleValuation,
     return True
 
 
-def _way_below_subprobability(mu: SimpleValuation,
-                              nu: SimpleValuation) -> bool:
-    # min-cut dual of strict transport feasibility: every nonempty support
-    # subset must carry strictly less mass than nu gives its upward closure
-    supp = mu.support
-    for mask in range(1, 1 << len(supp)):
-        sub = [supp[i] for i in range(len(supp)) if mask >> i & 1]
-        above = mu.base.upward_closure(sub)
-        if not (mu.value_on(sub) < nu.value_on(above)):
-            return False
-    return True
-
-
 def _epsilon_bound(mu: SimpleValuation, nu: SimpleValuation) -> int:
     p = max(mu.max_exponent(), nu.max_exponent())
     sizes = len(mu.support) + len(nu.support)
@@ -242,25 +240,32 @@ def _epsilon_bound(mu: SimpleValuation, nu: SimpleValuation) -> int:
 
 def way_below(mu: SimpleValuation, nu: SimpleValuation,
               normalized: bool = False) -> bool:
-    """The approximation relation between valuations.
+    """The approximation relation between valuations, decided by one flow.
 
-    Subprobability mode tests the strict subset condition directly. In
-    normalized (probability) mode, mu approximates nu iff mu lies below
-    some convex shift (1 - eps) * nu + eps * bottom; eps is searched over
-    2^-k with k up to a bound that provably suffices for dyadic inputs.
+    Subprobability mode tests the strict subset condition mu(S) < nu(up S)
+    for every nonempty S in mu's support. Both sides are multiples of 2^-p,
+    so a strict gap is at least 2^-p >= eps * |S| for eps = 2^-(p +
+    ceil(log2 |supp mu|)): the condition holds iff the order network still
+    saturates once every source capacity is raised by eps. In normalized
+    (probability) mode, mu approximates nu iff mu lies below some convex
+    shift (1 - eps) * nu + eps * bottom. On every proper upper set the
+    shift only grows as eps shrinks, so one order test at the smallest eps
+    the dyadic inputs need, 2^-_epsilon_bound, decides it.
     """
     _same_base(mu, nu)
-    if not normalized:
-        return _way_below_subprobability(mu, nu)
-    if not (mu.is_probability() and nu.is_probability()):
-        raise NotProbability("normalized mode needs probability valuations")
-    bot = delta(mu.base, mu.base.bottom)
-    for k in range(1, _epsilon_bound(mu, nu) + 1):
-        eps = Dyadic(1, k)
-        shifted = add(scale(nu, ONE - eps), scale(bot, eps))
-        if leq(mu, shifted):
-            return True
-    return False
+    if normalized:
+        if not (mu.is_probability() and nu.is_probability()):
+            raise NotProbability(
+                "normalized mode needs probability valuations")
+        bot = delta(mu.base, mu.base.bottom)
+        eps = Dyadic(1, _epsilon_bound(mu, nu))
+        return leq(mu, add(scale(nu, ONE - eps), scale(bot, eps)))
+    net = order_network(mu, nu)
+    p = max(mu.max_exponent(), nu.max_exponent())
+    eps = Dyadic(1, p + (len(net.left) - 1).bit_length())
+    raised = {x: c + eps for x, c in net.source_caps.items()}
+    return flowmod.max_flow(replace(net, source_caps=raised)).from_source \
+        == raised
 
 
 def integrate_monotone(f: dict, v: SimpleValuation) -> Dyadic:

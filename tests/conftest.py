@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from posetval import Dyadic, Poset, SimpleValuation
+from posetval import Dyadic, Poset, SimpleValuation, flow
 
 
 @pytest.fixture
@@ -23,14 +23,28 @@ def make_chain(length):
     return Poset(names, list(zip(names, names[1:])), names[0])
 
 
-def random_poset(rng: random.Random, max_elements=6) -> Poset:
+@pytest.fixture
+def solves(monkeypatch):
+    """The networks passed to flow.max_flow, from every caller, in order."""
+    calls = []
+    real = flow.max_flow
+
+    def counting(net):
+        calls.append(net)
+        return real(net)
+
+    monkeypatch.setattr(flow, "max_flow", counting)
+    return calls
+
+
+def random_poset(rng: random.Random, max_elements=6, density=0.4) -> Poset:
     """Random order on e0..ek with e0 as bottom; acyclic by index order."""
     n = rng.randint(1, max_elements)
     names = ["e%d" % i for i in range(n)]
     covers = [("e0", x) for x in names[1:]]
     for i in range(1, n):
         for j in range(i + 1, n):
-            if rng.random() < 0.4:
+            if rng.random() < density:
                 covers.append((names[i], names[j]))
     return Poset(names, covers, "e0")
 

@@ -2,8 +2,8 @@
 
 Nothing here reuses the code paths under test: cuts are enumerated rather
 than derived from flows, upper sets are filtered straight from the order
-relation, and strict-transport feasibility is decided by the exhaustive
-Hall-style subset condition.
+relation, and strict-transport feasibility and subprobability way-below
+are decided by exhaustive Hall-style subset conditions.
 """
 
 from itertools import combinations
@@ -85,3 +85,18 @@ def strict_transport_exists(mu: SimpleValuation, nu: SimpleValuation,
             reach.add(base.bottom)
         reachable[x] = reach
     return _hall_feasible(rows, reachable, caps)
+
+
+def way_below_by_subsets(mu: SimpleValuation, nu: SimpleValuation) -> bool:
+    """Subprobability way-below from its definition, over every subset.
+
+    Every nonempty subset S of mu's support must carry strictly less mass
+    than nu gives its upward closure; exponential in the support size.
+    """
+    supp = mu.support
+    for mask in range(1, 1 << len(supp)):
+        sub = [supp[i] for i in range(len(supp)) if mask >> i & 1]
+        above = mu.base.upward_closure(sub)
+        if not (mu.value_on(sub) < nu.value_on(above)):
+            return False
+    return True

@@ -1,9 +1,12 @@
 import io
+import os
 import subprocess
 import sys
+import time
 
 import pytest
 
+import posetval
 from posetval.cli import Workspace, main
 
 M4 = """element bot
@@ -67,6 +70,17 @@ def test_order_positive(files):
     assert code == 0
     assert out.splitlines()[0] == "LEQ: true"
     assert "t a top 1/2^1" in out and "t b top 1/2^1" in out
+
+
+def test_order_with_dot_solves_one_flow(files, tmp_path, solves):
+    dot = str(tmp_path / "flow.dot")
+    for nu, code in (("top.val", 0), ("db.val", 1)):
+        solves.clear()
+        assert run(["order", "--poset", files["m4.poset"], "--mu",
+                    files["da.val"], "--nu", files[nu], "--dot", dot])[0] \
+            == code
+        assert len(solves) == 1
+        assert "digraph" in open(dot).read()
 
 
 def test_order_negative_with_witness(files):
@@ -133,6 +147,20 @@ def test_schedule_and_represent_round_trip(files, tmp_path):
     from posetval import format_map, parse_map, parse_poset
     base = parse_poset(M4)
     assert format_map(parse_map(text, base)) == text
+
+
+def test_represent_past_the_depth_bound_exits_2(tmp_path, capsys):
+    # the first lift needs depth 21, a table of 2^21 words
+    poset = tmp_path / "c2.poset"
+    poset.write_text("element a\nelement b\nbottom a\ncover a b\n")
+    mu = tmp_path / "deep.val"
+    mu.write_text("a 1048575/2^20\nb 1/2^20\n")
+    t0 = time.perf_counter()
+    code, out = run(["represent", "--poset", str(poset), "--mu", str(mu),
+                     "--K", "2"])
+    assert time.perf_counter() - t0 < 5.0
+    assert code == 2 and out == ""
+    assert "exceeds the bound" in capsys.readouterr().err
 
 
 def test_sample_deterministic(files):
@@ -219,10 +247,14 @@ def test_workspace_invariants(files):
 
 
 def test_subprocess_entry_point(files):
-    # the installed module entry point behaves like main()
+    # the module entry point behaves like main(); the child imports the
+    # same package as this test, installed or from the source tree
+    src = os.path.dirname(os.path.dirname(posetval.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "posetval", "classify",
          "--poset", files["m4.poset"]],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "is_lattice: true" in proc.stdout

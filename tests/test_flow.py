@@ -1,6 +1,6 @@
 import random
 
-from posetval import Dyadic, FlowNetwork, ZERO, max_flow, min_cut
+from posetval import Dyadic, FlowNetwork, ZERO, max_flow
 from posetval.flow import to_dot
 
 from oracles import min_cut_by_enumeration
@@ -24,10 +24,9 @@ def diamond_net():
 def test_bottleneck():
     f = max_flow(bottleneck_net())
     assert f.value == Dyadic(1, 1)
-    value, side = min_cut(bottleneck_net())
-    assert value == Dyadic(1, 1)
     # the sink edge is the bottleneck, so everything else sits on the left
-    assert side == {"source", ("left", "a"), ("right", "a")}
+    assert f.cut == {"source", ("left", "a"), ("right", "a")}
+    assert crossing_capacity(bottleneck_net(), f.cut) == f.value
 
 
 def test_diamond_routing():
@@ -35,8 +34,7 @@ def test_diamond_routing():
     assert f.value == Dyadic(1, 0)
     assert f.across[("a", "top")] == Dyadic(1, 1)
     assert f.across[("b", "top")] == Dyadic(1, 1)
-    value, _ = min_cut(diamond_net())
-    assert value == Dyadic(1, 0)
+    assert crossing_capacity(diamond_net(), f.cut) == Dyadic(1, 0)
 
 
 def test_disconnected_supply_excluded():
@@ -78,12 +76,10 @@ def test_max_flow_equals_min_cut_on_random_instances():
     for _ in range(120):
         net = random_net(rng)
         f = max_flow(net)
-        cut_value, side = min_cut(net)
-        assert f.value == cut_value
         assert f.value == min_cut_by_enumeration(net)
         # the returned partition really achieves the returned value
-        assert "source" in side and "sink" not in side
-        assert crossing_capacity(net, side) == cut_value
+        assert "source" in f.cut and "sink" not in f.cut
+        assert crossing_capacity(net, f.cut) == f.value
 
 
 def test_flows_are_integral_at_common_denominator():

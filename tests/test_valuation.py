@@ -1,6 +1,9 @@
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posetval import (Dyadic, ONE, Poset, PosetMap, SimpleValuation, UpperSet,
                       ZERO, add, delta, format_valuation, integrate_monotone,
@@ -11,8 +14,9 @@ from posetval.errors import (MassExceeded, MixedBase, NotComparable,
                              NotMonotone, NotProbability, PartialMap,
                              UnknownElement)
 
-from conftest import random_poset, random_valuation, random_monotone_integrand
-from oracles import strict_transport_exists
+from conftest import (make_chain, random_poset, random_valuation,
+                      random_monotone_integrand)
+from oracles import strict_transport_exists, way_below_by_subsets
 
 HALF = Dyadic(1, 1)
 
@@ -195,6 +199,80 @@ def test_way_below_interpolation(m4):
             hits += 1
             assert way_below(mu, rho)
     assert hits > 0
+
+
+def units_at(base, places, exp):
+    """The valuation with one 2^-exp unit at each listed place."""
+    weights = {}
+    for x in places:
+        weights[x] = weights.get(x, ZERO) + Dyadic(1, exp)
+    return SimpleValuation(base, weights)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_way_below_matches_oracles_on_larger_posets(rng):
+    # posets of up to 40 elements, supports of at most 10 points; mu is
+    # nu's units moved down (and halved, or thinned, in subprobability
+    # mode), nu itself, or unrelated, so both verdicts occur in each mode
+    base = random_poset(rng, max_elements=40,
+                        density=rng.choice([0.05, 0.15, 0.4]))
+    points = [base.bottom] + rng.sample(base.elements[1:],
+                                        min(9, len(base) - 1))
+    exp = rng.randint(1, 5)
+    nu_units = [rng.choice(points) for _ in range(1 << exp)]
+    lowered = [rng.choice([x for x in points if base.leq(x, y)])
+               for y in nu_units]
+    kind = rng.randrange(4)
+
+    nu = units_at(base, nu_units, exp)
+    mu = [units_at(base, lowered, exp), nu,
+          units_at(base, lowered[1:] + [base.bottom], exp),
+          units_at(base, [rng.choice(points) for _ in nu_units], exp)][kind]
+    assert way_below(mu, nu, normalized=True) \
+        == strict_transport_exists(mu, nu)
+
+    keep = rng.randint(0, len(nu_units))
+    nu = units_at(base, nu_units[:keep], exp)
+    mu = [units_at(base, lowered[:keep], exp + 1), nu,
+          units_at(base, lowered[:rng.randint(0, keep)], exp),
+          units_at(base, [rng.choice(points) for _ in range(keep)],
+                   exp)][kind]
+    assert way_below(mu, nu) == way_below_by_subsets(mu, nu)
+
+
+def test_way_below_subprobability_on_wide_supports():
+    # a subset scan visits 2^16 subsets for the true query and 2^25 before
+    # it meets the first failing one ({c25}) in the false query
+    atoms = ["a%d" % i for i in range(16)]
+    base = Poset(["bot"] + atoms, [("bot", a) for a in atoms], "bot")
+    nu = SimpleValuation(base, {a: Dyadic(1, 4) for a in atoms})
+    mu = SimpleValuation(base, dict({a: Dyadic(1, 6) for a in atoms[:15]},
+                                    bot=Dyadic(1, 2)))
+    assert len(mu.support) == 16
+    chain = make_chain(26)
+    rho = SimpleValuation(chain, {x: Dyadic(1, 5) for x in chain.elements})
+    t0 = time.perf_counter()
+    assert way_below(mu, nu)
+    assert not way_below(rho, rho)
+    assert time.perf_counter() - t0 < 2.0
+
+
+def test_each_decision_solves_one_flow(m4, solves):
+    mu, top = half_half(m4), delta(m4, "top")
+    stage = SimpleValuation(m4, {"bot": HALF, "top": HALF})
+    decisions = [
+        lambda: leq(mu, top), lambda: leq(top, mu),
+        lambda: leq_witness(mu, top), lambda: leq_witness(top, mu),
+        lambda: transport_plan(mu, top),
+        lambda: way_below(scale(mu, HALF), top), lambda: way_below(top, top),
+        lambda: way_below(stage, top, normalized=True),
+        lambda: way_below(top, top, normalized=True),
+    ]
+    for decide in decisions:
+        solves.clear()
+        decide()
+        assert len(solves) == 1
 
 
 def test_order_bounds_monotone_integrals():
