@@ -40,41 +40,37 @@ class Poset:
         self.bottom = bottom
         self.covers = []
         n = len(elements)
-        leq = [[False] * n for _ in range(n)]
-        for i in range(n):
-            leq[i][i] = True
+        # up[i] is the upward closure of element i as a bitmask, bit j ==
+        # element j; Warshall's closure ORs up[k] into every row holding k
+        up = [1 << i for i in range(n)]
         for lo, hi in covers:
             if lo not in self.index or hi not in self.index:
                 raise UnknownElement("cover names unknown element: %s %s"
                                      % (lo, hi))
             self.covers.append((lo, hi))
-            leq[self.index[lo]][self.index[hi]] = True
-        # Warshall closure
+            up[self.index[lo]] |= 1 << self.index[hi]
         for k in range(n):
-            lk = leq[k]
+            bit, uk = 1 << k, up[k]
             for i in range(n):
-                if leq[i][k]:
-                    li = leq[i]
-                    for j in range(n):
-                        if lk[j]:
-                            li[j] = True
+                if up[i] & bit:
+                    up[i] |= uk
         for i in range(n):
-            for j in range(i + 1, n):
-                if leq[i][j] and leq[j][i]:
+            above = up[i] >> (i + 1)
+            while above:
+                j = i + (above & -above).bit_length()
+                if up[j] >> i & 1:
                     raise OrderViolation("antisymmetry fails: %s and %s"
                                          % (elements[i], elements[j]))
+                above &= above - 1
         b = self.index[bottom]
-        for j in range(n):
-            if not leq[b][j]:
-                raise OrderViolation("bottom %s is not below %s"
-                                     % (bottom, elements[j]))
-        self._leq = leq
-        # upward-closure bitmasks, bit i == element i
-        self._up_mask = [0] * n
-        for i in range(n):
-            for j in range(n):
-                if leq[i][j]:
-                    self._up_mask[i] |= 1 << j
+        missing = ~up[b] & ((1 << n) - 1)
+        if missing:
+            raise OrderViolation("bottom %s is not below %s"
+                                 % (bottom, elements[(missing & -missing)
+                                                     .bit_length() - 1]))
+        self._up_mask = up
+        self._leq = [[c == "1" for c in format(m, "0%db" % n)[::-1]]
+                     for m in up]
 
     def __len__(self):
         return len(self.elements)

@@ -9,24 +9,33 @@ the targets prescribed by a transport plan; the matching this requires
 always exists for probability measures, and the deterministic slot-filling
 below constructs one outright.
 
+A level map is a step function on the words of its level in lexicographic
+order, so a layer stores it as runs: the end of each run of consecutive
+words with one value, and that value. Lifting, the law, the checks and
+evaluation all work on the runs, so their cost grows with the number of
+runs, not with 2^depth.
+
 Everything here is exact: pushforwards are counting arguments, so equality
 with the schedule stages is dyadic equality, not approximation.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
-from .cantor import Word, level, project, pushforward_counting
+from .cantor import Word
 from .dyadic import Dyadic
 from .errors import (DepthExceeded, NotComparable, NotConvergent,
-                     NotProbability, ParseError, SourceExhausted, TooLarge,
-                     UnknownElement)
+                     NotProbability, ParseError, PartialMap, SourceExhausted,
+                     TooLarge, UnknownElement)
 from .poset import Poset
 from .valuation import (SimpleValuation, add, delta, portmanteau_check,
                         scale, transport_plan, way_below)
 
-# deepest layer lift_step builds; a layer tabulates all 2^depth words
+# deepest layer lift_step builds; layers are runs, but format_map,
+# law_on_grid and the grid words of skorohod_sequence still list all
+# 2^depth words of a map
 MAX_DEPTH = 16
 
 
@@ -77,12 +86,76 @@ def build_schedule(target: SimpleValuation, steps: int) -> ApproximationSchedule
     return ApproximationSchedule(target, stages)
 
 
-@dataclass
+@dataclass(init=False)
 class Layer:
-    """A total map from the depth-level words to poset elements."""
+    """A total map from the depth-level words to poset elements, as runs.
+
+    Word i (its bits read as a binary number) lies in run k iff
+    ends[k-1] <= i < ends[k], with ends[-1] = 2^depth, and run k maps it to
+    values[k]. `Layer(depth, table)` compresses a dict over every
+    depth-bit string; `table` expands the runs back into one.
+    """
 
     depth: int
-    table: dict  # bit string -> element
+    ends: list
+    values: list
+
+    def __init__(self, depth: int, table=None, ends=(), values=()):
+        self.depth = depth
+        if table is not None:
+            ends, values = _compress(table, depth)
+        self.ends = list(ends)
+        self.values = list(values)
+
+    def items(self):
+        """(bit string, element) for every word, in word order."""
+        start = 0
+        for end, y in zip(self.ends, self.values):
+            for i in range(start, end):
+                yield _bits(i, self.depth), y
+            start = end
+
+    @property
+    def table(self) -> dict:
+        """bit string -> element, for all 2^depth words."""
+        return dict(self.items())
+
+    def law(self, base: Poset) -> SimpleValuation:
+        """Counting measure pushed through the layer: run lengths / 2^depth."""
+        counts = {}
+        start = 0
+        for end, y in zip(self.ends, self.values):
+            counts[y] = counts.get(y, 0) + end - start
+            start = end
+        return SimpleValuation(base, {y: Dyadic(c, self.depth)
+                                      for y, c in counts.items()})
+
+    def at(self, i: int):
+        """The value at word number i."""
+        return self.values[bisect_right(self.ends, i)]
+
+
+def _bits(i: int, depth: int) -> str:
+    """Word number i of the depth-level, as a bit string."""
+    return format(i, "0%db" % depth) if depth else ""
+
+
+def _compress(table: dict, depth: int):
+    """Runs of a dict over all depth-bit strings, in word order."""
+    ends, values = [], []
+    for i in range(1 << depth):
+        bits = _bits(i, depth)
+        if bits not in table:
+            raise PartialMap("level map undefined on %r" % bits)
+        y = table[bits]
+        if values and values[-1] == y:
+            ends[-1] = i + 1
+        else:
+            ends.append(i + 1)
+            values.append(y)
+    if len(table) != 1 << depth:
+        raise ValueError("table has words outside depth %d" % depth)
+    return ends, values
 
 
 def lift_step(current: Layer, target: SimpleValuation, base: Poset) -> Layer:
@@ -91,13 +164,16 @@ def lift_step(current: Layer, target: SimpleValuation, base: Poset) -> Layer:
     The current map's law must lie below `target` in the probability
     order. The new depth is the smallest one past the current depth at
     which the laws and the transport numbers all become integer counts;
-    each word's extensions are then dealt out to the transported targets
-    in lexicographic order against the poset's declaration order, which
-    makes the result deterministic and monotone over the current layer.
-    Raises TooLarge, before tabulating anything, when that depth exceeds
+    each run of the current layer, taken in word order, covers a block of
+    the new level, which is dealt out to the transported targets in the
+    poset's declaration order, each target taking as many words as its
+    remaining budget allows. That is the word-by-word lexicographic
+    filling, done a run at a time, so the cost grows with the runs and the
+    targets, not with 2^depth; the result is deterministic and monotone
+    over the current layer. Raises TooLarge when that depth exceeds
     MAX_DEPTH.
     """
-    law = pushforward_counting(current.table, current.depth, base)
+    law = current.law(base)
     if not target.is_probability():
         raise NotProbability("lift target must have mass 1")
     plan = transport_plan(law, target)  # NotComparable unless law <= target
@@ -109,21 +185,31 @@ def lift_step(current: Layer, target: SimpleValuation, base: Poset) -> Layer:
                        % (depth, MAX_DEPTH))
     budgets = {xy: t.rescale(depth) for xy, t in plan.entries.items()}
     targets = target.support
-    table = {}
     stride = depth - current.depth
-    for w in level(current.depth):
-        x = current.table[w.bits]
-        for suffix in level(stride):
-            bits = w.bits + suffix.bits
-            for y in targets:
-                if budgets.get((x, y), 0) > 0:
-                    budgets[x, y] -= 1
-                    table[bits] = y
-                    break
+    ends, values = [], []
+    start = pos = 0
+    for end, x in zip(current.ends, current.values):
+        need = (end - start) << stride
+        start = end
+        for y in targets:
+            take = min(budgets.get((x, y), 0), need)
+            if take <= 0:
+                continue
+            budgets[x, y] -= take
+            need -= take
+            pos += take
+            if values and values[-1] == y:
+                ends[-1] = pos
             else:
-                raise AssertionError("slot without budget at %r" % bits)
+                ends.append(pos)
+                values.append(y)
+            if not need:
+                break
+        else:
+            raise AssertionError("slot without budget at %r"
+                                 % _bits(pos, depth))
     assert all(b == 0 for b in budgets.values())
-    return Layer(depth, table)
+    return Layer(depth, ends=ends, values=values)
 
 
 class RepresentationMap:
@@ -139,38 +225,41 @@ class RepresentationMap:
         self.base = base
         self.layers = list(layers)
         for layer in self.layers:
-            if len(layer.table) != 1 << layer.depth:
+            ends = layer.ends
+            if (not ends or ends[-1] != 1 << layer.depth
+                    or len(ends) != len(layer.values)
+                    or any(lo >= hi for lo, hi in zip([0] + ends, ends))):
                 raise ValueError("layer at depth %d is not total"
                                  % layer.depth)
         for a, b in zip(self.layers, self.layers[1:]):
             if not a.depth < b.depth:
                 raise ValueError("layer depths must increase strictly")
-            for bits, y in b.table.items():
-                if not base.leq(a.table[bits[:a.depth]], y):
-                    raise NotComparable(
-                        "layers disagree above word %r" % bits)
+            i = _first_disagreement(base, a, b)
+            if i is not None:
+                raise NotComparable("layers disagree above word %r"
+                                    % _bits(i, b.depth))
 
     @property
     def final_depth(self) -> int:
         return self.layers[-1].depth
 
     def law(self) -> SimpleValuation:
-        last = self.layers[-1]
-        return pushforward_counting(last.table, last.depth, self.base)
+        return self.layers[-1].law(self.base)
 
     def evaluate(self, w: Word):
         """(chain of layer values along w, final value)."""
-        if len(w) < self.final_depth:
+        top = self.final_depth
+        if len(w) < top:
             raise DepthExceeded("word %r shorter than depth %d"
-                                % (w.bits, self.final_depth))
-        chain = [layer.table[project(w, layer.depth).bits]
-                 for layer in self.layers]
+                                % (w.bits, top))
+        i = int(w.bits[:top], 2) if top else 0
+        chain = [layer.at(i >> (top - layer.depth)) for layer in self.layers]
         return chain, chain[-1]
 
     def to_dot(self) -> str:
         lines = ["digraph layers {", "  rankdir=TB;"]
         for k, layer in enumerate(self.layers):
-            for bits, y in sorted(layer.table.items()):
+            for bits, y in layer.items():
                 name = "L%d_%s" % (k, bits or "-")
                 lines.append('  "%s" [label="%s:%s"];'
                              % (name, bits or "-", y))
@@ -182,6 +271,24 @@ class RepresentationMap:
         return "\n".join(lines) + "\n"
 
 
+def _first_disagreement(base: Poset, a: Layer, b: Layer):
+    """The first word of b's level whose value is not above a's, or None.
+
+    Walks the runs of both layers in word order, a's runs scaled to b's
+    depth, and compares every overlapping pair once.
+    """
+    shift = b.depth - a.depth
+    i = j = pos = 0
+    while pos < 1 << b.depth:
+        if not base.leq(a.values[i], b.values[j]):
+            return pos
+        a_end, b_end = a.ends[i] << shift, b.ends[j]
+        pos = min(a_end, b_end)
+        i += a_end == pos
+        j += b_end == pos
+    return None
+
+
 def represent(schedule: ApproximationSchedule) -> RepresentationMap:
     """Realize a schedule, stage by stage, via lift_step.
 
@@ -189,12 +296,12 @@ def represent(schedule: ApproximationSchedule) -> RepresentationMap:
     here rather than trusted.
     """
     base = schedule.target.base
-    layers = [Layer(0, {"": base.bottom})]
+    layers = [Layer(0, ends=[1], values=[base.bottom])]
     for stage in schedule.stages[1:]:
         layers.append(lift_step(layers[-1], stage, base))
     rmap = RepresentationMap(base, layers)
     for layer, stage in zip(rmap.layers, schedule.stages):
-        assert pushforward_counting(layer.table, layer.depth, base) == stage
+        assert layer.law(base) == stage
     return rmap
 
 
@@ -264,10 +371,13 @@ def convergence_check(maps, limit_map: RepresentationMap,
     (the maps need not be ordered among themselves).
     """
     base = limit_map.base
+    maximal_at = {}
     records = []
     for w in words:
         _, lv = limit_map.evaluate(w)
-        maximal = base.up_set(lv) == frozenset([lv])
+        maximal = maximal_at.get(lv)
+        if maximal is None:
+            maximal = maximal_at[lv] = base.up_set(lv) == frozenset([lv])
         values = [m.evaluate(w)[1] for m in maps]
         geq = [base.leq(lv, v) for v in values]
         geq_from = _tail_index(geq)
@@ -299,14 +409,10 @@ class SubprobabilityRepresentation:
         return self.rmap.evaluate(w)[1] != self.fresh_bottom
 
     def restricted_law(self) -> SimpleValuation:
-        last = self.rmap.layers[-1]
-        counts = {}
-        for bits, y in last.table.items():
-            if y != self.fresh_bottom:
-                counts[y] = counts.get(y, 0) + 1
+        law = self.rmap.law()
         return SimpleValuation(self.original_base,
-                               {y: Dyadic(c, last.depth)
-                                for y, c in counts.items()})
+                               {y: w for y, w in law.weights.items()
+                                if y != self.fresh_bottom})
 
 
 def represent_subprobability(target: SimpleValuation,
@@ -338,8 +444,8 @@ def format_map(rmap: RepresentationMap) -> str:
     lines = ["layers %d" % len(rmap.layers)]
     for layer in rmap.layers:
         lines.append("layer %d" % layer.depth)
-        for bits in sorted(layer.table):
-            lines.append("map %s %s" % (bits or "-", layer.table[bits]))
+        for bits, y in layer.items():
+            lines.append("map %s %s" % (bits or "-", y))
     return "\n".join(lines) + "\n"
 
 
@@ -364,26 +470,27 @@ def parse_map(text: str, base: Poset) -> RepresentationMap:
             if parts[0] == "layers":
                 declared = count
             else:
-                current = Layer(count, {})
+                current = (count, {})
                 layers.append(current)
         elif parts[0] == "map" and len(parts) == 3:
             if current is None:
                 raise ParseError("map entry before any layer", lineno)
+            depth, table = current
             bits = "" if parts[1] == "-" else parts[1]
-            if len(bits) != current.depth or bits.strip("01"):
+            if len(bits) != depth or bits.strip("01"):
                 raise ParseError("word %r does not fit depth %d"
-                                 % (parts[1], current.depth), lineno)
+                                 % (parts[1], depth), lineno)
             if parts[2] not in base.index:
                 raise UnknownElement("line %d: unknown element %r"
                                      % (lineno, parts[2]))
-            current.table[bits] = parts[2]
+            table[bits] = parts[2]
         else:
             raise ParseError("unrecognized directive %r" % line, lineno)
     if declared is None or declared != len(layers):
         raise ParseError("layer count mismatch")
     if not layers:
         raise ParseError("no layers")
-    for layer in layers:
-        if len(layer.table) != 1 << layer.depth:
-            raise ParseError("layer %d is not total" % layer.depth)
-    return RepresentationMap(base, layers)
+    for depth, table in layers:
+        if len(table) != 1 << depth:
+            raise ParseError("layer %d is not total" % depth)
+    return RepresentationMap(base, [Layer(d, t) for d, t in layers])

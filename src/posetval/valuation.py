@@ -130,7 +130,14 @@ def _same_base(mu: SimpleValuation, nu: SimpleValuation):
 def order_network(mu: SimpleValuation, nu: SimpleValuation) -> flowmod.FlowNetwork:
     """The network whose maximum flow decides mu <= nu."""
     left, right = mu.support, nu.support
-    mid = {(x, y): _WIDE for x in left for y in right if mu.base.leq(x, y)}
+    index, rel = mu.base.index, mu.base._leq
+    columns = [(y, index[y]) for y in right]
+    mid = {}
+    for x in left:
+        row = rel[index[x]]
+        for y, j in columns:
+            if row[j]:
+                mid[x, y] = _WIDE
     return flowmod.FlowNetwork(left, right, dict(mu.weights), mid,
                                dict(nu.weights))
 

@@ -2,13 +2,15 @@
 
 Nothing here reuses the code paths under test: cuts are enumerated rather
 than derived from flows, upper sets are filtered straight from the order
-relation, and strict-transport feasibility and subprobability way-below
-are decided by exhaustive Hall-style subset conditions.
+relation, strict-transport feasibility and subprobability way-below are
+decided by exhaustive Hall-style subset conditions, a lift step fills the
+new level word by word, and the order is reachability by graph search.
 """
 
 from itertools import combinations
 
-from posetval import Dyadic, FlowNetwork, SimpleValuation, ZERO
+from posetval import (Dyadic, FlowNetwork, SimpleValuation, ZERO, level,
+                      pushforward_counting, transport_plan)
 
 
 def min_cut_by_enumeration(net: FlowNetwork) -> Dyadic:
@@ -100,3 +102,46 @@ def way_below_by_subsets(mu: SimpleValuation, nu: SimpleValuation) -> bool:
         if not (mu.value_on(sub) < nu.value_on(above)):
             return False
     return True
+
+
+def lift_step_by_slots(table: dict, depth: int, target: SimpleValuation):
+    """The lift step filled one word at a time, as (new depth, table).
+
+    Every extension of every current word, in lexicographic order, goes to
+    the first target in declaration order whose transport budget from the
+    word's current value is still positive; 2^new_depth steps.
+    """
+    base = target.base
+    law = pushforward_counting(table, depth, base)
+    plan = transport_plan(law, target)
+    new_depth = max(depth + 1, law.max_exponent(), target.max_exponent(),
+                    max((t.exp for t in plan.entries.values()), default=0))
+    budgets = {xy: t.rescale(new_depth) for xy, t in plan.entries.items()}
+    out = {}
+    for w in level(depth):
+        x = table[w.bits]
+        for suffix in level(new_depth - depth):
+            bits = w.bits + suffix.bits
+            y = next(y for y in target.support
+                     if budgets.get((x, y), 0) > 0)
+            budgets[x, y] -= 1
+            out[bits] = y
+    assert all(b == 0 for b in budgets.values())
+    return new_depth, out
+
+
+def reachable_by_search(n, covers):
+    """up[i]: the indices reachable from i along (lo, hi) index covers."""
+    succ = [[] for _ in range(n)]
+    for i, j in covers:
+        succ[i].append(j)
+    up = []
+    for i in range(n):
+        seen, stack = {i}, [i]
+        while stack:
+            for j in succ[stack.pop()]:
+                if j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+        up.append(seen)
+    return up

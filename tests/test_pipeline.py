@@ -1,13 +1,14 @@
 import random
+import time
 
 import pytest
 
-from posetval import (Dyadic, ONE, SimpleValuation, add, delta, scale,
-                      skorohod, skorohod_sequence, skorohod_subprobability,
-                      unit_to_word)
+from posetval import (Dyadic, ONE, SimpleValuation, Word, add, delta, sample,
+                      scale, skorohod, skorohod_sequence,
+                      skorohod_subprobability, unit_to_word)
 from posetval.errors import NotConvergent, NotProbability
 
-from conftest import random_poset, random_valuation
+from conftest import make_chain, random_poset, random_valuation
 
 HALF = Dyadic(1, 1)
 
@@ -136,3 +137,29 @@ def test_sequence_pipeline_constant(m4):
 def test_sequence_pipeline_rejects_divergence(m4):
     with pytest.raises(NotConvergent):
         skorohod_sequence([delta(m4, "a")] * 3, delta(m4, "top"), 2)
+
+
+def test_depth_16_sampler_is_fast():
+    # weights k/2^14 and two schedule steps give a depth-16 map whose
+    # layers hold a handful of runs; building it and drawing 1000 values
+    # must not tabulate the 2^16 words
+    chain = make_chain(4)
+    target = SimpleValuation(chain, {"c0": Dyadic(1, 14), "c1": Dyadic(3, 14),
+                                     "c2": Dyadic(5, 14),
+                                     "c3": Dyadic((1 << 14) - 9, 14)})
+    rng = random.Random(41)
+    bits = "".join(rng.choice("01") for _ in range(1000 * 16))
+    t0 = time.perf_counter()
+    w = skorohod(target, 2)
+    source = (b == "1" for b in bits)
+    draws = [sample(w.rmap, source) for _ in range(1000)]
+    elapsed = time.perf_counter() - t0
+    assert w.precision == 16
+    assert [len(layer.ends) for layer in w.rmap.layers] == [1, 4, 4]
+    assert w.rmap.law() == target
+    for i, x in enumerate(draws):
+        chain_values, value = w.rmap.evaluate(Word(bits[16 * i:16 * i + 16]))
+        assert value == x
+        assert all(chain.leq(lo, hi)
+                   for lo, hi in zip(chain_values, chain_values[1:]))
+    assert elapsed < 1.0

@@ -1,12 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posetval import Poset, format_poset, parse_poset
 from posetval.errors import OrderViolation, ParseError, TooLarge, UnknownElement
 
 from conftest import make_chain, random_poset
-from oracles import upper_sets_by_filtering
+from oracles import reachable_by_search, upper_sets_by_filtering
 
 
 def test_leq_examples(m4):
@@ -147,3 +149,37 @@ def test_chain_factory():
     c8 = make_chain(8)
     assert c8.classify()["is_chain"]
     assert len(c8.enumerate_upper_sets()) == 9
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32))
+def test_closure_matches_reachability(seed):
+    # covers run forward along a shuffled order, plus, half the time, one
+    # backward cover that may close a cycle; e0 is the bottom
+    rng = random.Random(seed)
+    n = rng.randint(1, 60)
+    order = list(range(1, n))
+    rng.shuffle(order)
+    order = [0] + order
+    density = rng.choice([0.02, 0.08, 0.3])
+    covers = [(0, i) for i in range(1, n) if rng.random() < 0.5]
+    covers += [(order[a], order[b]) for a in range(1, n)
+               for b in range(a + 1, n) if rng.random() < density]
+    covers += [(0, order[a]) for a in range(1, n)
+               if not any(j == order[a] for _, j in covers)]
+    if n > 1 and rng.random() < 0.5:
+        b = rng.randrange(1, n)
+        a = rng.randrange(b)
+        covers.append((order[b], order[a]))
+    names = ["e%d" % i for i in range(n)]
+    up = reachable_by_search(n, covers)
+    cyclic = any(j in up[i] and i in up[j]
+                 for i in range(n) for j in range(n) if i != j)
+    args = (names, [(names[i], names[j]) for i, j in covers], "e0")
+    if cyclic:
+        with pytest.raises(OrderViolation, match="antisymmetry"):
+            Poset(*args)
+        return
+    p = Poset(*args)
+    assert p._leq == [[j in up[i] for j in range(n)] for i in range(n)]
+    assert p._up_mask == [sum(1 << j for j in up[i]) for i in range(n)]

@@ -3,15 +3,16 @@ import random
 import pytest
 
 from posetval import (ApproximationSchedule, Dyadic, Layer, ONE,
-                      SimpleValuation, Word, add, build_schedule,
-                      convergence_check, delta, format_map, leq, level,
-                      lift_step, parse_map, pushforward_counting, represent,
-                      represent_sequence, represent_subprobability, sample,
-                      scale, way_below)
+                      RepresentationMap, SimpleValuation, Word, add,
+                      build_schedule, convergence_check, delta, format_map,
+                      leq, level, lift_step, parse_map, pushforward_counting,
+                      represent, represent_sequence, represent_subprobability,
+                      sample, scale, way_below)
 from posetval.errors import (DepthExceeded, NotComparable, NotConvergent,
-                             NotProbability, SourceExhausted)
+                             NotProbability, PartialMap, SourceExhausted)
 
 from conftest import random_poset, random_valuation
+from oracles import lift_step_by_slots
 
 HALF = Dyadic(1, 1)
 
@@ -87,10 +88,10 @@ def test_lift_step_randomized_exactness():
             assert base.leq(table[bits[:depth]], y)
 
 
-def upward_shuffle(rng, law):
+def upward_shuffle(rng, law, exp=4):
     """A probability valuation above `law`: move each atom's units upward."""
     base = law.base
-    exp = max(law.max_exponent(), 4)
+    exp = max(law.max_exponent(), exp)
     weights = {}
     for x, w in law.weights.items():
         ups = [y for y in base.elements if base.leq(x, y)]
@@ -98,6 +99,73 @@ def upward_shuffle(rng, law):
             y = rng.choice(ups)
             weights[y] = weights.get(y, Dyadic(0, 0)) + Dyadic(1, exp)
     return SimpleValuation(base, weights)
+
+
+def test_lift_step_matches_slot_by_slot_oracle():
+    # arbitrary (not monotone) current layers, targets at up to 2^-12
+    rng = random.Random(38)
+    for _ in range(60):
+        base = random_poset(rng, max_elements=8)
+        depth = rng.randint(0, 4)
+        table = {w.bits: rng.choice(base.elements) for w in level(depth)}
+        law = pushforward_counting(table, depth, base)
+        target = upward_shuffle(rng, law, exp=rng.randint(4, 12))
+        lifted = lift_step(Layer(depth, table), target, base)
+        assert lifted.depth <= 12
+        assert (lifted.depth, lifted.table) \
+            == lift_step_by_slots(table, depth, target)
+
+
+def test_represent_matches_slot_by_slot_oracle():
+    rng = random.Random(39)
+    for _ in range(30):
+        base = random_poset(rng, max_elements=8)
+        target = random_valuation(rng, base, exp=rng.randint(2, 9),
+                                  probability=True)
+        sched = build_schedule(target, rng.randint(1, 3))
+        tables = [(0, {"": base.bottom})]
+        for stage in sched.stages[1:]:
+            tables.append(lift_step_by_slots(tables[-1][1], tables[-1][0],
+                                             stage))
+        rmap = represent(sched)
+        assert rmap.final_depth <= 12
+        lines = ["layers %d" % len(tables)]
+        for depth, table in tables:
+            lines.append("layer %d" % depth)
+            lines.extend("map %s %s" % (bits or "-", table[bits])
+                         for bits in sorted(table))
+        assert format_map(rmap) == "\n".join(lines) + "\n"
+        expected = RepresentationMap(base, [Layer(d, t) for d, t in tables])
+        assert rmap.to_dot() == expected.to_dot()
+
+
+def test_layer_runs_round_trip(m4):
+    layer = Layer(2, {"00": "a", "01": "a", "10": "top", "11": "top"})
+    assert (layer.ends, layer.values) == ([2, 4], ["a", "top"])
+    assert layer.table == {"00": "a", "01": "a", "10": "top", "11": "top"}
+    assert layer.law(m4) == SimpleValuation(m4, {"a": HALF, "top": HALF})
+    assert [layer.at(i) for i in range(4)] == ["a", "a", "top", "top"]
+    with pytest.raises(PartialMap):
+        Layer(1, {"0": "a"})
+    with pytest.raises(ValueError):
+        Layer(1, {"0": "a", "1": "b", "10": "top"})
+
+
+def test_representation_map_rejects_bad_run_layouts(m4):
+    bot = Layer(0, {"": "bot"})
+    with pytest.raises(ValueError, match="not total"):
+        RepresentationMap(m4, [bot, Layer(1, ends=[1], values=["a"])])
+    with pytest.raises(ValueError, match="not total"):
+        RepresentationMap(m4, [bot, Layer(1, ends=[1, 1, 2],
+                                          values=["a", "a", "b"])])
+    parent = Layer(1, {"0": "a", "1": "top"})
+    RepresentationMap(m4, [bot, parent,
+                           Layer(2, ends=[2, 4], values=["a", "top"])])
+    # the child's boundary at word 3 falls inside the parent's run over
+    # words 2..3, so word 10 maps to a, below its parent's top
+    with pytest.raises(NotComparable, match="'10'"):
+        RepresentationMap(m4, [bot, parent,
+                               Layer(2, ends=[3, 4], values=["a", "top"])])
 
 
 def test_schedule_invariant_rejects_non_approximating_chain(m4):
