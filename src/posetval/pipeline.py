@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cantor import unit_to_word
+from .cantor import Word, unit_to_word
 from .dyadic import Dyadic
 from .errors import NotProbability
 from .skorohod import (ConvergenceReport, RepresentationMap,
@@ -94,8 +94,9 @@ def skorohod_sequence(targets, limit: SimpleValuation, steps: int,
     """Witnesses for a weakly convergent family plus the settling report."""
     maps, limit_map = represent_sequence(targets, limit, steps, from_index)
     depth = max(m.final_depth for m in maps + [limit_map])
-    words = [unit_to_word(Dyadic(i, depth), depth)
-             for i in range(1, (1 << depth) + 1)]
+    # the grid point (i + 1)/2^depth lands on word i, as unit_to_word says
+    words = [Word(format(i, "0%db" % depth) if depth else "", truncated=True)
+             for i in range(1 << depth)]
     conv = convergence_check(maps, limit_map, words)
     maximal = [r for r in conv.records if r.maximal]
     report = SequenceReport(conv, len(maximal),

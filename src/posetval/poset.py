@@ -7,8 +7,11 @@ domains throughout the package: every element is compact, so the way-below
 relation coincides with the order itself.
 
 Upper sets of a finite poset are exactly its Scott-open sets; they can be
-enumerated exhaustively (up to a configurable bound) to serve as a
-brute-force oracle for the valuation order.
+enumerated exhaustively to serve as a brute-force oracle for the valuation
+order. The enumeration costs time in proportion to its output, and stops
+with TooLarge once (upper sets found) x (elements) passes bound * 2^bound,
+bound = ORACLE_BOUND by default: the most a 16-element poset can need, so
+larger posets are fine as long as they have few upper sets.
 """
 
 from __future__ import annotations
@@ -89,11 +92,18 @@ class Poset:
         """The approximation relation; equals leq on a finite poset."""
         return self.leq(x, y)
 
+    def _members(self, mask: int) -> frozenset:
+        """The elements whose bits are set in mask."""
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(self.elements[low.bit_length() - 1])
+            mask ^= low
+        return frozenset(out)
+
     def up_set(self, x) -> frozenset:
         self._check(x)
-        i = self.index[x]
-        return frozenset(e for j, e in enumerate(self.elements)
-                         if self._leq[i][j])
+        return self._members(self._up_mask[self.index[x]])
 
     def down_set(self, x) -> frozenset:
         self._check(x)
@@ -110,32 +120,48 @@ class Poset:
     def is_upper(self, members) -> bool:
         members = set(members)
         self._check(*members)
-        return all(self.up_set(x) <= members for x in members)
+        index, up = self.index, self._up_mask
+        mask = 0
+        for x in members:
+            mask |= 1 << index[x]
+        return all(not up[index[x]] & ~mask for x in members)
 
     def enumerate_upper_sets(self, bound: int = ORACLE_BOUND):
         """All upward-closed subsets, each once, in ascending bitmask order.
 
-        Includes the empty set and the full set. Raises TooLarge above the
-        bound (the enumeration is exponential in the number of elements).
+        Includes the empty set and the full set. Decides the bits from the
+        highest element index down, 0 before 1, carrying the up-closure of
+        the elements taken and the mask of those left out; a branch whose
+        two masks meet is dropped, and every other branch completes (take
+        the closure itself), so the work grows with the output. Raises
+        TooLarge once (sets found) x (elements) passes bound * 2^bound.
         """
         n = len(self.elements)
-        if n > bound:
-            raise TooLarge("%d elements exceeds the oracle bound %d"
-                           % (n, bound))
-        out = []
-        for mask in range(1 << n):
-            ok = True
-            m = mask
-            while m:
-                i = (m & -m).bit_length() - 1
-                if self._up_mask[i] & ~mask:
-                    ok = False
-                    break
-                m &= m - 1
-            if ok:
-                out.append(UpperSet(self, frozenset(
-                    e for j, e in enumerate(self.elements) if mask >> j & 1)))
-        return out
+        up = self._up_mask
+        budget = bound << bound
+        masks = []
+        # (next bit to decide, up-closure of the bits taken, bits left out);
+        # the 1-branch is pushed first so the 0-branch is popped first, and
+        # at the end the closure is exactly the bits taken
+        stack = [(n - 1, 0, 0)]
+        while stack:
+            i, closed, excluded = stack.pop()
+            if i < 0:
+                if (len(masks) + 1) * n > budget:
+                    raise TooLarge("upper sets of %d elements exceed the "
+                                   "oracle budget %d * 2^%d"
+                                   % (n, bound, bound))
+                masks.append(closed)
+                continue
+            bit = 1 << i
+            if closed & bit:
+                stack.append((i - 1, closed, excluded))
+                continue
+            one = closed | up[i]
+            if not one & excluded:
+                stack.append((i - 1, one, excluded))
+            stack.append((i - 1, closed, excluded | bit))
+        return [UpperSet(self, self._members(m)) for m in masks]
 
     def _is_chain(self) -> bool:
         """True iff every two elements are comparable."""
@@ -144,19 +170,22 @@ class Poset:
                    for i in range(n) for j in range(i + 1, n))
 
     def classify(self) -> dict:
-        """Shape flags, each decided by exhaustive meet/join checks."""
+        """Shape flags, each decided by exhaustive meet/join checks.
+
+        The common lower bounds L of a pair have a greatest element k iff
+        L is the principal down-set of k (k in L puts its down-set inside
+        L, and k above all of L puts L inside it), and dually for joins,
+        so each pair is one set lookup on the bitsets.
+        """
         n = len(self.elements)
-        has_meet = has_join = True
-        for i in range(n):
-            for j in range(i, n):
-                lower = [k for k in range(n)
-                         if self._leq[k][i] and self._leq[k][j]]
-                if not any(all(self._leq[l][k] for l in lower) for k in lower):
-                    has_meet = False
-                upper = [k for k in range(n)
-                         if self._leq[i][k] and self._leq[j][k]]
-                if not any(all(self._leq[k][u] for u in upper) for k in upper):
-                    has_join = False
+        up = self._up_mask
+        down = [sum(1 << i for i, row in enumerate(self._leq) if row[j])
+                for j in range(n)]
+        downs, ups = set(down), set(up)
+        has_meet = all(down[i] & down[j] in downs
+                       for i in range(n) for j in range(i + 1, n))
+        has_join = all(up[i] & up[j] in ups
+                       for i in range(n) for j in range(i + 1, n))
         return {"is_chain": self._is_chain(),
                 "is_bounded_complete": has_meet,
                 "is_lattice": has_meet and has_join}

@@ -33,9 +33,9 @@ from .poset import Poset
 from .valuation import (SimpleValuation, add, delta, portmanteau_check,
                         scale, transport_plan, way_below)
 
-# deepest layer lift_step builds; layers are runs, but format_map,
-# law_on_grid and the grid words of skorohod_sequence still list all
-# 2^depth words of a map
+# deepest layer lift_step builds; layers are runs and convergence_check
+# settles one segment per run, but format_map and law_on_grid still list
+# all 2^depth words of a map, and skorohod_sequence one record per word
 MAX_DEPTH = 16
 
 
@@ -369,25 +369,41 @@ def convergence_check(maps, limit_map: RepresentationMap,
     Where the limit value is maximal, the sequence must become equal to it
     and stay equal; elsewhere only the eventually-at-least check applies
     (the maps need not be ordered among themselves).
+
+    Every map is constant between the run ends of its final layer, so the
+    run ends of all the maps, taken at the common top depth, cut the words
+    into segments on which every record field but the word is the same;
+    each segment is settled once and each word finds its segment by one
+    bisection. A word shorter than some map raises DepthExceeded from the
+    first such map, the limit map first.
     """
     base = limit_map.base
-    maximal_at = {}
-    records = []
+    family = [limit_map] + list(maps)
+    top = max(m.final_depth for m in family)
+    words = list(words)
     for w in words:
-        _, lv = limit_map.evaluate(w)
-        maximal = maximal_at.get(lv)
-        if maximal is None:
-            maximal = maximal_at[lv] = base.up_set(lv) == frozenset([lv])
-        values = [m.evaluate(w)[1] for m in maps]
-        geq = [base.leq(lv, v) for v in values]
-        geq_from = _tail_index(geq)
+        if len(w) < top:
+            for m in family:
+                m.evaluate(w)  # DepthExceeded at the first map deeper than w
+    cuts = sorted({end << (top - m.final_depth)
+                   for m in family for end in m.layers[-1].ends})
+    fields = []
+    start = 0
+    for end in cuts:
+        lv, *values = [m.layers[-1].at(start >> (top - m.final_depth))
+                       for m in family]
+        maximal = base.up_set(lv) == frozenset([lv])
+        geq_from = _tail_index([base.leq(lv, v) for v in values])
         equal_from = None
         ok = geq_from is not None
         if maximal:
             equal_from = _tail_index([v == lv for v in values])
             ok = equal_from is not None
-        records.append(ConvergenceRecord(w, lv, maximal, geq_from,
-                                         equal_from, ok))
+        fields.append((lv, maximal, geq_from, equal_from, ok))
+        start = end
+    records = [ConvergenceRecord(
+        w, *fields[bisect_right(cuts, int(w.bits[:top], 2) if top else 0)])
+        for w in words]
     return ConvergenceReport(records, all(r.ok for r in records))
 
 

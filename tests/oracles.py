@@ -2,15 +2,18 @@
 
 Nothing here reuses the code paths under test: cuts are enumerated rather
 than derived from flows, upper sets are filtered straight from the order
-relation, strict-transport feasibility and subprobability way-below are
-decided by exhaustive Hall-style subset conditions, a lift step fills the
-new level word by word, and the order is reachability by graph search.
+relation or scanned over every bitmask, strict-transport feasibility and
+subprobability way-below are decided by exhaustive Hall-style subset
+conditions, a lift step fills the new level word by word, the order is
+reachability by graph search, meets and joins are found by scanning every
+candidate, and convergence is checked by evaluating every map at every word.
 """
 
 from itertools import combinations
 
 from posetval import (Dyadic, FlowNetwork, SimpleValuation, ZERO, level,
                       pushforward_counting, transport_plan)
+from posetval.skorohod import ConvergenceRecord, ConvergenceReport
 
 
 def min_cut_by_enumeration(net: FlowNetwork) -> Dyadic:
@@ -45,6 +48,66 @@ def upper_sets_by_filtering(base):
                for x in members for y in base.elements):
             out.append(frozenset(members))
     return out
+
+
+def upper_sets_by_masks(base):
+    """Members of every upper set, scanning all 2^n bitmasks in order."""
+    n = len(base.elements)
+    out = []
+    for mask in range(1 << n):
+        if all(not base._up_mask[i] & ~mask
+               for i in range(n) if mask >> i & 1):
+            out.append(frozenset(e for j, e in enumerate(base.elements)
+                                 if mask >> j & 1))
+    return out
+
+
+def classify_by_scan(base):
+    """Shape flags by scanning every pair for a greatest lower bound and a
+    least upper bound among all their common bounds; O(n^4)."""
+    leq = base._leq
+    n = len(base.elements)
+    has_meet = has_join = True
+    for i in range(n):
+        for j in range(i, n):
+            lower = [k for k in range(n) if leq[k][i] and leq[k][j]]
+            if not any(all(leq[l][k] for l in lower) for k in lower):
+                has_meet = False
+            upper = [k for k in range(n) if leq[i][k] and leq[j][k]]
+            if not any(all(leq[k][u] for u in upper) for k in upper):
+                has_join = False
+    chain = all(leq[i][j] or leq[j][i] for i in range(n) for j in range(n))
+    return {"is_chain": chain, "is_bounded_complete": has_meet,
+            "is_lattice": has_meet and has_join}
+
+
+def _settled_from(flags):
+    """Least N with every flag from N on set, or None."""
+    n = None
+    for k in range(len(flags) - 1, -1, -1):
+        if not flags[k]:
+            break
+        n = k
+    return n
+
+
+def convergence_by_words(maps, limit_map, words):
+    """The convergence report, evaluating every map at every word."""
+    base = limit_map.base
+    records = []
+    for w in words:
+        _, lv = limit_map.evaluate(w)
+        maximal = all(not base.leq(lv, y) or y == lv for y in base.elements)
+        values = [m.evaluate(w)[1] for m in maps]
+        geq_from = _settled_from([base.leq(lv, v) for v in values])
+        equal_from = None
+        ok = geq_from is not None
+        if maximal:
+            equal_from = _settled_from([v == lv for v in values])
+            ok = equal_from is not None
+        records.append(ConvergenceRecord(w, lv, maximal, geq_from,
+                                         equal_from, ok))
+    return ConvergenceReport(records, all(r.ok for r in records))
 
 
 def _hall_feasible(rows, reachable_caps, universe_caps):

@@ -229,6 +229,47 @@ def test_converge_command(files):
     assert code == 1
 
 
+def _legs_poset(count, length):
+    lines = ["element bot"]
+    lines += ["element l%d_%d" % (a, k)
+              for a in range(count) for k in range(length)]
+    lines.append("bottom bot")
+    lines += ["cover %s l%d_%d" % ("bot" if k == 0 else "l%d_%d" % (a, k - 1),
+                                   a, k)
+              for a in range(count) for k in range(length)]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("shape, top, uppers", [
+    (_legs_poset(4, 4), "l3_3", 5 ** 4 + 1),    # 17 elements
+    (_legs_poset(1, 39), "l0_38", 41),          # a 40-element chain
+], ids=["17-elements", "40-chain"])
+def test_convergence_commands_past_16_elements(tmp_path, shape, top, uppers):
+    poset = tmp_path / "big.poset"
+    poset.write_text(shape)
+    vals = []
+    for k, text in enumerate(["bot 1/2^1\n%s 1/2^1\n" % top,
+                              "bot 1/2^2\n%s 3/2^2\n" % top,
+                              "%s 1\n" % top]):
+        path = tmp_path / ("s%d.val" % k)
+        path.write_text(text)
+        vals.append(str(path))
+    seq = ",".join(vals)
+    code, out = run(["portmanteau", "--poset", str(poset), "--seq", seq,
+                     "--nu", vals[-1]])
+    assert code == 0
+    assert out.count("\nU ") + out.startswith("U ") == uppers
+    assert out.endswith("PORTMANTEAU: pass\n")
+    code, out = run(["converge", "--poset", str(poset), "--seq", seq,
+                     "--nu", vals[-1], "--K", "2"])
+    assert code == 0
+    assert out.endswith("CONVERGENCE: pass\n")
+    code, out = run(["converge", "--poset", str(poset),
+                     "--seq", ",".join([vals[0]] * 3), "--nu", vals[-1],
+                     "--K", "2"])
+    assert code == 1 and out == ""
+
+
 def test_workspace_invariants(files):
     ws = Workspace()
     base = ws.load_poset(files["m4.poset"])

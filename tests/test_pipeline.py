@@ -3,12 +3,14 @@ import time
 
 import pytest
 
-from posetval import (Dyadic, ONE, SimpleValuation, Word, add, delta, sample,
+from posetval import (Dyadic, ONE, Poset, SimpleValuation, Word, add, delta,
+                      sample,
                       scale, skorohod, skorohod_sequence,
                       skorohod_subprobability, unit_to_word)
 from posetval.errors import NotConvergent, NotProbability
 
 from conftest import make_chain, random_poset, random_valuation
+from oracles import convergence_by_words
 
 HALF = Dyadic(1, 1)
 
@@ -163,3 +165,34 @@ def test_depth_16_sampler_is_fast():
         assert all(chain.leq(lo, hi)
                    for lo, hi in zip(chain_values, chain_values[1:]))
     assert elapsed < 1.0
+
+
+def test_sequence_on_16_elements_is_fast():
+    # three 5-element legs over a bottom (217 upper sets) and targets at
+    # 2^-6 give 8192 grid words; the 2^16-mask upper-set scan and a map
+    # evaluation per word took about 0.3 s here
+    names = ["bot"] + ["l%d_%d" % (a, k) for a in range(3) for k in range(5)]
+    covers = [("bot" if k == 0 else "l%d_%d" % (a, k - 1), "l%d_%d" % (a, k))
+              for a in range(3) for k in range(5)]
+    base = Poset(names, covers, "bot")
+    limit = SimpleValuation(base, {"l0_4": Dyadic(21, 6),
+                                   "l1_2": Dyadic(27, 6),
+                                   "l2_1": Dyadic(13, 6), "bot": Dyadic(3, 6)})
+    rho = SimpleValuation(base, {"l0_1": HALF, "l2_0": HALF})
+    seq = [add(scale(limit, ONE - Dyadic(1, c)), scale(rho, Dyadic(1, c)))
+           for c in range(1, 5)] + [limit]
+    t0 = time.perf_counter()
+    witnesses, limit_witness, report = skorohod_sequence(seq, limit, 3)
+    elapsed = time.perf_counter() - t0
+    depth = max(w.precision for w in witnesses + [limit_witness])
+    words = [unit_to_word(Dyadic(i, depth), depth)
+             for i in range(1, (1 << depth) + 1)]
+    records = report.convergence.records
+    assert len(records) == 8192
+    assert [r.word for r in records] == words
+    assert all(r.word.truncated for r in records)
+    assert report.convergence == convergence_by_words(
+        [w.rmap for w in witnesses], limit_witness.rmap, words)
+    assert report.verdict and report.almost_sure
+    assert report.maximal_words == 2688
+    assert elapsed < 0.2

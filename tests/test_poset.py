@@ -1,14 +1,17 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posetval import Poset, format_poset, parse_poset
+from posetval import poset as posetmod
 from posetval.errors import OrderViolation, ParseError, TooLarge, UnknownElement
 
 from conftest import make_chain, random_poset
-from oracles import reachable_by_search, upper_sets_by_filtering
+from oracles import (classify_by_scan, reachable_by_search,
+                     upper_sets_by_filtering, upper_sets_by_masks)
 
 
 def test_leq_examples(m4):
@@ -54,10 +57,66 @@ def test_upper_sets_form_topology(m4):
 
 
 def test_oracle_bound():
+    # 2^16 + 1 upper sets on 17 elements pass 16 * 2^16, the most a
+    # 16-element poset can need; the message names the budget
     big = Poset(["e%d" % i for i in range(17)],
                 [("e0", "e%d" % i) for i in range(1, 17)], "e0")
-    with pytest.raises(TooLarge):
+    with pytest.raises(TooLarge, match=r"^upper sets of 17 elements exceed "
+                       r"the oracle budget 16 \* 2\^16$"):
         big.enumerate_upper_sets()
+
+
+def legs(count, length):
+    """A bottom under `count` disjoint chains of `length` elements."""
+    names = ["bot"] + ["l%d_%d" % (a, k)
+                       for a in range(count) for k in range(length)]
+    covers = [("bot" if k == 0 else "l%d_%d" % (a, k - 1), "l%d_%d" % (a, k))
+              for a in range(count) for k in range(length)]
+    return Poset(names, covers, "bot")
+
+
+def test_upper_set_budget_follows_the_output(monkeypatch):
+    # a 17-element poset with 5^4 + 1 upper sets is well inside the budget
+    four = legs(4, 4)
+    uppers = [u.members for u in four.enumerate_upper_sets()]
+    assert len(uppers) == 5 ** 4 + 1 == len(set(uppers))
+    assert all(four.is_upper(u) for u in uppers)
+    masks = [sum(1 << four.index[x] for x in u) for u in uppers]
+    assert masks == sorted(masks)
+    chain = make_chain(40)
+    assert [len(u.members) for u in chain.enumerate_upper_sets()] \
+        == list(range(41))
+    # (sets found) x (elements) against bound * 2^bound: a 5-chain has
+    # 6 upper sets, 30 > 3 * 2^3 but not > 4 * 2^4; the budget stops the
+    # enumeration before it builds any UpperSet
+    built = []
+    with monkeypatch.context() as m:
+        m.setattr(posetmod, "UpperSet", lambda *args: built.append(args))
+        with pytest.raises(TooLarge, match="budget 3 \\* 2\\^3"):
+            make_chain(5).enumerate_upper_sets(3)
+    assert built == []
+    assert len(make_chain(5).enumerate_upper_sets(4)) == 6
+
+
+def shuffled_poset(rng, max_elements, density):
+    """A random poset whose declaration order need not extend its order."""
+    p = random_poset(rng, max_elements, density)
+    names = list(p.elements)
+    rng.shuffle(names)
+    return Poset(names, p.covers, p.bottom)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 32))
+def test_upper_sets_match_mask_scan(seed):
+    rng = random.Random(seed)
+    p = shuffled_poset(rng, 14, rng.choice([0.05, 0.2, 0.5]))
+    uppers = [u.members for u in p.enumerate_upper_sets()]
+    assert uppers == upper_sets_by_masks(p)
+    for x in p.elements:
+        assert p.up_set(x) == frozenset(y for y in p.elements if p.leq(x, y))
+    sub = [x for x in p.elements if rng.random() < 0.5]
+    assert p.is_upper(sub) == (frozenset(sub) in uppers)
 
 
 def test_classify(m4, c3):
@@ -68,6 +127,27 @@ def test_classify(m4, c3):
     vee = Poset(["bot", "a", "b"], [("bot", "a"), ("bot", "b")], "bot")
     assert vee.classify() == {"is_chain": False, "is_bounded_complete": True,
                               "is_lattice": False}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32))
+def test_classify_matches_scan(seed):
+    rng = random.Random(seed)
+    p = shuffled_poset(rng, 30, rng.choice([0.05, 0.2, 0.5, 0.9]))
+    assert p.classify() == classify_by_scan(p)
+
+
+def test_classify_is_fast_on_long_chains():
+    # the pairwise scan over all common bounds took 0.61 s here
+    chain = make_chain(96)
+    t0 = time.perf_counter()
+    flags = chain.classify()
+    assert time.perf_counter() - t0 < 0.2
+    assert flags == {"is_chain": True, "is_bounded_complete": True,
+                     "is_lattice": True}
+    assert legs(3, 30).classify() == {"is_chain": False,
+                                      "is_bounded_complete": True,
+                                      "is_lattice": False}
 
 
 def test_construction_rejects_bad_orders():

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posetval import (ApproximationSchedule, Dyadic, Layer, ONE,
                       RepresentationMap, SimpleValuation, Word, add,
@@ -12,7 +14,7 @@ from posetval.errors import (DepthExceeded, NotComparable, NotConvergent,
                              NotProbability, PartialMap, SourceExhausted)
 
 from conftest import random_poset, random_valuation
-from oracles import lift_step_by_slots
+from oracles import convergence_by_words, lift_step_by_slots
 
 HALF = Dyadic(1, 1)
 
@@ -339,6 +341,38 @@ def test_convergence_check_non_maximal_limit(m4):
     for rec in report.records:
         assert not rec.maximal
         assert rec.geq_from is not None and rec.equal_from is None
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 32))
+def test_convergence_check_matches_word_by_word_oracle(seed):
+    rng = random.Random(seed)
+    base = random_poset(rng, 8)
+    limit = random_valuation(rng, base, rng.randint(1, 3), probability=True)
+    if rng.random() < 0.5:
+        seq = geometric_then_limit(base, limit, rng, rng.randint(1, 5))
+    else:  # unrelated targets: usually not convergent
+        seq = [random_valuation(rng, base, rng.randint(1, 3),
+                                probability=True)
+               for _ in range(rng.randint(0, 4))]
+    maps = [represent(build_schedule(v, rng.randint(1, 3))) for v in seq]
+    limit_map = represent(build_schedule(limit, rng.randint(1, 3)))
+    depth = max(m.final_depth for m in maps + [limit_map])
+    grid = level(depth)
+    shuffled = rng.sample(grid, len(grid))
+    repeated = grid + [rng.choice(grid) for _ in range(8)]
+    deeper = level(depth + rng.randint(1, 2))
+    for words in (grid, shuffled, repeated, deeper, deeper[::3], []):
+        assert convergence_check(maps, limit_map, words) \
+            == convergence_by_words(maps, limit_map, words)
+    # a short word, after some good ones, fails on the first map too deep
+    # for it, the limit map first
+    short = grid[:3] + [Word(rng.choice(grid).bits[:rng.randrange(depth)])]
+    with pytest.raises(DepthExceeded) as got:
+        convergence_check(maps, limit_map, short)
+    with pytest.raises(DepthExceeded) as want:
+        convergence_by_words(maps, limit_map, short)
+    assert str(got.value) == str(want.value)
 
 
 def test_represent_subprobability_examples(m4):
