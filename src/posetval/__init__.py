@@ -7,19 +7,19 @@ whose laws are exact by counting.
 """
 
 from . import errors
-from .cantor import (Word, embed, level, project, pushforward_counting,
-                     unit_to_word, word_to_unit)
+from .cantor import (StepMap, Word, embed, level, project,
+                     pushforward_counting, unit_to_word, word_to_unit)
 from .chain import (Cdf, QuantileMap, cdf, lower_adjoint,
                     pushforward_lebesgue, quantile_leq)
 from .dyadic import ONE, ZERO, Dyadic, parse_dyadic
 from .flow import Flow, FlowNetwork, max_flow
-from .pipeline import (SkorohodWitness, SubprobabilityWitness, skorohod,
-                       skorohod_sequence, skorohod_subprobability)
+from .pipeline import (SkorohodWitness, skorohod, skorohod_sequence,
+                       skorohod_subprobability)
 from .poset import Poset, UpperSet, format_poset, parse_poset
 from .skorohod import (ApproximationSchedule, Layer, RepresentationMap,
                        build_schedule, convergence_check, format_map,
                        lift_step, parse_map, represent, represent_sequence,
-                       represent_subprobability, sample)
+                       sample)
 from .valuation import (PosetMap, SimpleValuation, TransportPlan, add, delta,
                         format_valuation, integrate_monotone, leq, leq_oracle,
                         leq_witness, normalize, parse_valuation,
@@ -34,15 +34,14 @@ __all__ = [
     "leq", "leq_oracle", "leq_witness", "transport_plan", "way_below",
     "integrate_monotone", "normalize", "pushforward", "portmanteau_check",
     "parse_valuation", "format_valuation",
-    "Word", "level", "project", "embed", "pushforward_counting",
+    "Word", "StepMap", "level", "project", "embed", "pushforward_counting",
     "word_to_unit", "unit_to_word",
     "Cdf", "QuantileMap", "cdf", "lower_adjoint", "pushforward_lebesgue",
     "quantile_leq",
     "ApproximationSchedule", "Layer", "RepresentationMap", "build_schedule",
     "lift_step", "represent", "sample", "represent_sequence",
-    "convergence_check", "represent_subprobability", "format_map",
-    "parse_map",
-    "SkorohodWitness", "SubprobabilityWitness", "skorohod",
-    "skorohod_sequence", "skorohod_subprobability",
+    "convergence_check", "format_map", "parse_map",
+    "SkorohodWitness", "skorohod", "skorohod_sequence",
+    "skorohod_subprobability",
     "errors",
 ]

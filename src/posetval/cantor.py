@@ -12,14 +12,20 @@ its lower adjoint: the map sending r to the lexicographically least infinite
 word whose value reaches r. For dyadic r > 0 that word is the
 non-terminating expansion (tail of ones), which pins the otherwise
 ambiguous choice and makes grid tabulations exact.
+
+A step map sends the words of one level, in lexicographic order, to
+values, and stores the runs of consecutive words with one value. Read
+through the bridge it is a step function on [0, 1]: representation layers
+and the quantile maps of chains are both step maps.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
-from .dyadic import ZERO, Dyadic
-from .errors import DepthExceeded, OutOfRange, PartialMap
+from .dyadic import ONE, ZERO, Dyadic
+from .errors import DepthExceeded, OutOfRange, PartialMap, Unreachable
 from .poset import Poset
 from .valuation import SimpleValuation
 
@@ -67,10 +73,14 @@ def embed(w: Word, n: int) -> Word:
     return Word(w.bits + "0" * (n - len(w.bits)), w.truncated)
 
 
+def _bits(i: int, depth: int) -> str:
+    """Word number i of the depth-level, as a bit string."""
+    return format(i, "0%db" % depth) if depth else ""
+
+
 def level(n: int):
     """All 2^n words of depth n in lexicographic order (an antichain)."""
-    return [Word(format(i, "0%db" % n) if n else "")
-            for i in range(1 << n)]
+    return [Word(_bits(i, n)) for i in range(1 << n)]
 
 
 def pushforward_counting(table: dict, depth: int,
@@ -100,20 +110,128 @@ def word_to_unit(w: Word) -> Dyadic:
     return total
 
 
+def _word_number(r: Dyadic, n: int) -> int:
+    """ceil(r * 2^n) - 1 for r in (0, 1], and 0 for r = 0.
+
+    The number of the depth-n word that unit_to_word(r, n) spells.
+    """
+    if ONE < r:
+        raise OutOfRange("%s lies outside [0, 1]" % r)
+    if r.is_zero():
+        return 0
+    if r.exp <= n:
+        return r.rescale(n) - 1        # exact, ceil not needed
+    return -(-r.num >> (r.exp - n)) - 1    # ceil(num / 2^shift) - 1
+
+
 def unit_to_word(r: Dyadic, n: int) -> Word:
     """Depth-n truncation of the least infinite word with value >= r.
 
     For dyadic r > 0 this is the non-terminating expansion, so the first n
     bits encode ceil(r * 2^n) - 1; r = 0 gives the all-zeros word.
     """
-    if Dyadic(1, 0) < r:
-        raise OutOfRange("%s lies outside [0, 1]" % r)
-    if r.is_zero():
-        return Word("0" * n, truncated=True)
-    if r.exp <= n:
-        scaled = r.rescale(n)          # exact, ceil not needed
-    else:
-        shift = r.exp - n
-        scaled = -(-r.num >> shift)    # ceil(num / 2^shift)
-    return Word(format(scaled - 1, "0%db" % n) if n else "",
-                truncated=True)
+    return Word(_bits(_word_number(r, n), n), truncated=True)
+
+
+@dataclass(init=False)
+class StepMap:
+    """A map from the first words of the depth-level to values, as runs.
+
+    Word i (its bits read as a binary number) lies in run k iff
+    ends[k-1] <= i < ends[k], with ends[-1] = 0, and run k maps it to
+    values[k]. The map is defined on the words below its last end, which
+    is 2^depth for a total map. `StepMap(depth, table)` compresses a dict
+    over every depth-bit string into a total map; `table` expands the
+    runs back into one.
+    """
+
+    depth: int
+    ends: list
+    values: list
+
+    def __init__(self, depth: int, table=None, ends=(), values=()):
+        self.depth = depth
+        if table is not None:
+            ends, values = _compress(table, depth)
+        self.ends = list(ends)
+        self.values = list(values)
+
+    def total(self) -> Dyadic:
+        """The share of the level the map is defined on."""
+        return Dyadic(self.ends[-1], self.depth) if self.ends else ZERO
+
+    def items(self):
+        """(bit string, value) for every word, in word order."""
+        start = 0
+        for end, y in zip(self.ends, self.values):
+            for i in range(start, end):
+                yield _bits(i, self.depth), y
+            start = end
+
+    @property
+    def table(self) -> dict:
+        """bit string -> value, for every word the map is defined on."""
+        return dict(self.items())
+
+    def law(self, base: Poset) -> SimpleValuation:
+        """Counting measure pushed through the map: run lengths / 2^depth."""
+        counts = {}
+        start = 0
+        for end, y in zip(self.ends, self.values):
+            counts[y] = counts.get(y, 0) + end - start
+            start = end
+        return SimpleValuation(base, {y: Dyadic(c, self.depth)
+                                      for y, c in counts.items()})
+
+    def at(self, i: int):
+        """The value at word number i."""
+        return self.values[bisect_right(self.ends, i)]
+
+    def __call__(self, r: Dyadic):
+        """The value at the word unit_to_word(r, depth) spells."""
+        i = _word_number(r, self.depth)
+        if not self.ends or i >= self.ends[-1]:
+            raise Unreachable("%s lies above the map's total %s"
+                              % (r, self.total()))
+        return self.at(i)
+
+    def first_disagreement(self, other: "StepMap", base: Poset):
+        """The first word where this map's value is not below other's.
+
+        Both maps are read at the deeper of the two depths, and the walk
+        stops at the shorter total; the result is a word number at that
+        depth, or None. Each pair of overlapping runs is compared once.
+        """
+        top = max(self.depth, other.depth)
+        sa, sb = top - self.depth, top - other.depth
+        stop = (min(self.ends[-1] << sa, other.ends[-1] << sb)
+                if self.ends and other.ends else 0)
+        i = j = pos = 0
+        while pos < stop:
+            a_end, b_end = self.ends[i] << sa, other.ends[j] << sb
+            end = min(a_end, b_end)
+            # a run of length zero (a quantile threshold at 0) holds no word
+            if pos < end and not base.leq(self.values[i], other.values[j]):
+                return pos
+            pos = end
+            i += a_end == end
+            j += b_end == end
+        return None
+
+
+def _compress(table: dict, depth: int):
+    """Runs of a dict over all depth-bit strings, in word order."""
+    ends, values = [], []
+    for i in range(1 << depth):
+        bits = _bits(i, depth)
+        if bits not in table:
+            raise PartialMap("level map undefined on %r" % bits)
+        y = table[bits]
+        if values and values[-1] == y:
+            ends[-1] = i + 1
+        else:
+            ends.append(i + 1)
+            values.append(y)
+    if len(table) != 1 << depth:
+        raise ValueError("table has words outside depth %d" % depth)
+    return ends, values

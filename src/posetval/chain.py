@@ -8,18 +8,20 @@ measure through G recovers the valuation exactly, and the passage is an
 order isomorphism: quantile maps compare pointwise iff their pushforwards
 compare as valuations.
 
-Quantile maps are stored as breakpoints (ascending thresholds with target
-elements), which keeps the Lebesgue pushforward exact: the weight of an
-element is a difference of dyadic thresholds.
+A quantile map is given by breakpoints, ascending dyadic thresholds with
+their elements, and stored as a `cantor.StepMap` at the depth of its finest
+threshold: the thresholds times 2^depth are its run ends. The Lebesgue
+pushforward is then the step map's law, exact by counting, and the
+pointwise order is one merge of the two maps' runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .cantor import StepMap
 from .dyadic import ONE, ZERO, Dyadic, parse_dyadic
-from .errors import (NotAChain, ParseError, PartialQuantile, Unreachable,
-                     UnknownElement)
+from .errors import NotAChain, ParseError, PartialQuantile, UnknownElement
 from .poset import Poset
 from .valuation import SimpleValuation
 
@@ -58,8 +60,7 @@ def cdf(v: SimpleValuation) -> Cdf:
     return Cdf(v.base, values)
 
 
-@dataclass
-class QuantileMap:
+class QuantileMap(StepMap):
     """Step function [0, total] -> chain, the lower adjoint of a CDF.
 
     breakpoints are (threshold, element) pairs with strictly ascending
@@ -69,25 +70,23 @@ class QuantileMap:
     generating valuation had mass below r).
     """
 
-    base: Poset
-    breakpoints: list
+    def __init__(self, base: Poset, breakpoints):
+        self.base = base
+        depth = max((t.exp for t, _ in breakpoints), default=0)
+        super().__init__(depth,
+                         ends=[t.rescale(depth) for t, _ in breakpoints],
+                         values=[x for _, x in breakpoints])
 
-    def total(self) -> Dyadic:
-        return self.breakpoints[-1][0] if self.breakpoints else ZERO
-
-    def is_total(self) -> bool:
-        return self.total() == ONE
+    @property
+    def breakpoints(self) -> list:
+        return [(Dyadic(end, self.depth), x)
+                for end, x in zip(self.ends, self.values)]
 
     def __call__(self, r: Dyadic):
-        if self.total() < r:
-            raise Unreachable("no element reaches cumulative mass %s" % r)
         if r.is_zero():
             # every cumulative value reaches 0, so the least element wins
             return _ascending(self.base)[0]
-        for threshold, element in self.breakpoints:
-            if not threshold < r:     # r <= threshold
-                return element
-        raise AssertionError("unreachable: r <= total")
+        return super().__call__(r)
 
 
 def lower_adjoint(f: Cdf) -> QuantileMap:
@@ -105,34 +104,24 @@ def lower_adjoint(f: Cdf) -> QuantileMap:
 def pushforward_lebesgue(g: QuantileMap) -> SimpleValuation:
     """Exact law of a total quantile map under the uniform measure.
 
-    Each element receives the length of its preimage interval; the
-    breakpoint representation makes those lengths dyadic differences.
+    Each element receives the length of its preimage interval, which is
+    its run length over 2^depth.
     """
-    if not g.is_total():
+    if g.total() != ONE:
         raise PartialQuantile("quantile map stops at mass %s" % g.total())
-    weights = {}
-    last = ZERO
-    for threshold, element in g.breakpoints:
-        weights[element] = threshold - last
-        last = threshold
-    return SimpleValuation(g.base, weights)
+    return g.law(g.base)
 
 
 def quantile_leq(g: QuantileMap, h: QuantileMap) -> bool:
     """Pointwise comparison of two quantile maps over their full domain.
 
-    Both maps are constant on the half-open intervals of their merged
-    threshold grid, so comparing at each interval's right endpoint (plus
-    r = 0, where both sit at the chain's bottom) decides the pointwise
-    order exactly. Domains must agree.
+    Domains must agree; then one walk over the merged runs decides the
+    order exactly (at r = 0 both sit at the chain's bottom).
     """
     if g.base is not h.base:
         raise NotAChain("quantile maps over different chains")
-    if g.total() != h.total():
-        return False
-    grid = sorted({t for t, _ in g.breakpoints}
-                  | {t for t, _ in h.breakpoints})
-    return all(g.base.leq(g(r), h(r)) for r in grid)
+    return (g.total() == h.total()
+            and g.first_disagreement(h, g.base) is None)
 
 
 def parse_quantile(text: str, base: Poset) -> QuantileMap:

@@ -256,20 +256,15 @@ def _run(args, stdout) -> int:
     if args.command == "skorohod":
         if mu.is_probability():
             witness = pipeline.skorohod(mu, args.steps)
-            law = witness.law_on_grid()
-            exact = law == mu
-            lines = ["precision %d" % witness.precision,
-                     "grid %d" % len(witness.grid()),
-                     "driver %s" % witness.describe()]
+            third = "driver %s" % witness.describe()
         else:
             witness = pipeline.skorohod_subprobability(mu, args.steps)
-            law = witness.law_on_grid()
-            exact = law == mu
-            defined = sum(1 for r in witness.grid() if witness.defined(r))
-            lines = ["precision %d" % witness.precision,
-                     "grid %d" % len(witness.grid()),
-                     "defined %d" % defined]
-        lines.append("EXACT_LAW: %s" % _bool(exact))
+            third = "defined %d" % sum(map(witness.defined, witness.grid()))
+        law = witness.law_on_grid()
+        exact = law == mu
+        lines = ["precision %d" % witness.precision,
+                 "grid %d" % len(witness.grid()), third,
+                 "EXACT_LAW: %s" % _bool(exact)]
         lines.extend("law %s %s" % (x, law.weights[x]) for x in law.support)
         _write(out, "\n".join(lines) + "\n", stdout)
         return 0 if exact else 1

@@ -44,17 +44,6 @@ class Dyadic:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "exp", exp)
 
-    # -- constructors --------------------------------------------------
-
-    @staticmethod
-    def from_int(k: int) -> "Dyadic":
-        return Dyadic(k, 0)
-
-    @staticmethod
-    def from_ratio(k: int, n: int) -> "Dyadic":
-        """k / 2**n, canonicalized."""
-        return Dyadic(k, n)
-
     # -- arithmetic -----------------------------------------------------
 
     def __add__(self, other: "Dyadic") -> "Dyadic":

@@ -8,31 +8,35 @@ exhaustively tabulating the driver over the grid reproduces the target
 valuation exactly -- the law is a counting identity, not a limit.
 
 Sequences route through the weak-convergence gate and report, per grid
-word, how the witnesses' values settle on the limit's; subprobability
-targets run over a lifted poset and exclude the grid points routed to the
-fresh bottom.
+word, how the witnesses' values settle on the limit's. A subprobability
+target is represented over its poset lifted under a fresh bottom that
+takes the missing mass; its witness is undefined at the grid points
+routed there, and its law skips them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cantor import Word, unit_to_word
-from .dyadic import Dyadic
+from .cantor import Word, _bits
+from .dyadic import ONE, Dyadic
 from .errors import NotProbability
-from .skorohod import (ConvergenceReport, RepresentationMap,
-                       SubprobabilityRepresentation, build_schedule,
-                       convergence_check, represent, represent_sequence,
-                       represent_subprobability)
+from .skorohod import (ConvergenceReport, RepresentationMap, build_schedule,
+                       convergence_check, represent, represent_sequence)
 from .valuation import SimpleValuation
 
 
 @dataclass
 class SkorohodWitness:
-    """A sampler [0, 1] -> poset whose exact law is the target."""
+    """A sampler [0, 1] -> poset whose exact law is the target.
+
+    With a fresh bottom the map runs over the target's poset lifted under
+    it, and the sampler is undefined where the map reaches that bottom.
+    """
 
     target: SimpleValuation
     rmap: RepresentationMap
+    fresh_bottom: object = None
 
     @property
     def precision(self) -> int:
@@ -45,21 +49,25 @@ class SkorohodWitness:
 
     def driver(self, r: Dyadic):
         """Value at a unit-interval point."""
-        _, value = self.rmap.evaluate(unit_to_word(r, self.precision))
-        return value
+        return self.rmap.layers[-1](r)
+
+    def defined(self, r: Dyadic) -> bool:
+        return self.driver(r) != self.fresh_bottom
 
     def grid(self):
         d = self.precision
         return [Dyadic(i, d) for i in range(1, (1 << d) + 1)]
 
     def law_on_grid(self) -> SimpleValuation:
-        """Exhaustive tabulation of the driver; equals the target exactly."""
+        """Exhaustive tabulation of the driver, on the target's poset,
+        over the defined grid points; equals the target exactly."""
         d = self.precision
         counts = {}
         for r in self.grid():
             x = self.driver(r)
-            counts[x] = counts.get(x, 0) + 1
-        return SimpleValuation(self.rmap.base,
+            if x != self.fresh_bottom:
+                counts[x] = counts.get(x, 0) + 1
+        return SimpleValuation(self.target.base,
                                {x: Dyadic(c, d) for x, c in counts.items()})
 
 
@@ -69,6 +77,22 @@ def skorohod(target: SimpleValuation, steps: int) -> SkorohodWitness:
         raise NotProbability("pipeline target must have mass 1; "
                              "use the subprobability variant")
     return SkorohodWitness(target, represent(build_schedule(target, steps)))
+
+
+def skorohod_subprobability(target: SimpleValuation,
+                            steps: int) -> SkorohodWitness:
+    """Witness for mass <= 1; restricted tabulation equals the target.
+
+    The target's poset is lifted under a fresh bottom, which takes the
+    missing mass, and the lifted probability target is represented.
+    """
+    lifted = target.base.lift()
+    weights = dict(target.weights)
+    gap = ONE - target.mass
+    if not gap.is_zero():
+        weights[lifted.bottom] = gap
+    rmap = represent(build_schedule(SimpleValuation(lifted, weights), steps))
+    return SkorohodWitness(target, rmap, lifted.bottom)
 
 
 @dataclass
@@ -95,8 +119,7 @@ def skorohod_sequence(targets, limit: SimpleValuation, steps: int,
     maps, limit_map = represent_sequence(targets, limit, steps, from_index)
     depth = max(m.final_depth for m in maps + [limit_map])
     # the grid point (i + 1)/2^depth lands on word i, as unit_to_word says
-    words = [Word(format(i, "0%db" % depth) if depth else "", truncated=True)
-             for i in range(1 << depth)]
+    words = [Word(_bits(i, depth), truncated=True) for i in range(1 << depth)]
     conv = convergence_check(maps, limit_map, words)
     maximal = [r for r in conv.records if r.maximal]
     report = SequenceReport(conv, len(maximal),
@@ -104,46 +127,3 @@ def skorohod_sequence(targets, limit: SimpleValuation, steps: int,
                                 if r.equal_from is not None))
     witnesses = [SkorohodWitness(t, m) for t, m in zip(targets, maps)]
     return witnesses, SkorohodWitness(limit, limit_map), report
-
-
-@dataclass
-class SubprobabilityWitness:
-    """A partial sampler; undefined where the lift parked the missing mass."""
-
-    target: SimpleValuation
-    representation: SubprobabilityRepresentation
-
-    @property
-    def precision(self) -> int:
-        return self.representation.rmap.final_depth
-
-    def grid(self):
-        d = self.precision
-        return [Dyadic(i, d) for i in range(1, (1 << d) + 1)]
-
-    def defined(self, r: Dyadic) -> bool:
-        word = unit_to_word(r, self.precision)
-        return self.representation.defined(word)
-
-    def driver(self, r: Dyadic):
-        _, value = self.representation.rmap.evaluate(
-            unit_to_word(r, self.precision))
-        return value
-
-    def law_on_grid(self) -> SimpleValuation:
-        """Tabulation over the defined grid points, on the original poset."""
-        d = self.precision
-        counts = {}
-        for r in self.grid():
-            x = self.driver(r)
-            if x != self.representation.fresh_bottom:
-                counts[x] = counts.get(x, 0) + 1
-        return SimpleValuation(self.representation.original_base,
-                               {x: Dyadic(c, d) for x, c in counts.items()})
-
-
-def skorohod_subprobability(target: SimpleValuation,
-                            steps: int) -> SubprobabilityWitness:
-    """Witness for mass <= 1; restricted tabulation equals the target."""
-    return SubprobabilityWitness(target,
-                                 represent_subprobability(target, steps))

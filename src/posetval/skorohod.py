@@ -10,10 +10,10 @@ always exists for probability measures, and the deterministic slot-filling
 below constructs one outright.
 
 A level map is a step function on the words of its level in lexicographic
-order, so a layer stores it as runs: the end of each run of consecutive
-words with one value, and that value. Lifting, the law, the checks and
-evaluation all work on the runs, so their cost grows with the number of
-runs, not with 2^depth.
+order, so a layer is a total `cantor.StepMap`: the end of each run of
+consecutive words with one value, and that value. Lifting, the law, the
+checks and evaluation all work on the runs, so their cost grows with the
+number of runs, not with 2^depth.
 
 Everything here is exact: pushforwards are counting arguments, so equality
 with the schedule stages is dyadic equality, not approximation.
@@ -24,10 +24,10 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .cantor import Word
+from .cantor import StepMap, Word, _bits
 from .dyadic import Dyadic
 from .errors import (DepthExceeded, NotComparable, NotConvergent,
-                     NotProbability, ParseError, PartialMap, SourceExhausted,
+                     NotProbability, ParseError, SourceExhausted,
                      TooLarge, UnknownElement)
 from .poset import Poset
 from .valuation import (SimpleValuation, add, delta, portmanteau_check,
@@ -86,76 +86,8 @@ def build_schedule(target: SimpleValuation, steps: int) -> ApproximationSchedule
     return ApproximationSchedule(target, stages)
 
 
-@dataclass(init=False)
-class Layer:
-    """A total map from the depth-level words to poset elements, as runs.
-
-    Word i (its bits read as a binary number) lies in run k iff
-    ends[k-1] <= i < ends[k], with ends[-1] = 2^depth, and run k maps it to
-    values[k]. `Layer(depth, table)` compresses a dict over every
-    depth-bit string; `table` expands the runs back into one.
-    """
-
-    depth: int
-    ends: list
-    values: list
-
-    def __init__(self, depth: int, table=None, ends=(), values=()):
-        self.depth = depth
-        if table is not None:
-            ends, values = _compress(table, depth)
-        self.ends = list(ends)
-        self.values = list(values)
-
-    def items(self):
-        """(bit string, element) for every word, in word order."""
-        start = 0
-        for end, y in zip(self.ends, self.values):
-            for i in range(start, end):
-                yield _bits(i, self.depth), y
-            start = end
-
-    @property
-    def table(self) -> dict:
-        """bit string -> element, for all 2^depth words."""
-        return dict(self.items())
-
-    def law(self, base: Poset) -> SimpleValuation:
-        """Counting measure pushed through the layer: run lengths / 2^depth."""
-        counts = {}
-        start = 0
-        for end, y in zip(self.ends, self.values):
-            counts[y] = counts.get(y, 0) + end - start
-            start = end
-        return SimpleValuation(base, {y: Dyadic(c, self.depth)
-                                      for y, c in counts.items()})
-
-    def at(self, i: int):
-        """The value at word number i."""
-        return self.values[bisect_right(self.ends, i)]
-
-
-def _bits(i: int, depth: int) -> str:
-    """Word number i of the depth-level, as a bit string."""
-    return format(i, "0%db" % depth) if depth else ""
-
-
-def _compress(table: dict, depth: int):
-    """Runs of a dict over all depth-bit strings, in word order."""
-    ends, values = [], []
-    for i in range(1 << depth):
-        bits = _bits(i, depth)
-        if bits not in table:
-            raise PartialMap("level map undefined on %r" % bits)
-        y = table[bits]
-        if values and values[-1] == y:
-            ends[-1] = i + 1
-        else:
-            ends.append(i + 1)
-            values.append(y)
-    if len(table) != 1 << depth:
-        raise ValueError("table has words outside depth %d" % depth)
-    return ends, values
+# a layer is a total step map on its level
+Layer = StepMap
 
 
 def lift_step(current: Layer, target: SimpleValuation, base: Poset) -> Layer:
@@ -234,7 +166,7 @@ class RepresentationMap:
         for a, b in zip(self.layers, self.layers[1:]):
             if not a.depth < b.depth:
                 raise ValueError("layer depths must increase strictly")
-            i = _first_disagreement(base, a, b)
+            i = a.first_disagreement(b, base)
             if i is not None:
                 raise NotComparable("layers disagree above word %r"
                                     % _bits(i, b.depth))
@@ -269,24 +201,6 @@ class RepresentationMap:
                                  % (k - 1, bits[:prev.depth] or "-", name))
         lines.append("}")
         return "\n".join(lines) + "\n"
-
-
-def _first_disagreement(base: Poset, a: Layer, b: Layer):
-    """The first word of b's level whose value is not above a's, or None.
-
-    Walks the runs of both layers in word order, a's runs scaled to b's
-    depth, and compares every overlapping pair once.
-    """
-    shift = b.depth - a.depth
-    i = j = pos = 0
-    while pos < 1 << b.depth:
-        if not base.leq(a.values[i], b.values[j]):
-            return pos
-        a_end, b_end = a.ends[i] << shift, b.ends[j]
-        pos = min(a_end, b_end)
-        i += a_end == pos
-        j += b_end == pos
-    return None
 
 
 def represent(schedule: ApproximationSchedule) -> RepresentationMap:
@@ -405,44 +319,6 @@ def convergence_check(maps, limit_map: RepresentationMap,
         w, *fields[bisect_right(cuts, int(w.bits[:top], 2) if top else 0)])
         for w in words]
     return ConvergenceReport(records, all(r.ok for r in records))
-
-
-@dataclass
-class SubprobabilityRepresentation:
-    """Representation of a subprobability target over a lifted poset.
-
-    The missing mass is parked on a fresh bottom; the words routed there
-    form the undefined region, and the law restricted to the remaining
-    words is the original target on the original poset.
-    """
-
-    original_base: Poset
-    lifted_base: Poset
-    fresh_bottom: object
-    rmap: RepresentationMap
-
-    def defined(self, w: Word) -> bool:
-        return self.rmap.evaluate(w)[1] != self.fresh_bottom
-
-    def restricted_law(self) -> SimpleValuation:
-        law = self.rmap.law()
-        return SimpleValuation(self.original_base,
-                               {y: w for y, w in law.weights.items()
-                                if y != self.fresh_bottom})
-
-
-def represent_subprobability(target: SimpleValuation,
-                             steps: int) -> SubprobabilityRepresentation:
-    """Represent mass <= 1 by lifting the poset under a fresh bottom."""
-    lifted = target.base.lift()
-    gap = Dyadic(1, 0) - target.mass
-    weights = dict(target.weights)
-    if not gap.is_zero():
-        weights[lifted.bottom] = gap
-    lifted_target = SimpleValuation(lifted, weights)
-    rmap = represent(build_schedule(lifted_target, steps))
-    return SubprobabilityRepresentation(target.base, lifted,
-                                        lifted.bottom, rmap)
 
 
 # -- serialization -----------------------------------------------------------

@@ -86,14 +86,6 @@ class SimpleValuation:
                 total = total + w
         return total
 
-    def value_on(self, members) -> Dyadic:
-        """Mass on an arbitrary element subset (no upper-closure check)."""
-        total = ZERO
-        for x, w in self.weights.items():
-            if x in members:
-                total = total + w
-        return total
-
     def __eq__(self, other):
         return (isinstance(other, SimpleValuation)
                 and self.base is other.base and self.weights == other.weights)
@@ -198,13 +190,6 @@ class TransportPlan:
                 if y2 == y:
                     col = col + t
             assert not (self.target.weight(y) < col)
-
-    def column_sum(self, y) -> Dyadic:
-        total = ZERO
-        for (_x, y2), t in self.entries.items():
-            if y2 == y:
-                total = total + t
-        return total
 
     def lines(self):
         order = self.source.base.index

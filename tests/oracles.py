@@ -6,13 +6,15 @@ relation or scanned over every bitmask, strict-transport feasibility and
 subprobability way-below are decided by exhaustive Hall-style subset
 conditions, a lift step fills the new level word by word, the order is
 reachability by graph search, meets and joins are found by scanning every
-candidate, and convergence is checked by evaluating every map at every word.
+candidate, convergence is checked by evaluating every map at every word, and
+quantile maps are compared at every threshold of either map.
 """
 
 from itertools import combinations
 
 from posetval import (Dyadic, FlowNetwork, SimpleValuation, ZERO, level,
                       pushforward_counting, transport_plan)
+from posetval.errors import NotAChain
 from posetval.skorohod import ConvergenceRecord, ConvergenceReport
 
 
@@ -110,6 +112,23 @@ def convergence_by_words(maps, limit_map, words):
     return ConvergenceReport(records, all(r.ok for r in records))
 
 
+def quantile_leq_by_thresholds(g, h) -> bool:
+    """Pointwise comparison of two quantile maps over their full domain.
+
+    Both maps are constant on the half-open intervals of their merged
+    threshold grid, so comparing at each interval's right endpoint (plus
+    r = 0, where both sit at the chain's bottom) decides the pointwise
+    order exactly. Domains must agree.
+    """
+    if g.base is not h.base:
+        raise NotAChain("quantile maps over different chains")
+    if g.total() != h.total():
+        return False
+    grid = sorted({t for t, _ in g.breakpoints}
+                  | {t for t, _ in h.breakpoints})
+    return all(g.base.leq(g(r), h(r)) for r in grid)
+
+
 def _hall_feasible(rows, reachable_caps, universe_caps):
     """Gale/Hall condition: every row subset fits inside its reachable caps."""
     names = list(rows)
@@ -152,6 +171,15 @@ def strict_transport_exists(mu: SimpleValuation, nu: SimpleValuation,
     return _hall_feasible(rows, reachable, caps)
 
 
+def value_on(v: SimpleValuation, members) -> Dyadic:
+    """Mass on an arbitrary element subset (no upper-closure check)."""
+    total = ZERO
+    for x, w in v.weights.items():
+        if x in members:
+            total = total + w
+    return total
+
+
 def way_below_by_subsets(mu: SimpleValuation, nu: SimpleValuation) -> bool:
     """Subprobability way-below from its definition, over every subset.
 
@@ -162,7 +190,7 @@ def way_below_by_subsets(mu: SimpleValuation, nu: SimpleValuation) -> bool:
     for mask in range(1, 1 << len(supp)):
         sub = [supp[i] for i in range(len(supp)) if mask >> i & 1]
         above = mu.base.upward_closure(sub)
-        if not (mu.value_on(sub) < nu.value_on(above)):
+        if not (value_on(mu, sub) < value_on(nu, above)):
             return False
     return True
 

@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from posetval import (Dyadic, ONE, Word, ZERO, embed, level, project,
-                      pushforward_counting, unit_to_word, word_to_unit)
+from posetval import (Dyadic, Layer, ONE, QuantileMap, StepMap, Word, ZERO,
+                      embed, level, project, pushforward_counting,
+                      unit_to_word, word_to_unit)
 from posetval.errors import DepthExceeded, OutOfRange, PartialMap
 
 words = st.text(alphabet="01", max_size=10).map(Word)
@@ -148,3 +149,32 @@ def test_uniform_cell_lengths():
             length = Dyadic(counts.get(w.bits, 0), grid_exp)
             assert length <= Dyadic(1, n) + cell
             assert Dyadic(1, n) <= length + cell
+
+
+def test_layers_and_quantile_maps_are_step_maps():
+    assert Layer is StepMap
+    assert issubclass(QuantileMap, StepMap)
+
+
+@given(st.lists(st.sampled_from("abc"), min_size=1, max_size=16),
+       st.integers(0, 64), st.integers(0, 6))
+def test_step_map_call_reads_the_word_unit_to_word_spells(values, i, n):
+    depth = (len(values) - 1).bit_length()
+    table = {w.bits: values[k % len(values)]
+             for k, w in enumerate(level(depth))}
+    m = StepMap(depth, table)
+    r = Dyadic(min(i, 1 << n), n)
+    assert m(r) == table[unit_to_word(r, depth).bits]
+
+
+def test_step_map_first_disagreement(m4):
+    # depth-1 a|top against depth-2 a,a,b,top: word 2 sends top above b
+    coarse = StepMap(1, ends=[1, 2], values=["a", "top"])
+    fine = StepMap(2, ends=[2, 3, 4], values=["a", "b", "top"])
+    assert coarse.first_disagreement(fine, m4) == 2
+    assert fine.first_disagreement(coarse, m4) is None
+    # a partial map is compared only up to the shorter total
+    head = StepMap(2, ends=[2], values=["a"])
+    assert head.first_disagreement(fine, m4) is None
+    assert coarse.first_disagreement(head, m4) is None
+    assert StepMap(0).first_disagreement(fine, m4) is None

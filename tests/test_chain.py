@@ -1,14 +1,18 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posetval import (Dyadic, ONE, QuantileMap, SimpleValuation, ZERO, cdf,
                       delta, leq, lower_adjoint, pushforward_lebesgue,
                       quantile_leq, scale)
 from posetval.chain import _ascending, format_quantile, parse_quantile
-from posetval.errors import (NotAChain, PartialQuantile, Unreachable)
+from posetval.errors import (NotAChain, OutOfRange, PartialQuantile,
+                             Unreachable)
 
 from conftest import make_chain, random_valuation
+from oracles import quantile_leq_by_thresholds
 
 QUARTER, HALF = Dyadic(1, 2), Dyadic(1, 1)
 
@@ -110,13 +114,16 @@ def test_adjunction_law_on_grid():
                 assert chain.leq(g(r), x) == (r <= f(x))
 
 
-def random_quantile(rng, chain) -> QuantileMap:
-    """Total quantile map: ascending dyadic thresholds ending at one."""
+def random_quantile(rng, chain, total=ONE) -> QuantileMap:
+    """Quantile map whose ascending thresholds are multiples of
+    2^-max(4, total.exp), the last one total (> 0)."""
     names = _ascending(chain)
-    k = rng.randint(1, len(names))
+    e = max(4, total.exp)
+    n = total.rescale(e)
+    k = rng.randint(1, min(len(names), n))
     chosen = sorted(rng.sample(range(len(names)), k))
-    cuts = sorted(rng.sample(range(1, 16), k - 1)) if k > 1 else []
-    thresholds = [Dyadic(c, 4) for c in cuts] + [ONE]
+    cuts = sorted(rng.sample(range(1, n), k - 1)) if k > 1 else []
+    thresholds = [Dyadic(c, e) for c in cuts] + [total]
     return QuantileMap(chain, [(t, names[i])
                                for t, i in zip(thresholds, chosen)])
 
@@ -136,6 +143,36 @@ def test_order_isomorphism_both_directions():
         else:
             disagree += 1
     assert agree > 0 and disagree > 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 2 ** 32), st.integers(1, 64),
+       st.integers(1, 64), st.sampled_from([4, 6]), st.booleans())
+def test_quantile_leq_merge_walk_matches_threshold_grid(n, seed, t1, t2, e,
+                                                        equal_totals):
+    # total maps (t = 2^e), partial maps, equal and unequal totals
+    rng = random.Random(seed)
+    chain = make_chain(n)
+    g = random_quantile(rng, chain, Dyadic(min(t1, 1 << e), e))
+    h = random_quantile(rng, chain,
+                        g.total() if equal_totals
+                        else Dyadic(min(t2, 1 << e), e))
+    assert quantile_leq(g, h) == quantile_leq_by_thresholds(g, h)
+    # on the common domain the merge walk is the threshold-grid comparison
+    common = min(g.total(), h.total())
+    grid = {t for t, _ in g.breakpoints + h.breakpoints if t <= common}
+    assert (g.first_disagreement(h, chain) is None) \
+        == all(chain.leq(g(r), h(r)) for r in grid)
+
+
+def test_zero_threshold_holds_no_point(c3):
+    # "break 0 c1" parses, but its run is empty: no r in [0, 1] reaches c1
+    g = parse_quantile("break 0 c1\nbreak 1 c2\n", c3)
+    h = QuantileMap(c3, [(ONE, "c2")])
+    assert (g(ZERO), g(Dyadic(1, 6)), g(ONE)) == ("c0", "c2", "c2")
+    assert quantile_leq(h, g) and quantile_leq(g, h)
+    assert quantile_leq_by_thresholds(h, g)
+    assert pushforward_lebesgue(g) == delta(c3, "c2")
 
 
 def test_cdf_contravariance():
@@ -168,18 +205,38 @@ def test_cdf_comparison_decides_valuation_order():
 
 
 def test_single_step_witness_is_inverse_transform_sampling():
-    # with a one-step schedule the sampler's driver coincides with the
-    # quantile map on the whole grid: the slot-filling blocks are exactly
-    # the cumulative intervals
+    # for schedules of one to four steps the sampler's driver coincides
+    # with the quantile map on the whole grid: the slot-filling blocks are
+    # exactly the cumulative intervals, so on a chain the Skorohod
+    # representation is inverse transform sampling
     from posetval import skorohod as build_witness
     rng = random.Random(29)
-    for _ in range(40):
-        chain = make_chain(rng.randint(1, 7))
-        v = random_valuation(rng, chain, probability=True)
-        witness = build_witness(v, 1)
-        g = lower_adjoint(cdf(v))
-        for r in witness.grid():
-            assert witness.driver(r) == g(r)
+    for steps in range(1, 5):
+        for _ in range(100):
+            chain = make_chain(rng.randint(1, 7))
+            v = random_valuation(rng, chain, exp=rng.randint(0, 6),
+                                 probability=True)
+            witness = build_witness(v, steps)
+            g = lower_adjoint(cdf(v))
+            for r in witness.grid():
+                assert witness.driver(r) == g(r)
+
+
+def test_partial_quantile_map_errors(c3):
+    g = QuantileMap(c3, [(QUARTER, "c1"), (HALF, "c2")])
+    assert g.total() == HALF
+    assert g(ZERO) == "c0"            # the least element, not the first run
+    assert (g(Dyadic(1, 3)), g(QUARTER), g(Dyadic(3, 3)), g(HALF)) \
+        == ("c1", "c1", "c2", "c2")
+    for r in (Dyadic(5, 3), ONE):
+        with pytest.raises(Unreachable):
+            g(r)
+    with pytest.raises(OutOfRange):
+        g(Dyadic(3, 1))
+    empty = QuantileMap(c3, [])
+    assert empty(ZERO) == "c0"
+    with pytest.raises(Unreachable):
+        empty(Dyadic(1, 6))
 
 
 def test_quantile_text_round_trip(c3):

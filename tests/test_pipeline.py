@@ -7,7 +7,7 @@ from posetval import (Dyadic, ONE, Poset, SimpleValuation, Word, add, delta,
                       sample,
                       scale, skorohod, skorohod_sequence,
                       skorohod_subprobability, unit_to_word)
-from posetval.errors import NotConvergent, NotProbability
+from posetval.errors import NotConvergent, NotProbability, OutOfRange
 
 from conftest import make_chain, random_poset, random_valuation
 from oracles import convergence_by_words
@@ -78,6 +78,16 @@ def test_subprobability_witness(m4):
 
     nothing = skorohod_subprobability(SimpleValuation(m4, {}), 2)
     assert not any(nothing.defined(r) for r in nothing.grid())
+
+
+def test_driver_rejects_points_outside_the_unit_interval(m4):
+    for w in (skorohod(half_half(m4), 2),
+              skorohod_subprobability(scale(delta(m4, "top"), HALF), 2)):
+        assert w.driver(ONE) in ("a", "b", "top")
+        with pytest.raises(OutOfRange):
+            w.driver(Dyadic(3, 1))
+        with pytest.raises(OutOfRange):
+            w.defined(Dyadic(3, 1))
 
 
 def test_bottom_target_witness(m4):

@@ -8,8 +8,8 @@ from posetval import (ApproximationSchedule, Dyadic, Layer, ONE,
                       RepresentationMap, SimpleValuation, Word, add,
                       build_schedule, convergence_check, delta, format_map,
                       leq, level, lift_step, parse_map, pushforward_counting,
-                      represent, represent_sequence, represent_subprobability,
-                      sample, scale, way_below)
+                      represent, represent_sequence, sample, scale,
+                      skorohod_subprobability, way_below)
 from posetval.errors import (DepthExceeded, NotComparable, NotConvergent,
                              NotProbability, PartialMap, SourceExhausted)
 
@@ -377,19 +377,18 @@ def test_convergence_check_matches_word_by_word_oracle(seed):
 
 def test_represent_subprobability_examples(m4):
     target = scale(delta(m4, "top"), HALF)
-    rep = represent_subprobability(target, 2)
-    assert rep.restricted_law() == target
-    grid = level(rep.rmap.final_depth)
-    defined = [w for w in grid if rep.defined(w)]
+    rep = skorohod_subprobability(target, 2)
+    assert rep.law_on_grid() == target
+    grid = rep.grid()
+    defined = [r for r in grid if rep.defined(r)]
     assert len(defined) * 2 == len(grid)
 
-    full = represent_subprobability(half_half(m4), 2)
-    assert all(full.defined(w) for w in level(full.rmap.final_depth))
+    full = skorohod_subprobability(half_half(m4), 2)
+    assert all(full.defined(r) for r in full.grid())
 
-    nothing = represent_subprobability(SimpleValuation(m4, {}), 2)
-    assert not any(nothing.defined(w)
-                   for w in level(nothing.rmap.final_depth))
-    assert nothing.restricted_law() == SimpleValuation(m4, {})
+    nothing = skorohod_subprobability(SimpleValuation(m4, {}), 2)
+    assert not any(nothing.defined(r) for r in nothing.grid())
+    assert nothing.law_on_grid() == SimpleValuation(m4, {})
 
 
 def test_subprobability_randomized():
@@ -397,9 +396,9 @@ def test_subprobability_randomized():
     for _ in range(25):
         base = random_poset(rng)
         target = random_valuation(rng, base)
-        rep = represent_subprobability(target, rng.randint(1, 3))
-        assert rep.restricted_law() == target
-        assert rep.lifted_base.leq(rep.fresh_bottom, base.bottom)
+        rep = skorohod_subprobability(target, rng.randint(1, 3))
+        assert rep.law_on_grid() == target
+        assert rep.rmap.base.leq(rep.fresh_bottom, base.bottom)
 
 
 def test_map_serialization_round_trip(m4):
