@@ -125,7 +125,7 @@ def quantile_leq(g: QuantileMap, h: QuantileMap) -> bool:
 
 
 def parse_quantile(text: str, base: Poset) -> QuantileMap:
-    """Parse "break <dyadic> <element>" lines, ascending."""
+    """Parse "break <dyadic> <element>" lines, ascending, thresholds <= 1."""
     _require_chain(base)
     rank = {x: i for i, x in enumerate(_ascending(base))}
     breakpoints = []
@@ -140,6 +140,8 @@ def parse_quantile(text: str, base: Poset) -> QuantileMap:
             threshold = parse_dyadic(parts[1])
         except ParseError:
             raise ParseError("bad threshold %r" % parts[1], lineno)
+        if ONE < threshold:
+            raise ParseError("threshold %s exceeds 1" % threshold, lineno)
         element = parts[2]
         if element not in base.index:
             raise UnknownElement("line %d: unknown element %r"

@@ -7,12 +7,21 @@ capacities are rescaled to a common denominator 2^p, the search runs over
 plain integers (so termination and exactness are trivial), and results are
 scaled back; every returned flow is therefore dyadic with exponent <= p.
 
-The residual network is kept as adjacency lists. Augmenting paths are found
-breadth-first with each node's neighbours explored in declaration order,
-which makes the returned flow (and hence every transport plan built from
-it) deterministic. The last search, the one that fails to reach the sink,
-marks the source side of a minimum cut; the returned flow carries it, so
-one solve answers both the flow and the cut question.
+The residual network is kept as adjacency lists, and two solvers share it:
+
+* :func:`max_flow`, an Edmonds-Karp, finds augmenting paths breadth-first
+  with each node's neighbours explored in declaration order, which makes
+  the returned flow (and hence every transport plan built from it)
+  deterministic. `valuation.transport_plan`, `posetval order` and
+  `skorohod.lift_step` use it, since their output is that flow.
+* :func:`min_cut`, a Dinic, pushes a blocking flow through each BFS level
+  graph and returns only the value and the cut. `valuation.leq`,
+  `valuation.leq_witness` and both `valuation.way_below` modes use it.
+
+In both, the last search, the one that fails to reach the sink, marks the
+nodes still reachable in the residual network of a maximum flow. That set
+is the same for every maximum flow (the inclusion-minimal minimum cut), so
+the two solvers return the same `value` and `cut`.
 """
 
 from __future__ import annotations
@@ -64,7 +73,8 @@ class Flow:
 
     `cut` is the source side of a minimum cut: SOURCE plus the tagged nodes
     ("left", x) / ("right", y) still reachable in the final residual
-    network. Its crossing capacity equals `value`.
+    network. Its crossing capacity equals `value`. A flow from
+    :func:`min_cut` carries only `value` and `cut`.
     """
 
     value: Dyadic
@@ -74,29 +84,48 @@ class Flow:
     cut: frozenset = frozenset()
 
 
-def max_flow(net: FlowNetwork) -> Flow:
-    """A maximum flow together with a minimum cut (integer Edmonds-Karp)."""
+def _residual(net: FlowNetwork):
+    """The integer residual network of net at its common exponent p.
+
+    Returns (p, nodes, left, right, res, adj): node 0 is SOURCE, the last
+    node is SINK, left[x] and right[y] number the side nodes, res[u][v] is
+    the residual capacity of u -> v and adj[u] lists u's neighbours in
+    index order. The network has no antiparallel edges, so an edge's
+    reverse entry holds exactly its flow.
+    """
     p = net.common_exponent()
     nodes = [SOURCE] + [("left", x) for x in net.left] \
         + [("right", y) for y in net.right] + [SINK]
-    idx = {v: i for i, v in enumerate(nodes)}
+    res = [{} for _ in nodes]
+    sink = len(nodes) - 1
+    left = {x: i for i, x in enumerate(net.left, 1)}
+    right = {y: i for i, y in enumerate(net.right, len(left) + 1)}
+    source_out = res[0]
+    for x, c in net.source_caps.items():
+        u = left[x]
+        source_out[u] = c.num << (p - c.exp)
+        res[u][0] = 0
+    for (x, y), c in net.mid_caps.items():
+        u, v = left[x], right[y]
+        res[u][v] = c.num << (p - c.exp)
+        res[v][u] = 0
+    sink_in = res[sink]
+    for y, c in net.sink_caps.items():
+        v = right[y]
+        res[v][sink] = c.num << (p - c.exp)
+        sink_in[v] = 0
+    return p, nodes, left, right, res, [sorted(r) for r in res]
+
+
+def _cut(nodes, reached) -> frozenset:
+    return frozenset(v for v, r in zip(nodes, reached) if r >= 0)
+
+
+def max_flow(net: FlowNetwork) -> Flow:
+    """A maximum flow together with a minimum cut (integer Edmonds-Karp)."""
+    p, nodes, left, right, res, adj = _residual(net)
     n = len(nodes)
     sink = n - 1
-    # res[u][v] is the residual capacity of u -> v; the network has no
-    # antiparallel edges, so an edge's reverse entry holds exactly its flow
-    res = [{} for _ in range(n)]
-
-    def edge(u, v, c):
-        res[u][v] = c.rescale(p)
-        res[v][u] = 0
-
-    for x, c in net.source_caps.items():
-        edge(0, idx["left", x], c)
-    for (x, y), c in net.mid_caps.items():
-        edge(idx["left", x], idx["right", y], c)
-    for y, c in net.sink_caps.items():
-        edge(idx["right", y], sink, c)
-    adj = [sorted(r) for r in res]
     while True:
         parent = [-1] * n
         parent[0] = 0
@@ -120,27 +149,78 @@ def max_flow(net: FlowNetwork) -> Flow:
             res[u][v] -= bottleneck
             res[v][u] += bottleneck
 
-    def units(u, v):
-        return res[v].get(u, 0)
-
-    flow = Flow(value=ZERO,
-                cut=frozenset(nodes[i] for i in range(n) if parent[i] >= 0))
+    flow = Flow(value=ZERO, cut=_cut(nodes, parent))
     total = 0
-    for x in net.left:
-        k = units(0, idx["left", x])
+    for x, u in left.items():
+        k = res[u].get(0, 0)
         total += k
         if k:
             flow.from_source[x] = Dyadic(k, p)
     flow.value = Dyadic(total, p)
     for (x, y) in net.mid_caps:
-        k = units(idx["left", x], idx["right", y])
+        k = res[right[y]].get(left[x], 0)
         if k:
             flow.across[x, y] = Dyadic(k, p)
-    for y in net.right:
-        k = units(idx["right", y], sink)
+    for y, v in right.items():
+        k = res[sink].get(v, 0)
         if k:
             flow.to_sink[y] = Dyadic(k, p)
     return flow
+
+
+def min_cut(net: FlowNetwork) -> Flow:
+    """The value of a maximum flow and a minimum cut (integer Dinic).
+
+    Only `value` and `cut` are filled; `from_source`, `across` and
+    `to_sink` stay empty, as the decisions read nothing else. Each phase
+    levels the residual network by BFS and saturates it with a blocking
+    flow, found by a depth-first search on an explicit stack that keeps
+    one edge pointer per node; a node found to be a dead end leaves the
+    level graph for the rest of the phase.
+    """
+    p, nodes, _left, _right, res, adj = _residual(net)
+    n = len(nodes)
+    sink = n - 1
+    total = 0
+    while True:
+        level = [-1] * n
+        level[0] = 0
+        queue = [0]
+        for u in queue:
+            ru, lv = res[u], level[u] + 1
+            for v in adj[u]:
+                if level[v] < 0 and ru[v] > 0:
+                    level[v] = lv
+                    queue.append(v)
+        if level[sink] < 0:
+            break  # this search reached exactly the source side of a cut
+        ptr = [0] * n
+        path = [0]
+        while path:
+            u = path[-1]
+            if u == sink:
+                bottleneck = min(res[a][b] for a, b in zip(path, path[1:]))
+                total += bottleneck
+                cut_at = None
+                for i in range(len(path) - 1):
+                    a, b = path[i], path[i + 1]
+                    res[a][b] -= bottleneck
+                    res[b][a] += bottleneck
+                    if cut_at is None and not res[a][b]:
+                        cut_at = i
+                del path[cut_at + 1:]  # resume at the first saturated edge
+                continue
+            ru, out, lv = res[u], adj[u], level[u] + 1
+            for i in range(ptr[u], len(out)):
+                v = out[i]
+                if level[v] == lv and ru[v]:
+                    ptr[u] = i
+                    path.append(v)
+                    break
+            else:
+                path.pop()  # dead end: u reaches the sink no more
+                level[u] = -1
+    return Flow(value=Dyadic(total, p), cut=_cut(nodes, level))
 
 
 def to_dot(net: FlowNetwork, flow: Flow | None = None) -> str:

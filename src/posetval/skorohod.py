@@ -63,12 +63,23 @@ class ApproximationSchedule:
                 raise NotComparable("stage %r does not approximate %r"
                                     % (a, b))
 
+    @classmethod
+    def _trusted(cls, target: SimpleValuation, stages: list):
+        """A schedule whose stages approximate each other by construction;
+        nothing is checked."""
+        schedule = object.__new__(cls)
+        schedule.target, schedule.stages = target, stages
+        return schedule
+
 
 def build_schedule(target: SimpleValuation, steps: int) -> ApproximationSchedule:
     """The convex schedule (1 - 2^-k) * target + 2^-k * bottom, k = 1..steps.
 
     Stage 0 is the bottom point mass, stage `steps` the target itself. A
-    bottom target collapses to the constant schedule.
+    bottom target collapses to the constant schedule. The stages are not
+    re-decided: stage k lies below (1 - e) * stage (k + 1) + e * bottom
+    for e = 2^-(k + 1), since (1 - 2^-(k + 1))^2 >= 1 - 2^-k, so stage k
+    approximates stage k + 1 in the probability order.
     """
     if steps < 1:
         raise ValueError("schedule length must be at least 1")
@@ -76,14 +87,14 @@ def build_schedule(target: SimpleValuation, steps: int) -> ApproximationSchedule
         raise NotProbability("schedule target must have mass 1")
     bot = delta(target.base, target.base.bottom)
     if target == bot:
-        return ApproximationSchedule(target, [bot] * (steps + 1))
+        return ApproximationSchedule._trusted(target, [bot] * (steps + 1))
     stages = [bot]
     for k in range(1, steps):
         eps = Dyadic(1, k)
         stages.append(add(scale(target, Dyadic(1, 0) - eps),
                           scale(bot, eps)))
     stages.append(target)
-    return ApproximationSchedule(target, stages)
+    return ApproximationSchedule._trusted(target, stages)
 
 
 # a layer is a total step map on its level

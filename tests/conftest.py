@@ -25,15 +25,20 @@ def make_chain(length):
 
 @pytest.fixture
 def solves(monkeypatch):
-    """The networks passed to flow.max_flow, from every caller, in order."""
+    """(solver name, network) for every flow.max_flow and flow.min_cut
+    call, from every caller, in order."""
     calls = []
-    real = flow.max_flow
 
-    def counting(net):
-        calls.append(net)
-        return real(net)
+    def counting(name):
+        real = getattr(flow, name)
 
-    monkeypatch.setattr(flow, "max_flow", counting)
+        def solve(net):
+            calls.append((name, net))
+            return real(net)
+        return solve
+
+    for name in ("max_flow", "min_cut"):
+        monkeypatch.setattr(flow, name, counting(name))
     return calls
 
 

@@ -79,8 +79,21 @@ def test_order_with_dot_solves_one_flow(files, tmp_path, solves):
         assert run(["order", "--poset", files["m4.poset"], "--mu",
                     files["da.val"], "--nu", files[nu], "--dot", dot])[0] \
             == code
-        assert len(solves) == 1
+        assert [name for name, _net in solves] == ["max_flow"]
         assert "digraph" in open(dot).read()
+
+
+def test_printed_plans_are_edmonds_karp_flows(files, tmp_path):
+    # the plan is not unique: bot a, a top, b b, b top (1/4 each) is the
+    # Edmonds-Karp flow, bot b, a a (1/4 each), b top (1/2) another one
+    mu = tmp_path / "plan_mu.val"
+    nu = tmp_path / "plan_nu.val"
+    mu.write_text("bot 1/2^2\na 1/2^2\nb 1/2^1\n")
+    nu.write_text("a 1/2^2\nb 1/2^2\ntop 1/2^1\n")
+    plan = "t bot a 1/2^2\nt a top 1/2^2\nt b b 1/2^2\nt b top 1/2^2\n"
+    args = ["--poset", files["m4.poset"], "--mu", str(mu), "--nu", str(nu)]
+    assert run(["order"] + args) == (0, "LEQ: true\n" + plan)
+    assert run(["transport"] + args) == (0, plan)
 
 
 def test_order_negative_with_witness(files):
@@ -198,6 +211,19 @@ def test_chain_commands(files, tmp_path):
                      "--quantile", str(qpath)])
     assert code == 0
     assert out == "c0 1/2^2\nc1 1/2^2\nc2 1/2^1\n"
+
+
+def test_quantile_threshold_above_one_exits_2(files, tmp_path, capsys):
+    qpath = tmp_path / "q.txt"
+    for text, bad in (("break 2 c0\n", "line 1: threshold 2"),
+                      ("break 3/2^2 c0\nbreak 3/2^1 c2\n",
+                       "line 2: threshold 3/2^1")):
+        qpath.write_text(text)
+        capsys.readouterr()
+        code, out = run(["pushforward-lebesgue", "--poset", files["c3.poset"],
+                         "--quantile", str(qpath)])
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == "error: %s exceeds 1\n" % bad
 
 
 def test_portmanteau_command(files):

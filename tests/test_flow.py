@@ -1,8 +1,14 @@
 import random
+from dataclasses import replace
 
-from posetval import Dyadic, FlowNetwork, ZERO, max_flow
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from posetval import Dyadic, FlowNetwork, ZERO, max_flow, min_cut
 from posetval.flow import to_dot
+from posetval.valuation import order_network
 
+from conftest import random_poset, random_valuation
 from oracles import min_cut_by_enumeration
 
 WIDE = Dyadic(2, 0)
@@ -126,3 +132,64 @@ def test_dot_annotations():
     net = diamond_net()
     dot = to_dot(net, max_flow(net))
     assert "digraph" in dot and "1/2^1" in dot
+
+
+def test_min_cut_fills_only_value_and_cut():
+    net = diamond_net()
+    f = min_cut(net)
+    assert f.value == Dyadic(1, 0)
+    assert f.cut == max_flow(net).cut
+    assert f.from_source == f.across == f.to_sink == {}
+    assert min_cut(FlowNetwork([], [], {}, {}, {})).cut == {"source"}
+
+
+def assert_same_value_and_cut(net):
+    ek, dinic = max_flow(net), min_cut(net)
+    assert dinic.value == ek.value
+    assert dinic.cut == ek.cut
+
+
+CAPS = st.builds(Dyadic, st.integers(0, 20), st.integers(0, 4))
+
+
+@st.composite
+def networks(draw):
+    """Any bipartite network: sides may be empty or share names, terminal
+    capacities may be missing or zero, and middle capacities finite (zero
+    included) or wide, so minimum cuts may cross the middle layer."""
+    names = ["n%d" % i for i in range(6)]
+    left = names[:draw(st.integers(0, 5))]
+    right = draw(st.sampled_from([names, names[::-1]]))[
+        :draw(st.integers(0, 5))]
+
+    def caps(keys, values):
+        if not keys:
+            return {}
+        return draw(st.dictionaries(st.sampled_from(keys), values))
+
+    return FlowNetwork(left, right, caps(left, CAPS),
+                       caps([(x, y) for x in left for y in right],
+                            st.one_of(st.just(WIDE), CAPS)),
+                       caps(right, CAPS))
+
+
+@settings(max_examples=300, deadline=None)
+@given(networks())
+def test_min_cut_matches_max_flow_on_general_networks(net):
+    assert_same_value_and_cut(net)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_min_cut_matches_max_flow_on_decision_networks(rng):
+    # the order network of mu <= nu, and way-below's subprobability network,
+    # whose source capacities are raised by the smallest gap eps
+    base = random_poset(rng, max_elements=12)
+    mu = random_valuation(rng, base, exp=rng.randint(0, 6))
+    nu = random_valuation(rng, base, exp=rng.randint(0, 6))
+    net = order_network(mu, nu)
+    assert_same_value_and_cut(net)
+    p = max(mu.max_exponent(), nu.max_exponent())
+    eps = Dyadic(1, p + (len(net.left) - 1).bit_length())
+    assert_same_value_and_cut(replace(net, source_caps={
+        x: c + eps for x, c in net.source_caps.items()}))

@@ -52,6 +52,26 @@ def test_schedule_stages_strictly_approximate(m4):
             assert leq(a, b)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(1, 6))
+def test_built_schedules_are_way_below_by_construction(rng, steps):
+    # build_schedule does not re-decide its stages; decide them here
+    base = random_poset(rng, max_elements=8)
+    target = random_valuation(rng, base, exp=rng.randint(0, 5),
+                              probability=True)
+    sched = build_schedule(target, steps)
+    for a, b in zip(sched.stages, sched.stages[1:]):
+        assert way_below(a, b, normalized=True)
+    assert ApproximationSchedule(target, sched.stages) == sched
+
+
+def test_build_schedule_solves_no_flow(m4, solves):
+    sched = build_schedule(half_half(m4), 4)
+    assert len(sched.stages) == 5 and solves == []
+    ApproximationSchedule(sched.target, sched.stages)
+    assert [name for name, _net in solves] == ["min_cut"] * 4
+
+
 def test_schedule_validation_rejects_gaps(m4):
     top = delta(m4, "top")
     with pytest.raises(NotComparable):

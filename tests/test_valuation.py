@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posetval import (Dyadic, ONE, Poset, PosetMap, SimpleValuation, UpperSet,
-                      ZERO, add, delta, format_valuation, integrate_monotone,
-                      leq, leq_oracle, leq_witness, normalize, parse_valuation,
+from posetval import (Dyadic, ONE, Poset, PosetMap, SimpleValuation,
+                      TransportPlan, UpperSet, ZERO, add, delta,
+                      format_valuation, integrate_monotone, leq, leq_oracle,
+                      leq_witness, normalize, parse_valuation,
                       portmanteau_check, pushforward, scale, transport_plan,
                       way_below)
 from posetval.errors import (MassExceeded, MixedBase, NotComparable,
@@ -92,6 +93,28 @@ def test_transport_plan_examples(m4):
 
     with pytest.raises(NotComparable):
         transport_plan(delta(m4, "a"), delta(m4, "b"))
+
+
+def test_transport_plan_verify_rejects_broken_plans(m4):
+    mu = SimpleValuation(m4, {"bot": HALF, "a": HALF})
+    nu = SimpleValuation(m4, {"a": HALF, "top": HALF})
+    plan = transport_plan(mu, nu)
+    assert plan.entries == {("bot", "a"): HALF, ("a", "top"): HALF}
+    q = Dyadic(1, 2)
+    broken = {
+        "zero entry": {("bot", "a"): HALF, ("a", "top"): HALF,
+                       ("bot", "top"): ZERO},
+        "downward": {("bot", "a"): HALF, ("a", "bot"): HALF},
+        "row short": {("bot", "a"): q, ("a", "top"): HALF},
+        "row off mu": {("bot", "a"): HALF, ("a", "top"): HALF, ("b", "top"): q},
+        "column over": {("bot", "top"): HALF, ("a", "top"): HALF},
+        "column off nu": {("bot", "b"): HALF, ("a", "top"): HALF},
+    }
+    for entries in broken.values():
+        with pytest.raises(AssertionError):
+            TransportPlan(mu, nu, entries).verify()
+    TransportPlan(mu, nu, {("bot", "a"): q, ("bot", "top"): q,
+                           ("a", "a"): q, ("a", "top"): q}).verify()
 
 
 def test_transport_plan_exponent_bound(m4):
@@ -262,17 +285,19 @@ def test_each_decision_solves_one_flow(m4, solves):
     mu, top = half_half(m4), delta(m4, "top")
     stage = SimpleValuation(m4, {"bot": HALF, "top": HALF})
     decisions = [
-        lambda: leq(mu, top), lambda: leq(top, mu),
-        lambda: leq_witness(mu, top), lambda: leq_witness(top, mu),
-        lambda: transport_plan(mu, top),
-        lambda: way_below(scale(mu, HALF), top), lambda: way_below(top, top),
-        lambda: way_below(stage, top, normalized=True),
-        lambda: way_below(top, top, normalized=True),
+        ("min_cut", lambda: leq(mu, top)), ("min_cut", lambda: leq(top, mu)),
+        ("min_cut", lambda: leq_witness(mu, top)),
+        ("min_cut", lambda: leq_witness(top, mu)),
+        ("max_flow", lambda: transport_plan(mu, top)),
+        ("min_cut", lambda: way_below(scale(mu, HALF), top)),
+        ("min_cut", lambda: way_below(top, top)),
+        ("min_cut", lambda: way_below(stage, top, normalized=True)),
+        ("min_cut", lambda: way_below(top, top, normalized=True)),
     ]
-    for decide in decisions:
+    for solver, decide in decisions:
         solves.clear()
         decide()
-        assert len(solves) == 1
+        assert [name for name, _net in solves] == [solver]
 
 
 def test_order_bounds_monotone_integrals():
