@@ -7,29 +7,23 @@ capacities are rescaled to a common denominator 2^p, the search runs over
 plain integers (so termination and exactness are trivial), and results are
 scaled back; every returned flow is therefore dyadic with exponent <= p.
 
-The residual network is kept as adjacency lists, and two solvers share it:
-
-* :func:`max_flow`, an Edmonds-Karp, finds augmenting paths breadth-first
-  with each node's neighbours explored in declaration order, which makes
-  the returned flow (and hence every transport plan built from it)
-  deterministic. `valuation.transport_plan`, `posetval order` and
-  `skorohod.lift_step` use it, since their output is that flow.
-* :func:`min_cut`, a Dinic, pushes a blocking flow through each BFS level
-  graph and returns only the value and the cut. `valuation.leq`,
-  `valuation.leq_witness` and both `valuation.way_below` modes use it.
-
-In both, the last search, the one that fails to reach the sink, marks the
-nodes still reachable in the residual network of a maximum flow. That set
-is the same for every maximum flow (the inclusion-minimal minimum cut), so
-the two solvers return the same `value` and `cut`.
+The residual network is kept as adjacency lists and solved by Dinic's
+method: each phase levels it by breadth-first search and saturates the
+level graph with a blocking flow. Every node's neighbours are explored in
+declaration order, so each augmenting path is the lexicographically first
+shortest path, the very path a breadth-first (Edmonds-Karp) search would
+take; the returned flow, and hence every transport plan built from it, is
+deterministic. The last search, the one that fails to reach the sink,
+marks the source side of a minimum cut; the returned flow carries it, so
+one solve answers both the flow and the cut question.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
-from .dyadic import ZERO, Dyadic
+from .dyadic import Dyadic
 
 SOURCE = "source"
 SINK = "sink"
@@ -67,121 +61,77 @@ class FlowNetwork:
         return max((c.exp for c in caps), default=0)
 
 
-@dataclass
 class Flow:
     """A maximum flow; capacity and conservation hold exactly.
 
     `cut` is the source side of a minimum cut: SOURCE plus the tagged nodes
     ("left", x) / ("right", y) still reachable in the final residual
-    network. Its crossing capacity equals `value`. A flow from
-    :func:`min_cut` carries only `value` and `cut`.
+    network. Its crossing capacity equals `value`. `from_source`, `across`
+    and `to_sink` map each edge that carries flow to its flow. They are
+    read off the final residual network on first use, since the decisions
+    need only `value` and `cut`.
     """
 
-    value: Dyadic
-    from_source: dict = field(default_factory=dict)
-    across: dict = field(default_factory=dict)
-    to_sink: dict = field(default_factory=dict)
-    cut: frozenset = frozenset()
+    def __init__(self, net: FlowNetwork, p: int, res: list, left: dict,
+                 right: dict, cut: frozenset):
+        # res is the final residual network at exponent p, left and right
+        # number the side nodes; an edge's reverse entry holds its flow
+        self._net, self._p, self._res = net, p, res
+        self._left, self._right = left, right
+        self.cut = cut
+        self.value = Dyadic(sum(res[u].get(0, 0) for u in left.values()), p)
+
+    def _dyadics(self, units) -> dict:
+        return {key: Dyadic(k, self._p) for key, k in units if k}
+
+    @cached_property
+    def from_source(self) -> dict:
+        res = self._res
+        return self._dyadics((x, res[u].get(0, 0))
+                             for x, u in self._left.items())
+
+    @cached_property
+    def across(self) -> dict:
+        res, left, right = self._res, self._left, self._right
+        return self._dyadics(((x, y), res[right[y]].get(left[x], 0))
+                             for x, y in self._net.mid_caps)
+
+    @cached_property
+    def to_sink(self) -> dict:
+        into_sink = self._res[-1]
+        return self._dyadics((y, into_sink.get(v, 0))
+                             for y, v in self._right.items())
 
 
-def _residual(net: FlowNetwork):
-    """The integer residual network of net at its common exponent p.
+def max_flow(net: FlowNetwork) -> Flow:
+    """A maximum flow together with a minimum cut (integer Dinic).
 
-    Returns (p, nodes, left, right, res, adj): node 0 is SOURCE, the last
-    node is SINK, left[x] and right[y] number the side nodes, res[u][v] is
-    the residual capacity of u -> v and adj[u] lists u's neighbours in
-    index order. The network has no antiparallel edges, so an edge's
-    reverse entry holds exactly its flow.
+    The blocking flow of a phase is found by a depth-first search on an
+    explicit stack that keeps one edge pointer per node; a node found to be
+    a dead end leaves the level graph for the rest of the phase.
     """
     p = net.common_exponent()
     nodes = [SOURCE] + [("left", x) for x in net.left] \
         + [("right", y) for y in net.right] + [SINK]
-    res = [{} for _ in nodes]
-    sink = len(nodes) - 1
+    n = len(nodes)
+    sink = n - 1
     left = {x: i for i, x in enumerate(net.left, 1)}
     right = {y: i for i, y in enumerate(net.right, len(left) + 1)}
-    source_out = res[0]
-    for x, c in net.source_caps.items():
-        u = left[x]
-        source_out[u] = c.num << (p - c.exp)
-        res[u][0] = 0
-    for (x, y), c in net.mid_caps.items():
-        u, v = left[x], right[y]
+    # res[u][v] is the residual capacity of u -> v; the network has no
+    # antiparallel edges, so an edge's reverse entry holds exactly its flow
+    res = [{} for _ in nodes]
+
+    def edge(u, v, c):
         res[u][v] = c.num << (p - c.exp)
         res[v][u] = 0
-    sink_in = res[sink]
+
+    for x, c in net.source_caps.items():
+        edge(0, left[x], c)
+    for (x, y), c in net.mid_caps.items():
+        edge(left[x], right[y], c)
     for y, c in net.sink_caps.items():
-        v = right[y]
-        res[v][sink] = c.num << (p - c.exp)
-        sink_in[v] = 0
-    return p, nodes, left, right, res, [sorted(r) for r in res]
-
-
-def _cut(nodes, reached) -> frozenset:
-    return frozenset(v for v, r in zip(nodes, reached) if r >= 0)
-
-
-def max_flow(net: FlowNetwork) -> Flow:
-    """A maximum flow together with a minimum cut (integer Edmonds-Karp)."""
-    p, nodes, left, right, res, adj = _residual(net)
-    n = len(nodes)
-    sink = n - 1
-    while True:
-        parent = [-1] * n
-        parent[0] = 0
-        queue = deque([0])
-        while queue and parent[sink] < 0:
-            u = queue.popleft()
-            ru = res[u]
-            for v in adj[u]:
-                if parent[v] < 0 and ru[v] > 0:
-                    parent[v] = u
-                    queue.append(v)
-        if parent[sink] < 0:
-            break  # this search reached exactly the source side of a cut
-        path = []
-        v = sink
-        while v:
-            path.append((parent[v], v))
-            v = parent[v]
-        bottleneck = min(res[u][v] for u, v in path)
-        for u, v in path:
-            res[u][v] -= bottleneck
-            res[v][u] += bottleneck
-
-    flow = Flow(value=ZERO, cut=_cut(nodes, parent))
-    total = 0
-    for x, u in left.items():
-        k = res[u].get(0, 0)
-        total += k
-        if k:
-            flow.from_source[x] = Dyadic(k, p)
-    flow.value = Dyadic(total, p)
-    for (x, y) in net.mid_caps:
-        k = res[right[y]].get(left[x], 0)
-        if k:
-            flow.across[x, y] = Dyadic(k, p)
-    for y, v in right.items():
-        k = res[sink].get(v, 0)
-        if k:
-            flow.to_sink[y] = Dyadic(k, p)
-    return flow
-
-
-def min_cut(net: FlowNetwork) -> Flow:
-    """The value of a maximum flow and a minimum cut (integer Dinic).
-
-    Only `value` and `cut` are filled; `from_source`, `across` and
-    `to_sink` stay empty, as the decisions read nothing else. Each phase
-    levels the residual network by BFS and saturates it with a blocking
-    flow, found by a depth-first search on an explicit stack that keeps
-    one edge pointer per node; a node found to be a dead end leaves the
-    level graph for the rest of the phase.
-    """
-    p, nodes, _left, _right, res, adj = _residual(net)
-    n = len(nodes)
-    sink = n - 1
-    total = 0
+        edge(right[y], sink, c)
+    adj = [sorted(r) for r in res]
     while True:
         level = [-1] * n
         level[0] = 0
@@ -200,7 +150,6 @@ def min_cut(net: FlowNetwork) -> Flow:
             u = path[-1]
             if u == sink:
                 bottleneck = min(res[a][b] for a, b in zip(path, path[1:]))
-                total += bottleneck
                 cut_at = None
                 for i in range(len(path) - 1):
                     a, b = path[i], path[i + 1]
@@ -220,7 +169,9 @@ def min_cut(net: FlowNetwork) -> Flow:
             else:
                 path.pop()  # dead end: u reaches the sink no more
                 level[u] = -1
-    return Flow(value=Dyadic(total, p), cut=_cut(nodes, level))
+
+    return Flow(net, p, res, left, right,
+                frozenset(v for v, lv in zip(nodes, level) if lv >= 0))
 
 
 def to_dot(net: FlowNetwork, flow: Flow | None = None) -> str:

@@ -22,7 +22,7 @@ with the schedule stages is dyadic equality, not approximation.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 from .cantor import StepMap, Word, _bits
 from .dyadic import Dyadic
@@ -49,8 +49,11 @@ class ApproximationSchedule:
 
     target: SimpleValuation
     stages: list
+    # build_schedule's stages approximate each other by construction, so
+    # it skips the way-below re-check (one flow per pair of stages)
+    _approximating: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _approximating):
         if not self.stages:
             raise ValueError("schedule needs at least one stage")
         bot = delta(self.target.base, self.target.base.bottom)
@@ -59,17 +62,9 @@ class ApproximationSchedule:
         if self.stages[-1] != self.target:
             raise NotComparable("schedule must end at the target")
         for a, b in zip(self.stages, self.stages[1:]):
-            if not way_below(a, b, normalized=True):
+            if not _approximating and not way_below(a, b, normalized=True):
                 raise NotComparable("stage %r does not approximate %r"
                                     % (a, b))
-
-    @classmethod
-    def _trusted(cls, target: SimpleValuation, stages: list):
-        """A schedule whose stages approximate each other by construction;
-        nothing is checked."""
-        schedule = object.__new__(cls)
-        schedule.target, schedule.stages = target, stages
-        return schedule
 
 
 def build_schedule(target: SimpleValuation, steps: int) -> ApproximationSchedule:
@@ -87,14 +82,15 @@ def build_schedule(target: SimpleValuation, steps: int) -> ApproximationSchedule
         raise NotProbability("schedule target must have mass 1")
     bot = delta(target.base, target.base.bottom)
     if target == bot:
-        return ApproximationSchedule._trusted(target, [bot] * (steps + 1))
+        return ApproximationSchedule(target, [bot] * (steps + 1),
+                                     _approximating=True)
     stages = [bot]
     for k in range(1, steps):
         eps = Dyadic(1, k)
         stages.append(add(scale(target, Dyadic(1, 0) - eps),
                           scale(bot, eps)))
     stages.append(target)
-    return ApproximationSchedule._trusted(target, stages)
+    return ApproximationSchedule(target, stages, _approximating=True)
 
 
 # a layer is a total step map on its level

@@ -9,15 +9,13 @@ independent ways:
 
 * :func:`leq` routes mu's mass upward into nu's mass through a max-flow
   network whose middle edges follow the poset order; the order holds iff
-  the flow saturates mu. It needs only the flow's value, so it runs the
-  Dinic solver `flow.min_cut`, as :func:`leq_witness` does: that
-  solver's minimum cut yields the upper set refuting the order.
-  :func:`transport_plan` runs the Edmonds-Karp `flow.max_flow` instead,
-  whose deterministic flow is the transport plan witnessing it.
+  the flow saturates mu. The same flow doubles as an explicit transport
+  plan witnessing the comparison, and its minimum cut yields the upper set
+  refuting it.
 * :func:`leq_oracle` enumerates every upper set and compares values
   directly. It exists purely to cross-check the flow route.
 
-Way-below (also one `flow.min_cut`, in either mode), integration against
+Way-below (also one max-flow, in either mode), integration against
 monotone functions, normalization to probability mass, pushforward along
 monotone maps, and a finite-scale weak-convergence (Portmanteau) check
 complete the module.
@@ -137,13 +135,13 @@ def order_network(mu: SimpleValuation, nu: SimpleValuation) -> flowmod.FlowNetwo
 
 
 def leq(mu: SimpleValuation, nu: SimpleValuation) -> bool:
-    """The valuation order, decided by one minimum-cut solve.
+    """The valuation order, decided by max-flow.
 
     True iff the maximum flow routes all of mu's mass, i.e. iff transport
     numbers moving mass only upward exist.
     """
     _same_base(mu, nu)
-    return flowmod.min_cut(order_network(mu, nu)).value == mu.mass
+    return flowmod.max_flow(order_network(mu, nu)).value == mu.mass
 
 
 def _witness(mu: SimpleValuation, f: flowmod.Flow):
@@ -161,7 +159,7 @@ def _witness(mu: SimpleValuation, f: flowmod.Flow):
 def leq_witness(mu: SimpleValuation, nu: SimpleValuation):
     """On failure of leq, an upper set U with mu(U) > nu(U), else None."""
     _same_base(mu, nu)
-    return _witness(mu, flowmod.min_cut(order_network(mu, nu)))
+    return _witness(mu, flowmod.max_flow(order_network(mu, nu)))
 
 
 @dataclass
@@ -236,15 +234,13 @@ def _epsilon_bound(mu: SimpleValuation, nu: SimpleValuation) -> int:
 
 def way_below(mu: SimpleValuation, nu: SimpleValuation,
               normalized: bool = False) -> bool:
-    """The approximation relation between valuations, decided by one
-    `flow.min_cut` solve in either mode.
+    """The approximation relation between valuations, decided by one flow.
 
     Subprobability mode tests the strict subset condition mu(S) < nu(up S)
     for every nonempty S in mu's support. Both sides are multiples of 2^-p,
     so a strict gap is at least 2^-p >= eps * |S| for eps = 2^-(p +
     ceil(log2 |supp mu|)): the condition holds iff the order network still
-    saturates once every source capacity is raised by eps, i.e. iff its
-    maximum flow equals the sum of the raised capacities. In normalized
+    saturates once every source capacity is raised by eps. In normalized
     (probability) mode, mu approximates nu iff mu lies below some convex
     shift (1 - eps) * nu + eps * bottom. On every proper upper set the
     shift only grows as eps shrinks, so one order test at the smallest eps
@@ -262,8 +258,8 @@ def way_below(mu: SimpleValuation, nu: SimpleValuation,
     p = max(mu.max_exponent(), nu.max_exponent())
     eps = Dyadic(1, p + (len(net.left) - 1).bit_length())
     raised = {x: c + eps for x, c in net.source_caps.items()}
-    supply = mu.mass + Dyadic(len(raised), 0) * eps
-    return flowmod.min_cut(replace(net, source_caps=raised)).value == supply
+    return flowmod.max_flow(replace(net, source_caps=raised)).from_source \
+        == raised
 
 
 def integrate_monotone(f: dict, v: SimpleValuation) -> Dyadic:

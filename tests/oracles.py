@@ -1,7 +1,9 @@
 """Independent brute-force reference computations for the test suite.
 
 Nothing here reuses the code paths under test: cuts are enumerated rather
-than derived from flows, upper sets are filtered straight from the order
+than derived from flows, a maximum flow is grown one breadth-first
+augmenting path at a time (Edmonds-Karp, on dyadics) rather than by blocking
+flows, upper sets are filtered straight from the order
 relation or scanned over every bitmask, strict-transport feasibility and
 subprobability way-below are decided by exhaustive Hall-style subset
 conditions, a lift step fills the new level word by word, the order is
@@ -10,6 +12,7 @@ candidate, convergence is checked by evaluating every map at every word, and
 quantile maps are compared at every threshold of either map.
 """
 
+from collections import deque
 from itertools import combinations
 
 from posetval import (Dyadic, FlowNetwork, SimpleValuation, ZERO, level,
@@ -38,6 +41,56 @@ def min_cut_by_enumeration(net: FlowNetwork) -> Dyadic:
             if best is None or value < best:
                 best = value
     return best
+
+
+def max_flow_by_shortest_paths(net: FlowNetwork) -> dict:
+    """Edmonds-Karp: augment along the breadth-first path, neighbours in
+    declaration order, until none is left; the last search marks the cut.
+    Returns the fields of the flow by name."""
+    nodes = ["source"] + [("left", x) for x in net.left] \
+        + [("right", y) for y in net.right] + ["sink"]
+    # res[v][w], w in declaration order; the network has no antiparallel
+    # edges, so res[w][v] starts at zero for every edge v -> w
+    res = {v: dict.fromkeys(nodes, ZERO) for v in nodes}
+    for x, c in net.source_caps.items():
+        res["source"][("left", x)] = c
+    for (x, y), c in net.mid_caps.items():
+        res[("left", x)][("right", y)] = c
+    for y, c in net.sink_caps.items():
+        res[("right", y)]["sink"] = c
+    cap = {v: dict(out) for v, out in res.items()}
+    while True:
+        parent = {"source": None}
+        queue = deque(["source"])
+        while queue and "sink" not in parent:
+            v = queue.popleft()
+            for w, r in res[v].items():
+                if w not in parent and ZERO < r:
+                    parent[w] = v
+                    queue.append(w)
+        if "sink" not in parent:
+            break
+        path = []
+        w = "sink"
+        while parent[w] is not None:
+            path.append((parent[w], w))
+            w = parent[w]
+        bottleneck = min(res[v][w] for v, w in path)
+        for v, w in path:
+            res[v][w] = res[v][w] - bottleneck
+            res[w][v] = res[w][v] + bottleneck
+
+    def moved(edges):
+        return {key: cap[v][w] - res[v][w] for key, (v, w) in edges
+                if ZERO < cap[v][w] - res[v][w]}
+
+    from_source = moved((x, ("source", ("left", x))) for x in net.left)
+    return {"value": sum(from_source.values(), ZERO),
+            "cut": frozenset(parent),
+            "from_source": from_source,
+            "across": moved(((x, y), (("left", x), ("right", y)))
+                            for x, y in net.mid_caps),
+            "to_sink": moved((y, (("right", y), "sink")) for y in net.right)}
 
 
 def upper_sets_by_filtering(base):

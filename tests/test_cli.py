@@ -79,13 +79,14 @@ def test_order_with_dot_solves_one_flow(files, tmp_path, solves):
         assert run(["order", "--poset", files["m4.poset"], "--mu",
                     files["da.val"], "--nu", files[nu], "--dot", dot])[0] \
             == code
-        assert [name for name, _net in solves] == ["max_flow"]
+        assert len(solves) == 1
         assert "digraph" in open(dot).read()
 
 
-def test_printed_plans_are_edmonds_karp_flows(files, tmp_path):
+def test_printed_plans_are_breadth_first_flows(files, tmp_path):
     # the plan is not unique: bot a, a top, b b, b top (1/4 each) is the
-    # Edmonds-Karp flow, bot b, a a (1/4 each), b top (1/2) another one
+    # flow along breadth-first augmenting paths, bot b, a a (1/4 each),
+    # b top (1/2) another one
     mu = tmp_path / "plan_mu.val"
     nu = tmp_path / "plan_nu.val"
     mu.write_text("bot 1/2^2\na 1/2^2\nb 1/2^1\n")

@@ -4,12 +4,12 @@ from dataclasses import replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posetval import Dyadic, FlowNetwork, ZERO, max_flow, min_cut
+from posetval import Dyadic, FlowNetwork, ZERO, max_flow
 from posetval.flow import to_dot
 from posetval.valuation import order_network
 
 from conftest import random_poset, random_valuation
-from oracles import min_cut_by_enumeration
+from oracles import max_flow_by_shortest_paths, min_cut_by_enumeration
 
 WIDE = Dyadic(2, 0)
 
@@ -134,19 +134,13 @@ def test_dot_annotations():
     assert "digraph" in dot and "1/2^1" in dot
 
 
-def test_min_cut_fills_only_value_and_cut():
-    net = diamond_net()
-    f = min_cut(net)
-    assert f.value == Dyadic(1, 0)
-    assert f.cut == max_flow(net).cut
-    assert f.from_source == f.across == f.to_sink == {}
-    assert min_cut(FlowNetwork([], [], {}, {}, {})).cut == {"source"}
-
-
-def assert_same_value_and_cut(net):
-    ek, dinic = max_flow(net), min_cut(net)
-    assert dinic.value == ek.value
-    assert dinic.cut == ek.cut
+def assert_breadth_first_flow(net):
+    # the printed transport plans are this flow
+    f = max_flow(net)
+    expected = max_flow_by_shortest_paths(net)
+    assert {name: getattr(f, name) for name in expected} == expected
+    assert crossing_capacity(net, f.cut) == f.value
+    return f
 
 
 CAPS = st.builds(Dyadic, st.integers(0, 20), st.integers(0, 4))
@@ -175,21 +169,21 @@ def networks(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(networks())
-def test_min_cut_matches_max_flow_on_general_networks(net):
-    assert_same_value_and_cut(net)
+def test_max_flow_is_the_breadth_first_flow_on_general_networks(net):
+    assert assert_breadth_first_flow(net).value == min_cut_by_enumeration(net)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.randoms(use_true_random=False))
-def test_min_cut_matches_max_flow_on_decision_networks(rng):
+def test_max_flow_is_the_breadth_first_flow_on_decision_networks(rng):
     # the order network of mu <= nu, and way-below's subprobability network,
     # whose source capacities are raised by the smallest gap eps
     base = random_poset(rng, max_elements=12)
     mu = random_valuation(rng, base, exp=rng.randint(0, 6))
     nu = random_valuation(rng, base, exp=rng.randint(0, 6))
     net = order_network(mu, nu)
-    assert_same_value_and_cut(net)
+    assert_breadth_first_flow(net)
     p = max(mu.max_exponent(), nu.max_exponent())
     eps = Dyadic(1, p + (len(net.left) - 1).bit_length())
-    assert_same_value_and_cut(replace(net, source_caps={
+    assert_breadth_first_flow(replace(net, source_caps={
         x: c + eps for x, c in net.source_caps.items()}))

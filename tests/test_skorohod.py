@@ -69,7 +69,7 @@ def test_build_schedule_solves_no_flow(m4, solves):
     sched = build_schedule(half_half(m4), 4)
     assert len(sched.stages) == 5 and solves == []
     ApproximationSchedule(sched.target, sched.stages)
-    assert [name for name, _net in solves] == ["min_cut"] * 4
+    assert len(solves) == 4
 
 
 def test_schedule_validation_rejects_gaps(m4):

@@ -285,19 +285,17 @@ def test_each_decision_solves_one_flow(m4, solves):
     mu, top = half_half(m4), delta(m4, "top")
     stage = SimpleValuation(m4, {"bot": HALF, "top": HALF})
     decisions = [
-        ("min_cut", lambda: leq(mu, top)), ("min_cut", lambda: leq(top, mu)),
-        ("min_cut", lambda: leq_witness(mu, top)),
-        ("min_cut", lambda: leq_witness(top, mu)),
-        ("max_flow", lambda: transport_plan(mu, top)),
-        ("min_cut", lambda: way_below(scale(mu, HALF), top)),
-        ("min_cut", lambda: way_below(top, top)),
-        ("min_cut", lambda: way_below(stage, top, normalized=True)),
-        ("min_cut", lambda: way_below(top, top, normalized=True)),
+        lambda: leq(mu, top), lambda: leq(top, mu),
+        lambda: leq_witness(mu, top), lambda: leq_witness(top, mu),
+        lambda: transport_plan(mu, top),
+        lambda: way_below(scale(mu, HALF), top), lambda: way_below(top, top),
+        lambda: way_below(stage, top, normalized=True),
+        lambda: way_below(top, top, normalized=True),
     ]
-    for solver, decide in decisions:
+    for decide in decisions:
         solves.clear()
         decide()
-        assert [name for name, _net in solves] == [solver]
+        assert len(solves) == 1
 
 
 def test_order_bounds_monotone_integrals():
