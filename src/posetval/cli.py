@@ -291,9 +291,10 @@ def _run(args, stdout) -> int:
     if args.command == "portmanteau":
         report = valmod.portmanteau_check(seq, nu, args.from_index)
         lines = []
-        for rec in report.records:
+        for u in base.enumerate_upper_sets():
+            rec = report.record_for(u)
             lines.append("U %s open %s closed %s"
-                         % (rec.upper, "ok" if rec.open_ok else "fail",
+                         % (u, "ok" if rec.open_ok else "fail",
                             "ok" if rec.closed_ok else "fail"))
         lines.append("PORTMANTEAU: %s" % ("pass" if report.verdict
                                           else "fail"))

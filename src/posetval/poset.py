@@ -129,39 +129,11 @@ class Poset:
     def enumerate_upper_sets(self, bound: int = ORACLE_BOUND):
         """All upward-closed subsets, each once, in ascending bitmask order.
 
-        Includes the empty set and the full set. Decides the bits from the
-        highest element index down, 0 before 1, carrying the up-closure of
-        the elements taken and the mask of those left out; a branch whose
-        two masks meet is dropped, and every other branch completes (take
-        the closure itself), so the work grows with the output. Raises
-        TooLarge once (sets found) x (elements) passes bound * 2^bound.
+        Includes the empty set and the full set. Raises TooLarge once
+        (sets found) x (elements) passes bound * 2^bound; see upper_masks.
         """
-        n = len(self.elements)
-        up = self._up_mask
-        budget = bound << bound
-        masks = []
-        # (next bit to decide, up-closure of the bits taken, bits left out);
-        # the 1-branch is pushed first so the 0-branch is popped first, and
-        # at the end the closure is exactly the bits taken
-        stack = [(n - 1, 0, 0)]
-        while stack:
-            i, closed, excluded = stack.pop()
-            if i < 0:
-                if (len(masks) + 1) * n > budget:
-                    raise TooLarge("upper sets of %d elements exceed the "
-                                   "oracle budget %d * 2^%d"
-                                   % (n, bound, bound))
-                masks.append(closed)
-                continue
-            bit = 1 << i
-            if closed & bit:
-                stack.append((i - 1, closed, excluded))
-                continue
-            one = closed | up[i]
-            if not one & excluded:
-                stack.append((i - 1, one, excluded))
-            stack.append((i - 1, closed, excluded | bit))
-        return [UpperSet(self, self._members(m)) for m in masks]
+        return [UpperSet(self, self._members(m))
+                for m in upper_masks(self._up_mask, bound)]
 
     def _is_chain(self) -> bool:
         """True iff every two elements are comparable."""
@@ -214,6 +186,44 @@ class Poset:
 
     def __repr__(self):
         return "Poset(%d elements, bottom=%s)" % (len(self), self.bottom)
+
+
+def upper_masks(up, bound: int = ORACLE_BOUND) -> list:
+    """The upper sets of an order given by its up-closure bitmasks.
+
+    up[i] is the bitmask of the elements above element i (itself included).
+    Returns every upward-closed mask once, in ascending order, the empty
+    and the full mask included. Decides the bits from the highest index
+    down, 0 before 1, carrying the up-closure of the bits taken and the
+    mask of those left out; a branch whose two masks meet is dropped, and
+    every other branch completes (take the closure itself), so the work
+    grows with the output. Raises TooLarge once (sets found) x (elements)
+    passes bound * 2^bound.
+    """
+    n = len(up)
+    budget = bound << bound
+    masks = []
+    # (next bit to decide, up-closure of the bits taken, bits left out);
+    # the 1-branch is pushed first so the 0-branch is popped first, and
+    # at the end the closure is exactly the bits taken
+    stack = [(n - 1, 0, 0)]
+    while stack:
+        i, closed, excluded = stack.pop()
+        if i < 0:
+            if (len(masks) + 1) * n > budget:
+                raise TooLarge("upper sets of %d elements exceed the "
+                               "oracle budget %d * 2^%d" % (n, bound, bound))
+            masks.append(closed)
+            continue
+        bit = 1 << i
+        if closed & bit:
+            stack.append((i - 1, closed, excluded))
+            continue
+        one = closed | up[i]
+        if not one & excluded:
+            stack.append((i - 1, one, excluded))
+        stack.append((i - 1, closed, excluded | bit))
+    return masks
 
 
 @dataclass(frozen=True)

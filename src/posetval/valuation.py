@@ -18,18 +18,21 @@ independent ways:
 Way-below (also one max-flow, in either mode), integration against
 monotone functions, normalization to probability mass, pushforward along
 monotone maps, and a finite-scale weak-convergence (Portmanteau) check
-complete the module.
+complete the module. The Portmanteau check enumerates the upper sets of
+the valuations' joint support only, the traces V of the poset's upper sets,
+and sums integer numerators over them; it reports one record per trace, as
+up(V), ordered by up(V)'s bitmask.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from . import flow as flowmod
 from .dyadic import ONE, ZERO, Dyadic, parse_dyadic
 from .errors import (MassExceeded, MixedBase, NotComparable, NotMonotone,
                      NotProbability, ParseError, PartialMap, UnknownElement)
-from .poset import ORACLE_BOUND, Poset, UpperSet
+from .poset import ORACLE_BOUND, Poset, UpperSet, upper_masks
 
 # capacity for middle edges; strictly above any achievable mass, so a
 # minimum cut never crosses the middle layer
@@ -333,15 +336,36 @@ class PortmanteauRecord:
 
 @dataclass
 class PortmanteauReport:
+    """The Portmanteau verdict, one record per trace on the support.
+
+    Every valuation of the check is carried by support, the union of their
+    supports, so its value on an upper set U depends only on the trace
+    U & support. Each record stands for one trace V, as up(V), the least
+    upper set with that trace; the records ascend by up(V)'s bitmask, so
+    the witness, the first failing record, is also the first failing upper
+    set of the whole poset in ascending bitmask order.
+    """
+
     from_index: int
     records: list
     verdict: bool
     witness: UpperSet | None
+    support: frozenset
+    _by_upper: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._by_upper = {r.upper.members: r for r in self.records}
+
+    def record_for(self, upper: UpperSet) -> PortmanteauRecord:
+        """The record of upper's trace, whose flags are upper's own."""
+        return self._by_upper[
+            upper.base.upward_closure(upper.members & self.support)]
 
 
 def _approaches(values, limit, from_below: bool) -> bool:
-    """Exact convergence certificate for a finite tail of dyadic values.
+    """Exact convergence certificate for a finite tail of values.
 
+    values and limit are integer numerators over one common power of two.
     from_below checks the liminf-style bullet: every value already at or
     above the limit is fine and must not fall back; a deficit must at least
     halve at each step (geometric decay is the only convergence a finite
@@ -354,14 +378,13 @@ def _approaches(values, limit, from_below: bool) -> bool:
 
     if len(values) == 1:
         return not deficit_side(values[0])
-    two = Dyadic(2, 0)
     for v, nxt in zip(values, values[1:]):
         if deficit_side(v):
             if from_below:
-                if two * nxt < limit + v:
+                if 2 * nxt < limit + v:
                     return False
             else:
-                if limit + v < two * nxt:
+                if limit + v < 2 * nxt:
                     return False
         elif deficit_side(nxt):
             return False
@@ -376,6 +399,13 @@ def portmanteau_check(seq, limit: SimpleValuation,
     generated, so both bullets run against the same family. The tail
     starts at from_index; liminf/limsup are rendered as exact decay
     certificates (see _approaches).
+
+    Only the upper sets of the support S (the union of the supports of the
+    tail and the limit, under the induced order) are enumerated: they are
+    exactly the traces of the poset's upper sets on S. Each valuation is
+    summed over a trace as integer numerators at one common exponent. The
+    report holds one record per trace, as the least upper set with that
+    trace, in ascending bitmask order (see PortmanteauReport).
     """
     if not seq:
         raise ValueError("empty sequence")
@@ -383,19 +413,38 @@ def portmanteau_check(seq, limit: SimpleValuation,
         raise ValueError("from_index %d out of range" % from_index)
     for v in seq:
         _same_base(v, limit)
-    tail = seq[from_index:]
+    base = limit.base
+    vals = [*seq[from_index:], limit]
+    support = frozenset().union(*(v.weights for v in vals))
+    # S in declaration order; bit k of a trace is the element s[k]
+    index, up = base.index, base._up_mask
+    s = sorted(index[x] for x in support)
+    s_up = [sum(1 << k for k, j in enumerate(s) if up[i] >> j & 1)
+            for i in s]
+    p = max(v.max_exponent() for v in vals)
+    cols = [[v.weights.get(base.elements[i], ZERO).rescale(p) for v in vals]
+            for i in s]
+    rows = []
+    for trace in upper_masks(s_up):
+        closure, sums = 0, [0] * len(vals)
+        for k, i in enumerate(s):
+            if trace >> k & 1:
+                closure |= up[i]
+                sums = [a + b for a, b in zip(sums, cols[k])]
+        rows.append((closure, sums))
+    rows.sort()     # by up(V): distinct traces have distinct closures
     records = []
     witness = None
-    for u in limit.base.enumerate_upper_sets():
-        values = [v.evaluate(u) for v in tail]
-        target = limit.evaluate(u)
-        rec = PortmanteauRecord(u,
+    for closure, sums in rows:
+        *values, target = sums
+        rec = PortmanteauRecord(UpperSet(base, base._members(closure)),
                                 open_ok=_approaches(values, target, True),
                                 closed_ok=_approaches(values, target, False))
         records.append(rec)
         if witness is None and not (rec.open_ok and rec.closed_ok):
-            witness = u
-    return PortmanteauReport(from_index, records, witness is None, witness)
+            witness = rec.upper
+    return PortmanteauReport(from_index, records, witness is None, witness,
+                             support)
 
 
 # -- text form ---------------------------------------------------------------

@@ -9,14 +9,17 @@ subprobability way-below are decided by exhaustive Hall-style subset
 conditions, a lift step fills the new level word by word, the order is
 reachability by graph search, meets and joins are found by scanning every
 candidate, convergence is checked by evaluating every map at every word, and
-quantile maps are compared at every threshold of either map.
+quantile maps are compared at every threshold of either map, and the
+Portmanteau bullets are checked on every upper set of the whole poset with
+dyadic arithmetic.
 """
 
 from collections import deque
 from itertools import combinations
 
-from posetval import (Dyadic, FlowNetwork, SimpleValuation, ZERO, level,
-                      pushforward_counting, transport_plan)
+from posetval import (Dyadic, FlowNetwork, SimpleValuation, UpperSet, ZERO,
+                      level, pushforward_counting, transport_plan)
+from posetval.valuation import PortmanteauRecord
 from posetval.errors import NotAChain
 from posetval.skorohod import ConvergenceRecord, ConvergenceReport
 
@@ -115,6 +118,49 @@ def upper_sets_by_masks(base):
             out.append(frozenset(e for j, e in enumerate(base.elements)
                                  if mask >> j & 1))
     return out
+
+
+def _approaches_dyadic(values, limit, from_below):
+    """The decay certificate of valuation._approaches, on dyadics."""
+
+    def deficit_side(v):
+        return v < limit if from_below else limit < v
+
+    if len(values) == 1:
+        return not deficit_side(values[0])
+    two = Dyadic(2, 0)
+    for v, nxt in zip(values, values[1:]):
+        if deficit_side(v):
+            if from_below:
+                if two * nxt < limit + v:
+                    return False
+            elif limit + v < two * nxt:
+                return False
+        elif deficit_side(nxt):
+            return False
+    return True
+
+
+def portmanteau_by_upper_sets(seq, limit, from_index=0):
+    """The Portmanteau records on every upper set of the whole poset, in
+    ascending bitmask order, and the first failing one (None if none).
+
+    Each valuation is evaluated on each upper set by summing its dyadic
+    weights; returns (records, witness).
+    """
+    base = limit.base
+    tail = seq[from_index:]
+    records, witness = [], None
+    for members in upper_sets_by_masks(base):
+        u = UpperSet(base, members)
+        values = [v.evaluate(u) for v in tail]
+        target = limit.evaluate(u)
+        rec = PortmanteauRecord(u, _approaches_dyadic(values, target, True),
+                                _approaches_dyadic(values, target, False))
+        records.append(rec)
+        if witness is None and not (rec.open_ok and rec.closed_ok):
+            witness = u
+    return records, witness
 
 
 def classify_by_scan(base):

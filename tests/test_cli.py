@@ -1,5 +1,6 @@
 import io
 import os
+import random
 import subprocess
 import sys
 import time
@@ -7,7 +8,11 @@ import time
 import pytest
 
 import posetval
+from posetval import format_poset, format_valuation, portmanteau_check
 from posetval.cli import Workspace, main
+
+from conftest import random_poset, random_valuation
+from oracles import portmanteau_by_upper_sets
 
 M4 = """element bot
 element a
@@ -295,6 +300,65 @@ def test_convergence_commands_past_16_elements(tmp_path, shape, top, uppers):
                      "--seq", ",".join([vals[0]] * 3), "--nu", vals[-1],
                      "--K", "2"])
     assert code == 1 and out == ""
+
+
+def test_convergence_on_small_support_past_the_upper_set_budget(
+        tmp_path, capsys):
+    # e0 under 16 incomparable elements: 2^16 + 1 upper sets, but only 3
+    # traces on the support {e0, e1}
+    names = ["e%d" % i for i in range(17)]
+    base = posetval.Poset(names, [("e0", x) for x in names[1:]], "e0")
+    poset = tmp_path / "wide.poset"
+    poset.write_text(format_poset(base))
+    val = tmp_path / "v.val"
+    val.write_text("e0 1/2^1\ne1 1/2^1\n")
+    v = posetval.parse_valuation(val.read_text(), base)
+    start = time.perf_counter()
+    report = portmanteau_check([v, v], v)
+    assert report.verdict and len(report.records) == 3
+    args = ["--poset", str(poset), "--seq", "%s,%s" % (val, val),
+            "--nu", str(val)]
+    code, out = run(["converge"] + args + ["--K", "2"])
+    assert code == 0 and out.endswith("CONVERGENCE: pass\n")
+    assert time.perf_counter() - start < 2
+    # the default listing still walks every upper set of the poset
+    capsys.readouterr()
+    assert run(["portmanteau"] + args) == (2, "")
+    assert "oracle budget" in capsys.readouterr().err
+
+
+def test_portmanteau_bytes_match_whole_poset_loop(tmp_path):
+    rng = random.Random(2024)
+    exits = set()
+    for case in range(12):
+        base = random_poset(rng, max_elements=9, density=0.3)
+        poset = tmp_path / ("p%d.poset" % case)
+        poset.write_text(format_poset(base))
+        vals = [random_valuation(rng, base, exp=2) for _ in range(4)]
+        if case % 3 == 0:       # a constant tail passes
+            vals = [vals[0]] * 4
+        paths = []
+        for k, v in enumerate(vals):
+            path = tmp_path / ("v%d_%d.val" % (case, k))
+            path.write_text(format_valuation(v))
+            paths.append(str(path))
+        from_index = rng.randrange(3)
+        records, witness = portmanteau_by_upper_sets(vals[:3], vals[3],
+                                                     from_index)
+        want = ["U %s open %s closed %s"
+                % (r.upper, "ok" if r.open_ok else "fail",
+                   "ok" if r.closed_ok else "fail") for r in records]
+        want.append("PORTMANTEAU: %s" % ("pass" if witness is None
+                                         else "fail"))
+        if witness is not None:
+            want.append("witness %s" % witness)
+        code, out = run(["portmanteau", "--poset", str(poset),
+                         "--seq", ",".join(paths[:3]), "--nu", paths[3],
+                         "--from", str(from_index)])
+        assert (code, out) == (int(witness is not None),
+                               "\n".join(want) + "\n")
+        exits.add(code)
+    assert exits == {0, 1}
 
 
 def test_workspace_invariants(files):

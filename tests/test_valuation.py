@@ -17,7 +17,8 @@ from posetval.errors import (MassExceeded, MixedBase, NotComparable,
 
 from conftest import (make_chain, random_poset, random_valuation,
                       random_monotone_integrand)
-from oracles import strict_transport_exists, way_below_by_subsets
+from oracles import (portmanteau_by_upper_sets, strict_transport_exists,
+                     way_below_by_subsets)
 
 HALF = Dyadic(1, 1)
 
@@ -432,6 +433,49 @@ def test_portmanteau_single_element_tail(m4):
     v = half_half(m4)
     assert portmanteau_check([delta(m4, "a"), v], v, 1).verdict
     assert not portmanteau_check([v, delta(m4, "a")], v, 1).verdict
+
+
+def _random_portmanteau_family(rng, base):
+    """A limit (possibly zero) and a tail that is random, constant, or
+    halving its distance to the limit."""
+    zero = SimpleValuation(base, {})
+    limit = rng.choice([zero, random_valuation(rng, base, rng.randint(0, 3))])
+    count = rng.randint(1, 5)
+    shape = rng.choice(["random", "constant", "halving"])
+    if shape == "constant":
+        return [limit] * count, limit
+    if shape == "halving":
+        rho = random_valuation(rng, base, rng.randint(0, 3))
+        return [add(scale(limit, ONE - Dyadic(1, c)), scale(rho, Dyadic(1, c)))
+                for c in range(1, count + 1)], limit
+    return [rng.choice([zero, random_valuation(rng, base, rng.randint(0, 3))])
+            for _ in range(count)], limit
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_portmanteau_matches_whole_poset_loop(rng):
+    base = random_poset(rng, max_elements=12,
+                        density=rng.choice([0.1, 0.25, 0.5]))
+    seq, limit = _random_portmanteau_family(rng, base)
+    from_index = rng.randrange(len(seq))
+    report = portmanteau_check(seq, limit, from_index)
+    records, witness = portmanteau_by_upper_sets(seq, limit, from_index)
+    assert report.witness == witness
+    assert report.verdict == (witness is None)
+    # one record per trace on the support, as up(trace), ascending by mask
+    support = set()
+    for v in seq[from_index:] + [limit]:
+        support |= set(v.support)
+    traces = {base.upward_closure(r.upper.members & support)
+              for r in records}
+    assert [r.upper.members for r in report.records] == \
+        [r.upper.members for r in records if r.upper.members in traces]
+    ours = {r.upper.members: (r.open_ok, r.closed_ok) for r in report.records}
+    for rec in records:
+        key = base.upward_closure(rec.upper.members & support)
+        assert ours[key] == (rec.open_ok, rec.closed_ok)
+        assert report.record_for(rec.upper).upper.members == key
 
 
 def test_valuation_text_round_trip(m4):
