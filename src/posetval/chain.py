@@ -32,8 +32,9 @@ def _require_chain(p: Poset):
 
 
 def _ascending(p: Poset):
-    """Chain elements from bottom to top."""
-    return sorted(p.elements, key=lambda x: len(p.down_set(x)))
+    """Chain elements from bottom to top, by shrinking up-set."""
+    up, index = p._up_mask, p.index
+    return sorted(p.elements, key=lambda x: -up[index[x]].bit_count())
 
 
 @dataclass
@@ -85,7 +86,7 @@ class QuantileMap(StepMap):
     def __call__(self, r: Dyadic):
         if r.is_zero():
             # every cumulative value reaches 0, so the least element wins
-            return _ascending(self.base)[0]
+            return self.base.bottom
         return super().__call__(r)
 
 

@@ -10,63 +10,21 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from dataclasses import dataclass, field
 
 from . import chain as chainmod
 from . import flow as flowmod
 from . import pipeline
 from . import valuation as valmod
 from .errors import Error, NotComparable, NotConvergent
-from .poset import Poset, parse_poset
-from .skorohod import build_schedule, format_map, represent
+from .poset import parse_poset
+from .skorohod import build_schedule, format_map, represent_target
 from .skorohod import sample as draw_sample
-from .valuation import SimpleValuation, parse_valuation
+from .valuation import parse_valuation
 
 
-@dataclass
-class Workspace:
-    """Named artifacts loaded for one invocation.
-
-    Names are unique per kind, and a valuation can only be registered over
-    an already-loaded poset.
-    """
-
-    posets: dict = field(default_factory=dict)
-    valuations: dict = field(default_factory=dict)
-    maps: dict = field(default_factory=dict)
-
-    def add_poset(self, name: str, p: Poset):
-        if name in self.posets:
-            raise ValueError("duplicate poset name %r" % name)
-        self.posets[name] = p
-        return p
-
-    def add_valuation(self, name: str, v: SimpleValuation):
-        if name in self.valuations:
-            raise ValueError("duplicate valuation name %r" % name)
-        if not any(p is v.base for p in self.posets.values()):
-            raise ValueError("valuation %r references an unloaded poset"
-                             % name)
-        self.valuations[name] = v
-        return v
-
-    def add_map(self, name: str, m):
-        if name in self.maps:
-            raise ValueError("duplicate map name %r" % name)
-        self.maps[name] = m
-        return m
-
-    def load_poset(self, path: str) -> Poset:
-        if path in self.posets:
-            return self.posets[path]
-        with open(path, encoding="utf-8") as fh:
-            return self.add_poset(path, parse_poset(fh.read()))
-
-    def load_valuation(self, path: str, base: Poset) -> SimpleValuation:
-        if path in self.valuations:
-            return self.valuations[path]
-        with open(path, encoding="utf-8") as fh:
-            return self.add_valuation(path, parse_valuation(fh.read(), base))
+def _read(path: str) -> str:
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
 
 
 def _write(path: str | None, text: str, stdout):
@@ -151,19 +109,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _load_common(args, ws: Workspace):
-    base = ws.load_poset(args.poset)
-    mu = ws.load_valuation(args.mu, base) if getattr(args, "mu", None) else None
-    nu = ws.load_valuation(args.nu, base) if getattr(args, "nu", None) else None
-    seq = None
-    if getattr(args, "seq", None):
-        seq = [ws.load_valuation(p, base) for p in args.seq.split(",")]
-    return base, mu, nu, seq
-
-
 def _run(args, stdout) -> int:
-    ws = Workspace()
-    base, mu, nu, seq = _load_common(args, ws)
+    base = parse_poset(_read(args.poset))
+
+    def load(path):
+        return None if path is None else parse_valuation(_read(path), base)
+
+    mu = load(getattr(args, "mu", None))
+    nu = load(getattr(args, "nu", None))
+    seq = getattr(args, "seq", None)
+    if seq is not None:
+        seq = [load(p) for p in seq.split(",")]
     out = getattr(args, "out", None)
 
     if args.command == "order":
@@ -213,14 +169,14 @@ def _run(args, stdout) -> int:
         return 0
 
     if args.command == "represent":
-        rmap = represent(build_schedule(mu, args.steps))
+        rmap = represent_target(mu, args.steps)
         _write(out, format_map(rmap), stdout)
         if args.dot:
             _write(args.dot, rmap.to_dot(), stdout)
         return 0
 
     if args.command == "sample":
-        rmap = represent(build_schedule(mu, args.steps))
+        rmap = represent_target(mu, args.steps)
         bits = _bits(args.seed)
         draws = [draw_sample(rmap, bits) for _ in range(args.count)]
         lines = list(draws)
@@ -254,16 +210,17 @@ def _run(args, stdout) -> int:
         return 0 if report.verdict else 1
 
     if args.command == "skorohod":
-        if mu.is_probability():
-            witness = pipeline.skorohod(mu, args.steps)
-            third = "driver %s" % witness.describe()
-        else:
-            witness = pipeline.skorohod_subprobability(mu, args.steps)
-            third = "defined %d" % sum(map(witness.defined, witness.grid()))
+        probability = mu.is_probability()
+        witness = (pipeline.skorohod(mu, args.steps) if probability
+                   else pipeline.skorohod_subprobability(mu, args.steps))
         law = witness.law_on_grid()
         exact = law == mu
-        lines = ["precision %d" % witness.precision,
-                 "grid %d" % len(witness.grid()), third,
+        d = witness.precision
+        # grid point (i + 1)/2^d lands on word i, so the law's mass counts
+        # the defined grid points
+        third = ("driver %s" % witness.describe() if probability
+                 else "defined %d" % law.mass.rescale(d))
+        lines = ["precision %d" % d, "grid %d" % (1 << d), third,
                  "EXACT_LAW: %s" % _bool(exact)]
         lines.extend("law %s %s" % (x, law.weights[x]) for x in law.support)
         _write(out, "\n".join(lines) + "\n", stdout)
@@ -271,8 +228,8 @@ def _run(args, stdout) -> int:
 
     if args.command == "cdf":
         f = chainmod.cdf(mu)
-        text = "".join("F %s %s\n" % (x, f(x))
-                       for x in chainmod._ascending(base))
+        # cdf lists the chain from bottom to top
+        text = "".join("F %s %s\n" % (x, v) for x, v in f.values.items())
         _write(out, text, stdout)
         return 0
 
@@ -282,8 +239,7 @@ def _run(args, stdout) -> int:
         return 0
 
     if args.command == "pushforward-lebesgue":
-        with open(args.quantile, encoding="utf-8") as fh:
-            g = chainmod.parse_quantile(fh.read(), base)
+        g = chainmod.parse_quantile(_read(args.quantile), base)
         v = chainmod.pushforward_lebesgue(g)
         _write(out, valmod.format_valuation(v), stdout)
         return 0

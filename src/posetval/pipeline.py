@@ -2,10 +2,10 @@
 
 A witness packages a representation map with the unit-interval adjoint: a
 grid point r lands on the word unit_to_word(r, depth) and then on the
-map's value there. The grid {i/2^d : 1 <= i <= 2^d} bijects with the
-depth-d words (the adjoint picks non-terminating expansions), so
-exhaustively tabulating the driver over the grid reproduces the target
-valuation exactly -- the law is a counting identity, not a limit.
+final layer's value there. The grid {i/2^d : 1 <= i <= 2^d} bijects with
+the depth-d words ((i + 1)/2^d lands on word i), so the driver's law over
+the grid is the final layer's run-length count, and it equals the target
+exactly -- a counting identity, not a limit.
 
 Sequences route through the weak-convergence gate and report, per grid
 word, how the witnesses' values settle on the limit's. A subprobability
@@ -21,8 +21,9 @@ from dataclasses import dataclass
 from .cantor import Word, _bits
 from .dyadic import ONE, Dyadic
 from .errors import NotProbability
-from .skorohod import (ConvergenceReport, RepresentationMap, build_schedule,
-                       convergence_check, represent, represent_sequence)
+from .skorohod import (ConvergenceReport, RepresentationMap,
+                       convergence_check, represent_sequence,
+                       represent_target)
 from .valuation import SimpleValuation
 
 
@@ -59,16 +60,13 @@ class SkorohodWitness:
         return [Dyadic(i, d) for i in range(1, (1 << d) + 1)]
 
     def law_on_grid(self) -> SimpleValuation:
-        """Exhaustive tabulation of the driver, on the target's poset,
-        over the defined grid points; equals the target exactly."""
-        d = self.precision
-        counts = {}
-        for r in self.grid():
-            x = self.driver(r)
-            if x != self.fresh_bottom:
-                counts[x] = counts.get(x, 0) + 1
+        """The driver's law over the defined grid points, on the target's
+        poset; equals the target exactly. Grid point (i + 1)/2^d lands on
+        word i, so this is the map's law without the fresh bottom."""
+        law = self.rmap.law()
         return SimpleValuation(self.target.base,
-                               {x: Dyadic(c, d) for x, c in counts.items()})
+                               {x: w for x, w in law.weights.items()
+                                if x != self.fresh_bottom})
 
 
 def skorohod(target: SimpleValuation, steps: int) -> SkorohodWitness:
@@ -76,12 +74,12 @@ def skorohod(target: SimpleValuation, steps: int) -> SkorohodWitness:
     if not target.is_probability():
         raise NotProbability("pipeline target must have mass 1; "
                              "use the subprobability variant")
-    return SkorohodWitness(target, represent(build_schedule(target, steps)))
+    return SkorohodWitness(target, represent_target(target, steps))
 
 
 def skorohod_subprobability(target: SimpleValuation,
                             steps: int) -> SkorohodWitness:
-    """Witness for mass <= 1; restricted tabulation equals the target.
+    """Witness for mass <= 1; its law on the defined grid is the target.
 
     The target's poset is lifted under a fresh bottom, which takes the
     missing mass, and the lifted probability target is represented.
@@ -91,7 +89,7 @@ def skorohod_subprobability(target: SimpleValuation,
     gap = ONE - target.mass
     if not gap.is_zero():
         weights[lifted.bottom] = gap
-    rmap = represent(build_schedule(SimpleValuation(lifted, weights), steps))
+    rmap = represent_target(SimpleValuation(lifted, weights), steps)
     return SkorohodWitness(target, rmap, lifted.bottom)
 
 

@@ -33,9 +33,9 @@ from .poset import Poset
 from .valuation import (SimpleValuation, add, delta, portmanteau_check,
                         scale, transport_plan, way_below)
 
-# deepest layer lift_step builds; layers are runs and convergence_check
-# settles one segment per run, but format_map and law_on_grid still list
-# all 2^depth words of a map, and skorohod_sequence one record per word
+# deepest layer lift_step builds; layers are runs, and laws, draws and
+# convergence_check work on the runs, but format_map still lists all
+# 2^depth words of a map, and skorohod_sequence one record per word
 MAX_DEPTH = 16
 
 
@@ -226,18 +226,29 @@ def represent(schedule: ApproximationSchedule) -> RepresentationMap:
     return rmap
 
 
+def represent_target(target: SimpleValuation,
+                     steps: int) -> RepresentationMap:
+    """represent(build_schedule(target, steps)), refused before the build
+    when it cannot fit: every lift deepens the map by at least one level,
+    so `steps` stages need depth `steps` or more."""
+    if steps > MAX_DEPTH:
+        raise TooLarge("representation depth %d or more exceeds the bound %d"
+                       % (steps, MAX_DEPTH))
+    return represent(build_schedule(target, steps))
+
+
 def sample(rmap: RepresentationMap, bits):
-    """Evaluate at a word drawn bit-by-bit from an iterator of 0/1."""
+    """The final layer's value at a word drawn bit by bit from an iterator
+    of 0/1; the bits, first bit highest, spell the word's number."""
     it = iter(bits)
-    drawn = []
-    for _ in range(rmap.final_depth):
+    i = 0
+    for n in range(rmap.final_depth):
         try:
-            drawn.append("1" if next(it) else "0")
+            bit = next(it)
         except StopIteration:
-            raise SourceExhausted("bit source ended after %d bits"
-                                  % len(drawn))
-    _, value = rmap.evaluate(Word("".join(drawn)))
-    return value
+            raise SourceExhausted("bit source ended after %d bits" % n)
+        i = i << 1 | (1 if bit else 0)
+    return rmap.layers[-1].at(i)
 
 
 def represent_sequence(targets, limit: SimpleValuation, steps: int,
@@ -252,8 +263,8 @@ def represent_sequence(targets, limit: SimpleValuation, steps: int,
     if not report.verdict:
         raise NotConvergent("sequence fails weak convergence at %s"
                             % report.witness)
-    maps = [represent(build_schedule(t, steps)) for t in targets]
-    limit_map = represent(build_schedule(limit, steps))
+    maps = [represent_target(t, steps) for t in targets]
+    limit_map = represent_target(limit, steps)
     return maps, limit_map
 
 

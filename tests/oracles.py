@@ -9,9 +9,10 @@ subprobability way-below are decided by exhaustive Hall-style subset
 conditions, a lift step fills the new level word by word, the order is
 reachability by graph search, meets and joins are found by scanning every
 candidate, convergence is checked by evaluating every map at every word, and
-quantile maps are compared at every threshold of either map, and the
+quantile maps are compared at every threshold of either map, the
 Portmanteau bullets are checked on every upper set of the whole poset with
-dyadic arithmetic.
+dyadic arithmetic, and a sampler's law is tabulated by calling its driver
+at every grid point.
 """
 
 from collections import deque
@@ -335,3 +336,17 @@ def reachable_by_search(n, covers):
                     stack.append(j)
         up.append(seen)
     return up
+
+
+def law_by_grid_tabulation(witness) -> SimpleValuation:
+    """The driver tabulated at every grid point i/2^d, 1 <= i <= 2^d, on
+    the target's poset, skipping the points it sends to the fresh bottom;
+    one driver call per point."""
+    d = witness.precision
+    counts = {}
+    for i in range(1, (1 << d) + 1):
+        x = witness.driver(Dyadic(i, d))
+        if x != witness.fresh_bottom:
+            counts[x] = counts.get(x, 0) + 1
+    return SimpleValuation(witness.target.base,
+                           {x: Dyadic(c, d) for x, c in counts.items()})

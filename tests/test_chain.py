@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posetval import (Dyadic, ONE, QuantileMap, SimpleValuation, ZERO, cdf,
-                      delta, leq, lower_adjoint, pushforward_lebesgue,
+from posetval import (Dyadic, ONE, Poset, QuantileMap, SimpleValuation, ZERO,
+                      cdf, delta, leq, lower_adjoint, pushforward_lebesgue,
                       quantile_leq, scale)
 from posetval.chain import _ascending, format_quantile, parse_quantile
 from posetval.errors import (NotAChain, OutOfRange, PartialQuantile,
@@ -28,6 +28,19 @@ def test_cdf_examples(c3):
     assert (g("c0"), g("c1"), g("c2")) == (ZERO, ZERO, ONE)
     z = cdf(SimpleValuation(c3, {}))
     assert all(z(x) == ZERO for x in c3.elements)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(1, 12))
+def test_ascending_follows_the_order_not_the_declaration(rng, n):
+    names = ["c%d" % i for i in range(n)]
+    chain = Poset(rng.sample(names, n), list(zip(names, names[1:])), "c0")
+    assert _ascending(chain) == names
+    assert names == sorted(chain.elements,
+                           key=lambda x: len(chain.down_set(x)))
+    v = random_valuation(rng, chain, exp=3)
+    assert list(cdf(v).values) == names
+    assert lower_adjoint(cdf(v))(ZERO) == "c0"
 
 
 def test_cdf_requires_chain(m4):

@@ -8,11 +8,12 @@ import time
 import pytest
 
 import posetval
-from posetval import format_poset, format_valuation, portmanteau_check
-from posetval.cli import Workspace, main
+from posetval import (Dyadic, format_poset, format_valuation,
+                      portmanteau_check, skorohod, skorohod_subprobability)
+from posetval.cli import main
 
 from conftest import random_poset, random_valuation
-from oracles import portmanteau_by_upper_sets
+from oracles import law_by_grid_tabulation, portmanteau_by_upper_sets
 
 M4 = """element bot
 element a
@@ -180,6 +181,69 @@ def test_represent_past_the_depth_bound_exits_2(tmp_path, capsys):
     assert time.perf_counter() - t0 < 5.0
     assert code == 2 and out == ""
     assert "exceeds the bound" in capsys.readouterr().err
+
+
+def test_unrepresentable_K_exits_2_at_once(tmp_path, capsys):
+    # every lift deepens the map by a level, so K steps need depth K or
+    # more; the refusal comes before the schedule, whose stage exponents
+    # grow with K, is built
+    poset = tmp_path / "c2.poset"
+    poset.write_text("element a\nelement b\nbottom a\ncover a b\n")
+    mu = tmp_path / "half.val"
+    mu.write_text("a 1/2^1\nb 1/2^1\n")
+    for argv in (["sample", "--mu", str(mu)],
+                 ["skorohod", "--mu", str(mu)],
+                 ["represent", "--mu", str(mu)],
+                 ["converge", "--seq", str(mu), "--nu", str(mu)]):
+        capsys.readouterr()
+        t0 = time.perf_counter()
+        code, out = run(argv + ["--poset", str(poset), "--K", "100000"])
+        assert time.perf_counter() - t0 < 2.0
+        assert code == 2 and out == ""
+        assert "exceeds the bound" in capsys.readouterr().err
+
+
+def test_empty_file_names_exit_2(files, capsys):
+    m4, mu = files["m4.poset"], files["mu.val"]
+    for argv in (["order", "--mu", "", "--nu", mu],
+                 ["order", "--mu", mu, "--nu", ""],
+                 ["portmanteau", "--seq", mu + ",", "--nu", mu]):
+        capsys.readouterr()
+        code, out = run(argv + ["--poset", m4])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_skorohod_stdout_matches_grid_tabulation(tmp_path):
+    rng = random.Random(2025)
+    modes = set()
+    for case in range(16):
+        base = random_poset(rng, max_elements=7, density=0.35)
+        poset = tmp_path / ("p%d.poset" % case)
+        poset.write_text(format_poset(base))
+        probability = case % 2 == 0
+        target = random_valuation(rng, base, exp=rng.randint(0, 4),
+                                  probability=probability)
+        path = tmp_path / ("v%d.val" % case)
+        path.write_text(format_valuation(target))
+        steps = rng.randint(1, 4)
+        w = (skorohod(target, steps) if target.is_probability()
+             else skorohod_subprobability(target, steps))
+        d = w.precision
+        law = law_by_grid_tabulation(w)
+        if w.fresh_bottom is None:
+            third = "driver %s" % w.describe()
+        else:
+            third = "defined %d" % sum(w.defined(Dyadic(i, d))
+                                       for i in range(1, (1 << d) + 1))
+        modes.add(third.split()[0])
+        want = ["precision %d" % d, "grid %d" % 2 ** d, third,
+                "EXACT_LAW: true"]
+        want.extend("law %s %s" % (x, law.weights[x]) for x in law.support)
+        code, out = run(["skorohod", "--poset", str(poset),
+                         "--mu", str(path), "--K", str(steps)])
+        assert (code, out) == (0, "\n".join(want) + "\n")
+    assert modes == {"driver", "defined"}
 
 
 def test_sample_deterministic(files):
@@ -359,23 +423,6 @@ def test_portmanteau_bytes_match_whole_poset_loop(tmp_path):
                                "\n".join(want) + "\n")
         exits.add(code)
     assert exits == {0, 1}
-
-
-def test_workspace_invariants(files):
-    ws = Workspace()
-    base = ws.load_poset(files["m4.poset"])
-    v = ws.load_valuation(files["mu.val"], base)
-    assert ws.load_valuation(files["mu.val"], base) is v  # cached reuse
-    with pytest.raises(ValueError):
-        ws.add_valuation(files["mu.val"], v)  # duplicate name
-    ws2 = Workspace()
-    with pytest.raises(ValueError):
-        ws2.add_valuation("orphan", v)  # poset not loaded
-
-    from posetval import build_schedule, delta, represent
-    rmap = ws.add_map("m", represent(build_schedule(delta(base, "top"), 1)))
-    with pytest.raises(ValueError):
-        ws.add_map("m", rmap)  # duplicate name
 
 
 def test_subprocess_entry_point(files):

@@ -2,15 +2,19 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posetval import (Dyadic, ONE, Poset, SimpleValuation, Word, add, delta,
                       sample,
                       scale, skorohod, skorohod_sequence,
                       skorohod_subprobability, unit_to_word)
-from posetval.errors import NotConvergent, NotProbability, OutOfRange
+from posetval.errors import (NotConvergent, NotProbability, OutOfRange,
+                             TooLarge)
+from posetval.skorohod import represent_sequence
 
 from conftest import make_chain, random_poset, random_valuation
-from oracles import convergence_by_words
+from oracles import convergence_by_words, law_by_grid_tabulation
 
 HALF = Dyadic(1, 1)
 
@@ -206,3 +210,36 @@ def test_sequence_on_16_elements_is_fast():
     assert report.verdict and report.almost_sure
     assert report.maximal_words == 2688
     assert elapsed < 0.2
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.randoms(use_true_random=False), st.booleans())
+def test_law_on_grid_matches_grid_tabulation(rng, probability):
+    # the law is read off the final layer's runs; the oracle calls the
+    # driver at every grid point
+    base = random_poset(rng, max_elements=8)
+    target = random_valuation(rng, base, exp=rng.randint(0, 6),
+                              probability=probability)
+    steps = rng.randint(1, 5)
+    w = (skorohod(target, steps) if probability
+         else skorohod_subprobability(target, steps))
+    assert w.precision <= 12
+    assert w.law_on_grid() == law_by_grid_tabulation(w) == target
+
+
+def test_unrepresentable_step_counts_are_refused_at_once(m4):
+    # every lift deepens the map by a level, so 100000 steps never fit
+    # under the depth bound, and the schedule is not built
+    target = half_half(m4)
+    calls = [lambda: skorohod(target, 100000),
+             lambda: skorohod_subprobability(scale(target, HALF), 100000),
+             lambda: represent_sequence([target], target, 100000),
+             lambda: skorohod_sequence([target], target, 100000)]
+    for call in calls:
+        t0 = time.perf_counter()
+        with pytest.raises(TooLarge, match="exceeds the bound"):
+            call()
+        assert time.perf_counter() - t0 < 1.0
+    # a sequence that fails the convergence gate still says so first
+    with pytest.raises(NotConvergent):
+        represent_sequence([delta(m4, "a")], delta(m4, "b"), 100000)

@@ -245,6 +245,27 @@ def test_sample(m4):
     assert sample(bot_map, iter([1, 0, 1, 1])) == "bot"
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_sample_reads_the_word_the_bits_spell(rng):
+    base = random_poset(rng, max_elements=8)
+    target = random_valuation(rng, base, exp=rng.randint(0, 5),
+                              probability=True)
+    rmap = represent(build_schedule(target, rng.randint(1, 4)))
+    d = rmap.final_depth
+    for _ in range(8):
+        bits = [rng.randrange(2) for _ in range(d + 3)]
+        source = iter([bool(b) for b in bits] if rng.random() < 0.5
+                      else bits)
+        word = Word("".join(map(str, bits)))
+        assert sample(rmap, source) == rmap.evaluate(word)[1]
+        assert next(source) == bits[d]      # exactly d bits were drawn
+    short = rng.randrange(d)
+    with pytest.raises(SourceExhausted,
+                       match="^bit source ended after %d bits$" % short):
+        sample(rmap, iter([1] * short))
+
+
 def test_sampling_exhaustive_exactness(m4):
     rng = random.Random(33)
     for _ in range(20):
