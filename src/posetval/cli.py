@@ -3,6 +3,11 @@
 One command per invocation; deterministic output. Exit status is 0 for a
 positive result, 1 for a negative verdict (an order that does not hold, a
 failed convergence check, ...), and 2 for usage or parse errors.
+
+`main` builds the argument parser on its first call and reuses it for the
+rest of the process: a parser keeps no state between `parse_args` calls,
+and its usage, error and help paths read `sys.stderr` and the terminal
+width only when they print.
 """
 
 from __future__ import annotations
@@ -262,8 +267,15 @@ def _run(args, stdout) -> int:
     raise AssertionError("unhandled command %r" % args.command)
 
 
+# the parser `main` builds on its first call
+_parser = None
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = _build_parser()
+    args = _parser.parse_args(argv)
     try:
         return _run(args, sys.stdout)
     except (NotComparable, NotConvergent) as exc:

@@ -2,7 +2,11 @@
 
 A :class:`Poset` is built from cover relations; the full order is the
 reflexive-transitive closure, validated at construction (antisymmetry, and a
-bottom element below everything). Finite posets stand in for countably based
+bottom element below everything). The closure is one pass over Kahn's
+topological order of the covers, from the top down; an order that Kahn
+sorts completely is acyclic, hence antisymmetric, so only a cycle falls
+back to Warshall's closure and a pair scan, which names the first pair
+that breaks antisymmetry. Finite posets stand in for countably based
 domains throughout the package: every element is compact, so the way-below
 relation coincides with the order itself.
 
@@ -21,6 +25,34 @@ from dataclasses import dataclass
 from .errors import OrderViolation, ParseError, TooLarge, UnknownElement
 
 ORACLE_BOUND = 16
+# maps the characters "0" and "1" to the bytes 0 and 1
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _refuse_cycle(elements, above):
+    """Raise OrderViolation naming the first pair on a cycle.
+
+    Closes the covers by Warshall, then scans for the first i < j (by
+    declaration order) with each above the other.
+    """
+    n = len(elements)
+    up = [1 << i for i in range(n)]
+    for i, a in enumerate(above):
+        for j in a:
+            up[i] |= 1 << j
+    for k in range(n):
+        bit, uk = 1 << k, up[k]
+        for i in range(n):
+            if up[i] & bit:
+                up[i] |= uk
+    for i in range(n):
+        above_i = up[i] >> (i + 1)
+        while above_i:
+            j = i + (above_i & -above_i).bit_length()
+            if up[j] >> i & 1:
+                raise OrderViolation("antisymmetry fails: %s and %s"
+                                     % (elements[i], elements[j]))
+            above_i &= above_i - 1
 
 
 class Poset:
@@ -43,28 +75,38 @@ class Poset:
         self.bottom = bottom
         self.covers = []
         n = len(elements)
-        # up[i] is the upward closure of element i as a bitmask, bit j ==
-        # element j; Warshall's closure ORs up[k] into every row holding k
-        up = [1 << i for i in range(n)]
+        # above[i] lists the covers of element i, below[j] the elements j
+        # covers; a self-cover adds nothing to the order and is skipped
+        above = [[] for _ in range(n)]
+        below = [[] for _ in range(n)]
         for lo, hi in covers:
             if lo not in self.index or hi not in self.index:
                 raise UnknownElement("cover names unknown element: %s %s"
                                      % (lo, hi))
             self.covers.append((lo, hi))
-            up[self.index[lo]] |= 1 << self.index[hi]
-        for k in range(n):
-            bit, uk = 1 << k, up[k]
-            for i in range(n):
-                if up[i] & bit:
-                    up[i] |= uk
-        for i in range(n):
-            above = up[i] >> (i + 1)
-            while above:
-                j = i + (above & -above).bit_length()
-                if up[j] >> i & 1:
-                    raise OrderViolation("antisymmetry fails: %s and %s"
-                                         % (elements[i], elements[j]))
-                above &= above - 1
+            i, j = self.index[lo], self.index[hi]
+            if i != j:
+                above[i].append(j)
+                below[j].append(i)
+        # up[i] is the upward closure of element i as a bitmask, bit j ==
+        # element j. Kahn's order from the top: an element is closed once
+        # every cover above it is, as itself OR their closures
+        up = [0] * n
+        pending = [len(a) for a in above]
+        ready = [i for i in range(n) if not pending[i]]
+        for i in ready:     # grows while it is read
+            m = 1 << i
+            for j in above[i]:
+                m |= up[j]
+            up[i] = m
+            for k in below[i]:
+                pending[k] -= 1
+                if not pending[k]:
+                    ready.append(k)
+        if len(ready) < n:
+            # only a cycle leaves elements unordered; an acyclic order is
+            # antisymmetric, so only this path needs the pair scan
+            _refuse_cycle(elements, above)
         b = self.index[bottom]
         missing = ~up[b] & ((1 << n) - 1)
         if missing:
@@ -72,7 +114,9 @@ class Poset:
                                  % (bottom, elements[(missing & -missing)
                                                      .bit_length() - 1]))
         self._up_mask = up
-        self._leq = [[c == "1" for c in format(m, "0%db" % n)[::-1]]
+        # 0/1 rows, bit j of up[i] at _leq[i][j], built in C
+        fmt = "0%db" % n
+        self._leq = [list(format(m, fmt)[::-1].encode().translate(_BITS))
                      for m in up]
 
     def __len__(self):
@@ -86,7 +130,7 @@ class Poset:
     def leq(self, x, y) -> bool:
         """True iff x <= y in the transitive closure."""
         self._check(x, y)
-        return self._leq[self.index[x]][self.index[y]]
+        return bool(self._leq[self.index[x]][self.index[y]])
 
     def way_below(self, x, y) -> bool:
         """The approximation relation; equals leq on a finite poset."""
@@ -136,10 +180,14 @@ class Poset:
                 for m in upper_masks(self._up_mask, bound)]
 
     def _is_chain(self) -> bool:
-        """True iff every two elements are comparable."""
-        n = len(self.elements)
-        return all(self._leq[i][j] or self._leq[j][i]
-                   for i in range(n) for j in range(i + 1, n))
+        """True iff every two elements are comparable.
+
+        The up-set sizes lie in 1..n; they are pairwise distinct iff they
+        are 1..n, summing to n(n+1)/2. That sum is n plus the number of
+        strictly comparable pairs, so then all n(n-1)/2 pairs compare.
+        """
+        return (len({m.bit_count() for m in self._up_mask})
+                == len(self.elements))
 
     def classify(self) -> dict:
         """Shape flags, each decided by exhaustive meet/join checks.
@@ -147,8 +195,12 @@ class Poset:
         The common lower bounds L of a pair have a greatest element k iff
         L is the principal down-set of k (k in L puts its down-set inside
         L, and k above all of L puts L inside it), and dually for joins,
-        so each pair is one set lookup on the bitsets.
+        so each pair is one set lookup on the bitsets. A chain skips the
+        scan: each pair's meet is its lower element and its join the upper.
         """
+        if self._is_chain():
+            return {"is_chain": True, "is_bounded_complete": True,
+                    "is_lattice": True}
         n = len(self.elements)
         up = self._up_mask
         down = [sum(1 << i for i, row in enumerate(self._leq) if row[j])
@@ -158,7 +210,7 @@ class Poset:
                        for i in range(n) for j in range(i + 1, n))
         has_join = all(up[i] & up[j] in ups
                        for i in range(n) for j in range(i + 1, n))
-        return {"is_chain": self._is_chain(),
+        return {"is_chain": False,
                 "is_bounded_complete": has_meet,
                 "is_lattice": has_meet and has_join}
 

@@ -25,7 +25,7 @@ from bisect import bisect_right
 from dataclasses import InitVar, dataclass
 
 from .cantor import StepMap, Word, _bits
-from .dyadic import Dyadic
+from .dyadic import MAX_PARSED_EXPONENT, Dyadic
 from .errors import (DepthExceeded, NotComparable, NotConvergent,
                      NotProbability, ParseError, SourceExhausted,
                      TooLarge, UnknownElement)
@@ -75,11 +75,19 @@ def build_schedule(target: SimpleValuation, steps: int) -> ApproximationSchedule
     re-decided: stage k lies below (1 - e) * stage (k + 1) + e * bottom
     for e = 2^-(k + 1), since (1 - 2^-(k + 1))^2 >= 1 - 2^-k, so stage k
     approximates stage k + 1 in the probability order.
+
+    Stage k's exponent is at most E + k, E the target's largest; raises
+    TooLarge before building when E + steps - 1 passes the parser's
+    exponent bound, so every stage printed can be read back.
     """
     if steps < 1:
         raise ValueError("schedule length must be at least 1")
     if not target.is_probability():
         raise NotProbability("schedule target must have mass 1")
+    top = target.max_exponent() + steps - 1
+    if top > MAX_PARSED_EXPONENT:
+        raise TooLarge("schedule exponent %d exceeds the bound %d"
+                       % (top, MAX_PARSED_EXPONENT))
     bot = delta(target.base, target.base.bottom)
     if target == bot:
         return ApproximationSchedule(target, [bot] * (steps + 1),

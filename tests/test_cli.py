@@ -1,3 +1,4 @@
+import contextlib
 import io
 import os
 import random
@@ -10,6 +11,7 @@ import pytest
 import posetval
 from posetval import (Dyadic, format_poset, format_valuation,
                       portmanteau_check, skorohod, skorohod_subprobability)
+from posetval import cli
 from posetval.cli import main
 
 from conftest import random_poset, random_valuation
@@ -201,6 +203,104 @@ def test_unrepresentable_K_exits_2_at_once(tmp_path, capsys):
         assert time.perf_counter() - t0 < 2.0
         assert code == 2 and out == ""
         assert "exceeds the bound" in capsys.readouterr().err
+
+
+def test_schedule_past_the_exponent_bound_exits_2_at_once(tmp_path, capsys):
+    # stage k's exponent grows with k: K = 100000 ran 15 s, then failed
+    # to print a numerator past Python's int-to-str digit limit
+    poset = tmp_path / "c2.poset"
+    poset.write_text("element a\nelement b\nbottom a\ncover a b\n")
+    mu = tmp_path / "half.val"
+    mu.write_text("a 1/2^1\nb 1/2^1\n")
+    t0 = time.perf_counter()
+    code, out = run(["schedule", "--poset", str(poset), "--mu", str(mu),
+                     "--K", "100000"])
+    assert time.perf_counter() - t0 < 2.0
+    assert code == 2 and out == ""
+    assert "exceeds the bound" in capsys.readouterr().err
+
+
+def run_captured(argv):
+    """main(argv) with stdout and stderr captured; help and usage errors
+    leave through SystemExit, whose code stands for the exit status."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def mixed_argvs(files):
+    """Answers, verdicts, help, usage errors and library errors."""
+    cyclic = os.path.join(files["dir"], "cyclic.poset")
+    with open(cyclic, "w", encoding="utf-8") as fh:
+        fh.write("element a\nelement b\nbottom a\ncover a b\ncover b a\n")
+    m4, c3 = ["--poset", files["m4.poset"]], ["--poset", files["c3.poset"]]
+    mu, top = files["mu.val"], files["top.val"]
+    return [
+        ["order"] + m4 + ["--mu", mu, "--nu", top],
+        ["order"] + m4 + ["--mu", top, "--nu", mu],
+        ["--help"],
+        ["order", "-h"],
+        ["order"] + m4 + ["--mu", mu],
+        ["nonsense"],
+        [],
+        ["schedule"] + m4 + ["--mu", top, "--K", "two"],
+        ["schedule"] + m4 + ["--mu", top, "--K", "0"],
+        ["classify", "--poset", cyclic],
+        ["cdf"] + c3 + ["--mu", files["v3.val"]],
+        ["waybelow"] + m4 + ["--mu", files["halftop.val"], "--nu", top],
+        ["sample"] + m4 + ["--mu", mu, "--K", "2", "--count", "5"],
+    ]
+
+
+def test_parser_built_once_per_process(files, monkeypatch):
+    # wrapped the way a tracer wraps it: count the builds and re-wrap the
+    # parse_args of each parser built
+    builds, parses = [], []
+    real = cli._build_parser
+
+    def counting():
+        parser = real()
+        builds.append(parser)
+        inner = parser.parse_args
+
+        def parse_args(*args, **kwargs):
+            parses.append(args)
+            return inner(*args, **kwargs)
+
+        parser.parse_args = parse_args
+        return parser
+
+    monkeypatch.setattr(cli, "_build_parser", counting)
+    monkeypatch.setattr(cli, "_parser", None)
+    argvs = mixed_argvs(files)
+    codes = [run_captured(argv)[0] for argv in argvs]
+    assert len(builds) == 1 and len(parses) == len(argvs)
+    assert {0, 1, 2} <= set(codes)
+
+
+def test_reused_parser_prints_what_a_fresh_one_does(files, monkeypatch):
+    argvs = mixed_argvs(files)
+    monkeypatch.setattr(cli, "_parser", None)
+    reused = [run_captured(argv) for argv in argvs]
+    fresh = []
+    for argv in argvs:
+        monkeypatch.setattr(cli, "_parser", None)
+        fresh.append(run_captured(argv))
+    assert reused == fresh
+    assert [r[0] for r in reused] == [0, 1, 0, 0, 2, 2, 2, 2, 2, 2, 0, 0, 0]
+    # help reads the terminal width when it prints, not when it is built
+    wraps = []
+    for columns in ("40", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        reused = run_captured(["order", "--help"])
+        monkeypatch.setattr(cli, "_parser", None)
+        assert run_captured(["order", "--help"]) == reused
+        wraps.append(reused[1])
+    assert wraps[0] != wraps[1]
 
 
 def test_empty_file_names_exit_2(files, capsys):

@@ -137,6 +137,47 @@ def test_classify_matches_scan(seed):
     assert p.classify() == classify_by_scan(p)
 
 
+def test_leq_returns_bool(m4):
+    assert m4.leq("bot", "top") is True
+    assert m4.leq("a", "b") is False
+
+
+def test_long_chain_builds_and_classifies_fast():
+    # Warshall's closure and the pairwise scans of `classify` took 5 s here
+    t0 = time.perf_counter()
+    chain = make_chain(2000)
+    flags = chain.classify()
+    assert time.perf_counter() - t0 < 1.0
+    assert flags == {"is_chain": True, "is_bounded_complete": True,
+                     "is_lattice": True}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 32), st.sampled_from(["chain", "chain+1",
+                                                 "random"]))
+def test_is_chain_matches_scan(seed, shape):
+    rng = random.Random(seed)
+    n = rng.randint(1, 10)
+    if shape == "random":
+        p = shuffled_poset(rng, n, rng.choice([0.2, 0.6, 0.9]))
+    else:
+        # a chain in shuffled declaration order; "chain+1" hangs one more
+        # element above a random link, incomparable with the links above
+        ranks = list(range(n))
+        rng.shuffle(ranks)
+        names = ["x%d" % r for r in ranks]
+        covers = [("x%d" % r, "x%d" % (r + 1)) for r in range(n - 1)]
+        if shape == "chain+1" and n > 1:
+            names.insert(rng.randrange(n + 1), "odd")
+            covers.append(("x%d" % rng.randrange(n - 1), "odd"))
+        p = Poset(names, covers, "x0")
+    assert p._is_chain() == classify_by_scan(p)["is_chain"]
+    if shape == "chain":
+        assert p._is_chain()
+    elif shape == "chain+1" and n > 1:
+        assert not p._is_chain()
+
+
 def test_classify_is_fast_on_long_chains():
     # the pairwise scan over all common bounds took 0.61 s here
     chain = make_chain(96)
@@ -257,8 +298,14 @@ def test_closure_matches_reachability(seed):
                  for i in range(n) for j in range(n) if i != j)
     args = (names, [(names[i], names[j]) for i, j in covers], "e0")
     if cyclic:
-        with pytest.raises(OrderViolation, match="antisymmetry"):
+        # the message names the first pair, in declaration order, that
+        # lie on a common cycle
+        i, j = next((i, j) for i in range(n) for j in range(i + 1, n)
+                    if j in up[i] and i in up[j])
+        with pytest.raises(OrderViolation) as err:
             Poset(*args)
+        assert str(err.value) == ("antisymmetry fails: %s and %s"
+                                  % (names[i], names[j]))
         return
     p = Poset(*args)
     assert p._leq == [[j in up[i] for j in range(n)] for i in range(n)]

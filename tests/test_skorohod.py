@@ -10,8 +10,10 @@ from posetval import (ApproximationSchedule, Dyadic, Layer, ONE,
                       leq, level, lift_step, parse_map, pushforward_counting,
                       represent, represent_sequence, sample, scale,
                       skorohod_subprobability, way_below)
+from posetval.dyadic import MAX_PARSED_EXPONENT, parse_dyadic
 from posetval.errors import (DepthExceeded, NotComparable, NotConvergent,
-                             NotProbability, PartialMap, SourceExhausted)
+                             NotProbability, PartialMap, SourceExhausted,
+                             TooLarge)
 
 from conftest import random_poset, random_valuation
 from oracles import convergence_by_words, lift_step_by_slots
@@ -39,6 +41,25 @@ def test_build_schedule_checks(m4):
         build_schedule(scale(delta(m4, "top"), HALF), 2)
     with pytest.raises(ValueError):
         build_schedule(delta(m4, "top"), 0)
+
+
+def test_schedule_exponents_stay_parseable(c3):
+    # stage k's exponent is at most E + k, E the target's; E + steps - 1
+    # may reach the parser's exponent bound and no further
+    E = MAX_PARSED_EXPONENT - 1
+    deep = SimpleValuation(c3, {"c1": Dyadic(1, E), "c2": ONE - Dyadic(1, E)})
+    sched = build_schedule(deep, 2)
+    assert max(t.max_exponent() for t in sched.stages) == MAX_PARSED_EXPONENT
+    for stage in sched.stages:
+        for w in stage.weights.values():
+            assert parse_dyadic(str(w)) == w
+    with pytest.raises(TooLarge, match="exceeds the bound"):
+        build_schedule(deep, 3)
+    half = SimpleValuation(c3, {"c0": HALF, "c2": HALF})
+    assert len(build_schedule(half, MAX_PARSED_EXPONENT).stages) \
+        == MAX_PARSED_EXPONENT + 1
+    with pytest.raises(TooLarge, match="exceeds the bound"):
+        build_schedule(half, MAX_PARSED_EXPONENT + 1)
 
 
 def test_schedule_stages_strictly_approximate(m4):
