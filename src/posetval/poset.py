@@ -2,13 +2,14 @@
 
 A :class:`Poset` is built from cover relations; the full order is the
 reflexive-transitive closure, validated at construction (antisymmetry, and a
-bottom element below everything). The closure is one pass over Kahn's
-topological order of the covers, from the top down; an order that Kahn
-sorts completely is acyclic, hence antisymmetric, so only a cycle falls
-back to Warshall's closure and a pair scan, which names the first pair
-that breaks antisymmetry. Finite posets stand in for countably based
-domains throughout the package: every element is compact, so the way-below
-relation coincides with the order itself.
+bottom element below everything). The order is stored once, as up-closure
+bitsets, closed in one pass over Kahn's topological order of the covers
+from the top down; an order that Kahn sorts completely is acyclic, hence
+antisymmetric, so only a cycle falls back to a strongly connected
+component pass, which names the first pair that breaks antisymmetry.
+Finite posets stand in for countably based domains throughout the
+package: every element is compact, so the way-below relation coincides
+with the order itself.
 
 Upper sets of a finite poset are exactly its Scott-open sets; they can be
 enumerated exhaustively to serve as a brute-force oracle for the valuation
@@ -25,41 +26,50 @@ from dataclasses import dataclass
 from .errors import OrderViolation, ParseError, TooLarge, UnknownElement
 
 ORACLE_BOUND = 16
-# maps the characters "0" and "1" to the bytes 0 and 1
-_BITS = bytes.maketrans(b"01", b"\0\1")
 
 
-def _refuse_cycle(elements, above):
-    """Raise OrderViolation naming the first pair on a cycle.
-
-    Closes the covers by Warshall, then scans for the first i < j (by
-    declaration order) with each above the other.
+def _refuse_cycle(elements, above, below):
+    """Raise OrderViolation naming the first pair i < j (by declaration
+    order) on a cycle: i is the least index in any strongly connected
+    component of two or more elements, j the next least in its component.
+    Kosaraju's search up the covers lists the elements as they finish;
+    searches down, latest finish first, then collect one component each.
     """
     n = len(elements)
-    up = [1 << i for i in range(n)]
-    for i, a in enumerate(above):
-        for j in a:
-            up[i] |= 1 << j
-    for k in range(n):
-        bit, uk = 1 << k, up[k]
-        for i in range(n):
-            if up[i] & bit:
-                up[i] |= uk
-    for i in range(n):
-        above_i = up[i] >> (i + 1)
-        while above_i:
-            j = i + (above_i & -above_i).bit_length()
-            if up[j] >> i & 1:
-                raise OrderViolation("antisymmetry fails: %s and %s"
-                                     % (elements[i], elements[j]))
-            above_i &= above_i - 1
+    seen, finished = [False] * n, []
+    for root in range(n):
+        path = [] if seen[root] else [(root, iter(above[root]))]
+        seen[root] = True
+        while path:
+            w = next((w for w in path[-1][1] if not seen[w]), None)
+            if w is None:
+                finished.append(path.pop()[0])
+            else:
+                seen[w] = True
+                path.append((w, iter(above[w])))
+    first = [n, n]
+    for root in reversed(finished):     # seen now means "not yet collected"
+        if seen[root]:
+            seen[root] = False
+            component = [root]
+            for v in component:         # grows while it is read
+                for w in below[v]:
+                    if seen[w]:
+                        seen[w] = False
+                        component.append(w)
+            if len(component) > 1:
+                first = min(first, sorted(component)[:2])
+    raise OrderViolation("antisymmetry fails: %s and %s"
+                         % tuple(elements[k] for k in first))
 
 
 class Poset:
     """Immutable finite poset with bottom.
 
-    Elements keep their declaration order; all deterministic tie-breaking in
-    the package (flow search, slot assignment, output ordering) refers to it.
+    The order is stored once: bit j of ``_up_mask[i]`` is set iff element
+    i <= element j. Elements keep their declaration order; all deterministic
+    tie-breaking in the package (flow search, slot assignment, output
+    ordering) refers to it.
     """
 
     def __init__(self, elements, covers, bottom):
@@ -105,19 +115,14 @@ class Poset:
                     ready.append(k)
         if len(ready) < n:
             # only a cycle leaves elements unordered; an acyclic order is
-            # antisymmetric, so only this path needs the pair scan
-            _refuse_cycle(elements, above)
-        b = self.index[bottom]
-        missing = ~up[b] & ((1 << n) - 1)
+            # antisymmetric, so only this path looks for a cycle
+            _refuse_cycle(elements, above, below)
+        missing = ~up[self.index[bottom]] & ((1 << n) - 1)
         if missing:
             raise OrderViolation("bottom %s is not below %s"
                                  % (bottom, elements[(missing & -missing)
                                                      .bit_length() - 1]))
         self._up_mask = up
-        # 0/1 rows, bit j of up[i] at _leq[i][j], built in C
-        fmt = "0%db" % n
-        self._leq = [list(format(m, fmt)[::-1].encode().translate(_BITS))
-                     for m in up]
 
     def __len__(self):
         return len(self.elements)
@@ -130,7 +135,7 @@ class Poset:
     def leq(self, x, y) -> bool:
         """True iff x <= y in the transitive closure."""
         self._check(x, y)
-        return bool(self._leq[self.index[x]][self.index[y]])
+        return bool(self._up_mask[self.index[x]] >> self.index[y] & 1)
 
     def way_below(self, x, y) -> bool:
         """The approximation relation; equals leq on a finite poset."""
@@ -146,29 +151,24 @@ class Poset:
         return frozenset(out)
 
     def up_set(self, x) -> frozenset:
-        self._check(x)
-        return self._members(self._up_mask[self.index[x]])
+        return self.upward_closure((x,))
 
     def down_set(self, x) -> frozenset:
         self._check(x)
         i = self.index[x]
-        return frozenset(e for j, e in enumerate(self.elements)
-                         if self._leq[j][i])
+        return frozenset(e for e, m in zip(self.elements, self._up_mask)
+                         if m >> i & 1)
 
     def upward_closure(self, xs) -> frozenset:
-        members = set()
+        mask = 0
         for x in xs:
-            members |= self.up_set(x)
-        return frozenset(members)
+            self._check(x)
+            mask |= self._up_mask[self.index[x]]
+        return self._members(mask)
 
     def is_upper(self, members) -> bool:
-        members = set(members)
-        self._check(*members)
-        index, up = self.index, self._up_mask
-        mask = 0
-        for x in members:
-            mask |= 1 << index[x]
-        return all(not up[index[x]] & ~mask for x in members)
+        members = frozenset(members)
+        return self.upward_closure(members) == members
 
     def enumerate_upper_sets(self, bound: int = ORACLE_BOUND):
         """All upward-closed subsets, each once, in ascending bitmask order.
@@ -197,14 +197,18 @@ class Poset:
         L, and k above all of L puts L inside it), and dually for joins,
         so each pair is one set lookup on the bitsets. A chain skips the
         scan: each pair's meet is its lower element and its join the upper.
+        Down-sets are ORed up the covers by descending up-set size of the
+        upper end, which puts each element after all those strictly below.
         """
         if self._is_chain():
             return {"is_chain": True, "is_bounded_complete": True,
                     "is_lattice": True}
         n = len(self.elements)
-        up = self._up_mask
-        down = [sum(1 << i for i, row in enumerate(self._leq) if row[j])
-                for j in range(n)]
+        index, up = self.index, self._up_mask
+        down = [1 << j for j in range(n)]
+        for lo, hi in sorted(self.covers,
+                             key=lambda c: -up[index[c[1]]].bit_count()):
+            down[index[hi]] |= down[index[lo]]
         downs, ups = set(down), set(up)
         has_meet = all(down[i] & down[j] in downs
                        for i in range(n) for j in range(i + 1, n))

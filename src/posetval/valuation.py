@@ -125,14 +125,16 @@ def _same_base(mu: SimpleValuation, nu: SimpleValuation):
 def order_network(mu: SimpleValuation, nu: SimpleValuation) -> flowmod.FlowNetwork:
     """The network whose maximum flow decides mu <= nu."""
     left, right = mu.support, nu.support
-    index, rel = mu.base.index, mu.base._leq
-    columns = [(y, index[y]) for y in right]
+    index, up, names = mu.base.index, mu.base._up_mask, mu.base.elements
+    # set bits ascend in declaration order, as nu's support does
+    columns = sum(1 << index[y] for y in right)
     mid = {}
     for x in left:
-        row = rel[index[x]]
-        for y, j in columns:
-            if row[j]:
-                mid[x, y] = _WIDE
+        row = up[index[x]] & columns
+        while row:
+            low = row & -row
+            mid[x, names[low.bit_length() - 1]] = _WIDE
+            row ^= low
     return flowmod.FlowNetwork(left, right, dict(mu.weights), mid,
                                dict(nu.weights))
 
@@ -183,12 +185,12 @@ class TransportPlan:
         Rows and columns are summed as integers at one common exponent.
         """
         base, mu, nu = self.source.base, self.source, self.target
-        index, rel = base.index, base._leq
+        index, up = base.index, base._up_mask
         p = max(mu.max_exponent(), nu.max_exponent(),
                 max((t.exp for t in self.entries.values()), default=0))
         rows, cols = {}, {}
         for (x, y), t in self.entries.items():
-            assert not t.is_zero() and rel[index[x]][index[y]]
+            assert not t.is_zero() and up[index[x]] >> index[y] & 1
             k = t.rescale(p)
             rows[x] = rows.get(x, 0) + k
             cols[y] = cols.get(y, 0) + k
@@ -268,16 +270,25 @@ def way_below(mu: SimpleValuation, nu: SimpleValuation,
 def integrate_monotone(f: dict, v: SimpleValuation) -> Dyadic:
     """Sum of weight(x) * f(x) for a monotone dyadic-valued f.
 
-    f must cover the whole poset and respect the order.
+    f must cover the whole poset and respect the order: with the elements
+    sorted by value once, x breaks it iff its up-set meets the mask of the
+    elements valued strictly below f(x). The error names the first such x,
+    then the first such y above it, both in declaration order.
     """
-    base = v.base
-    for x in base.elements:
+    base, names = v.base, v.base.elements
+    for x in names:
         if x not in f:
             raise PartialMap("integrand undefined on %r" % (x,))
-    for x in base.elements:
-        for y in base.elements:
-            if base.leq(x, y) and f[y] < f[x]:
-                raise NotMonotone("integrand decreases from %s to %s" % (x, y))
+    values = [f[x] for x in names]
+    lower, seen = {}, 0     # value -> mask of the elements valued below it
+    for i in sorted(range(len(names)), key=values.__getitem__):
+        lower.setdefault(values[i], seen)
+        seen |= 1 << i
+    for i, m in enumerate(base._up_mask):
+        bad = m & lower[values[i]]
+        if bad:
+            raise NotMonotone("integrand decreases from %s to %s" % (
+                names[i], names[(bad & -bad).bit_length() - 1]))
     total = ZERO
     for x, w in v.weights.items():
         total = total + w * f[x]

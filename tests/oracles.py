@@ -7,7 +7,8 @@ flows, upper sets are filtered straight from the order
 relation or scanned over every bitmask, strict-transport feasibility and
 subprobability way-below are decided by exhaustive Hall-style subset
 conditions, a lift step fills the new level word by word, the order is
-reachability by graph search, meets and joins are found by scanning every
+reachability by graph search (and the first pair an integrand decreases
+on is scanned over it), meets and joins are found by scanning every
 candidate, convergence is checked by evaluating every map at every word, and
 quantile maps are compared at every threshold of either map, the
 Portmanteau bullets are checked on every upper set of the whole poset with
@@ -167,8 +168,9 @@ def portmanteau_by_upper_sets(seq, limit, from_index=0):
 def classify_by_scan(base):
     """Shape flags by scanning every pair for a greatest lower bound and a
     least upper bound among all their common bounds; O(n^4)."""
-    leq = base._leq
-    n = len(base.elements)
+    names = base.elements
+    n = len(names)
+    leq = [[base.leq(x, y) for y in names] for x in names]
     has_meet = has_join = True
     for i in range(n):
         for j in range(i, n):
@@ -319,6 +321,19 @@ def lift_step_by_slots(table: dict, depth: int, target: SimpleValuation):
             out[bits] = y
     assert all(b == 0 for b in budgets.values())
     return new_depth, out
+
+
+def first_decrease_by_scan(base, f):
+    """The first pair (x, y) in declaration order with x <= y and
+    f(y) < f(x), the order found by graph search; None if f is monotone."""
+    names, index = base.elements, base.index
+    up = reachable_by_search(len(names), [(index[lo], index[hi])
+                                          for lo, hi in base.covers])
+    for i, x in enumerate(names):
+        for j in sorted(up[i]):
+            if f[names[j]] < f[x]:
+                return x, names[j]
+    return None
 
 
 def reachable_by_search(n, covers):

@@ -105,6 +105,44 @@ def test_printed_plans_are_breadth_first_flows(files, tmp_path):
     assert run(["transport"] + args) == (0, plan)
 
 
+def test_order_dot_bytes_on_the_diamond(files, tmp_path):
+    # middle edges run in declaration order of mu's and nu's supports
+    mu = tmp_path / "plan_mu.val"
+    nu = tmp_path / "plan_nu.val"
+    mu.write_text("bot 1/2^2\na 1/2^2\nb 1/2^1\n")
+    nu.write_text("a 1/2^2\nb 1/2^2\ntop 1/2^1\n")
+    dot = tmp_path / "flow.dot"
+    assert run(["order", "--poset", files["m4.poset"], "--mu", str(mu),
+                "--nu", str(nu), "--dot", str(dot)])[0] == 0
+    assert dot.read_text() == """digraph flow {
+  rankdir=LR;
+  "source" -> "L_bot" [label="1/2^2 of 1/2^2"];
+  "source" -> "L_a" [label="1/2^2 of 1/2^2"];
+  "source" -> "L_b" [label="1/2^1 of 1/2^1"];
+  "L_bot" -> "R_a" [label="1/2^2 of 2"];
+  "L_bot" -> "R_b" [label="2"];
+  "L_bot" -> "R_top" [label="2"];
+  "L_a" -> "R_a" [label="2"];
+  "L_a" -> "R_top" [label="1/2^2 of 2"];
+  "L_b" -> "R_b" [label="1/2^2 of 2"];
+  "L_b" -> "R_top" [label="1/2^2 of 2"];
+  "R_a" -> "sink" [label="1/2^2 of 1/2^2"];
+  "R_b" -> "sink" [label="1/2^2 of 1/2^2"];
+  "R_top" -> "sink" [label="1/2^1 of 1/2^1"];
+}
+"""
+    assert run(["order", "--poset", files["m4.poset"], "--mu", files["mu.val"],
+                "--nu", files["db.val"], "--dot", str(dot)])[0] == 1
+    assert dot.read_text() == """digraph flow {
+  rankdir=LR;
+  "source" -> "L_a" [label="1/2^1"];
+  "source" -> "L_b" [label="1/2^1 of 1/2^1"];
+  "L_b" -> "R_b" [label="1/2^1 of 2"];
+  "R_b" -> "sink" [label="1/2^1 of 1"];
+}
+"""
+
+
 def test_order_negative_with_witness(files):
     code, out = run(["order", "--poset", files["m4.poset"],
                      "--mu", files["da.val"], "--nu", files["db.val"]])

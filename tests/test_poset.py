@@ -1,13 +1,16 @@
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posetval import Poset, format_poset, parse_poset
+from posetval import (Dyadic, Poset, delta, format_poset, integrate_monotone,
+                      parse_poset)
 from posetval import poset as posetmod
-from posetval.errors import OrderViolation, ParseError, TooLarge, UnknownElement
+from posetval.errors import (NotMonotone, OrderViolation, ParseError, TooLarge,
+                             UnknownElement)
 
 from conftest import make_chain, random_poset
 from oracles import (classify_by_scan, reachable_by_search,
@@ -308,5 +311,69 @@ def test_closure_matches_reachability(seed):
                                   % (names[i], names[j]))
         return
     p = Poset(*args)
-    assert p._leq == [[j in up[i] for j in range(n)] for i in range(n)]
+    assert all(p.leq(names[i], names[j]) == (j in up[i])
+               for i in range(n) for j in range(n))
     assert p._up_mask == [sum(1 << j for j in up[i]) for i in range(n)]
+
+
+def test_long_cycle_refused_quickly():
+    # c0 < ... < c3999 lead up to a cycle through c4000..c7999; the first
+    # pair on it is its two least elements
+    names = ["c%d" % i for i in range(8000)]
+    covers = list(zip(names, names[1:])) + [("c7999", "c4000")]
+    start = time.perf_counter()
+    with pytest.raises(OrderViolation) as err:
+        Poset(names, covers, "c0")
+    assert time.perf_counter() - start < 2
+    assert str(err.value) == "antisymmetry fails: c4000 and c4001"
+
+
+def _sparse_covers(names, seed):
+    """Element i covers two of the 50 elements before it."""
+    rng = random.Random(seed)
+    return [(names[j], names[i]) for i in range(1, len(names))
+            for j in rng.sample(range(max(0, i - 50), i), min(2, i))]
+
+
+@pytest.mark.parametrize("shape", ["chain", "sparse"])
+def test_large_posets_stay_small_and_fast(shape):
+    # 4000 elements: the order is n bitsets, so building, classifying,
+    # a down-set and an integral stay well under 32 MB and 5 s
+    n = 4000
+    names = ["s%d" % i for i in range(n)]
+    covers = (list(zip(names, names[1:])) if shape == "chain"
+              else _sparse_covers(names, 11))
+    below = {x: [] for x in names}
+    for lo, hi in covers:
+        below[hi].append(lo)
+    down, stack = {names[-1]}, [names[-1]]
+    while stack:
+        for lo in below[stack.pop()]:
+            if lo not in down:
+                down.add(lo)
+                stack.append(lo)
+    # covers run forward, so the index is monotone; with the last element
+    # dropped to 0 it first decreases from the first element after s0
+    # below the last one
+    f = {x: Dyadic(i, 0) for i, x in enumerate(names)}
+    bent = dict(f, **{names[-1]: Dyadic(0, 0)})
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        p = Poset(names, covers, names[0])
+        flags = p.classify()
+        top_down = p.down_set(names[-1])
+        total = integrate_monotone(f, delta(p, names[-1]))
+        with pytest.raises(NotMonotone) as err:
+            integrate_monotone(bent, delta(p, names[-1]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 5
+    assert peak < 32 << 20
+    assert flags["is_chain"] == (shape == "chain")
+    assert top_down == down
+    assert total == Dyadic(n - 1, 0)
+    assert str(err.value) == "integrand decreases from %s to %s" % (
+        min((x for x in names[1:] if x in down), key=p.index.get),
+        names[-1])

@@ -15,10 +15,12 @@ from posetval.errors import (MassExceeded, MixedBase, NotComparable,
                              NotMonotone, NotProbability, PartialMap,
                              UnknownElement)
 
-from conftest import (make_chain, random_poset, random_valuation,
-                      random_monotone_integrand)
-from oracles import (portmanteau_by_upper_sets, strict_transport_exists,
-                     way_below_by_subsets)
+from posetval.valuation import order_network
+
+from conftest import (make_chain, random_poset, random_shuffled_poset,
+                      random_valuation, random_monotone_integrand)
+from oracles import (first_decrease_by_scan, portmanteau_by_upper_sets,
+                     strict_transport_exists, way_below_by_subsets)
 
 HALF = Dyadic(1, 1)
 
@@ -329,6 +331,41 @@ def test_integrate_monotone_errors(m4):
                            delta(m4, "a"))
     with pytest.raises(PartialMap):
         integrate_monotone({"bot": ZERO}, delta(m4, "a"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32))
+def test_integrate_monotone_names_first_decrease(seed):
+    # half the integrands are monotone, the other half are changed at a
+    # few elements; either the total is the direct sum or the error names
+    # the oracle's first decreasing pair
+    rng = random.Random(seed)
+    base = random_shuffled_poset(rng)
+    v = random_valuation(rng, base)
+    f = random_monotone_integrand(rng, base)
+    if rng.random() < 0.5:
+        for _ in range(rng.randint(1, 3)):
+            f[rng.choice(base.elements)] = Dyadic(rng.randint(0, 16), 4)
+    pair = first_decrease_by_scan(base, f)
+    if pair is None:
+        direct = ZERO
+        for x, w in v.weights.items():
+            direct = direct + w * f[x]
+        assert integrate_monotone(f, v) == direct
+    else:
+        with pytest.raises(NotMonotone) as err:
+            integrate_monotone(f, v)
+        assert str(err.value) == "integrand decreases from %s to %s" % pair
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32))
+def test_order_network_edges_in_declaration_order(seed):
+    rng = random.Random(seed)
+    base = random_shuffled_poset(rng)
+    mu, nu = random_valuation(rng, base), random_valuation(rng, base)
+    assert list(order_network(mu, nu).mid_caps) == [
+        (x, y) for x in mu.support for y in nu.support if base.leq(x, y)]
 
 
 def test_normalize(m4):
