@@ -151,7 +151,8 @@ class Poset:
         return frozenset(out)
 
     def up_set(self, x) -> frozenset:
-        return self.upward_closure((x,))
+        self._check(x)
+        return self._members(self._up_mask[self.index[x]])
 
     def down_set(self, x) -> frozenset:
         self._check(x)
@@ -167,8 +168,13 @@ class Poset:
         return self._members(mask)
 
     def is_upper(self, members) -> bool:
-        members = frozenset(members)
-        return self.upward_closure(members) == members
+        members = set(members)
+        self._check(*members)
+        index, up = self.index, self._up_mask
+        mask = 0
+        for x in members:
+            mask |= 1 << index[x]
+        return all(not up[index[x]] & ~mask for x in members)
 
     def enumerate_upper_sets(self, bound: int = ORACLE_BOUND):
         """All upward-closed subsets, each once, in ascending bitmask order.

@@ -270,25 +270,18 @@ def way_below(mu: SimpleValuation, nu: SimpleValuation,
 def integrate_monotone(f: dict, v: SimpleValuation) -> Dyadic:
     """Sum of weight(x) * f(x) for a monotone dyadic-valued f.
 
-    f must cover the whole poset and respect the order: with the elements
-    sorted by value once, x breaks it iff its up-set meets the mask of the
-    elements valued strictly below f(x). The error names the first such x,
-    then the first such y above it, both in declaration order.
+    f must cover the whole poset and respect the order: every pair x <= y
+    is checked, x and then y in declaration order, and the error names the
+    first pair with f(y) < f(x).
     """
-    base, names = v.base, v.base.elements
-    for x in names:
+    base = v.base
+    for x in base.elements:
         if x not in f:
             raise PartialMap("integrand undefined on %r" % (x,))
-    values = [f[x] for x in names]
-    lower, seen = {}, 0     # value -> mask of the elements valued below it
-    for i in sorted(range(len(names)), key=values.__getitem__):
-        lower.setdefault(values[i], seen)
-        seen |= 1 << i
-    for i, m in enumerate(base._up_mask):
-        bad = m & lower[values[i]]
-        if bad:
-            raise NotMonotone("integrand decreases from %s to %s" % (
-                names[i], names[(bad & -bad).bit_length() - 1]))
+    for x in base.elements:
+        for y in base.elements:
+            if base.leq(x, y) and f[y] < f[x]:
+                raise NotMonotone("integrand decreases from %s to %s" % (x, y))
     total = ZERO
     for x, w in v.weights.items():
         total = total + w * f[x]

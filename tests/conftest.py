@@ -49,21 +49,12 @@ def random_poset(rng: random.Random, max_elements=6, density=0.4) -> Poset:
     return Poset(names, covers, "e0")
 
 
-def random_shuffled_poset(rng: random.Random, max_elements=12,
-                          density=0.3) -> Poset:
-    """Random order on e0..ek with e0 as bottom, declared out of
-    topological order: the covers run forward along a shuffled order."""
-    n = rng.randint(1, max_elements)
-    order = ["e%d" % i for i in range(1, n)]
-    rng.shuffle(order)
-    order = ["e0"] + order
-    covers = [(order[a], order[b]) for a in range(n)
-              for b in range(a + 1, n) if rng.random() < density]
-    covered = {hi for _, hi in covers}
-    covers += [("e0", x) for x in order[1:]
-               if x not in covered or rng.random() < 0.3]
-    rng.shuffle(covers)
-    return Poset(["e%d" % i for i in range(n)], covers, "e0")
+def shuffled_poset(rng, max_elements, density):
+    """A random poset whose declaration order need not extend its order."""
+    p = random_poset(rng, max_elements, density)
+    names = list(p.elements)
+    rng.shuffle(names)
+    return Poset(names, p.covers, p.bottom)
 
 
 def random_valuation(rng: random.Random, base: Poset, exp=4,

@@ -17,8 +17,8 @@ from posetval.errors import (MassExceeded, MixedBase, NotComparable,
 
 from posetval.valuation import order_network
 
-from conftest import (make_chain, random_poset, random_shuffled_poset,
-                      random_valuation, random_monotone_integrand)
+from conftest import (make_chain, random_poset, random_valuation,
+                      random_monotone_integrand, shuffled_poset)
 from oracles import (first_decrease_by_scan, portmanteau_by_upper_sets,
                      strict_transport_exists, way_below_by_subsets)
 
@@ -340,7 +340,7 @@ def test_integrate_monotone_names_first_decrease(seed):
     # few elements; either the total is the direct sum or the error names
     # the oracle's first decreasing pair
     rng = random.Random(seed)
-    base = random_shuffled_poset(rng)
+    base = shuffled_poset(rng, 12, rng.choice([0.2, 0.5]))
     v = random_valuation(rng, base)
     f = random_monotone_integrand(rng, base)
     if rng.random() < 0.5:
@@ -362,7 +362,7 @@ def test_integrate_monotone_names_first_decrease(seed):
 @given(st.integers(0, 2 ** 32))
 def test_order_network_edges_in_declaration_order(seed):
     rng = random.Random(seed)
-    base = random_shuffled_poset(rng)
+    base = shuffled_poset(rng, 12, rng.choice([0.2, 0.5]))
     mu, nu = random_valuation(rng, base), random_valuation(rng, base)
     assert list(order_network(mu, nu).mid_caps) == [
         (x, y) for x in mu.support for y in nu.support if base.leq(x, y)]
