@@ -183,12 +183,11 @@ def _run(args, stdout) -> int:
     if args.command == "sample":
         rmap = represent_target(mu, args.steps)
         bits = _bits(args.seed)
-        draws = [draw_sample(rmap, bits) for _ in range(args.count)]
-        lines = list(draws)
-        for x in base.elements:
-            n = draws.count(x)
-            if n:
-                lines.append("tally %s %d" % (x, n))
+        lines = [draw_sample(rmap, bits) for _ in range(args.count)]
+        tally = dict.fromkeys(base.elements, 0)
+        for x in lines:
+            tally[x] += 1
+        lines.extend("tally %s %d" % (x, n) for x, n in tally.items() if n)
         _write(out, "\n".join(lines) + "\n", stdout)
         return 0
 

@@ -196,13 +196,14 @@ class Poset:
                 == len(self.elements))
 
     def classify(self) -> dict:
-        """Shape flags, each decided by exhaustive meet/join checks.
+        """Shape flags: a pair scan for meets, then a test for a top.
 
         The common lower bounds L of a pair have a greatest element k iff
         L is the principal down-set of k (k in L puts its down-set inside
-        L, and k above all of L puts L inside it), and dually for joins,
-        so each pair is one set lookup on the bitsets. A chain skips the
-        scan: each pair's meet is its lower element and its join the upper.
+        L, and k above all of L puts L inside it), so each pair is one set
+        lookup on the bitsets. A finite poset with all meets and a top is a
+        lattice (a pair's join is the meet of its upper bounds), and every
+        lattice has a top, so joins need no scan. A chain skips the scan.
         Down-sets are ORed up the covers by descending up-set size of the
         upper end, which puts each element after all those strictly below.
         """
@@ -215,14 +216,12 @@ class Poset:
         for lo, hi in sorted(self.covers,
                              key=lambda c: -up[index[c[1]]].bit_count()):
             down[index[hi]] |= down[index[lo]]
-        downs, ups = set(down), set(up)
+        downs = set(down)
         has_meet = all(down[i] & down[j] in downs
-                       for i in range(n) for j in range(i + 1, n))
-        has_join = all(up[i] & up[j] in ups
                        for i in range(n) for j in range(i + 1, n))
         return {"is_chain": False,
                 "is_bounded_complete": has_meet,
-                "is_lattice": has_meet and has_join}
+                "is_lattice": has_meet and (1 << n) - 1 in downs}
 
     def lift(self, fresh_bottom=None) -> "Poset":
         """A copy with a fresh bottom element strictly below the old one."""

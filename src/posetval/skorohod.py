@@ -72,9 +72,9 @@ def build_schedule(target: SimpleValuation, steps: int) -> ApproximationSchedule
 
     Stage 0 is the bottom point mass, stage `steps` the target itself. A
     bottom target collapses to the constant schedule. The stages are not
-    re-decided: stage k lies below (1 - e) * stage (k + 1) + e * bottom
-    for e = 2^-(k + 1), since (1 - 2^-(k + 1))^2 >= 1 - 2^-k, so stage k
-    approximates stage k + 1 in the probability order.
+    re-decided: with t the target, on every upper set U without the
+    bottom that stage k charges, (1 - 2^-k) t(U) < (1 - 2^-(k + 1)) t(U)
+    <= stage (k + 1)(U), so stage k approximates stage k + 1.
 
     Stage k's exponent is at most E + k, E the target's largest; raises
     TooLarge before building when E + steps - 1 passes the parser's
@@ -110,23 +110,22 @@ def lift_step(current: Layer, target: SimpleValuation, base: Poset) -> Layer:
 
     The current map's law must lie below `target` in the probability
     order. The new depth is the smallest one past the current depth at
-    which the laws and the transport numbers all become integer counts;
-    each run of the current layer, taken in word order, covers a block of
-    the new level, which is dealt out to the transported targets in the
-    poset's declaration order, each target taking as many words as its
-    remaining budget allows. That is the word-by-word lexicographic
-    filling, done a run at a time, so the cost grows with the runs and the
-    targets, not with 2^depth; the result is deterministic and monotone
-    over the current layer. Raises TooLarge when that depth exceeds
-    MAX_DEPTH.
+    which the laws and the transport numbers all become integer counts:
+    the target's exponent if larger, since the current law's exponent is
+    at most its depth and a flow's at most its capacities'. Each run of the
+    current layer, taken in word order, covers a block of the new level,
+    which is dealt out to the transported targets in the poset's
+    declaration order, each target taking as many words as its remaining
+    budget allows. That is the word-by-word lexicographic filling, done a
+    run at a time, so the cost grows with the runs and the targets, not
+    with 2^depth; the result is deterministic and monotone over the current
+    layer. Raises TooLarge when that depth exceeds MAX_DEPTH.
     """
     law = current.law(base)
     if not target.is_probability():
         raise NotProbability("lift target must have mass 1")
     plan = transport_plan(law, target)  # NotComparable unless law <= target
-    depth = max(current.depth + 1,
-                law.max_exponent(), target.max_exponent(),
-                max((t.exp for t in plan.entries.values()), default=0))
+    depth = max(current.depth + 1, target.max_exponent())
     if depth > MAX_DEPTH:
         raise TooLarge("representation depth %d exceeds the bound %d"
                        % (depth, MAX_DEPTH))
@@ -386,6 +385,8 @@ def parse_map(text: str, base: Poset) -> RepresentationMap:
                 raise ParseError("%s %d out of range" % (parts[0], count),
                                  lineno)
             if parts[0] == "layers":
+                if declared is not None:
+                    raise ParseError("second layers header", lineno)
                 declared = count
             else:
                 current = (count, {})
@@ -401,6 +402,8 @@ def parse_map(text: str, base: Poset) -> RepresentationMap:
             if parts[2] not in base.index:
                 raise UnknownElement("line %d: unknown element %r"
                                      % (lineno, parts[2]))
+            if bits in table:
+                raise ParseError("word %r listed twice" % parts[1], lineno)
             table[bits] = parts[2]
         else:
             raise ParseError("unrecognized directive %r" % line, lineno)

@@ -15,13 +15,14 @@ independent ways:
 * :func:`leq_oracle` enumerates every upper set and compares values
   directly. It exists purely to cross-check the flow route.
 
-Way-below (also one max-flow, in either mode), integration against
-monotone functions, normalization to probability mass, pushforward along
-monotone maps, and a finite-scale weak-convergence (Portmanteau) check
-complete the module. The Portmanteau check enumerates the upper sets of
-the valuations' joint support only, the traces V of the poset's upper sets,
-and sums integer numerators over them; it reports one record per trace, as
-up(V), ordered by up(V)'s bitmask.
+Way-below, mu(U) < nu(U) on every upper set U that mu charges (normalized
+mode exempts the whole poset), is decided on the same network with every
+source capacity raised by one dyadic epsilon. Integration against monotone
+functions, normalization, pushforward along monotone maps and a
+finite-scale weak-convergence (Portmanteau) check complete the module. The
+Portmanteau check sums integer numerators over the upper sets of the
+valuations' joint support, the traces V of the poset's upper sets, and
+reports one record per trace, as up(V), ordered by up(V)'s bitmask.
 """
 
 from __future__ import annotations
@@ -231,34 +232,29 @@ def leq_oracle(mu: SimpleValuation, nu: SimpleValuation,
     return True
 
 
-def _epsilon_bound(mu: SimpleValuation, nu: SimpleValuation) -> int:
-    p = max(mu.max_exponent(), nu.max_exponent())
-    sizes = len(mu.support) + len(nu.support)
-    return p + (sizes - 1).bit_length() + 2
-
-
 def way_below(mu: SimpleValuation, nu: SimpleValuation,
               normalized: bool = False) -> bool:
     """The approximation relation between valuations, decided by one flow.
 
-    Subprobability mode tests the strict subset condition mu(S) < nu(up S)
-    for every nonempty S in mu's support. Both sides are multiples of 2^-p,
-    so a strict gap is at least 2^-p >= eps * |S| for eps = 2^-(p +
+    mu approximates nu iff mu(U) < nu(U) on every upper set U that mu
+    charges, except, in normalized (probability) mode, those holding the
+    bottom: only the whole poset. As mu(U) = mu(S) for S = U & supp mu, and
+    up S is an upper set inside U, this is mu(S) < nu(up S) for every
+    nonempty S in mu's support. Both sides are multiples of 2^-p, so a
+    strict gap is at least 2^-p >= eps * |S| for eps = 2^-(p +
     ceil(log2 |supp mu|)): the condition holds iff the order network still
-    saturates once every source capacity is raised by eps. In normalized
-    (probability) mode, mu approximates nu iff mu lies below some convex
-    shift (1 - eps) * nu + eps * bottom. On every proper upper set the
-    shift only grows as eps shrinks, so one order test at the smallest eps
-    the dyadic inputs need, 2^-_epsilon_bound, decides it.
+    saturates with every source capacity raised by eps. Normalized mode
+    first drops mu's bottom mass, which only the whole poset holds; that
+    set then fails only if mu misses the bottom, and then so does up(supp
+    mu), which has all of mu's mass. A bottom point mass charges nothing.
     """
     _same_base(mu, nu)
     if normalized:
         if not (mu.is_probability() and nu.is_probability()):
             raise NotProbability(
                 "normalized mode needs probability valuations")
-        bot = delta(mu.base, mu.base.bottom)
-        eps = Dyadic(1, _epsilon_bound(mu, nu))
-        return leq(mu, add(scale(nu, ONE - eps), scale(bot, eps)))
+        mu = SimpleValuation(mu.base, {x: w for x, w in mu.weights.items()
+                                       if x != mu.base.bottom})
     net = order_network(mu, nu)
     p = max(mu.max_exponent(), nu.max_exponent())
     eps = Dyadic(1, p + (len(net.left) - 1).bit_length())
@@ -366,31 +362,22 @@ class PortmanteauReport:
             upper.base.upward_closure(upper.members & self.support)]
 
 
-def _approaches(values, limit, from_below: bool) -> bool:
-    """Exact convergence certificate for a finite tail of values.
+def _approaches(values, limit) -> bool:
+    """Exact liminf certificate for a finite tail of values.
 
     values and limit are integer numerators over one common power of two.
-    from_below checks the liminf-style bullet: every value already at or
-    above the limit is fine and must not fall back; a deficit must at least
-    halve at each step (geometric decay is the only convergence a finite
-    exact window can certify). from_below=False is the mirrored limsup
-    check.
+    Every value already at or above the limit is fine and must not fall
+    back; a deficit must at least halve at each step (geometric decay is
+    the only convergence a finite exact window can certify). The limsup
+    bullet is this check on the negated numerators.
     """
-
-    def deficit_side(v):  # True when v is on the wrong side of the limit
-        return v < limit if from_below else limit < v
-
     if len(values) == 1:
-        return not deficit_side(values[0])
+        return not values[0] < limit
     for v, nxt in zip(values, values[1:]):
-        if deficit_side(v):
-            if from_below:
-                if 2 * nxt < limit + v:
-                    return False
-            else:
-                if limit + v < 2 * nxt:
-                    return False
-        elif deficit_side(nxt):
+        if v < limit:
+            if 2 * nxt < limit + v:
+                return False
+        elif nxt < limit:
             return False
     return True
 
@@ -442,8 +429,8 @@ def portmanteau_check(seq, limit: SimpleValuation,
     for closure, sums in rows:
         *values, target = sums
         rec = PortmanteauRecord(UpperSet(base, base._members(closure)),
-                                open_ok=_approaches(values, target, True),
-                                closed_ok=_approaches(values, target, False))
+                                _approaches(values, target),
+                                _approaches([-v for v in values], -target))
         records.append(rec)
         if witness is None and not (rec.open_ok and rec.closed_ok):
             witness = rec.upper

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import time
+from collections import Counter
 
 import pytest
 
@@ -392,6 +393,27 @@ def test_sample_deterministic(files):
     assert code1 == code2 == 0
     assert out1 == out2
     assert "tally" in out1
+
+
+def test_sample_tallies_a_long_chain_fast(tmp_path):
+    # the tally is one pass over the draws, not one scan per element
+    names = ["c%d" % i for i in range(4000)]
+    poset = tmp_path / "chain.poset"
+    poset.write_text(format_poset(posetval.Poset(
+        names, list(zip(names, names[1:])), names[0])))
+    mu = tmp_path / "mu.val"
+    mu.write_text("c0 1/2^2\nc1999 1/2^1\nc3999 1/2^2\n")
+    start = time.perf_counter()
+    code, out = run(["sample", "--poset", str(poset), "--mu", str(mu),
+                     "--count", "100000", "--seed", "3"])
+    assert time.perf_counter() - start < 5
+    assert code == 0
+    lines = out.splitlines()
+    draws, tally = lines[:100000], lines[100000:]
+    counts = Counter(draws)
+    assert tally == ["tally %s %d" % (x, counts[x]) for x in names
+                     if counts[x]]
+    assert len(tally) == 3
 
 
 def test_skorohod_command(files):

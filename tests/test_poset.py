@@ -120,6 +120,15 @@ def test_classify(m4, c3):
     vee = Poset(["bot", "a", "b"], [("bot", "a"), ("bot", "b")], "bot")
     assert vee.classify() == {"is_chain": False, "is_bounded_complete": True,
                               "is_lattice": False}
+    # a bowtie under a top: c and d have the common lower bounds a and b
+    # but no greatest one, so a top alone does not make a lattice
+    bowtie = Poset(["bot", "a", "b", "c", "d", "top"],
+                   [("bot", "a"), ("bot", "b"), ("a", "c"), ("a", "d"),
+                    ("b", "c"), ("b", "d"), ("c", "top"), ("d", "top")],
+                   "bot")
+    assert bowtie.classify() == {"is_chain": False,
+                                 "is_bounded_complete": False,
+                                 "is_lattice": False}
 
 
 @settings(max_examples=60, deadline=None)
@@ -127,6 +136,12 @@ def test_classify(m4, c3):
 def test_classify_matches_scan(seed):
     rng = random.Random(seed)
     p = shuffled_poset(rng, 30, rng.choice([0.05, 0.2, 0.5, 0.9]))
+    if rng.random() < 0.5:
+        # a fresh top above every maximal element, declared anywhere
+        names = list(p.elements)
+        names.insert(rng.randrange(len(names) + 1), "top")
+        p = Poset(names, p.covers + [(x, "top") for x in p.elements
+                                     if p.up_set(x) == {x}], p.bottom)
     assert p.classify() == classify_by_scan(p)
 
 

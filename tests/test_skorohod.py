@@ -12,8 +12,8 @@ from posetval import (ApproximationSchedule, Dyadic, Layer, ONE,
                       skorohod_subprobability, way_below)
 from posetval.dyadic import MAX_PARSED_EXPONENT, parse_dyadic
 from posetval.errors import (DepthExceeded, NotComparable, NotConvergent,
-                             NotProbability, PartialMap, SourceExhausted,
-                             TooLarge)
+                             NotProbability, ParseError, PartialMap,
+                             SourceExhausted, TooLarge)
 
 from conftest import random_poset, random_valuation
 from oracles import convergence_by_words, lift_step_by_slots
@@ -474,6 +474,17 @@ def test_map_serialization_round_trip(m4):
         assert format_map(again) == text
         assert [l.depth for l in again.layers] \
             == [l.depth for l in rmap.layers]
+
+
+def test_parse_map_refuses_repeated_headers_and_words(m4):
+    text = "layers 2\nlayer 0\nmap - bot\nlayer 1\nmap 0 a\nmap 1 top\n"
+    assert format_map(parse_map(text, m4)) == text
+    with pytest.raises(ParseError, match="^line 2: second layers header$"):
+        parse_map(text.replace("layer 0\n", "layers 2\n", 1), m4)
+    with pytest.raises(ParseError, match="^line 7: word '0' listed twice$"):
+        parse_map(text + "map 0 top\n", m4)
+    with pytest.raises(ParseError, match="^line 4: word '-' listed twice$"):
+        parse_map(text.replace("layer 1\n", "map - bot\nlayer 1\n"), m4)
 
 
 def test_map_dot(m4):
