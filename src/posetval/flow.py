@@ -7,19 +7,44 @@ capacities are rescaled to a common denominator 2^p, the search runs over
 plain integers (so termination and exactness are trivial), and results are
 scaled back; every returned flow is therefore dyadic with exponent <= p.
 
-The residual network is kept as adjacency lists and solved by Dinic's
-method: each phase levels it by breadth-first search and saturates the
-level graph with a blocking flow. Every node's neighbours are explored in
-declaration order, so each augmenting path is the lexicographically first
-shortest path, the very path a breadth-first (Edmonds-Karp) search would
-take; the returned flow, and hence every transport plan built from it, is
-deterministic. The last search, the one that fails to reach the sink,
-marks the source side of a minimum cut; the returned flow carries it, so
-one solve answers both the flow and the cut question.
+The residual network is held as bitmasks. Left node k is bit k of a left
+mask; a right node is the bit it has in the rows of middle edges (bit j is
+right[j] for a network given by a dict, see MaskEdges otherwise), and the
+bits ascend in the right side's declaration order. The solver keeps, per
+left node, the mask of right nodes its middle edges still have residual
+to; per right node, the mask of left nodes whose edge to it carries flow
+(its residual edges back); a flow count only for the (left, right) pairs
+that carry flow; and, rebuilt at each phase, one mask each of the left
+nodes with source residual and of the right nodes with sink residual.
+
+It is solved by Dinic's method. Each phase levels the network by a
+breadth-first search in which a level is one mask, the OR of the rows of
+the level before less the nodes already levelled. The search stops at the
+sink's level: no node that deep lies on a shortest path to the sink. A
+blocking flow then saturates the level graph by a depth-first search that
+steps from each node to the lowest set bit of (its successor mask & the
+next level); a node found to be a dead end clears its own bit from its
+level.
+
+Every augmenting path is the one a breadth-first (Edmonds-Karp) search with
+neighbours in declaration order would take, so the returned flow, and hence
+every transport plan built from it, is deterministic. Within a phase an
+edge between consecutive levels only loses residual (augmenting raises only
+reverse edges, which lead one level back) and a dead end stays dead, so
+every successor below the lowest usable bit is out of use for the rest of
+the phase: the lowest set bit is the node an edge-pointer scan of the
+sorted adjacency would reach, with no pointer kept. Bits ascend in
+declaration order, so each path found is the lexicographically first
+shortest path of the residual network, the path a breadth-first search
+records, since its tree path to a node is the first shortest one. The last
+search, the one that fails to reach the sink, marks the source side of a
+minimum cut; the returned flow carries it, so one solve answers both the
+flow and the cut question.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -27,6 +52,46 @@ from .dyadic import Dyadic
 
 SOURCE = "source"
 SINK = "sink"
+
+
+def _bits(mask: int):
+    """The positions of mask's set bits, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+class MaskEdges(Mapping):
+    """Middle edges of one capacity, given as one bitmask row per left node.
+
+    Bit b of rows[x] is the edge (x, names[b]); rows lists the left side in
+    order, and set bits must ascend in the right side's declaration order.
+    Read as a mapping (x, y) -> cap, the edges come in left order, then by
+    ascending bit; the dict is built on the first lookup or iteration, and
+    len counts bits.
+    """
+
+    def __init__(self, rows: dict, names, cap: Dyadic):
+        self.rows, self.names, self.cap = rows, names, cap
+
+    def __len__(self):
+        return sum(row.bit_count() for row in self.rows.values())
+
+    def __iter__(self):
+        return iter(self._edges)
+
+    def __getitem__(self, key):
+        return self._edges[key]
+
+    def __repr__(self):
+        return "MaskEdges(%r)" % (self._edges,)
+
+    @cached_property
+    def _edges(self) -> dict:
+        names, cap = self.names, self.cap
+        return {(x, names[b]): cap for x, row in self.rows.items()
+                for b in _bits(row)}
 
 
 @dataclass
@@ -40,24 +105,40 @@ class FlowNetwork:
     left: list
     right: list
     source_caps: dict
-    mid_caps: dict   # (x, y) -> Dyadic
+    mid_caps: Mapping   # (x, y) -> Dyadic: a dict, or MaskEdges
     sink_caps: dict
 
     def __post_init__(self):
+        right = {y: j for j, y in enumerate(self.right)}
         if len(set(self.left)) != len(self.left) \
-                or len(set(self.right)) != len(self.right):
+                or len(right) != len(self.right):
             raise ValueError("duplicate node name within a side")
-        left, right = set(self.left), set(self.right)
-        if set(self.source_caps) - left or set(self.sink_caps) - right:
+        left = set(self.left)
+        if set(self.source_caps) - left or set(self.sink_caps) - right.keys():
             raise ValueError("terminal capacity on unknown node")
-        for x, y in self.mid_caps:
-            if x not in left or y not in right:
-                raise ValueError("middle edge (%r, %r) off the bipartition"
-                                 % (x, y))
+        mid = self.mid_caps
+        if not isinstance(mid, MaskEdges):
+            for x, y in mid:
+                if x not in left or y not in right:
+                    raise ValueError("middle edge (%r, %r) off the "
+                                     "bipartition" % (x, y))
+            return
+        if list(mid.rows) != self.left:
+            raise ValueError("mask rows must list the left side in order")
+        columns, last = 0, -1
+        for row in mid.rows.values():
+            columns |= row
+        for b in _bits(columns):
+            j = right.get(mid.names[b]) if b < len(mid.names) else None
+            if j is None or j <= last:
+                raise ValueError("mask bit %d is no right node, or out of "
+                                 "the right side's order" % b)
+            last = j
 
     def common_exponent(self) -> int:
-        caps = list(self.source_caps.values()) \
-            + list(self.mid_caps.values()) + list(self.sink_caps.values())
+        mid = self.mid_caps
+        caps = [*self.source_caps.values(), *self.sink_caps.values(),
+                *([mid.cap] if isinstance(mid, MaskEdges) else mid.values())]
         return max((c.exp for c in caps), default=0)
 
 
@@ -67,111 +148,174 @@ class Flow:
     `cut` is the source side of a minimum cut: SOURCE plus the tagged nodes
     ("left", x) / ("right", y) still reachable in the final residual
     network. Its crossing capacity equals `value`. `from_source`, `across`
-    and `to_sink` map each edge that carries flow to its flow. They are
-    read off the final residual network on first use, since the decisions
-    need only `value` and `cut`.
+    and `to_sink` map each edge that carries flow to its flow, in
+    declaration order (`across` by left node, then right node). They are
+    built on first use, since the decisions need only `value` and `cut`.
     """
 
-    def __init__(self, net: FlowNetwork, p: int, res: list, left: dict,
-                 right: dict, cut: frozenset):
-        # res is the final residual network at exponent p, left and right
-        # number the side nodes; an edge's reverse entry holds its flow
-        self._net, self._p, self._res = net, p, res
-        self._left, self._right = left, right
+    def __init__(self, net: FlowNetwork, p: int, names, sent: list,
+                 moved: dict, drained: dict, cut: frozenset):
+        # units at exponent p: sent[k] from the source into left[k],
+        # moved[k, b] from left[k] to the right node names[b], drained[b]
+        # from names[b] into the sink
+        self._net, self._p, self._names = net, p, names
+        self._sent, self._moved, self._drained = sent, moved, drained
         self.cut = cut
-        self.value = Dyadic(sum(res[u].get(0, 0) for u in left.values()), p)
+        self.value = Dyadic(sum(sent), p)
 
     def _dyadics(self, units) -> dict:
         return {key: Dyadic(k, self._p) for key, k in units if k}
 
     @cached_property
     def from_source(self) -> dict:
-        res = self._res
-        return self._dyadics((x, res[u].get(0, 0))
-                             for x, u in self._left.items())
+        return self._dyadics(zip(self._net.left, self._sent))
 
     @cached_property
     def across(self) -> dict:
-        res, left, right = self._res, self._left, self._right
-        return self._dyadics(((x, y), res[right[y]].get(left[x], 0))
-                             for x, y in self._net.mid_caps)
+        left, names = self._net.left, self._names
+        return self._dyadics(((left[k], names[b]), f)
+                             for (k, b), f in sorted(self._moved.items()))
 
     @cached_property
     def to_sink(self) -> dict:
-        into_sink = self._res[-1]
-        return self._dyadics((y, into_sink.get(v, 0))
-                             for y, v in self._right.items())
+        names = self._names
+        return self._dyadics((names[b], f) for b, f in self._drained.items())
+
+
+def _levels(source: int, sink: int, fwd: list, back: dict):
+    """The levels of a breadth-first search from the source, one mask each.
+
+    source and sink mask the left and right nodes with terminal residual.
+    Returns (levels, seen): levels[i] is level i + 1, left nodes at even i
+    and right nodes at odd i, and the last level keeps only the right nodes
+    with sink residual. levels is None when the sink is out of reach; seen,
+    the masks of the left and right nodes reached, is then the source side
+    of a minimum cut.
+    """
+    levels, seen = [source], [source, 0]
+    while levels[-1]:
+        side = len(levels) & 1      # 1: the next level is right
+        succ = fwd if side else back
+        nxt = 0
+        for u in _bits(levels[-1]):
+            nxt |= succ[u]
+        nxt &= ~seen[side]
+        if side and nxt & sink:
+            return levels + [nxt & sink], seen
+        seen[side] |= nxt
+        levels.append(nxt)
+    return None, seen
 
 
 def max_flow(net: FlowNetwork) -> Flow:
-    """A maximum flow together with a minimum cut (integer Dinic).
+    """A maximum flow together with a minimum cut (integer Dinic on masks).
 
-    The blocking flow of a phase is found by a depth-first search on an
-    explicit stack that keeps one edge pointer per node; a node found to be
-    a dead end leaves the level graph for the rest of the phase.
+    Each phase levels the residual network into one mask per level, then
+    finds a blocking flow by a depth-first search on an explicit path that
+    steps to the lowest usable bit of the next level. After an augmentation
+    the search resumes at the tail of the first saturated edge. The
+    augmenting paths are the breadth-first ones (see the module docstring).
     """
     p = net.common_exponent()
-    nodes = [SOURCE] + [("left", x) for x in net.left] \
-        + [("right", y) for y in net.right] + [SINK]
-    n = len(nodes)
-    sink = n - 1
-    left = {x: i for i, x in enumerate(net.left, 1)}
-    right = {y: i for i, y in enumerate(net.right, len(left) + 1)}
-    # res[u][v] is the residual capacity of u -> v; the network has no
-    # antiparallel edges, so an edge's reverse entry holds exactly its flow
-    res = [{} for _ in nodes]
 
-    def edge(u, v, c):
-        res[u][v] = c.num << (p - c.exp)
-        res[v][u] = 0
+    def units(c):
+        return 0 if c is None else c.num << (p - c.exp)
 
-    for x, c in net.source_caps.items():
-        edge(0, left[x], c)
-    for (x, y), c in net.mid_caps.items():
-        edge(left[x], right[y], c)
-    for y, c in net.sink_caps.items():
-        edge(right[y], sink, c)
-    adj = [sorted(r) for r in res]
+    mid = net.mid_caps
+    caps = {}   # (k, b) -> capacity, for a network given by a dict
+    if isinstance(mid, MaskEdges):
+        fwd, names, wide = list(mid.rows.values()), mid.names, units(mid.cap)
+    else:
+        fwd, names, wide = [0] * len(net.left), net.right, 0
+        pos = {x: k for k, x in enumerate(net.left)}
+        bit = {y: j for j, y in enumerate(net.right)}
+        for (x, y), c in mid.items():
+            k, b = pos[x], bit[y]
+            caps[k, b] = units(c)
+            if caps[k, b]:
+                fwd[k] |= 1 << b
+    # fwd[k]: right nodes that left node k's middle edges have residual to;
+    # back[b]: left nodes whose middle edge to right node b carries flow
+    sent = [units(net.source_caps.get(x)) for x in net.left]
+    columns = 0
+    for row in fwd:
+        columns |= row
+    back, drained = {}, {}
+    for b in _bits(columns):
+        back[b] = 0
+        drained[b] = units(net.sink_caps.get(names[b]))
+    # until the end, sent and drained hold the terminal residuals
+    src_cap, sink_cap = list(sent), dict(drained)
+    moved = {}
     while True:
-        level = [-1] * n
-        level[0] = 0
-        queue = [0]
-        for u in queue:
-            ru, lv = res[u], level[u] + 1
-            for v in adj[u]:
-                if level[v] < 0 and ru[v] > 0:
-                    level[v] = lv
-                    queue.append(v)
-        if level[sink] < 0:
-            break  # this search reached exactly the source side of a cut
-        ptr = [0] * n
-        path = [0]
-        while path:
-            u = path[-1]
-            if u == sink:
-                bottleneck = min(res[a][b] for a, b in zip(path, path[1:]))
-                cut_at = None
-                for i in range(len(path) - 1):
-                    a, b = path[i], path[i + 1]
-                    res[a][b] -= bottleneck
-                    res[b][a] += bottleneck
-                    if cut_at is None and not res[a][b]:
-                        cut_at = i
-                del path[cut_at + 1:]  # resume at the first saturated edge
+        levels, seen = _levels(
+            sum(1 << k for k, r in enumerate(sent) if r),
+            sum(1 << b for b, r in drained.items() if r), fwd, back)
+        if levels is None:
+            break   # seen is exactly the source side of a cut
+        top = len(levels)
+        path = []   # path[i] is at level i + 1: left at even i, right at odd
+        while True:
+            d = len(path)
+            if d == top:
+                # the path's edges in order: source, middle, sink
+                res = [sent[path[0]]]
+                for e in range(1, top):
+                    if e & 1:
+                        edge = path[e - 1], path[e]
+                        res.append(caps.get(edge, wide) - moved.get(edge, 0))
+                    else:
+                        res.append(moved[path[e], path[e - 1]])
+                res.append(drained[path[-1]])
+                delta = min(res)
+                k = path[0]
+                sent[k] -= delta
+                if not sent[k]:
+                    levels[0] &= ~(1 << k)
+                for e in range(1, top):
+                    if e & 1:       # forward along left k -> right b
+                        k, b = path[e - 1], path[e]
+                        f = moved.get((k, b), 0)
+                        if not f:
+                            back[b] |= 1 << k
+                        moved[k, b] = f + delta
+                        if f + delta == caps.get((k, b), wide):
+                            fwd[k] &= ~(1 << b)
+                    else:           # back from right b, cancelling k -> b
+                        b, k = path[e - 1], path[e]
+                        f = moved[k, b] - delta
+                        fwd[k] |= 1 << b
+                        if f:
+                            moved[k, b] = f
+                        else:
+                            del moved[k, b]
+                            back[b] &= ~(1 << k)
+                b = path[-1]
+                drained[b] -= delta
+                if not drained[b]:
+                    levels[-1] &= ~(1 << b)
+                # resume at the first saturated edge; a saturated sink edge
+                # leaves its right node a dead end
+                del path[min(res.index(delta), top - 1):]
                 continue
-            ru, out, lv = res[u], adj[u], level[u] + 1
-            for i in range(ptr[u], len(out)):
-                v = out[i]
-                if level[v] == lv and ru[v]:
-                    ptr[u] = i
-                    path.append(v)
-                    break
+            if d:
+                u = path[-1]
+                nxt = (fwd[u] if d & 1 else back[u]) & levels[d]
             else:
-                path.pop()  # dead end: u reaches the sink no more
-                level[u] = -1
+                nxt = levels[0]
+            if nxt:
+                path.append((nxt & -nxt).bit_length() - 1)
+            elif d:
+                levels[d - 1] &= ~(1 << path.pop())  # dead end
+            else:
+                break
 
-    return Flow(net, p, res, left, right,
-                frozenset(v for v, lv in zip(nodes, level) if lv >= 0))
+    sent = [c - r for c, r in zip(src_cap, sent)]
+    drained = {b: c - drained[b] for b, c in sink_cap.items()}
+    cut = {SOURCE}
+    cut.update(("left", net.left[k]) for k in _bits(seen[0]))
+    cut.update(("right", names[b]) for b in _bits(seen[1]))
+    return Flow(net, p, names, sent, moved, drained, frozenset(cut))
 
 
 def to_dot(net: FlowNetwork, flow: Flow | None = None) -> str:

@@ -124,20 +124,18 @@ def _same_base(mu: SimpleValuation, nu: SimpleValuation):
 
 
 def order_network(mu: SimpleValuation, nu: SimpleValuation) -> flowmod.FlowNetwork:
-    """The network whose maximum flow decides mu <= nu."""
-    left, right = mu.support, nu.support
-    index, up, names = mu.base.index, mu.base._up_mask, mu.base.elements
-    # set bits ascend in declaration order, as nu's support does
-    columns = sum(1 << index[y] for y in right)
-    mid = {}
-    for x in left:
-        row = up[index[x]] & columns
-        while row:
-            low = row & -row
-            mid[x, names[low.bit_length() - 1]] = _WIDE
-            row ^= low
-    return flowmod.FlowNetwork(left, right, dict(mu.weights), mid,
-                               dict(nu.weights))
+    """The network whose maximum flow decides mu <= nu.
+
+    Its middle edges x -> y are the pairs x <= y of mu's and nu's supports,
+    given as one row per x: x's up-set mask restricted to nu's support,
+    whose set bits ascend in declaration order, as nu's support does.
+    """
+    index, up = mu.base.index, mu.base._up_mask
+    columns = sum(1 << index[y] for y in nu.weights)
+    rows = {x: up[index[x]] & columns for x in mu.weights}
+    return flowmod.FlowNetwork(
+        mu.support, nu.support, dict(mu.weights),
+        flowmod.MaskEdges(rows, mu.base.elements, _WIDE), dict(nu.weights))
 
 
 def leq(mu: SimpleValuation, nu: SimpleValuation) -> bool:
@@ -301,15 +299,27 @@ class PosetMap:
     mapping: dict
 
     def __post_init__(self):
+        """Check every pair x <= y of the domain, x and then y in mapping
+        order, and name the first whose images are not ordered. Each x
+        walks its up-set mask restricted to the domain's mask."""
+        source, target = self.source, self.target
         for x, y in self.mapping.items():
-            self.source._check(x)
-            self.target._check(y)
-        for x in self.mapping:
-            for y in self.mapping:
-                if self.source.leq(x, y) \
-                        and not self.target.leq(self.mapping[x],
-                                                self.mapping[y]):
-                    raise NotMonotone("map breaks order at %s <= %s" % (x, y))
+            source._check(x)
+            target._check(y)
+        sindex, tindex, tup = source.index, target.index, target._up_mask
+        # bit i of the domain: its position in the mapping, its image's index
+        rank = {sindex[x]: r for r, x in enumerate(self.mapping)}
+        image = {sindex[x]: tindex[y] for x, y in self.mapping.items()}
+        domain = sum(1 << i for i in image)
+        names = source.elements
+        for i, t in image.items():
+            above = tup[t]
+            breaks = [j for j in flowmod._bits(source._up_mask[i] & domain)
+                      if not above >> image[j] & 1]
+            if breaks:
+                j = min(breaks, key=rank.__getitem__)
+                raise NotMonotone("map breaks order at %s <= %s"
+                                  % (names[i], names[j]))
 
 
 def pushforward(g: PosetMap, v: SimpleValuation) -> SimpleValuation:

@@ -2,18 +2,18 @@
 
 Nothing here reuses the code paths under test: cuts are enumerated rather
 than derived from flows, a maximum flow is grown one breadth-first
-augmenting path at a time (Edmonds-Karp, on dyadics) rather than by blocking
-flows, upper sets are filtered straight from the order
-relation or scanned over every bitmask, strict-transport feasibility and
+augmenting path at a time (Edmonds-Karp, on dyadics) rather than by
+blocking flows, upper sets are filtered straight from the order relation
+or scanned over every bitmask, strict-transport feasibility and
 subprobability way-below are decided by exhaustive Hall-style subset
 conditions, a lift step fills the new level word by word, the order is
 reachability by graph search (and the first pair an integrand decreases
-on is scanned over it), meets and joins are found by scanning every
-candidate, convergence is checked by evaluating every map at every word, and
-quantile maps are compared at every threshold of either map, the
-Portmanteau bullets are checked on every upper set of the whole poset with
-dyadic arithmetic, and a sampler's law is tabulated by calling its driver
-at every grid point.
+on, or a map breaks, is scanned over it), meets and joins are found by
+scanning every candidate, convergence is checked by evaluating every map
+at every word, and quantile maps are compared at every threshold of either
+map, the Portmanteau bullets are checked on every upper set of the whole
+poset with dyadic arithmetic, and a sampler's law is tabulated by calling
+its driver at every grid point.
 """
 
 from collections import deque
@@ -333,6 +333,25 @@ def first_decrease_by_scan(base, f):
         for j in sorted(up[i]):
             if f[names[j]] < f[x]:
                 return x, names[j]
+    return None
+
+
+def first_break_by_scan(source, target, mapping):
+    """The first pair (x, y) of the map's domain, x and then y in mapping
+    order, with x <= y and mapping[x] not <= mapping[y], both orders found
+    by graph search; None if the map is monotone."""
+
+    def order(base):
+        index = base.index
+        up = reachable_by_search(len(base.elements), [
+            (index[lo], index[hi]) for lo, hi in base.covers])
+        return lambda a, b: index[b] in up[index[a]]
+
+    below, above = order(source), order(target)
+    for x in mapping:
+        for y in mapping:
+            if below(x, y) and not above(mapping[x], mapping[y]):
+                return x, y
     return None
 
 

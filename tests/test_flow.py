@@ -1,14 +1,15 @@
 import random
 from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posetval import Dyadic, FlowNetwork, ZERO, max_flow
-from posetval.flow import to_dot
+from posetval import Dyadic, FlowNetwork, SimpleValuation, ZERO, max_flow
+from posetval.flow import MaskEdges, to_dot
 from posetval.valuation import order_network
 
-from conftest import random_poset, random_valuation
+from conftest import random_poset, random_valuation, shuffled_poset
 from oracles import max_flow_by_shortest_paths, min_cut_by_enumeration
 
 WIDE = Dyadic(2, 0)
@@ -187,3 +188,67 @@ def test_max_flow_is_the_breadth_first_flow_on_decision_networks(rng):
     eps = Dyadic(1, p + (len(net.left) - 1).bit_length())
     assert_breadth_first_flow(replace(net, source_caps={
         x: c + eps for x, c in net.source_caps.items()}))
+
+
+def sparse_valuation(rng, base, points):
+    """Weights k/2^exp, k in 1..3, on up to `points` random elements."""
+    exp = rng.randint(6, 8)     # 3 * 20 < 2^6, so the mass stays below 1
+    xs = rng.sample(base.elements, min(points, len(base.elements)))
+    return SimpleValuation(base, {x: Dyadic(rng.randint(1, 3), exp)
+                                  for x in xs})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_max_flow_is_the_breadth_first_flow_on_larger_decision_networks(rng):
+    # sparse posets of up to 60 elements, declared out of order, and
+    # supports of up to 20 points, where phases route along back edges
+    base = shuffled_poset(rng, 60, rng.choice([0.02, 0.05, 0.1]))
+    mu = sparse_valuation(rng, base, rng.randint(1, 20))
+    nu = sparse_valuation(rng, base, rng.randint(1, 20))
+    net = order_network(mu, nu)
+    pairs = [(x, y) for x in mu.support for y in nu.support if base.leq(x, y)]
+    assert len(net.mid_caps) == len(pairs)
+    assert list(net.mid_caps) == pairs
+    # a transport plan lists its entries in this order
+    across = assert_breadth_first_flow(net).across
+    assert list(across) == [e for e in pairs if e in across]
+    p = max(mu.max_exponent(), nu.max_exponent())
+    eps = Dyadic(1, p + (len(net.left) - 1).bit_length())
+    assert_breadth_first_flow(replace(net, source_caps={
+        x: c + eps for x, c in net.source_caps.items()}))
+
+
+def test_cancelling_flow_reopens_a_saturated_edge():
+    # the first phase saturates a -> q; the second sends b's unit along
+    # b -> q, back over a -> q, and on to r, which frees a -> q again; the
+    # last search must then reach q from a (c -> p, p back to a, a -> q)
+    unit = lambda k: Dyadic(k, 0)
+    net = FlowNetwork(["a", "b", "c"], ["p", "q", "r"],
+                      {"a": unit(4), "b": unit(2), "c": unit(1)},
+                      {("a", "p"): unit(1), ("a", "q"): unit(1),
+                       ("a", "r"): unit(3), ("b", "q"): unit(2),
+                       ("c", "p"): unit(1)},
+                      {"p": unit(1), "q": unit(2), "r": unit(3)})
+    f = assert_breadth_first_flow(net)
+    assert f.value == unit(6)
+    assert ("right", "q") in f.cut
+
+
+def test_mask_edges_are_checked_against_the_sides():
+    # bit b of a row is names[b]; rows must list the left side, and the set
+    # bits must be right nodes in the right side's order
+    names = ["u", "v", "w"]
+
+    def net(left, rows, right):
+        return FlowNetwork(left, right, {}, MaskEdges(rows, names, WIDE), {})
+
+    ok = net(["a", "b"], {"a": 0b101, "b": 0b100}, ["u", "w"])
+    assert list(ok.mid_caps) == [("a", "u"), ("a", "w"), ("b", "w")]
+    assert len(ok.mid_caps) == 3 and ok.mid_caps["a", "w"] == WIDE
+    for left, rows, right in [(["a", "b"], {"b": 1, "a": 1}, ["u"]),
+                              (["a"], {"a": 0b010}, ["u", "w"]),
+                              (["a"], {"a": 0b1000}, ["u"]),
+                              (["a"], {"a": 0b101}, ["w", "u"])]:
+        with pytest.raises(ValueError):
+            net(left, rows, right)

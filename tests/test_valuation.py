@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,8 @@ from posetval.valuation import order_network
 
 from conftest import (make_chain, random_poset, random_valuation,
                       random_monotone_integrand, shuffled_poset)
-from oracles import (first_decrease_by_scan, portmanteau_by_upper_sets,
+from oracles import (first_break_by_scan, first_decrease_by_scan,
+                     portmanteau_by_upper_sets,
                      strict_transport_exists, way_below_by_subsets)
 
 HALF = Dyadic(1, 1)
@@ -368,6 +370,39 @@ def test_order_network_edges_in_declaration_order(seed):
         (x, y) for x in mu.support for y in nu.support if base.leq(x, y)]
 
 
+def test_order_on_a_long_chain_is_fast_and_small():
+    # 800 points 2^-10 on a 4000-element chain, each one step below one of
+    # nu's: the order network has 320 400 middle edges, one row mask per
+    # point; the decisions are timed, then rerun under tracemalloc
+    base = make_chain(4000)
+    names = base.elements
+    w = Dyadic(1, 10)
+    mu = SimpleValuation(base, {names[i]: w for i in range(0, 4000, 5)})
+    nu = SimpleValuation(base, {names[i + 1]: w for i in range(0, 4000, 5)})
+
+    def decide():
+        with pytest.raises(NotComparable):
+            transport_plan(nu, mu)
+        return (leq(mu, nu), leq(nu, mu), transport_plan(mu, nu),
+                leq_witness(mu, nu), leq_witness(nu, mu))
+
+    start = time.perf_counter()
+    decide()
+    elapsed = time.perf_counter() - start
+    tracemalloc.start()
+    try:
+        forward, backward, plan, none, witness = decide()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1
+    assert peak < 16 << 20
+    assert forward and not backward and none is None
+    assert list(plan.entries.items()) == [
+        ((names[i], names[i + 1]), w) for i in range(0, 4000, 5)]
+    assert mu.evaluate(witness) < nu.evaluate(witness)
+
+
 def test_normalize(m4):
     v = scale(delta(m4, "top"), HALF)
     n = normalize(v)
@@ -404,6 +439,35 @@ def test_pushforward_errors(m4, c3):
     partial = PosetMap(m4, c3, {"bot": "c0"})
     with pytest.raises(PartialMap):
         pushforward(partial, delta(m4, "a"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32))
+def test_poset_map_names_first_break(seed):
+    # maps of a random part of a poset, taken in shuffled order: level maps
+    # into a chain or constant maps to the bottom of a random poset, half
+    # of them changed at a few elements; either the map is built or the
+    # error names the oracle's first breaking pair
+    rng = random.Random(seed)
+    source = shuffled_poset(rng, 12, rng.choice([0.2, 0.5]))
+    domain = rng.sample(source.elements, rng.randint(1, len(source)))
+    if rng.random() < 0.5:
+        target = make_chain(17)
+        f = random_monotone_integrand(rng, source)
+        mapping = {x: "c%d" % f[x].rescale(4) for x in domain}
+    else:
+        target = shuffled_poset(rng, 8, 0.4)
+        mapping = dict.fromkeys(domain, target.bottom)
+    if rng.random() < 0.5:
+        for _ in range(rng.randint(1, 3)):
+            mapping[rng.choice(domain)] = rng.choice(target.elements)
+    pair = first_break_by_scan(source, target, mapping)
+    if pair is None:
+        assert PosetMap(source, target, mapping).mapping == mapping
+    else:
+        with pytest.raises(NotMonotone) as err:
+            PosetMap(source, target, mapping)
+        assert str(err.value) == "map breaks order at %s <= %s" % pair
 
 
 def test_pushforward_mass_and_composition(m4, c3):
