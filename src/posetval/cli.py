@@ -181,6 +181,9 @@ def _run(args, stdout) -> int:
         return 0
 
     if args.command == "sample":
+        if args.count < 0:
+            raise ValueError("sample count must be at least 0, not %d"
+                             % args.count)
         rmap = represent_target(mu, args.steps)
         bits = _bits(args.seed)
         lines = [draw_sample(rmap, bits) for _ in range(args.count)]

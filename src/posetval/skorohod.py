@@ -30,8 +30,9 @@ from .errors import (DepthExceeded, NotComparable, NotConvergent,
                      NotProbability, ParseError, SourceExhausted,
                      TooLarge, UnknownElement)
 from .poset import Poset
-from .valuation import (SimpleValuation, add, delta, portmanteau_check,
-                        scale, transport_plan, way_below)
+from .valuation import (SimpleValuation, TransportPlan, _same_base, add,
+                        delta, portmanteau_check, scale, transport_plan,
+                        way_below)
 
 # deepest layer lift_step builds; layers are runs, and laws, draws and
 # convergence_check work on the runs, but format_map still lists all
@@ -120,11 +121,20 @@ def lift_step(current: Layer, target: SimpleValuation, base: Poset) -> Layer:
     run at a time, so the cost grows with the runs and the targets, not
     with 2^depth; the result is deterministic and monotone over the current
     layer. Raises TooLarge when that depth exceeds MAX_DEPTH.
+
+    A layer of one run, with value x, has law delta_x, whose only transport
+    plan to the target sends each target point y its whole weight from x;
+    that plan is built directly, with no flow solved, once x is found below
+    the whole support (NotComparable otherwise, as transport_plan raises).
+    Every plan is verified.
     """
     law = current.law(base)
     if not target.is_probability():
         raise NotProbability("lift target must have mass 1")
-    plan = transport_plan(law, target)  # NotComparable unless law <= target
+    if len(current.values) == 1:
+        plan = _forced_plan(law, target)
+    else:
+        plan = transport_plan(law, target)  # NotComparable unless ordered
     depth = max(current.depth + 1, target.max_exponent())
     if depth > MAX_DEPTH:
         raise TooLarge("representation depth %d exceeds the bound %d"
@@ -156,6 +166,21 @@ def lift_step(current: Layer, target: SimpleValuation, base: Poset) -> Layer:
                                  % _bits(pos, depth))
     assert all(b == 0 for b in budgets.values())
     return Layer(depth, ends=ends, values=values)
+
+
+def _forced_plan(law: SimpleValuation,
+                 target: SimpleValuation) -> TransportPlan:
+    """The one transport plan from a point mass law = delta_x to target."""
+    _same_base(law, target)
+    (x,) = law.weights
+    index = law.base.index
+    up = law.base._up_mask[index[x]]
+    if any(not up >> index[y] & 1 for y in target.weights):
+        raise NotComparable("valuations are not ordered; no transport plan")
+    plan = TransportPlan(law, target,
+                         {(x, y): w for y, w in target.weights.items()})
+    plan.verify()
+    return plan
 
 
 class RepresentationMap:
@@ -264,15 +289,25 @@ def represent_sequence(targets, limit: SimpleValuation, steps: int,
 
     The sequence must pass the weak-convergence check first; all maps use
     the shared schedule formula, so approximants inherit closeness from
-    the measures themselves.
+    the measures themselves. Equal valuations share one map, built once:
+    the map depends only on the valuation, and maps are never mutated.
+    The weights, kept in declaration order with canonical dyadics, are the
+    key.
     """
     report = portmanteau_check(targets, limit, from_index)
     if not report.verdict:
         raise NotConvergent("sequence fails weak convergence at %s"
                             % report.witness)
-    maps = [represent_target(t, steps) for t in targets]
-    limit_map = represent_target(limit, steps)
-    return maps, limit_map
+    built = {}
+
+    def rep(v):
+        key = tuple(v.weights.items())
+        if key not in built:
+            built[key] = represent_target(v, steps)
+        return built[key]
+
+    maps = [rep(t) for t in targets]
+    return maps, rep(limit)
 
 
 @dataclass

@@ -395,6 +395,16 @@ def test_sample_deterministic(files):
     assert "tally" in out1
 
 
+def test_negative_sample_count_exits_2(files, capsys):
+    argv = ["sample", "--poset", files["m4.poset"], "--mu", files["mu.val"]]
+    capsys.readouterr()
+    code, out = run(argv + ["--count", "-1"])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err.startswith("error: sample count")
+    code, _ = run(argv + ["--count", "0"])
+    assert code == 0
+
+
 def test_sample_tallies_a_long_chain_fast(tmp_path):
     # the tally is one pass over the draws, not one scan per element
     names = ["c%d" % i for i in range(4000)]

@@ -9,11 +9,12 @@ from posetval import (ApproximationSchedule, Dyadic, Layer, ONE,
                       build_schedule, convergence_check, delta, format_map,
                       leq, level, lift_step, parse_map, pushforward_counting,
                       represent, represent_sequence, sample, scale,
-                      skorohod_subprobability, way_below)
+                      skorohod_sequence, skorohod_subprobability, way_below)
 from posetval.dyadic import MAX_PARSED_EXPONENT, parse_dyadic
-from posetval.errors import (DepthExceeded, NotComparable, NotConvergent,
-                             NotProbability, ParseError, PartialMap,
-                             SourceExhausted, TooLarge)
+from posetval.errors import (DepthExceeded, MixedBase, NotComparable,
+                             NotConvergent, NotProbability, ParseError,
+                             PartialMap, SourceExhausted, TooLarge)
+from posetval.skorohod import represent_target
 
 from conftest import random_poset, random_valuation
 from oracles import convergence_by_words, lift_step_by_slots
@@ -157,6 +158,51 @@ def test_lift_step_matches_slot_by_slot_oracle():
         assert lifted.depth <= 12
         assert (lifted.depth, lifted.table) \
             == lift_step_by_slots(table, depth, target)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32))
+def test_one_run_lift_matches_the_flow_plan(seed):
+    # a one-run layer's plan is built without a flow; the oracle still
+    # takes its plan from transport_plan
+    rng = random.Random(seed)
+    base = random_poset(rng, max_elements=7)
+    for x in base.elements:
+        for depth in range(4):
+            table = {w.bits: x for w in level(depth)}
+            for target in (upward_shuffle(rng, delta(base, x)),
+                           random_valuation(rng, base, rng.randint(0, 5),
+                                            probability=True)):
+                try:
+                    want = lift_step_by_slots(table, depth, target)
+                except NotComparable:
+                    with pytest.raises(NotComparable):
+                        lift_step(Layer(depth, table), target, base)
+                    continue
+                lifted = lift_step(Layer(depth, table), target, base)
+                assert (lifted.depth, lifted.table) == want
+
+
+def test_one_run_lift_checks_the_base(m4, c3):
+    with pytest.raises(MixedBase):
+        lift_step(Layer(0, {"": "bot"}), delta(c3, "c0"), m4)
+
+
+def test_represent_solves_no_flow_for_the_first_lift(solves):
+    # stage 1 and later hold the bottom and some other point, so every
+    # lift but the first, from the bottom's one run, solves one flow
+    rng = random.Random(40)
+    for _ in range(30):
+        base = random_poset(rng, max_elements=7)
+        target = random_valuation(rng, base, rng.randint(0, 4),
+                                  probability=True)
+        if target == delta(base, base.bottom):
+            continue
+        steps = rng.randint(1, 4)
+        sched = build_schedule(target, steps)
+        del solves[:]
+        assert represent(sched).law() == target
+        assert len(solves) == steps - 1
 
 
 def test_represent_matches_slot_by_slot_oracle():
@@ -352,6 +398,40 @@ def test_represent_sequence(m4):
 
     with pytest.raises(NotConvergent):
         represent_sequence([delta(m4, "a")] * 3, top, 2)
+
+
+def test_represent_sequence_shares_one_map_per_valuation(m4, solves):
+    # equal terms, built apart, and a tail equal to the limit; the gate
+    # reads the tail from index 3, where the deficits halve
+    limit = half_half(m4)
+    bot = delta(m4, "bot")
+
+    def approach(n):
+        return add(scale(limit, ONE - Dyadic(1, n)), scale(bot, Dyadic(1, n)))
+
+    seq = [approach(2), approach(1), approach(2), approach(1), approach(2),
+           approach(3), half_half(m4), limit]
+    steps = 3
+    maps, limit_map = represent_sequence(seq, limit, steps, 3)
+    assert maps[0] is maps[2] is maps[4]
+    assert maps[1] is maps[3]
+    assert maps[6] is maps[7] is limit_map
+    assert len({id(m) for m in maps}) == 4
+    assert len(solves) == (steps - 1) * 4
+    for target, rmap in zip(seq, maps):
+        assert rmap.law() == target
+
+    witnesses, limit_witness, report = skorohod_sequence(seq, limit, steps, 3)
+    assert limit_witness.rmap is witnesses[-1].rmap
+    fresh = [represent_target(v, steps) for v in seq]
+    fresh_limit = represent_target(limit, steps)
+    assert [format_map(w.rmap) for w in witnesses] \
+        == [format_map(m) for m in fresh]
+    words = [r.word for r in report.convergence.records]
+    depth = max(m.final_depth for m in fresh + [fresh_limit])
+    assert [w.bits for w in words] == [w.bits for w in level(depth)]
+    assert report.convergence == convergence_by_words(fresh, fresh_limit,
+                                                      words)
 
 
 def test_convergence_check_dichotomy(m4):
