@@ -22,7 +22,8 @@ and the quantile maps of chains are both step maps.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
+from itertools import repeat
 
 from .dyadic import ONE, ZERO, Dyadic
 from .errors import DepthExceeded, OutOfRange, PartialMap, Unreachable
@@ -30,16 +31,41 @@ from .poset import Poset
 from .valuation import SimpleValuation
 
 
-@dataclass(frozen=True)
 class Word:
-    """A binary word; bits is a string over '0'/'1'."""
+    """A binary word; bits is a string over '0'/'1'.
 
-    bits: str
-    truncated: bool = field(default=False, compare=False)
+    An immutable value with two slots, like `dyadic.Dyadic`: equality and
+    hashing go by `bits` alone, so a truncation equals the finite word
+    with its bits.
+    """
 
-    def __post_init__(self):
-        if self.bits.strip("01"):
-            raise ValueError("bits must be over {0,1}: %r" % self.bits)
+    __slots__ = ("bits", "truncated")
+
+    def __init__(self, bits: str, truncated: bool = False):
+        if bits.strip("01"):
+            raise ValueError("bits must be over {0,1}: %r" % bits)
+        _set_bits(self, bits)
+        _set_truncated(self, truncated)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError("cannot delete field %r" % name)
+
+    def __reduce__(self):
+        return Word, (self.bits, self.truncated)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.bits == other.bits
+
+    def __hash__(self):
+        return hash((self.bits,))
+
+    def __repr__(self):
+        return "Word(bits=%r, truncated=%r)" % (self.bits, self.truncated)
 
     def __len__(self):
         return len(self.bits)
@@ -53,6 +79,11 @@ class Word:
 
     def __str__(self):
         return self.bits
+
+
+# the slots' own setters, which __setattr__ does not reach
+_set_bits = Word.bits.__set__
+_set_truncated = Word.truncated.__set__
 
 
 def project(w: Word, m: int) -> Word:
@@ -78,9 +109,17 @@ def _bits(i: int, depth: int) -> str:
     return format(i, "0%db" % depth) if depth else ""
 
 
+def _level_bits(depth: int):
+    """The bit strings of all 2^depth words of the level, in word order,
+    formatted lazily with one spec built once."""
+    if not depth:
+        return iter([""])
+    return map(format, range(1 << depth), repeat("0%db" % depth))
+
+
 def level(n: int):
     """All 2^n words of depth n in lexicographic order (an antichain)."""
-    return [Word(_bits(i, n)) for i in range(1 << n)]
+    return [Word(bits) for bits in _level_bits(n)]
 
 
 def pushforward_counting(table: dict, depth: int,
@@ -200,18 +239,23 @@ class StepMap:
 
         Both maps are read at the deeper of the two depths, and the walk
         stops at the shorter total; the result is a word number at that
-        depth, or None. Each pair of overlapping runs is compared once.
+        depth, or None. Each pair of overlapping runs is compared once,
+        by one bit of an up-set mask; every value of either map must be an
+        element of base (UnknownElement otherwise).
         """
         top = max(self.depth, other.depth)
         sa, sb = top - self.depth, top - other.depth
         stop = (min(self.ends[-1] << sa, other.ends[-1] << sb)
                 if self.ends and other.ends else 0)
+        a, b = self.values, other.values
+        base._check(*a, *b)
+        index, up = base.index, base._up_mask
         i = j = pos = 0
         while pos < stop:
             a_end, b_end = self.ends[i] << sa, other.ends[j] << sb
             end = min(a_end, b_end)
             # a run of length zero (a quantile threshold at 0) holds no word
-            if pos < end and not base.leq(self.values[i], other.values[j]):
+            if pos < end and not up[index[a[i]]] >> index[b[j]] & 1:
                 return pos
             pos = end
             i += a_end == end
@@ -222,8 +266,7 @@ class StepMap:
 def _compress(table: dict, depth: int):
     """Runs of a dict over all depth-bit strings, in word order."""
     ends, values = [], []
-    for i in range(1 << depth):
-        bits = _bits(i, depth)
+    for i, bits in enumerate(_level_bits(depth)):
         if bits not in table:
             raise PartialMap("level map undefined on %r" % bits)
         y = table[bits]

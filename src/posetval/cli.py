@@ -191,7 +191,8 @@ def _run(args, stdout) -> int:
         for x in lines:
             tally[x] += 1
         lines.extend("tally %s %d" % (x, n) for x, n in tally.items() if n)
-        _write(out, "\n".join(lines) + "\n", stdout)
+        # no draws, no tally: nothing to print, not even a newline
+        _write(out, "\n".join(lines) + "\n" if lines else "", stdout)
         return 0
 
     if args.command == "converge":

@@ -12,37 +12,65 @@ raises :class:`errors.NegativeResult`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from functools import total_ordering
 
 from .errors import NegativeResult, ParseError, PrecisionLoss
 
 
 @total_ordering
-@dataclass(frozen=True)
 class Dyadic:
-    """A nonnegative dyadic rational, value = num / 2**exp, in canonical form."""
+    """A nonnegative dyadic rational, value = num / 2**exp, in canonical form.
 
-    num: int
-    exp: int
+    An immutable value with two slots: assigning or deleting a field
+    raises `dataclasses.FrozenInstanceError`, equality and hashing go by
+    `(num, exp)`, and `__reduce__` lets copy and pickle rebuild it through
+    the constructor. Every construction runs `__post_init__` once, through
+    the attribute, which checks the sign and canonicalizes; it is kept as
+    a method, not folded into `__init__`, so that wrapping
+    `Dyadic.__post_init__` counts every value made.
+    """
+
+    __slots__ = ("num", "exp")
+
+    def __init__(self, num: int, exp: int):
+        _set_num(self, num)
+        _set_exp(self, exp)
+        self.__post_init__()
 
     def __post_init__(self):
-        if self.num < 0:
-            raise NegativeResult("dyadic value would be negative: %d/2^%d"
-                                 % (self.num, self.exp))
-        if self.exp < 0:
-            raise ValueError("exponent must be nonnegative")
         num, exp = self.num, self.exp
+        if num < 0:
+            raise NegativeResult("dyadic value would be negative: %d/2^%d"
+                                 % (num, exp))
+        if exp < 0:
+            raise ValueError("exponent must be nonnegative")
         if num == 0:
-            exp = 0
+            if exp:
+                _set_exp(self, 0)
         elif exp and not num & 1:
             shift = (num & -num).bit_length() - 1  # trailing zero bits
             if shift > exp:
                 shift = exp
-            num >>= shift
-            exp -= shift
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "exp", exp)
+            _set_num(self, num >> shift)
+            _set_exp(self, exp - shift)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError("cannot delete field %r" % name)
+
+    def __reduce__(self):
+        return Dyadic, (self.num, self.exp)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.num == other.num and self.exp == other.exp
+
+    def __hash__(self):
+        return hash((self.num, self.exp))
 
     # -- arithmetic -----------------------------------------------------
 
@@ -96,6 +124,10 @@ class Dyadic:
     def __repr__(self) -> str:
         return "Dyadic(%s)" % self
 
+
+# the slots' own setters, which __setattr__ does not reach
+_set_num = Dyadic.num.__set__
+_set_exp = Dyadic.exp.__set__
 
 ZERO = Dyadic(0, 0)
 ONE = Dyadic(1, 0)

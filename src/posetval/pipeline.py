@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cantor import Word, _bits
+from .cantor import Word, _level_bits
 from .dyadic import ONE, Dyadic
 from .errors import NotProbability
 from .skorohod import (ConvergenceReport, RepresentationMap,
@@ -117,7 +117,7 @@ def skorohod_sequence(targets, limit: SimpleValuation, steps: int,
     maps, limit_map = represent_sequence(targets, limit, steps, from_index)
     depth = max(m.final_depth for m in maps + [limit_map])
     # the grid point (i + 1)/2^depth lands on word i, as unit_to_word says
-    words = [Word(_bits(i, depth), truncated=True) for i in range(1 << depth)]
+    words = [Word(bits, truncated=True) for bits in _level_bits(depth)]
     conv = convergence_check(maps, limit_map, words)
     maximal = [r for r in conv.records if r.maximal]
     report = SequenceReport(conv, len(maximal),

@@ -220,7 +220,7 @@ class RepresentationMap:
     def evaluate(self, w: Word):
         """(chain of layer values along w, final value)."""
         top = self.final_depth
-        if len(w) < top:
+        if len(w.bits) < top:
             raise DepthExceeded("word %r shorter than depth %d"
                                 % (w.bits, top))
         i = int(w.bits[:top], 2) if top else 0
@@ -349,16 +349,21 @@ def convergence_check(maps, limit_map: RepresentationMap,
     into segments on which every record field but the word is the same;
     each segment is settled once and each word finds its segment by one
     bisection. A word shorter than some map raises DepthExceeded from the
-    first such map, the limit map first.
+    first such map, the limit map first; a final-layer value outside the
+    poset then raises UnknownElement. The order is read off up-set masks:
+    a limit value is maximal iff its up-set is itself alone.
     """
     base = limit_map.base
+    index, up = base.index, base._up_mask
     family = [limit_map] + list(maps)
     top = max(m.final_depth for m in family)
     words = list(words)
     for w in words:
-        if len(w) < top:
+        if len(w.bits) < top:
             for m in family:
                 m.evaluate(w)  # DepthExceeded at the first map deeper than w
+    for m in family:
+        base._check(*m.layers[-1].values)
     cuts = sorted({end << (top - m.final_depth)
                    for m in family for end in m.layers[-1].ends})
     fields = []
@@ -366,8 +371,9 @@ def convergence_check(maps, limit_map: RepresentationMap,
     for end in cuts:
         lv, *values = [m.layers[-1].at(start >> (top - m.final_depth))
                        for m in family]
-        maximal = base.up_set(lv) == frozenset([lv])
-        geq_from = _tail_index([base.leq(lv, v) for v in values])
+        k = index[lv]
+        maximal = up[k] == 1 << k
+        geq_from = _tail_index([up[k] >> index[v] & 1 for v in values])
         equal_from = None
         ok = geq_from is not None
         if maximal:

@@ -44,24 +44,26 @@ class SimpleValuation:
     """Sum of weighted point masses; weights dyadic, total mass <= 1.
 
     Zero-weight entries are dropped, so equal valuations have equal weight
-    maps. Instances are immutable by convention.
+    maps, kept in element declaration order. Construction walks the given
+    weights only, not the poset, and sums the mass as integer numerators
+    at the largest exponent. Instances are immutable by convention.
     """
 
     def __init__(self, base: Poset, weights: dict):
         self.base = base
-        clean = {}
-        for x in base.elements:
-            w = weights.get(x)
-            if w is not None and not w.is_zero():
-                clean[x] = w
-        for x in weights:
-            if x not in base.index:
+        index, elements = base.index, base.elements
+        nonzero = []
+        for x, w in weights.items():
+            if x not in index:
                 raise UnknownElement("%r is not an element" % (x,))
-        self.weights = clean
-        mass = ZERO
-        for w in clean.values():
-            mass = mass + w
-        if ONE < mass:
+            if w is not None and w.num:
+                nonzero.append((index[x], w))
+        nonzero.sort()  # by index alone: indices are distinct
+        self.weights = {elements[i]: w for i, w in nonzero}
+        top = max((w.exp for _, w in nonzero), default=0)
+        total = sum(w.num << top - w.exp for _, w in nonzero)
+        mass = Dyadic(total, top)
+        if total > 1 << top:
             raise MassExceeded("total mass %s exceeds 1" % mass)
         self.mass = mass
 

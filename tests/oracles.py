@@ -12,8 +12,9 @@ on, or a map breaks, is scanned over it), meets and joins are found by
 scanning every candidate, convergence is checked by evaluating every map
 at every word, and quantile maps are compared at every threshold of either
 map, the Portmanteau bullets are checked on every upper set of the whole
-poset with dyadic arithmetic, and a sampler's law is tabulated by calling
-its driver at every grid point.
+poset with dyadic arithmetic, a sampler's law is tabulated by calling
+its driver at every grid point, and a valuation's weights and mass are
+collected by walking every element of the poset and adding dyadics.
 """
 
 from collections import deque
@@ -24,6 +25,20 @@ from posetval import (Dyadic, FlowNetwork, SimpleValuation, UpperSet, ZERO,
 from posetval.valuation import PortmanteauRecord
 from posetval.errors import NotAChain
 from posetval.skorohod import ConvergenceRecord, ConvergenceReport
+
+
+def weights_by_elements(base, weights: dict):
+    """(nonzero weights in declaration order, their total mass), walking
+    every element of the poset and summing with dyadic additions."""
+    clean = {}
+    for x in base.elements:
+        w = weights.get(x)
+        if w is not None and not w.is_zero():
+            clean[x] = w
+    mass = ZERO
+    for w in clean.values():
+        mass = mass + w
+    return clean, mass
 
 
 def min_cut_by_enumeration(net: FlowNetwork) -> Dyadic:

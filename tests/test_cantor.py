@@ -1,3 +1,7 @@
+import copy
+import pickle
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -178,3 +182,24 @@ def test_step_map_first_disagreement(m4):
     assert head.first_disagreement(fine, m4) is None
     assert coarse.first_disagreement(head, m4) is None
     assert StepMap(0).first_disagreement(fine, m4) is None
+
+
+def test_words_are_frozen_values():
+    w = Word("01", truncated=True)
+    for name in ("bits", "truncated"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(w, name, "1")
+    for u in (copy.copy(w), copy.deepcopy(w), pickle.loads(pickle.dumps(w))):
+        assert u == w and hash(u) == hash(w)
+        assert (u.bits, u.truncated) == ("01", True)
+    with pytest.raises(ValueError):
+        Word("012")
+
+
+def test_word_equality_ignores_truncation():
+    assert Word("01") == Word("01", truncated=True)
+    assert hash(Word("01")) == hash(Word("01", truncated=True))
+    assert Word("01") != Word("011") and Word("01") != "01"
+    assert repr(Word("01", truncated=True)) \
+        == "Word(bits='01', truncated=True)"
+    assert repr(Word("")) == "Word(bits='', truncated=False)"

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -89,7 +90,7 @@ def test_order_with_dot_solves_one_flow(files, tmp_path, solves):
                     files["da.val"], "--nu", files[nu], "--dot", dot])[0] \
             == code
         assert len(solves) == 1
-        assert "digraph" in open(dot).read()
+        assert "digraph" in Path(dot).read_text()
 
 
 def test_printed_plans_are_breadth_first_flows(files, tmp_path):
@@ -401,8 +402,8 @@ def test_negative_sample_count_exits_2(files, capsys):
     code, out = run(argv + ["--count", "-1"])
     assert code == 2 and out == ""
     assert capsys.readouterr().err.startswith("error: sample count")
-    code, _ = run(argv + ["--count", "0"])
-    assert code == 0
+    code, out = run(argv + ["--count", "0"])
+    assert code == 0 and out == ""
 
 
 def test_sample_tallies_a_long_chain_fast(tmp_path):

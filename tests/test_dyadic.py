@@ -1,3 +1,7 @@
+import copy
+import pickle
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -91,3 +95,49 @@ def test_parse_forms():
 def test_mul_exact():
     assert Dyadic(3, 2) * Dyadic(1, 1) == Dyadic(3, 3)
     assert ONE * Dyadic(5, 4) == Dyadic(5, 4)
+
+
+def test_fields_are_frozen():
+    d = Dyadic(3, 2)
+    for name in ("num", "exp"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(d, name, 1)
+        with pytest.raises(FrozenInstanceError):
+            delattr(d, name)
+    assert (d.num, d.exp) == (3, 2)
+
+
+@given(dyadics)
+def test_copies_and_pickles_are_equal(a):
+    for b in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert b == a and hash(b) == hash(a)
+        assert (b.num, b.exp) == (a.num, a.exp)
+
+
+def test_equality_and_hash_go_by_the_canonical_form():
+    assert Dyadic(2, 1) == ONE and hash(Dyadic(2, 1)) == hash(ONE)
+    assert hash(Dyadic(6, 3)) == hash((3, 2))
+    assert ONE != (1, 0)
+    assert ONE.__eq__(1) is NotImplemented
+    assert Dyadic(1, 1) < ONE <= Dyadic(2, 1) < Dyadic(3, 1)
+    assert str(Dyadic(6, 3)) == "3/2^2" and repr(ZERO) == "Dyadic(0)"
+
+
+def test_post_init_runs_once_per_value(monkeypatch):
+    # a profiler may count the values made by wrapping __post_init__
+    calls = []
+    real = Dyadic.__post_init__
+
+    def counting(self):
+        calls.append(1)
+        real(self)
+
+    monkeypatch.setattr(Dyadic, "__post_init__", counting)
+    a, b = Dyadic(4, 3), Dyadic(0, 5)
+    assert len(calls) == 2 and (a.num, a.exp, b.exp) == (1, 1, 0)
+    a + b, a - b, a * a, parse_dyadic("3/2^4")
+    copy.deepcopy(a), pickle.loads(pickle.dumps(a))
+    assert len(calls) == 8
+    with pytest.raises(NegativeResult):
+        Dyadic(-1, 0)
+    assert len(calls) == 9

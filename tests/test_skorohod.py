@@ -13,7 +13,8 @@ from posetval import (ApproximationSchedule, Dyadic, Layer, ONE,
 from posetval.dyadic import MAX_PARSED_EXPONENT, parse_dyadic
 from posetval.errors import (DepthExceeded, MixedBase, NotComparable,
                              NotConvergent, NotProbability, ParseError,
-                             PartialMap, SourceExhausted, TooLarge)
+                             PartialMap, SourceExhausted, TooLarge,
+                             UnknownElement)
 from posetval.skorohod import represent_target
 
 from conftest import random_poset, random_valuation
@@ -515,6 +516,23 @@ def test_convergence_check_matches_word_by_word_oracle(seed):
     with pytest.raises(DepthExceeded) as want:
         convergence_by_words(maps, limit_map, short)
     assert str(got.value) == str(want.value)
+
+
+def test_order_masks_refuse_a_foreign_value(m4):
+    # the order is read off up-set masks, indexed by element; a value
+    # outside the poset is refused by name, never by a bare KeyError
+    limit_map = represent_target(delta(m4, "top"), 2)
+    stray = RepresentationMap(m4, [Layer(0, ends=[1], values=["zz"])])
+    grid = level(limit_map.final_depth)
+    for maps, limit in (([limit_map, stray], limit_map), ([limit_map], stray)):
+        with pytest.raises(UnknownElement, match="'zz'"):
+            convergence_check(maps, limit, grid)
+    with pytest.raises(UnknownElement, match="'zz'"):
+        RepresentationMap(m4, [Layer(0, ends=[1], values=["bot"]),
+                               Layer(1, ends=[1, 2], values=["a", "zz"])])
+    with pytest.raises(UnknownElement, match="'zz'"):
+        Layer(1, ends=[2], values=["zz"]).first_disagreement(
+            Layer(2, ends=[4], values=["top"]), m4)
 
 
 def test_represent_subprobability_examples(m4):

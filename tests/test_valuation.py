@@ -21,8 +21,8 @@ from posetval.valuation import order_network
 from conftest import (make_chain, random_poset, random_valuation,
                       random_monotone_integrand, shuffled_poset)
 from oracles import (first_break_by_scan, first_decrease_by_scan,
-                     portmanteau_by_upper_sets,
-                     strict_transport_exists, way_below_by_subsets)
+                     portmanteau_by_upper_sets, strict_transport_exists,
+                     way_below_by_subsets, weights_by_elements)
 
 HALF = Dyadic(1, 1)
 
@@ -592,3 +592,30 @@ def test_parse_valuation_errors(m4):
         parse_valuation("a 1\nb 1/2^3\n", m4)
     with pytest.raises(UnknownElement):
         parse_valuation("zz 1/2^1\n", m4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32))
+def test_construction_matches_the_walk_over_every_element(seed):
+    # the weights are given in shuffled key order, some of them zero; the
+    # valuation keeps the nonzero ones in declaration order, with the mass
+    # the reference sums by dyadic additions
+    rng = random.Random(seed)
+    base = shuffled_poset(rng, 8, 0.4)
+    support = rng.sample(base.elements, rng.randint(0, len(base)))
+    exps = [rng.randint(0, 6) for _ in support]
+    weights = {x: Dyadic(rng.randint(0, 1 << e) if rng.random() < 0.8 else 0,
+                         e) for x, e in zip(support, exps)}
+    want, mass = weights_by_elements(base, weights)
+    if ONE < mass:
+        with pytest.raises(MassExceeded) as err:
+            SimpleValuation(base, weights)
+        assert str(err.value) == "total mass %s exceeds 1" % mass
+        return
+    v = SimpleValuation(base, weights)
+    assert list(v.weights.items()) == list(want.items())
+    assert v.mass == mass and v.support == list(want)
+    stranger = "x%d" % rng.randrange(10)
+    for w in (ZERO, Dyadic(1, 3)):
+        with pytest.raises(UnknownElement):
+            SimpleValuation(base, {**weights, stranger: w})
