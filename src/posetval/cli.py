@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+from contextlib import contextmanager
 
 from . import chain as chainmod
 from . import flow as flowmod
@@ -27,17 +28,28 @@ from .skorohod import sample as draw_sample
 from .valuation import parse_valuation
 
 
+# draws that `sample` holds before writing them out
+_SAMPLE_BATCH = 4096
+
+
 def _read(path: str) -> str:
     with open(path, encoding="utf-8") as fh:
         return fh.read()
 
 
-def _write(path: str | None, text: str, stdout):
+@contextmanager
+def _opened(path: str | None, stdout):
+    """The file at path, opened for writing, or stdout if there is none."""
     if path:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh
     else:
-        stdout.write(text)
+        yield stdout
+
+
+def _write(path: str | None, text: str, stdout):
+    with _opened(path, stdout) as fh:
+        fh.write(text)
 
 
 def _bool(b: bool) -> str:
@@ -186,13 +198,20 @@ def _run(args, stdout) -> int:
                              % args.count)
         rmap = represent_target(mu, args.steps)
         bits = _bits(args.seed)
-        lines = [draw_sample(rmap, bits) for _ in range(args.count)]
         tally = dict.fromkeys(base.elements, 0)
-        for x in lines:
-            tally[x] += 1
-        lines.extend("tally %s %d" % (x, n) for x, n in tally.items() if n)
-        # no draws, no tally: nothing to print, not even a newline
-        _write(out, "\n".join(lines) + "\n" if lines else "", stdout)
+        with _opened(out, stdout) as fh:
+            # draws go out a batch at a time, so memory stays flat however
+            # many there are; no draws, no tally: nothing at all is written
+            left = args.count
+            while left:
+                batch = [draw_sample(rmap, bits)
+                         for _ in range(min(left, _SAMPLE_BATCH))]
+                left -= len(batch)
+                for x in batch:
+                    tally[x] += 1
+                fh.write("\n".join(batch) + "\n")
+            fh.write("".join("tally %s %d\n" % (x, n)
+                             for x, n in tally.items() if n))
         return 0
 
     if args.command == "converge":

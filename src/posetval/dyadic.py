@@ -137,8 +137,18 @@ ONE = Dyadic(1, 0)
 MAX_PARSED_EXPONENT = 10_000
 
 
+def _digits(part: str) -> int:
+    """part's value, if it is ASCII decimal digits and nothing else; int()
+    would also take signs, underscores, inner spaces and other scripts'
+    digits."""
+    if not (part.isascii() and part.isdigit()):
+        raise ValueError
+    return int(part)
+
+
 def parse_dyadic(text: str) -> Dyadic:
-    """Parse the textual form "k/2^n" or the integer shorthand "k".
+    """Parse the textual form "k/2^n" or the integer shorthand "k", where k
+    and n are ASCII decimal digits; surrounding whitespace is ignored.
 
     Round-trips exactly with str(): parse_dyadic(str(d)) == d.
     """
@@ -148,10 +158,10 @@ def parse_dyadic(text: str) -> Dyadic:
             num_part, den_part = text.split("/", 1)
             if not den_part.startswith("2^"):
                 raise ValueError
-            exp = int(den_part[2:])
+            exp = _digits(den_part[2:])
             if exp > MAX_PARSED_EXPONENT:
                 raise ParseError("exponent %d too large" % exp)
-            return Dyadic(int(num_part), exp)
-        return Dyadic(int(text), 0)
+            return Dyadic(_digits(num_part), exp)
+        return Dyadic(_digits(text), 0)
     except (ValueError, NegativeResult):
         raise ParseError("not a dyadic rational: %r" % text)

@@ -14,8 +14,10 @@ bits ascend in the right side's declaration order. The solver keeps, per
 left node, the mask of right nodes its middle edges still have residual
 to; per right node, the mask of left nodes whose edge to it carries flow
 (its residual edges back); a flow count only for the (left, right) pairs
-that carry flow; and, rebuilt at each phase, one mask each of the left
-nodes with source residual and of the right nodes with sink residual.
+that carry flow; and one mask each of the left nodes with source residual
+and of the right nodes with sink residual, a bit cleared as its terminal
+edge saturates (terminal edges only lose residual: no path runs back
+through the source or the sink).
 
 It is solved by Dinic's method. Each phase levels the network by a
 breadth-first search in which a level is one mask, the OR of the rows of
@@ -40,6 +42,28 @@ records, since its tree path to a node is the first shortest one. The last
 search, the one that fails to reach the sink, marks the source side of a
 minimum cut; the returned flow carries it, so one solve answers both the
 flow and the cut question.
+
+A phase whose levels are two masks, paths source -> x -> y -> sink, runs
+as a direct greedy pass instead: for each left node x of the first level
+in bit order, for each set bit y of (x's row & the right level) in bit
+order, push the least of the three residuals; a saturated middle edge
+leaves x's row, a drained right node leaves the level, the first unit on
+x -> y sets x's bit in y's back mask, and x is done once its source edge
+saturates. This makes the augmentations of the general search, in the
+same order and by the same amounts, so every flow, cut and transport plan
+is the same:
+- Only the first phase can have two levels, since the shortest path
+  length grows strictly from phase to phase. So nothing has moved yet: a
+  middle residual is its capacity and no back edge exists.
+- The search takes the lowest x of the first level and the lowest y of
+  (x's row & the right level), augments, and resumes at the tail of the
+  first saturated edge. If that is the source edge, x has left the first
+  level and the search goes on at the next x. Otherwise the middle edge
+  has left x's row or y has left the right level, and no other bit of
+  either changed, so the search goes on at x's next set bit after y.
+- A left node with no set bit left is a dead end, and the search moves on
+  to the next x; once the first level is spent, the phase ends.
+The greedy pass walks exactly these steps, without building a path.
 """
 
 from __future__ import annotations
@@ -196,9 +220,11 @@ def _levels(source: int, sink: int, fwd: list, back: dict):
     while levels[-1]:
         side = len(levels) & 1      # 1: the next level is right
         succ = fwd if side else back
-        nxt = 0
-        for u in _bits(levels[-1]):
-            nxt |= succ[u]
+        nxt, mask = 0, levels[-1]
+        while mask:
+            low = mask & -mask
+            nxt |= succ[low.bit_length() - 1]
+            mask ^= low
         nxt &= ~seen[side]
         if side and nxt & sink:
             return levels + [nxt & sink], seen
@@ -213,47 +239,81 @@ def max_flow(net: FlowNetwork) -> Flow:
     Each phase levels the residual network into one mask per level, then
     finds a blocking flow by a depth-first search on an explicit path that
     steps to the lowest usable bit of the next level. After an augmentation
-    the search resumes at the tail of the first saturated edge. The
-    augmenting paths are the breadth-first ones (see the module docstring).
+    the search resumes at the tail of the first saturated edge. A phase of
+    three-edge paths, only ever the first, is a greedy pass over the left
+    level's bits and then each one's right bits instead. The augmenting
+    paths are the breadth-first ones (see the module docstring).
     """
     p = net.common_exponent()
-
-    def units(c):
-        return 0 if c is None else c.num << (p - c.exp)
-
     mid = net.mid_caps
-    caps = {}   # (k, b) -> capacity, for a network given by a dict
+    caps = {}   # (k, b) -> capacity in units of 2^-p, for a dict network
     if isinstance(mid, MaskEdges):
-        fwd, names, wide = list(mid.rows.values()), mid.names, units(mid.cap)
+        fwd, names = list(mid.rows.values()), mid.names
+        wide = mid.cap.num << (p - mid.cap.exp)
     else:
         fwd, names, wide = [0] * len(net.left), net.right, 0
         pos = {x: k for k, x in enumerate(net.left)}
         bit = {y: j for j, y in enumerate(net.right)}
         for (x, y), c in mid.items():
             k, b = pos[x], bit[y]
-            caps[k, b] = units(c)
-            if caps[k, b]:
+            caps[k, b] = c.num << (p - c.exp)
+            if c.num:
                 fwd[k] |= 1 << b
     # fwd[k]: right nodes that left node k's middle edges have residual to;
     # back[b]: left nodes whose middle edge to right node b carries flow
-    sent = [units(net.source_caps.get(x)) for x in net.left]
+    sent = [0 if c is None else c.num << (p - c.exp)
+            for c in map(net.source_caps.get, net.left)]
     columns = 0
     for row in fwd:
         columns |= row
     back, drained = {}, {}
-    for b in _bits(columns):
+    while columns:
+        low = columns & -columns
+        columns ^= low
+        b = low.bit_length() - 1
+        c = net.sink_caps.get(names[b])
         back[b] = 0
-        drained[b] = units(net.sink_caps.get(names[b]))
+        drained[b] = 0 if c is None else c.num << (p - c.exp)
     # until the end, sent and drained hold the terminal residuals
     src_cap, sink_cap = list(sent), dict(drained)
     moved = {}
+    src = sum(1 << k for k, r in enumerate(sent) if r)
+    snk = sum(1 << b for b, r in drained.items() if r)
     while True:
-        levels, seen = _levels(
-            sum(1 << k for k, r in enumerate(sent) if r),
-            sum(1 << b for b, r in drained.items() if r), fwd, back)
+        levels, seen = _levels(src, snk, fwd, back)
         if levels is None:
             break   # seen is exactly the source side of a cut
         top = len(levels)
+        if top == 2:
+            # the first phase, as a greedy pass (see the module docstring):
+            # nothing has moved yet, so a middle residual is its capacity
+            right, ks = levels[1], levels[0]
+            while ks:
+                xbit = ks & -ks
+                ks ^= xbit
+                k = xbit.bit_length() - 1
+                s, row = sent[k], fwd[k]
+                bs = row & right
+                while bs:
+                    ybit = bs & -bs
+                    bs ^= ybit
+                    b = ybit.bit_length() - 1
+                    m, t = caps.get((k, b), wide), drained[b]
+                    delta = min(s, m, t)
+                    moved[k, b] = delta
+                    back[b] |= xbit
+                    if delta == m:
+                        row ^= ybit
+                    if delta == t:
+                        right ^= ybit
+                        snk ^= ybit
+                    drained[b] = t - delta
+                    s -= delta
+                    if not s:
+                        src ^= xbit
+                        break
+                sent[k], fwd[k] = s, row
+            continue
         path = []   # path[i] is at level i + 1: left at even i, right at odd
         while True:
             d = len(path)
@@ -272,6 +332,7 @@ def max_flow(net: FlowNetwork) -> Flow:
                 sent[k] -= delta
                 if not sent[k]:
                     levels[0] &= ~(1 << k)
+                    src &= ~(1 << k)
                 for e in range(1, top):
                     if e & 1:       # forward along left k -> right b
                         k, b = path[e - 1], path[e]
@@ -294,6 +355,7 @@ def max_flow(net: FlowNetwork) -> Flow:
                 drained[b] -= delta
                 if not drained[b]:
                     levels[-1] &= ~(1 << b)
+                    snk &= ~(1 << b)
                 # resume at the first saturated edge; a saturated sink edge
                 # leaves its right node a dead end
                 del path[min(res.index(delta), top - 1):]

@@ -37,9 +37,11 @@ def solves(monkeypatch):
     return calls
 
 
-def random_poset(rng: random.Random, max_elements=6, density=0.4) -> Poset:
-    """Random order on e0..ek with e0 as bottom; acyclic by index order."""
-    n = rng.randint(1, max_elements)
+def random_poset(rng: random.Random, max_elements=6, density=0.4,
+                 size=None) -> Poset:
+    """Random order on e0..ek with e0 as bottom; acyclic by index order.
+    It has `size` elements if given, else 1..max_elements at random."""
+    n = rng.randint(1, max_elements) if size is None else size
     names = ["e%d" % i for i in range(n)]
     covers = [("e0", x) for x in names[1:]]
     for i in range(1, n):
@@ -49,9 +51,9 @@ def random_poset(rng: random.Random, max_elements=6, density=0.4) -> Poset:
     return Poset(names, covers, "e0")
 
 
-def shuffled_poset(rng, max_elements, density):
+def shuffled_poset(rng, max_elements, density, size=None):
     """A random poset whose declaration order need not extend its order."""
-    p = random_poset(rng, max_elements, density)
+    p = random_poset(rng, max_elements, density, size)
     names = list(p.elements)
     rng.shuffle(names)
     return Poset(names, p.covers, p.bottom)

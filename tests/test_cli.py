@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -425,6 +426,29 @@ def test_sample_tallies_a_long_chain_fast(tmp_path):
     assert tally == ["tally %s %d" % (x, counts[x]) for x in names
                      if counts[x]]
     assert len(tally) == 3
+
+
+def test_sample_streams_its_draws(files, tmp_path):
+    # draws go to the file a batch at a time: the whole list of 300 000 and
+    # then its joined text took about 4 MB at the peak
+    path = tmp_path / "draws.txt"
+    argv = ["sample", "--poset", files["m4.poset"], "--mu", files["mu.val"],
+            "--K", "1", "--seed", "5"]
+    tracemalloc.start()
+    try:
+        code = main(argv + ["--count", "300000", "--out", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 1 << 20
+    lines = path.read_text().splitlines()
+    draws, tally = lines[:300000], lines[300000:]
+    counts = Counter(draws)
+    assert tally == ["tally %s %d" % (x, counts[x]) for x in ("a", "b")]
+    # across batch boundaries, a run's draws start every longer run's
+    code, out = run(argv + ["--count", "10000"])
+    assert code == 0 and out.splitlines()[:10000] == draws[:10000]
 
 
 def test_skorohod_command(files):

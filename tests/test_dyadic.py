@@ -87,7 +87,11 @@ def test_parse_forms():
     assert parse_dyadic("3/2^2") == Dyadic(3, 2)
     assert parse_dyadic("1") == ONE
     assert parse_dyadic("0") == ZERO
-    for bad in ("x", "1/3", "-1", "1/2^-1", "3/4"):
+    assert parse_dyadic(" 007/2^03\n") == Dyadic(7, 3)
+    # only ASCII decimal digits, though int() takes more
+    for bad in ("x", "1/3", "-1", "1/2^-1", "3/4", "1_0", "+3", "\uff13",
+                "1/2^0_3", "1/2^ 3", "1 /2^3", "1/2^+3", "", "1/2^", "/2^3",
+                "\u0663/2^1", "1/2^\u00b3"):
         with pytest.raises(ParseError):
             parse_dyadic(bad)
 

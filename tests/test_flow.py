@@ -190,9 +190,11 @@ def test_max_flow_is_the_breadth_first_flow_on_decision_networks(rng):
         x: c + eps for x, c in net.source_caps.items()}))
 
 
-def sparse_valuation(rng, base, points):
-    """Weights k/2^exp, k in 1..3, on up to `points` random elements."""
-    exp = rng.randint(6, 8)     # 3 * 20 < 2^6, so the mass stays below 1
+def sparse_valuation(rng, base, points, exp=None):
+    """Weights k/2^exp, k in 1..3, on up to `points` random elements; the
+    mass stays below 1 if 3 * points < 2^exp."""
+    if exp is None:
+        exp = rng.randint(6, 8)     # for up to 20 points
     xs = rng.sample(base.elements, min(points, len(base.elements)))
     return SimpleValuation(base, {x: Dyadic(rng.randint(1, 3), exp)
                                   for x in xs})
@@ -252,3 +254,69 @@ def test_mask_edges_are_checked_against_the_sides():
                               (["a"], {"a": 0b101}, ["w", "u"])]:
         with pytest.raises(ValueError):
             net(left, rows, right)
+
+
+def test_first_phase_source_and_sink_saturate_together():
+    # a's unit fills p exactly, so b passes over the drained p to q, and c
+    # finds no right node left; c's unspent supply then reaches p and, back
+    # over a -> p, a, but not b, whose edge to p carries nothing
+    unit = lambda k: Dyadic(k, 0)
+    net = FlowNetwork(["a", "b", "c"], ["p", "q"],
+                      {"a": unit(1), "b": unit(1), "c": unit(1)},
+                      {("a", "p"): WIDE, ("b", "p"): WIDE, ("b", "q"): WIDE,
+                       ("c", "p"): WIDE},
+                      {"p": unit(1), "q": unit(1)})
+    f = assert_breadth_first_flow(net)
+    assert f.across == {("a", "p"): unit(1), ("b", "q"): unit(1)}
+    assert f.cut == {"source", ("left", "c"), ("right", "p"), ("left", "a")}
+
+
+def test_first_phase_middle_and_sink_saturate_together():
+    # a -> p and p -> sink both fill with a's first unit, so a goes on to q
+    # with the rest; b then finds both right nodes drained
+    unit = lambda k: Dyadic(k, 0)
+    net = FlowNetwork(["a", "b"], ["p", "q"], {"a": unit(3), "b": unit(1)},
+                      {("a", "p"): unit(1), ("a", "q"): WIDE,
+                       ("b", "p"): WIDE, ("b", "q"): WIDE},
+                      {"p": unit(1), "q": unit(2)})
+    f = assert_breadth_first_flow(net)
+    assert list(f.across.items()) == [(("a", "p"), unit(1)),
+                                      (("a", "q"), unit(2))]
+    assert f.cut == {"source", ("left", "a"), ("left", "b"), ("right", "p"),
+                     ("right", "q")}
+
+
+def test_no_three_edge_path_at_the_start():
+    # a's supply reaches only p, which takes nothing; q takes mass, but only
+    # b, which has none, reaches it: no phase runs, and the first search
+    # marks the cut
+    net = FlowNetwork(["a", "b"], ["p", "q"],
+                      {"a": Dyadic(1, 1), "b": ZERO},
+                      {("a", "p"): WIDE, ("b", "q"): WIDE},
+                      {"p": ZERO, "q": Dyadic(1, 0)})
+    f = assert_breadth_first_flow(net)
+    assert f.value == ZERO
+    assert (f.from_source, f.across, f.to_sink) == ({}, {}, {})
+    assert f.cut == {"source", ("left", "a"), ("right", "p")}
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_breadth_first_flow_at_decide_size(seed):
+    # a sparse 200-element poset and 60-point supports, the size of the
+    # largest order queries: the first phase routes most of the mass, and
+    # later phases reroute it along back edges
+    rng = random.Random(seed)
+    base = shuffled_poset(rng, 200, 0.02, size=200)
+    mu = sparse_valuation(rng, base, 60, exp=8)
+    if seed % 2:    # each point's mass moved up, so all of it is routed
+        up = {}
+        for x, w in mu.weights.items():
+            y = rng.choice(sorted(base.up_set(x), key=base.index.get))
+            up[y] = up.get(y, ZERO) + w
+        nu = SimpleValuation(base, up)
+    else:
+        nu = sparse_valuation(rng, base, 60, exp=8)
+    net = order_network(mu, nu)
+    f = assert_breadth_first_flow(net)
+    assert list(f.across) == [e for e in net.mid_caps if e in f.across]
+    assert (f.value == mu.mass) == bool(seed % 2)
