@@ -1,4 +1,4 @@
-"""Exact max-flow / min-cut on source->left->right->sink networks.
+"""Exact max-flow / min-cut on order networks: source -> left -> right -> sink.
 
 This is the computational engine behind the order test for finitely
 supported measures: the question "can all of mu's mass be routed upward
@@ -7,17 +7,21 @@ capacities are rescaled to a common denominator 2^p, the search runs over
 plain integers (so termination and exactness are trivial), and results are
 scaled back; every returned flow is therefore dyadic with exponent <= p.
 
+A network has one shape. Its middle edges are one bitmask row per left
+node (see MaskEdges), all of one capacity, which must exceed every sink
+capacity. The flow on x -> y is at most y's sink capacity, so a middle
+edge never saturates and a minimum cut never crosses the middle layer:
+the solver never reads the middle capacity, and the rows never change.
+
 The residual network is held as bitmasks. Left node k is bit k of a left
-mask; a right node is the bit it has in the rows of middle edges (bit j is
-right[j] for a network given by a dict, see MaskEdges otherwise), and the
-bits ascend in the right side's declaration order. The solver keeps, per
-left node, the mask of right nodes its middle edges still have residual
-to; per right node, the mask of left nodes whose edge to it carries flow
-(its residual edges back); a flow count only for the (left, right) pairs
-that carry flow; and one mask each of the left nodes with source residual
-and of the right nodes with sink residual, a bit cleared as its terminal
-edge saturates (terminal edges only lose residual: no path runs back
-through the source or the sink).
+mask; a right node is the bit it has in the rows, and the bits ascend in
+the right side's declaration order. The solver keeps, per right node, the
+mask of left nodes whose edge to it carries flow (its residual edges
+back); a flow count only for the (left, right) pairs that carry flow; and
+one mask each of the left nodes with source residual and of the right
+nodes with sink residual, a bit cleared as its terminal edge saturates
+(terminal edges only lose residual: no path runs back through the source
+or the sink).
 
 It is solved by Dinic's method. Each phase levels the network by a
 breadth-first search in which a level is one mask, the OR of the rows of
@@ -46,21 +50,20 @@ flow and the cut question.
 A phase whose levels are two masks, paths source -> x -> y -> sink, runs
 as a direct greedy pass instead: for each left node x of the first level
 in bit order, for each set bit y of (x's row & the right level) in bit
-order, push the least of the three residuals; a saturated middle edge
-leaves x's row, a drained right node leaves the level, the first unit on
-x -> y sets x's bit in y's back mask, and x is done once its source edge
-saturates. This makes the augmentations of the general search, in the
-same order and by the same amounts, so every flow, cut and transport plan
-is the same:
+order, push the lesser of the two terminal residuals; a drained right node
+leaves the level, the unit on x -> y sets x's bit in y's back mask, and x
+is done once its source edge saturates. This makes the augmentations of
+the general search, in the same order and by the same amounts, so every
+flow, cut and transport plan is the same:
 - Only the first phase can have two levels, since the shortest path
-  length grows strictly from phase to phase. So nothing has moved yet: a
-  middle residual is its capacity and no back edge exists.
+  length grows strictly from phase to phase. So nothing has moved yet and
+  no back edge exists.
 - The search takes the lowest x of the first level and the lowest y of
   (x's row & the right level), augments, and resumes at the tail of the
   first saturated edge. If that is the source edge, x has left the first
-  level and the search goes on at the next x. Otherwise the middle edge
-  has left x's row or y has left the right level, and no other bit of
-  either changed, so the search goes on at x's next set bit after y.
+  level and the search goes on at the next x. Otherwise y has left the
+  right level, and no other bit changed, so the search goes on at x's next
+  set bit after y.
 - A left node with no set bit left is a dead end, and the search moves on
   to the next x; once the first level is spent, the phase ends.
 The greedy pass walks exactly these steps, without building a path.
@@ -120,16 +123,18 @@ class MaskEdges(Mapping):
 
 @dataclass
 class FlowNetwork:
-    """Bipartite network with terminals; the only shape this package needs.
+    """Bipartite network with terminals: the order network's shape.
 
-    Edges run source -> left, left -> right (where declared), right -> sink.
-    Left and right node names may overlap (they are distinct nodes).
+    Edges run source -> left, left -> right (mid_caps, MaskEdges rows),
+    right -> sink. Left and right node names may overlap (they are
+    distinct nodes). The middle capacity must be positive and exceed every
+    sink capacity, so no middle edge can saturate.
     """
 
     left: list
     right: list
     source_caps: dict
-    mid_caps: Mapping   # (x, y) -> Dyadic: a dict, or MaskEdges
+    mid_caps: MaskEdges
     sink_caps: dict
 
     def __post_init__(self):
@@ -137,16 +142,17 @@ class FlowNetwork:
         if len(set(self.left)) != len(self.left) \
                 or len(right) != len(self.right):
             raise ValueError("duplicate node name within a side")
-        left = set(self.left)
-        if set(self.source_caps) - left or set(self.sink_caps) - right.keys():
+        if set(self.source_caps) - set(self.left) \
+                or set(self.sink_caps) - right.keys():
             raise ValueError("terminal capacity on unknown node")
         mid = self.mid_caps
         if not isinstance(mid, MaskEdges):
-            for x, y in mid:
-                if x not in left or y not in right:
-                    raise ValueError("middle edge (%r, %r) off the "
-                                     "bipartition" % (x, y))
-            return
+            raise TypeError("middle edges must be MaskEdges rows")
+        cap = mid.cap   # c < cap, as numerators over 2^(c.exp + cap.exp)
+        if not cap.num or any(c.num << cap.exp >= cap.num << c.exp
+                              for c in self.sink_caps.values()):
+            raise ValueError("middle capacity %s is not above zero and every "
+                             "sink capacity" % cap)
         if list(mid.rows) != self.left:
             raise ValueError("mask rows must list the left side in order")
         columns, last = 0, -1
@@ -160,9 +166,7 @@ class FlowNetwork:
             last = j
 
     def common_exponent(self) -> int:
-        mid = self.mid_caps
-        caps = [*self.source_caps.values(), *self.sink_caps.values(),
-                *([mid.cap] if isinstance(mid, MaskEdges) else mid.values())]
+        caps = [*self.source_caps.values(), *self.sink_caps.values()]
         return max((c.exp for c in caps), default=0)
 
 
@@ -177,12 +181,12 @@ class Flow:
     built on first use, since the decisions need only `value` and `cut`.
     """
 
-    def __init__(self, net: FlowNetwork, p: int, names, sent: list,
-                 moved: dict, drained: dict, cut: frozenset):
+    def __init__(self, net: FlowNetwork, p: int, sent: list, moved: dict,
+                 drained: dict, cut: frozenset):
         # units at exponent p: sent[k] from the source into left[k],
         # moved[k, b] from left[k] to the right node names[b], drained[b]
         # from names[b] into the sink
-        self._net, self._p, self._names = net, p, names
+        self._net, self._p = net, p
         self._sent, self._moved, self._drained = sent, moved, drained
         self.cut = cut
         self.value = Dyadic(sum(sent), p)
@@ -196,13 +200,13 @@ class Flow:
 
     @cached_property
     def across(self) -> dict:
-        left, names = self._net.left, self._names
+        left, names = self._net.left, self._net.mid_caps.names
         return self._dyadics(((left[k], names[b]), f)
                              for (k, b), f in sorted(self._moved.items()))
 
     @cached_property
     def to_sink(self) -> dict:
-        names = self._names
+        names = self._net.mid_caps.names
         return self._dyadics((names[b], f) for b, f in self._drained.items())
 
 
@@ -239,28 +243,17 @@ def max_flow(net: FlowNetwork) -> Flow:
     Each phase levels the residual network into one mask per level, then
     finds a blocking flow by a depth-first search on an explicit path that
     steps to the lowest usable bit of the next level. After an augmentation
-    the search resumes at the tail of the first saturated edge. A phase of
+    the search resumes at the tail of the first saturated edge, which is a
+    terminal or a back edge: middle edges never saturate. A phase of
     three-edge paths, only ever the first, is a greedy pass over the left
     level's bits and then each one's right bits instead. The augmenting
     paths are the breadth-first ones (see the module docstring).
     """
     p = net.common_exponent()
-    mid = net.mid_caps
-    caps = {}   # (k, b) -> capacity in units of 2^-p, for a dict network
-    if isinstance(mid, MaskEdges):
-        fwd, names = list(mid.rows.values()), mid.names
-        wide = mid.cap.num << (p - mid.cap.exp)
-    else:
-        fwd, names, wide = [0] * len(net.left), net.right, 0
-        pos = {x: k for k, x in enumerate(net.left)}
-        bit = {y: j for j, y in enumerate(net.right)}
-        for (x, y), c in mid.items():
-            k, b = pos[x], bit[y]
-            caps[k, b] = c.num << (p - c.exp)
-            if c.num:
-                fwd[k] |= 1 << b
-    # fwd[k]: right nodes that left node k's middle edges have residual to;
+    names = net.mid_caps.names
+    # fwd[k]: the right nodes of left node k's middle edges, all residual;
     # back[b]: left nodes whose middle edge to right node b carries flow
+    fwd = list(net.mid_caps.rows.values())
     sent = [0 if c is None else c.num << (p - c.exp)
             for c in map(net.source_caps.get, net.left)]
     columns = 0
@@ -285,25 +278,22 @@ def max_flow(net: FlowNetwork) -> Flow:
             break   # seen is exactly the source side of a cut
         top = len(levels)
         if top == 2:
-            # the first phase, as a greedy pass (see the module docstring):
-            # nothing has moved yet, so a middle residual is its capacity
+            # the first phase, as a greedy pass (see the module docstring)
             right, ks = levels[1], levels[0]
             while ks:
                 xbit = ks & -ks
                 ks ^= xbit
                 k = xbit.bit_length() - 1
-                s, row = sent[k], fwd[k]
-                bs = row & right
+                s = sent[k]
+                bs = fwd[k] & right
                 while bs:
                     ybit = bs & -bs
                     bs ^= ybit
                     b = ybit.bit_length() - 1
-                    m, t = caps.get((k, b), wide), drained[b]
-                    delta = min(s, m, t)
+                    t = drained[b]
+                    delta = min(s, t)
                     moved[k, b] = delta
                     back[b] |= xbit
-                    if delta == m:
-                        row ^= ybit
                     if delta == t:
                         right ^= ybit
                         snk ^= ybit
@@ -312,20 +302,17 @@ def max_flow(net: FlowNetwork) -> Flow:
                     if not s:
                         src ^= xbit
                         break
-                sent[k], fwd[k] = s, row
+                sent[k] = s
             continue
         path = []   # path[i] is at level i + 1: left at even i, right at odd
         while True:
             d = len(path)
             if d == top:
-                # the path's edges in order: source, middle, sink
+                # the bounded edges in path order: the source edge, the back
+                # edges path[e - 1] -> path[e] at even e, the sink edge
                 res = [sent[path[0]]]
-                for e in range(1, top):
-                    if e & 1:
-                        edge = path[e - 1], path[e]
-                        res.append(caps.get(edge, wide) - moved.get(edge, 0))
-                    else:
-                        res.append(moved[path[e], path[e - 1]])
+                res.extend(moved[path[e], path[e - 1]]
+                           for e in range(2, top, 2))
                 res.append(drained[path[-1]])
                 delta = min(res)
                 k = path[0]
@@ -336,16 +323,11 @@ def max_flow(net: FlowNetwork) -> Flow:
                 for e in range(1, top):
                     if e & 1:       # forward along left k -> right b
                         k, b = path[e - 1], path[e]
-                        f = moved.get((k, b), 0)
-                        if not f:
-                            back[b] |= 1 << k
-                        moved[k, b] = f + delta
-                        if f + delta == caps.get((k, b), wide):
-                            fwd[k] &= ~(1 << b)
+                        moved[k, b] = moved.get((k, b), 0) + delta
+                        back[b] |= 1 << k
                     else:           # back from right b, cancelling k -> b
                         b, k = path[e - 1], path[e]
                         f = moved[k, b] - delta
-                        fwd[k] |= 1 << b
                         if f:
                             moved[k, b] = f
                         else:
@@ -356,9 +338,9 @@ def max_flow(net: FlowNetwork) -> Flow:
                 if not drained[b]:
                     levels[-1] &= ~(1 << b)
                     snk &= ~(1 << b)
-                # resume at the first saturated edge; a saturated sink edge
-                # leaves its right node a dead end
-                del path[min(res.index(delta), top - 1):]
+                # resume at the tail of the first saturated edge; a
+                # saturated sink edge leaves its right node a dead end
+                del path[min(2 * res.index(delta), top - 1):]
                 continue
             if d:
                 u = path[-1]
@@ -377,7 +359,7 @@ def max_flow(net: FlowNetwork) -> Flow:
     cut = {SOURCE}
     cut.update(("left", net.left[k]) for k in _bits(seen[0]))
     cut.update(("right", names[b]) for b in _bits(seen[1]))
-    return Flow(net, p, names, sent, moved, drained, frozenset(cut))
+    return Flow(net, p, sent, moved, drained, frozenset(cut))
 
 
 def to_dot(net: FlowNetwork, flow: Flow | None = None) -> str:

@@ -35,8 +35,9 @@ from .errors import (MassExceeded, MixedBase, NotComparable, NotMonotone,
                      NotProbability, ParseError, PartialMap, UnknownElement)
 from .poset import ORACLE_BOUND, Poset, UpperSet, upper_masks
 
-# capacity for middle edges; strictly above any achievable mass, so a
-# minimum cut never crosses the middle layer
+# the one capacity of the middle edges, which flow.FlowNetwork requires to
+# exceed every sink capacity: a weight is at most 1, so no middle edge
+# saturates and a minimum cut never crosses the middle layer
 _WIDE = Dyadic(2, 0)
 
 
@@ -130,7 +131,9 @@ def order_network(mu: SimpleValuation, nu: SimpleValuation) -> flowmod.FlowNetwo
 
     Its middle edges x -> y are the pairs x <= y of mu's and nu's supports,
     given as one row per x: x's up-set mask restricted to nu's support,
-    whose set bits ascend in declaration order, as nu's support does.
+    whose set bits ascend in declaration order, as nu's support does. They
+    share the capacity _WIDE, above every sink capacity nu(y) <= 1, so they
+    act as uncapacitated, as a transport's entries are.
     """
     index, up = mu.base.index, mu.base._up_mask
     columns = sum(1 << index[y] for y in nu.weights)

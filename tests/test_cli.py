@@ -176,6 +176,18 @@ def test_parse_error_exit_2(files, tmp_path):
     assert code == 2
 
 
+def test_out_of_memory_exits_2(files, monkeypatch, capsys):
+    # exit 1 is a negative verdict, so running out of memory must not be it
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(posetval.valuation, "way_below", exhausted)
+    code, out = run(["waybelow", "--poset", files["m4.poset"],
+                     "--mu", files["top.val"], "--nu", files["top.val"]])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "error: out of memory\n"
+
+
 def test_waybelow_modes(files):
     code, out = run(["waybelow", "--poset", files["m4.poset"],
                      "--mu", files["stage1.val"], "--nu", files["top.val"],

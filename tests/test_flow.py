@@ -12,20 +12,28 @@ from posetval.valuation import order_network
 from conftest import random_poset, random_valuation, shuffled_poset
 from oracles import max_flow_by_shortest_paths, min_cut_by_enumeration
 
+# the middle capacity of the order network: above every sink capacity
 WIDE = Dyadic(2, 0)
+
+
+def network(left, right, source_caps, pairs, sink_caps, cap=WIDE):
+    """The network whose middle edges are `pairs`, as MaskEdges rows with
+    bit j for right[j]."""
+    rows = {x: sum(1 << right.index(y) for x2, y in pairs if x2 == x)
+            for x in left}
+    return FlowNetwork(left, right, source_caps, MaskEdges(rows, right, cap),
+                       sink_caps)
 
 
 def bottleneck_net():
     # source -> a capped 3/4, a -> sink capped 1/2
-    return FlowNetwork(["a"], ["a"], {"a": Dyadic(3, 2)},
-                       {("a", "a"): WIDE}, {"a": Dyadic(1, 1)})
+    return network(["a"], ["a"], {"a": Dyadic(3, 2)}, [("a", "a")],
+                   {"a": Dyadic(1, 1)})
 
 
 def diamond_net():
-    return FlowNetwork(["a", "b"], ["top"],
-                       {"a": Dyadic(1, 1), "b": Dyadic(1, 1)},
-                       {("a", "top"): Dyadic(1, 0), ("b", "top"): Dyadic(1, 0)},
-                       {"top": Dyadic(1, 0)})
+    return network(["a", "b"], ["top"], {"a": Dyadic(1, 1), "b": Dyadic(1, 1)},
+                   [("a", "top"), ("b", "top")], {"top": Dyadic(1, 0)})
 
 
 def test_bottleneck():
@@ -46,9 +54,8 @@ def test_diamond_routing():
 
 def test_disconnected_supply_excluded():
     # a has no middle edge, so its 1/4 supply cannot move
-    net = FlowNetwork(["a", "b"], ["y"],
-                      {"a": Dyadic(1, 2), "b": Dyadic(1, 1)},
-                      {("b", "y"): WIDE}, {"y": Dyadic(1, 0)})
+    net = network(["a", "b"], ["y"], {"a": Dyadic(1, 2), "b": Dyadic(1, 1)},
+                  [("b", "y")], {"y": Dyadic(1, 0)})
     f = max_flow(net)
     assert f.value == Dyadic(1, 1)
     assert min_cut_by_enumeration(net) == f.value
@@ -59,9 +66,9 @@ def random_net(rng):
     left = ["x%d" % i for i in range(nl)]
     right = ["y%d" % i for i in range(nr)]
     caps = lambda: Dyadic(rng.randint(0, 16), 4)
-    mid = {(x, y): WIDE for x in left for y in right if rng.random() < 0.5}
-    return FlowNetwork(left, right, {x: caps() for x in left}, mid,
-                       {y: caps() for y in right})
+    pairs = [(x, y) for x in left for y in right if rng.random() < 0.5]
+    return network(left, right, {x: caps() for x in left}, pairs,
+                   {y: caps() for y in right})
 
 
 def crossing_capacity(net, side):
@@ -112,7 +119,7 @@ def test_conservation_and_capacity():
             for (x2, y), t in f.across.items():
                 if x2 == x:
                     outflow = outflow + t
-                assert t <= net.mid_caps[x2, y]
+                assert t < net.mid_caps[x2, y]  # no middle edge saturates
             assert inflow == outflow
             assert inflow <= net.source_caps[x]
         for y in net.right:
@@ -125,7 +132,7 @@ def test_conservation_and_capacity():
 
 
 def test_empty_supply_gives_zero_flow():
-    net = FlowNetwork([], ["y"], {}, {}, {"y": Dyadic(1, 0)})
+    net = network([], ["y"], {}, [], {"y": Dyadic(1, 0)})
     assert max_flow(net).value == ZERO
 
 
@@ -149,23 +156,24 @@ CAPS = st.builds(Dyadic, st.integers(0, 20), st.integers(0, 4))
 
 @st.composite
 def networks(draw):
-    """Any bipartite network: sides may be empty or share names, terminal
-    capacities may be missing or zero, and middle capacities finite (zero
-    included) or wide, so minimum cuts may cross the middle layer."""
+    """Any network of the one shape: sides may be empty or share names,
+    terminal capacities may be missing or zero, each row is any set of
+    right nodes, and the middle capacity is anything above the sinks'."""
     names = ["n%d" % i for i in range(6)]
     left = names[:draw(st.integers(0, 5))]
     right = draw(st.sampled_from([names, names[::-1]]))[
         :draw(st.integers(0, 5))]
 
-    def caps(keys, values):
+    def caps(keys):
         if not keys:
             return {}
-        return draw(st.dictionaries(st.sampled_from(keys), values))
+        return draw(st.dictionaries(st.sampled_from(keys), CAPS))
 
-    return FlowNetwork(left, right, caps(left, CAPS),
-                       caps([(x, y) for x in left for y in right],
-                            st.one_of(st.just(WIDE), CAPS)),
-                       caps(right, CAPS))
+    sinks = caps(right)
+    rows = {x: draw(st.integers(0, (1 << len(right)) - 1)) for x in left}
+    cap = max([ZERO, *sinks.values()]) + draw(CAPS.filter(ZERO.__lt__))
+    return FlowNetwork(left, right, caps(left), MaskEdges(rows, right, cap),
+                       sinks)
 
 
 @settings(max_examples=300, deadline=None)
@@ -221,39 +229,52 @@ def test_max_flow_is_the_breadth_first_flow_on_larger_decision_networks(rng):
         x: c + eps for x, c in net.source_caps.items()}))
 
 
-def test_cancelling_flow_reopens_a_saturated_edge():
-    # the first phase saturates a -> q; the second sends b's unit along
-    # b -> q, back over a -> q, and on to r, which frees a -> q again; the
-    # last search must then reach q from a (c -> p, p back to a, a -> q)
+def test_second_phase_reroutes_along_a_back_edge():
+    # the first phase sends a's unit to p and so drains p; the second sends
+    # b's unit to p, back over a -> p, and on to q, cancelling a -> p
     unit = lambda k: Dyadic(k, 0)
-    net = FlowNetwork(["a", "b", "c"], ["p", "q", "r"],
-                      {"a": unit(4), "b": unit(2), "c": unit(1)},
-                      {("a", "p"): unit(1), ("a", "q"): unit(1),
-                       ("a", "r"): unit(3), ("b", "q"): unit(2),
-                       ("c", "p"): unit(1)},
-                      {"p": unit(1), "q": unit(2), "r": unit(3)})
+    net = network(["a", "b"], ["p", "q"], {"a": unit(1), "b": unit(1)},
+                  [("a", "p"), ("a", "q"), ("b", "p")],
+                  {"p": unit(1), "q": unit(1)})
     f = assert_breadth_first_flow(net)
-    assert f.value == unit(6)
-    assert ("right", "q") in f.cut
+    assert f.value == unit(2)
+    assert f.across == {("a", "q"): unit(1), ("b", "p"): unit(1)}
+    assert f.cut == {"source"}
 
 
 def test_mask_edges_are_checked_against_the_sides():
-    # bit b of a row is names[b]; rows must list the left side, and the set
-    # bits must be right nodes in the right side's order
+    # bit b of a row is names[b]; rows must list the left side, the set
+    # bits must be right nodes in the right side's order, names are unique
+    # within a side, terminal capacities name nodes of their side, and the
+    # middle capacity exceeds zero and every sink capacity
     names = ["u", "v", "w"]
+    one = Dyadic(1, 0)
 
-    def net(left, rows, right):
-        return FlowNetwork(left, right, {}, MaskEdges(rows, names, WIDE), {})
+    def net(left, rows, right, sources={}, sinks={}, cap=WIDE):
+        return FlowNetwork(left, right, sources, MaskEdges(rows, names, cap),
+                           sinks)
 
     ok = net(["a", "b"], {"a": 0b101, "b": 0b100}, ["u", "w"])
     assert list(ok.mid_caps) == [("a", "u"), ("a", "w"), ("b", "w")]
     assert len(ok.mid_caps) == 3 and ok.mid_caps["a", "w"] == WIDE
-    for left, rows, right in [(["a", "b"], {"b": 1, "a": 1}, ["u"]),
-                              (["a"], {"a": 0b010}, ["u", "w"]),
-                              (["a"], {"a": 0b1000}, ["u"]),
-                              (["a"], {"a": 0b101}, ["w", "u"])]:
+    net(["a"], {"a": 1}, ["u"], sinks={"u": one}, cap=Dyadic(3, 1))
+    for left, rows, right, sources, sinks, cap in [
+            (["a", "b"], {"b": 1, "a": 1}, ["u"], {}, {}, WIDE),
+            (["a"], {"a": 0b010}, ["u", "w"], {}, {}, WIDE),
+            (["a"], {"a": 0b1000}, ["u"], {}, {}, WIDE),
+            (["a"], {"a": 0b101}, ["w", "u"], {}, {}, WIDE),
+            (["a", "a"], {"a": 1}, ["u"], {}, {}, WIDE),
+            (["a"], {"a": 1}, ["u", "u"], {}, {}, WIDE),
+            (["a"], {"a": 1}, ["u"], {"b": one}, {}, WIDE),
+            (["a"], {"a": 1}, ["u"], {"u": one}, {}, WIDE),
+            (["a"], {"a": 1}, ["u"], {}, {"a": one}, WIDE),
+            (["a"], {"a": 1}, ["u", "w"], {}, {"w": WIDE}, WIDE),
+            (["a"], {"a": 1}, ["u", "w"], {}, {"w": WIDE}, one),
+            (["a"], {"a": 1}, ["u"], {}, {}, ZERO)]:
         with pytest.raises(ValueError):
-            net(left, rows, right)
+            net(left, rows, right, sources, sinks, cap)
+    with pytest.raises(TypeError):
+        FlowNetwork(["a"], ["u"], {}, {("a", "u"): WIDE}, {})
 
 
 def test_first_phase_source_and_sink_saturate_together():
@@ -261,39 +282,21 @@ def test_first_phase_source_and_sink_saturate_together():
     # finds no right node left; c's unspent supply then reaches p and, back
     # over a -> p, a, but not b, whose edge to p carries nothing
     unit = lambda k: Dyadic(k, 0)
-    net = FlowNetwork(["a", "b", "c"], ["p", "q"],
-                      {"a": unit(1), "b": unit(1), "c": unit(1)},
-                      {("a", "p"): WIDE, ("b", "p"): WIDE, ("b", "q"): WIDE,
-                       ("c", "p"): WIDE},
-                      {"p": unit(1), "q": unit(1)})
+    net = network(["a", "b", "c"], ["p", "q"],
+                  {"a": unit(1), "b": unit(1), "c": unit(1)},
+                  [("a", "p"), ("b", "p"), ("b", "q"), ("c", "p")],
+                  {"p": unit(1), "q": unit(1)})
     f = assert_breadth_first_flow(net)
     assert f.across == {("a", "p"): unit(1), ("b", "q"): unit(1)}
     assert f.cut == {"source", ("left", "c"), ("right", "p"), ("left", "a")}
-
-
-def test_first_phase_middle_and_sink_saturate_together():
-    # a -> p and p -> sink both fill with a's first unit, so a goes on to q
-    # with the rest; b then finds both right nodes drained
-    unit = lambda k: Dyadic(k, 0)
-    net = FlowNetwork(["a", "b"], ["p", "q"], {"a": unit(3), "b": unit(1)},
-                      {("a", "p"): unit(1), ("a", "q"): WIDE,
-                       ("b", "p"): WIDE, ("b", "q"): WIDE},
-                      {"p": unit(1), "q": unit(2)})
-    f = assert_breadth_first_flow(net)
-    assert list(f.across.items()) == [(("a", "p"), unit(1)),
-                                      (("a", "q"), unit(2))]
-    assert f.cut == {"source", ("left", "a"), ("left", "b"), ("right", "p"),
-                     ("right", "q")}
 
 
 def test_no_three_edge_path_at_the_start():
     # a's supply reaches only p, which takes nothing; q takes mass, but only
     # b, which has none, reaches it: no phase runs, and the first search
     # marks the cut
-    net = FlowNetwork(["a", "b"], ["p", "q"],
-                      {"a": Dyadic(1, 1), "b": ZERO},
-                      {("a", "p"): WIDE, ("b", "q"): WIDE},
-                      {"p": ZERO, "q": Dyadic(1, 0)})
+    net = network(["a", "b"], ["p", "q"], {"a": Dyadic(1, 1), "b": ZERO},
+                  [("a", "p"), ("b", "q")], {"p": ZERO, "q": Dyadic(1, 0)})
     f = assert_breadth_first_flow(net)
     assert f.value == ZERO
     assert (f.from_source, f.across, f.to_sink) == ({}, {}, {})
