@@ -23,6 +23,7 @@ from .cantor import StepMap
 from .dyadic import ONE, ZERO, Dyadic, parse_dyadic
 from .errors import NotAChain, ParseError, PartialQuantile, UnknownElement
 from .poset import Poset
+from .text import known, read_lines
 from .valuation import SimpleValuation
 
 
@@ -130,11 +131,7 @@ def parse_quantile(text: str, base: Poset) -> QuantileMap:
     _require_chain(base)
     rank = {x: i for i, x in enumerate(_ascending(base))}
     breakpoints = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, _, parts in read_lines(text):
         if len(parts) != 3 or parts[0] != "break":
             raise ParseError("expected 'break <dyadic> <element>'", lineno)
         try:
@@ -143,10 +140,7 @@ def parse_quantile(text: str, base: Poset) -> QuantileMap:
             raise ParseError("bad threshold %r" % parts[1], lineno)
         if ONE < threshold:
             raise ParseError("threshold %s exceeds 1" % threshold, lineno)
-        element = parts[2]
-        if element not in base.index:
-            raise UnknownElement("line %d: unknown element %r"
-                                 % (lineno, element))
+        element = known(parts[2], base, lineno)
         if breakpoints:
             t0, e0 = breakpoints[-1]
             if not (t0 < threshold and rank[e0] < rank[element]):

@@ -40,7 +40,7 @@ def _read(path: str) -> str:
 @contextmanager
 def _opened(path: str | None, stdout):
     """The file at path, opened for writing, or stdout if there is none."""
-    if path:
+    if path is not None:
         with open(path, "w", encoding="utf-8") as fh:
             yield fh
     else:
@@ -152,7 +152,7 @@ def _run(args, stdout) -> int:
             lines.append("mu %s" % mu.evaluate(witness))
             lines.append("nu %s" % nu.evaluate(witness))
         _write(out, "\n".join(lines) + "\n", stdout)
-        if args.dot:
+        if args.dot is not None:
             _write(args.dot, flowmod.to_dot(net, flow), stdout)
         return 0 if holds else 1
 
@@ -171,7 +171,7 @@ def _run(args, stdout) -> int:
         text = "".join("%s: %s\n" % (k, _bool(v))
                        for k, v in sorted(flags.items()))
         stdout.write(text)
-        if args.dot:
+        if args.dot is not None:
             _write(args.dot, base.to_dot(), stdout)
         return 0
 
@@ -188,7 +188,7 @@ def _run(args, stdout) -> int:
     if args.command == "represent":
         rmap = represent_target(mu, args.steps)
         _write(out, format_map(rmap), stdout)
-        if args.dot:
+        if args.dot is not None:
             _write(args.dot, rmap.to_dot(), stdout)
         return 0
 

@@ -16,6 +16,7 @@ from dataclasses import FrozenInstanceError
 from functools import total_ordering
 
 from .errors import NegativeResult, ParseError, PrecisionLoss
+from .text import digits
 
 
 @total_ordering
@@ -137,15 +138,6 @@ ONE = Dyadic(1, 0)
 MAX_PARSED_EXPONENT = 10_000
 
 
-def _digits(part: str) -> int:
-    """part's value, if it is ASCII decimal digits and nothing else; int()
-    would also take signs, underscores, inner spaces and other scripts'
-    digits."""
-    if not (part.isascii() and part.isdigit()):
-        raise ValueError
-    return int(part)
-
-
 def parse_dyadic(text: str) -> Dyadic:
     """Parse the textual form "k/2^n" or the integer shorthand "k", where k
     and n are ASCII decimal digits; surrounding whitespace is ignored.
@@ -158,10 +150,10 @@ def parse_dyadic(text: str) -> Dyadic:
             num_part, den_part = text.split("/", 1)
             if not den_part.startswith("2^"):
                 raise ValueError
-            exp = _digits(den_part[2:])
+            exp = digits(den_part[2:])
             if exp > MAX_PARSED_EXPONENT:
                 raise ParseError("exponent %d too large" % exp)
-            return Dyadic(_digits(num_part), exp)
-        return Dyadic(_digits(text), 0)
+            return Dyadic(digits(num_part), exp)
+        return Dyadic(digits(text), 0)
     except (ValueError, NegativeResult):
         raise ParseError("not a dyadic rational: %r" % text)

@@ -76,6 +76,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .dyadic import Dyadic
+from .text import digraph, statement
 
 SOURCE = "source"
 SINK = "sink"
@@ -368,17 +369,15 @@ def to_dot(net: FlowNetwork, flow: Flow | None = None) -> str:
     def label(c, f):
         return "%s of %s" % (f, c) if f is not None else str(c)
 
-    lines = ["digraph flow {", "  rankdir=LR;"]
+    statements = []
     for x, c in net.source_caps.items():
         f = flow.from_source.get(x) if flow else None
-        lines.append('  "%s" -> "L_%s" [label="%s"];'
-                     % (SOURCE, x, label(c, f)))
+        statements.append(statement(SOURCE, "L_%s" % x, label=label(c, f)))
     for (x, y), c in net.mid_caps.items():
         f = flow.across.get((x, y)) if flow else None
-        lines.append('  "L_%s" -> "R_%s" [label="%s"];' % (x, y, label(c, f)))
+        statements.append(statement("L_%s" % x, "R_%s" % y,
+                                    label=label(c, f)))
     for y, c in net.sink_caps.items():
         f = flow.to_sink.get(y) if flow else None
-        lines.append('  "R_%s" -> "%s" [label="%s"];'
-                     % (y, SINK, label(c, f)))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        statements.append(statement("R_%s" % y, SINK, label=label(c, f)))
+    return digraph("flow", "LR", statements)

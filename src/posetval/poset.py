@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import OrderViolation, ParseError, TooLarge, UnknownElement
+from .text import digraph, read_lines, statement
 
 ORACLE_BOUND = 16
 
@@ -237,13 +238,9 @@ class Poset:
 
     def to_dot(self) -> str:
         """Hasse diagram (cover edges drawn upward)."""
-        lines = ["digraph poset {", "  rankdir=BT;"]
-        for e in self.elements:
-            lines.append('  "%s";' % e)
-        for lo, hi in self.covers:
-            lines.append('  "%s" -> "%s";' % (lo, hi))
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        return digraph("poset", "BT",
+                       [statement(e) for e in self.elements]
+                       + [statement(lo, hi) for lo, hi in self.covers])
 
     def __repr__(self):
         return "Poset(%d elements, bottom=%s)" % (len(self), self.bottom)
@@ -315,11 +312,7 @@ def parse_poset(text: str) -> Poset:
     """
     elements, covers, bottom = [], [], None
     seen = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, line, parts in read_lines(text):
         if parts[0] == "element" and len(parts) == 2:
             if parts[1] in seen:
                 raise ParseError("duplicate element %r" % parts[1], lineno)

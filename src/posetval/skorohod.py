@@ -27,9 +27,9 @@ from dataclasses import InitVar, dataclass
 from .cantor import StepMap, Word, _bits
 from .dyadic import MAX_PARSED_EXPONENT, Dyadic
 from .errors import (DepthExceeded, NotComparable, NotConvergent,
-                     NotProbability, ParseError, SourceExhausted,
-                     TooLarge, UnknownElement)
+                     NotProbability, ParseError, SourceExhausted, TooLarge)
 from .poset import Poset
+from .text import digits, digraph, known, read_lines, statement
 from .valuation import (SimpleValuation, TransportPlan, _same_base, add,
                         delta, portmanteau_check, scale, transport_plan,
                         way_below)
@@ -228,18 +228,17 @@ class RepresentationMap:
         return chain, chain[-1]
 
     def to_dot(self) -> str:
-        lines = ["digraph layers {", "  rankdir=TB;"]
+        statements = []
         for k, layer in enumerate(self.layers):
             for bits, y in layer.items():
                 name = "L%d_%s" % (k, bits or "-")
-                lines.append('  "%s" [label="%s:%s"];'
-                             % (name, bits or "-", y))
+                statements.append(statement(name, label="%s:%s"
+                                            % (bits or "-", y)))
                 if k:
                     prev = self.layers[k - 1]
-                    lines.append('  "L%d_%s" -> "%s";'
-                                 % (k - 1, bits[:prev.depth] or "-", name))
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+                    statements.append(statement(
+                        "L%d_%s" % (k - 1, bits[:prev.depth] or "-"), name))
+        return digraph("layers", "TB", statements)
 
 
 def represent(schedule: ApproximationSchedule) -> RepresentationMap:
@@ -411,18 +410,14 @@ def parse_map(text: str, base: Poset) -> RepresentationMap:
     declared = None
     layers = []
     current = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, line, parts in read_lines(text):
         if parts[0] in ("layers", "layer") and len(parts) == 2:
             try:
-                count = int(parts[1])
+                count = digits(parts[1])
             except ValueError:
                 raise ParseError("expected an integer after %r" % parts[0],
                                  lineno)
-            if not 0 <= count <= MAX_PARSED_DEPTH:
+            if count > MAX_PARSED_DEPTH:
                 raise ParseError("%s %d out of range" % (parts[0], count),
                                  lineno)
             if parts[0] == "layers":
@@ -440,9 +435,7 @@ def parse_map(text: str, base: Poset) -> RepresentationMap:
             if len(bits) != depth or bits.strip("01"):
                 raise ParseError("word %r does not fit depth %d"
                                  % (parts[1], depth), lineno)
-            if parts[2] not in base.index:
-                raise UnknownElement("line %d: unknown element %r"
-                                     % (lineno, parts[2]))
+            known(parts[2], base, lineno)
             if bits in table:
                 raise ParseError("word %r listed twice" % parts[1], lineno)
             table[bits] = parts[2]

@@ -34,6 +34,7 @@ from .dyadic import ONE, ZERO, Dyadic, parse_dyadic
 from .errors import (MassExceeded, MixedBase, NotComparable, NotMonotone,
                      NotProbability, ParseError, PartialMap, UnknownElement)
 from .poset import ORACLE_BOUND, Poset, UpperSet, upper_masks
+from .text import known, read_lines
 
 # the one capacity of the middle edges, which flow.FlowNetwork requires to
 # exceed every sink capacity: a weight is at most 1, so no middle edge
@@ -458,16 +459,11 @@ def portmanteau_check(seq, limit: SimpleValuation,
 def parse_valuation(text: str, base: Poset) -> SimpleValuation:
     """Parse "<element> <dyadic>" lines into a valuation on base."""
     weights = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, _, parts in read_lines(text):
         if len(parts) != 2:
             raise ParseError("expected '<element> <dyadic>'", lineno)
         x, w = parts
-        if x not in base.index:
-            raise UnknownElement("line %d: unknown element %r" % (lineno, x))
+        known(x, base, lineno)
         try:
             d = parse_dyadic(w)
         except ParseError:

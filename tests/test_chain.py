@@ -9,7 +9,7 @@ from posetval import (Dyadic, ONE, Poset, QuantileMap, SimpleValuation, ZERO,
                       quantile_leq, scale)
 from posetval.chain import _ascending, format_quantile, parse_quantile
 from posetval.errors import (NotAChain, OutOfRange, PartialQuantile,
-                             Unreachable)
+                             UnknownElement, Unreachable)
 
 from conftest import make_chain, random_valuation
 from oracles import quantile_leq_by_thresholds
@@ -41,6 +41,11 @@ def test_ascending_follows_the_order_not_the_declaration(rng, n):
     v = random_valuation(rng, chain, exp=3)
     assert list(cdf(v).values) == names
     assert lower_adjoint(cdf(v))(ZERO) == "c0"
+
+
+def test_cdf_refuses_an_unknown_element(c3):
+    with pytest.raises(UnknownElement):
+        cdf(staircase(c3))("zz")
 
 
 def test_cdf_requires_chain(m4):

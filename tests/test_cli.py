@@ -2,6 +2,7 @@ import contextlib
 import io
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -144,6 +145,68 @@ def test_order_dot_bytes_on_the_diamond(files, tmp_path):
   "R_b" -> "sink" [label="1/2^1 of 1"];
 }
 """
+
+
+# a quoted DOT ID: backslash escapes the next character, nothing else may
+# hold a quote or a backslash
+QUOTED = r'"((?:[^"\\]|\\.)*)"'
+DOT_STATEMENT = re.compile(r"  %s(?: -> %s)?(?: \[label=%s\])?;"
+                           % (QUOTED, QUOTED, QUOTED))
+
+
+def dot_statements(text):
+    """(IDs, label) per statement of a DOT file, each one unescaped."""
+    lines = text.splitlines()
+    assert lines[0].startswith("digraph ") and lines[-1] == "}"
+    result = []
+    for line in lines[2:-1]:
+        m = DOT_STATEMENT.fullmatch(line)
+        assert m, line
+        tokens = [None if t is None else re.sub(r"\\(.)", r"\1", t)
+                  for t in m.groups()]
+        result.append(([t for t in tokens[:2] if t is not None], tokens[2]))
+    return result
+
+
+def test_dot_quotes_names_holding_quotes_and_backslashes(tmp_path):
+    names = ["bot", 'a"b', "c\\d", "e\\"]
+    poset = tmp_path / "q.poset"
+    poset.write_text("".join("element %s\n" % x for x in names)
+                     + "bottom bot\ncover bot a\"b\ncover bot c\\d\n"
+                     + "cover a\"b e\\\ncover c\\d e\\\n")
+    mu = tmp_path / "mu.val"
+    mu.write_text('a"b 1/2^2\nc\\d 1/2^2\ne\\ 1/2^1\n')
+    nu = tmp_path / "nu.val"
+    nu.write_text("e\\ 1\n")
+    dots = [tmp_path / ("%s.dot" % c) for c in ("classify", "order", "rep")]
+    common = ["--poset", str(poset), "--mu", str(mu)]
+    for argv in (["classify", "--poset", str(poset), "--dot", str(dots[0])],
+                 ["order", *common, "--nu", str(nu), "--dot", str(dots[1])],
+                 ["represent", *common, "--dot", str(dots[2])]):
+        assert run(argv)[0] == 0
+
+    hasse = dot_statements(dots[0].read_text())
+    assert [ids for ids, _ in hasse] == [[x] for x in names] + [
+        ["bot", 'a"b'], ["bot", "c\\d"], ['a"b', "e\\"], ["c\\d", "e\\"]]
+    flow_ids = {i for ids, _ in dot_statements(dots[1].read_text())
+                for i in ids}
+    assert flow_ids == {"source", "sink", 'L_a"b', "L_c\\d", "L_e\\",
+                        "R_e\\"}
+    labels = [label for _, label in dot_statements(dots[2].read_text())
+              if label is not None]
+    assert {label.split(":", 1)[1] for label in labels} == set(names)
+
+
+def test_empty_output_paths_exit_2(files, capsys):
+    m4, mu = files["m4.poset"], files["mu.val"]
+    for argv in (["order", "--mu", mu, "--nu", files["top.val"], "--out", ""],
+                 ["order", "--mu", mu, "--nu", files["top.val"], "--dot", ""],
+                 ["classify", "--dot", ""],
+                 ["sample", "--mu", mu, "--out", ""]):
+        capsys.readouterr()
+        assert run(argv + ["--poset", m4])[0] == 2
+        assert capsys.readouterr().err \
+            == "error: [Errno 2] No such file or directory: ''\n"
 
 
 def test_order_negative_with_witness(files):

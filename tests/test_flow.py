@@ -142,6 +142,13 @@ def test_dot_annotations():
     assert "digraph" in dot and "1/2^1" in dot
 
 
+def test_dot_of_non_string_names():
+    net = network([0], [1], {0: Dyadic(1, 0)}, [(0, 1)], {1: Dyadic(1, 1)})
+    dot = to_dot(net)
+    assert '"L_0" -> "R_1" [label="2"];' in dot
+    assert '"R_1" -> "sink" [label="1/2^1"];' in dot
+
+
 def assert_breadth_first_flow(net):
     # the printed transport plans are this flow
     f = max_flow(net)

@@ -1,7 +1,9 @@
-"""Mutational fuzz over the text formats: parsers must fail cleanly.
+"""The text formats' failures: exact errors and mutational fuzz.
 
-Any malformed input should surface as a library error (ParseError or a
-sibling), never as a bare KeyError/IndexError/AttributeError from the guts.
+Each malformed line is refused with its exception type and its whole
+message, and any mutated input surfaces as a library error (ParseError or
+a sibling), never as a bare KeyError/IndexError/AttributeError from the
+guts.
 """
 
 import random
@@ -10,7 +12,8 @@ import pytest
 
 from posetval import parse_poset, parse_valuation, parse_map
 from posetval.chain import parse_quantile
-from posetval.errors import Error
+from posetval.errors import (Error, MassExceeded, NotAChain, OrderViolation,
+                             ParseError, UnknownElement)
 
 VALID_POSET = """element bot
 element a
@@ -81,3 +84,122 @@ def test_fuzz_parsers_fail_cleanly(seed):
                 parse(mutated)
             except Error:
                 pass  # clean library failure (or a benign still-valid text)
+
+
+# -- exact errors, one table per format ---------------------------------------
+# Each row is a malformed input with the exception type and the whole
+# message it must raise; the line number counts comments and blank lines.
+
+POSET_ERRORS = [
+    ("bogus\n", ParseError, "line 1: unrecognized directive 'bogus'"),
+    ("element\n", ParseError, "line 1: unrecognized directive 'element'"),
+    ("element a b\n", ParseError,
+     "line 1: unrecognized directive 'element a b'"),
+    ("cover a\n", ParseError, "line 1: unrecognized directive 'cover a'"),
+    ("bottom\n", ParseError, "line 1: unrecognized directive 'bottom'"),
+    ("# head\n\nelement a\n  element a  # again\n", ParseError,
+     "line 4: duplicate element 'a'"),
+    ("element a\nbottom a\nbottom a\n", ParseError,
+     "line 3: second bottom directive"),
+    ("element a\n\x00\nbottom a\n", ParseError,
+     "line 2: unrecognized directive '\\x00'"),
+    ("element a\n# bottom a\n", OrderViolation, "no bottom directive"),
+    ("", OrderViolation, "no bottom directive"),
+    ("element a\nbottom b\n", UnknownElement, "bottom 'b' is not an element"),
+    ("element a\nbottom a\ncover a z\n", UnknownElement,
+     "cover names unknown element: a z"),
+]
+
+VALUATION_ERRORS = [
+    ("a\n", ParseError, "line 1: expected '<element> <dyadic>'"),
+    ("a 1/2^1 b\n", ParseError, "line 1: expected '<element> <dyadic>'"),
+    ("# head\n\nzz 1/2^1\n", UnknownElement, "line 3: unknown element 'zz'"),
+    ("a 1/3\n", ParseError, "line 1: not a dyadic rational: '1/3'"),
+    ("a -1/2^1\n", ParseError, "line 1: not a dyadic rational: '-1/2^1'"),
+    ("a +1\n", ParseError, "line 1: not a dyadic rational: '+1'"),
+    ("a 1/2^+1\n", ParseError, "line 1: not a dyadic rational: '1/2^+1'"),
+    ("a １\n", ParseError, "line 1: not a dyadic rational: '１'"),
+    ("a 1/2^99999999999999999999\n", ParseError,
+     "line 1: not a dyadic rational: '1/2^99999999999999999999'"),
+    ("a 1/2^1 # x\nzz 1 # unknown before the dyadic\n", UnknownElement,
+     "line 2: unknown element 'zz'"),
+    ("a 1\nb 1/2^3\n", MassExceeded, "total mass 9/2^3 exceeds 1"),
+]
+
+MAP_ERRORS = [
+    ("layers x\n", ParseError, "line 1: expected an integer after 'layers'"),
+    ("layers 1\nlayer x\n", ParseError,
+     "line 2: expected an integer after 'layer'"),
+    ("layers 65\n", ParseError, "line 1: layers 65 out of range"),
+    ("layers 1\nlayer 65\n", ParseError, "line 2: layer 65 out of range"),
+    ("layers 1\nlayers 1\n", ParseError, "line 2: second layers header"),
+    ("layers 1\nmap - bot\n", ParseError,
+     "line 2: map entry before any layer"),
+    ("layers 1\nlayer 1\nmap 012 bot\n", ParseError,
+     "line 3: word '012' does not fit depth 1"),
+    ("layers 1\nlayer 1\nmap 2 bot\n", ParseError,
+     "line 3: word '2' does not fit depth 1"),
+    ("layers 1\nlayer 0\n\n# x\nmap - zz\n", UnknownElement,
+     "line 5: unknown element 'zz'"),
+    ("layers 1\nlayer 0\nmap - zz\nmap - zz\n", UnknownElement,
+     "line 3: unknown element 'zz'"),
+    ("layers 1\nlayer 0\nmap - bot\nmap - a\n", ParseError,
+     "line 4: word '-' listed twice"),
+    ("layers 1\nlayer 0\nmap -\n", ParseError,
+     "line 3: unrecognized directive 'map -'"),
+    ("layers\n", ParseError, "line 1: unrecognized directive 'layers'"),
+    ("layers 2\nlayer 0\nmap - bot\n", ParseError, "layer count mismatch"),
+    ("layer 0\nmap - bot\n", ParseError, "layer count mismatch"),
+    ("layers 0\n", ParseError, "no layers"),
+    ("layers 1\nlayer 1\nmap 0 bot\n", ParseError, "layer 1 is not total"),
+]
+
+QUANTILE_ERRORS = [
+    ("break 1\n", ParseError, "line 1: expected 'break <dyadic> <element>'"),
+    ("brake 1 c0\n", ParseError,
+     "line 1: expected 'break <dyadic> <element>'"),
+    ("break x c0\n", ParseError, "line 1: bad threshold 'x'"),
+    ("break -1 c0\n", ParseError, "line 1: bad threshold '-1'"),
+    ("# head\nbreak 3/2^1 c0\n", ParseError,
+     "line 2: threshold 3/2^1 exceeds 1"),
+    ("break 1/2^1 zz\n", UnknownElement, "line 1: unknown element 'zz'"),
+    ("break 1/2^1 c1\n\nbreak 1/2^2 c2\n", ParseError,
+     "line 3: breakpoints must ascend strictly"),
+    ("break 1/2^2 c1\nbreak 1/2^1 c1\n", ParseError,
+     "line 2: breakpoints must ascend strictly"),
+]
+
+
+def _raises_exactly(parse, text, kind, message):
+    with pytest.raises(Error) as caught:
+        parse(text)
+    assert type(caught.value) is kind
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("text, kind, message", POSET_ERRORS)
+def test_poset_errors(text, kind, message):
+    _raises_exactly(parse_poset, text, kind, message)
+
+
+@pytest.mark.parametrize("text, kind, message", VALUATION_ERRORS)
+def test_valuation_errors(text, kind, message):
+    _raises_exactly(lambda t: parse_valuation(t, parse_poset(VALID_POSET)),
+                    text, kind, message)
+
+
+@pytest.mark.parametrize("text, kind, message", MAP_ERRORS)
+def test_map_errors(text, kind, message):
+    _raises_exactly(lambda t: parse_map(t, parse_poset(VALID_POSET)),
+                    text, kind, message)
+
+
+@pytest.mark.parametrize("text, kind, message", QUANTILE_ERRORS)
+def test_quantile_errors(text, kind, message):
+    _raises_exactly(lambda t: parse_quantile(t, parse_poset(C3)),
+                    text, kind, message)
+
+
+def test_quantile_refuses_a_base_that_is_not_a_chain():
+    _raises_exactly(lambda t: parse_quantile(t, parse_poset(VALID_POSET)),
+                    VALID_QUANTILE, NotAChain, "poset is not totally ordered")

@@ -274,6 +274,12 @@ def test_dot_export(m4):
     assert '"bot" -> "a";' in dot
 
 
+def test_dot_export_of_non_string_names():
+    dot = Poset([0, 1], [(0, 1)], 0).to_dot()
+    assert dot == ('digraph poset {\n  rankdir=BT;\n  "0";\n  "1";\n'
+                   '  "0" -> "1";\n}\n')
+
+
 def test_chain_factory():
     c8 = make_chain(8)
     assert c8.classify()["is_chain"]

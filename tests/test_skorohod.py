@@ -585,6 +585,18 @@ def test_parse_map_refuses_repeated_headers_and_words(m4):
         parse_map(text.replace("layer 1\n", "map - bot\nlayer 1\n"), m4)
 
 
+def test_parse_map_reads_counts_as_ascii_digits(m4):
+    text = "layers 2\nlayer 0\nmap - bot\nlayer 1\nmap 0 a\nmap 1 top\n"
+    for old, new, word in (("layers 2", "layers +1", "layers"),
+                           ("layer 0", "layer +0", "layer"),
+                           ("layers 2", "layers 0_1", "layers"),
+                           ("layers 2", "layers \uff11", "layers")):
+        line = 1 if word == "layers" else 2
+        with pytest.raises(ParseError, match="^line %d: expected an integer "
+                           "after '%s'$" % (line, word)):
+            parse_map(text.replace(old, new, 1), m4)
+
+
 def test_map_dot(m4):
     rmap = represent(build_schedule(delta(m4, "top"), 2))
     dot = rmap.to_dot()
