@@ -23,7 +23,7 @@ from .cantor import StepMap
 from .dyadic import ONE, ZERO, Dyadic, parse_dyadic
 from .errors import NotAChain, ParseError, PartialQuantile, UnknownElement
 from .poset import Poset
-from .text import known, read_lines
+from .text import known, read_lines, writable
 from .valuation import SimpleValuation
 
 
@@ -150,5 +150,6 @@ def parse_quantile(text: str, base: Poset) -> QuantileMap:
 
 
 def format_quantile(g: QuantileMap) -> str:
+    writable(g.values)
     lines = ["break %s %s" % (t, e) for t, e in g.breakpoints]
     return "\n".join(lines) + ("\n" if lines else "")

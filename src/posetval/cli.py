@@ -2,7 +2,9 @@
 
 One command per invocation; deterministic output. Exit status is 0 for a
 positive result, 1 for a negative verdict (an order that does not hold, a
-failed convergence check, ...), and 2 for usage or parse errors.
+failed convergence check, ...), and 2 for usage or parse errors. A
+command's output is written only once it is computed and every output
+file is open, so exit 2 writes no answer.
 
 `main` builds the argument parser on its first call and reuses it for the
 rest of the process: a parser keeps no state between `parse_args` calls,
@@ -15,7 +17,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from contextlib import contextmanager
+from contextlib import nullcontext
 
 from . import chain as chainmod
 from . import flow as flowmod
@@ -37,19 +39,11 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-@contextmanager
-def _opened(path: str | None, stdout):
-    """The file at path, opened for writing, or stdout if there is none."""
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            yield fh
-    else:
-        yield stdout
-
-
-def _write(path: str | None, text: str, stdout):
-    with _opened(path, stdout) as fh:
-        fh.write(text)
+def _opened(path: str | None, default):
+    """The file at path, opened for writing, or default if there is none."""
+    if path is None:
+        return nullcontext(default)
+    return open(path, "w", encoding="utf-8")
 
 
 def _bool(b: bool) -> str:
@@ -126,7 +120,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _draws(rmap, seed: int, count: int):
+    """The text of count draws from rmap, a batch at a time so that memory
+    stays flat however many there are, then one tally line per element
+    drawn; no draws, no text."""
+    bits = _bits(seed)
+    tally = dict.fromkeys(rmap.base.elements, 0)
+    while count:
+        batch = [draw_sample(rmap, bits)
+                 for _ in range(min(count, _SAMPLE_BATCH))]
+        count -= len(batch)
+        for x in batch:
+            tally[x] += 1
+        yield "\n".join(batch) + "\n"
+    yield "".join("tally %s %d\n" % (x, n) for x, n in tally.items() if n)
+
+
 def _run(args, stdout) -> int:
+    """Compute the command's exit code, its main text (a string, or the
+    draws of `sample` as they are made) and its DOT text (None without
+    --dot), then write them."""
     base = parse_poset(_read(args.poset))
 
     def load(path):
@@ -137,7 +150,7 @@ def _run(args, stdout) -> int:
     seq = getattr(args, "seq", None)
     if seq is not None:
         seq = [load(p) for p in seq.split(",")]
-    out = getattr(args, "out", None)
+    code, text, dot = 0, None, None
 
     if args.command == "order":
         net = valmod.order_network(mu, nu)
@@ -151,70 +164,48 @@ def _run(args, stdout) -> int:
             lines.append("witness %s" % witness)
             lines.append("mu %s" % mu.evaluate(witness))
             lines.append("nu %s" % nu.evaluate(witness))
-        _write(out, "\n".join(lines) + "\n", stdout)
+        code = 0 if holds else 1
         if args.dot is not None:
-            _write(args.dot, flowmod.to_dot(net, flow), stdout)
-        return 0 if holds else 1
+            dot = flowmod.to_dot(net, flow)
 
-    if args.command == "waybelow":
+    elif args.command == "waybelow":
         holds = valmod.way_below(mu, nu, normalized=args.normalized)
-        _write(out, "WAY_BELOW: %s\n" % _bool(holds), stdout)
-        return 0 if holds else 1
+        code = 0 if holds else 1
+        lines = ["WAY_BELOW: %s" % _bool(holds)]
 
-    if args.command == "transport":
+    elif args.command == "transport":
         plan = valmod.transport_plan(mu, nu)
-        _write(out, "\n".join(plan.lines()) + "\n", stdout)
-        return 0
+        lines = plan.lines()
 
-    if args.command == "classify":
+    elif args.command == "classify":
         flags = base.classify()
         text = "".join("%s: %s\n" % (k, _bool(v))
                        for k, v in sorted(flags.items()))
-        stdout.write(text)
         if args.dot is not None:
-            _write(args.dot, base.to_dot(), stdout)
-        return 0
+            dot = base.to_dot()
 
-    if args.command == "schedule":
+    elif args.command == "schedule":
         sched = build_schedule(mu, args.steps)
         lines = []
         for k, stage in enumerate(sched.stages):
             lines.append("stage %d" % k)
             lines.extend("%s %s" % (x, stage.weights[x])
                          for x in stage.support)
-        _write(out, "\n".join(lines) + "\n", stdout)
-        return 0
 
-    if args.command == "represent":
+    elif args.command == "represent":
         rmap = represent_target(mu, args.steps)
-        _write(out, format_map(rmap), stdout)
+        text = format_map(rmap)
         if args.dot is not None:
-            _write(args.dot, rmap.to_dot(), stdout)
-        return 0
+            dot = rmap.to_dot()
 
-    if args.command == "sample":
+    elif args.command == "sample":
         if args.count < 0:
             raise ValueError("sample count must be at least 0, not %d"
                              % args.count)
-        rmap = represent_target(mu, args.steps)
-        bits = _bits(args.seed)
-        tally = dict.fromkeys(base.elements, 0)
-        with _opened(out, stdout) as fh:
-            # draws go out a batch at a time, so memory stays flat however
-            # many there are; no draws, no tally: nothing at all is written
-            left = args.count
-            while left:
-                batch = [draw_sample(rmap, bits)
-                         for _ in range(min(left, _SAMPLE_BATCH))]
-                left -= len(batch)
-                for x in batch:
-                    tally[x] += 1
-                fh.write("\n".join(batch) + "\n")
-            fh.write("".join("tally %s %d\n" % (x, n)
-                             for x, n in tally.items() if n))
-        return 0
+        text = _draws(represent_target(mu, args.steps), args.seed,
+                      args.count)
 
-    if args.command == "converge":
+    elif args.command == "converge":
         witnesses, limit_witness, report = pipeline.skorohod_sequence(
             seq, nu, args.steps, args.from_index)
         lines = []
@@ -233,10 +224,9 @@ def _run(args, stdout) -> int:
         lines.append("equal_words %d" % report.equal_words)
         lines.append("CONVERGENCE: %s" % ("pass" if report.verdict
                                           else "fail"))
-        _write(out, "\n".join(lines) + "\n", stdout)
-        return 0 if report.verdict else 1
+        code = 0 if report.verdict else 1
 
-    if args.command == "skorohod":
+    elif args.command == "skorohod":
         probability = mu.is_probability()
         witness = (pipeline.skorohod(mu, args.steps) if probability
                    else pipeline.skorohod_subprobability(mu, args.steps))
@@ -250,28 +240,24 @@ def _run(args, stdout) -> int:
         lines = ["precision %d" % d, "grid %d" % (1 << d), third,
                  "EXACT_LAW: %s" % _bool(exact)]
         lines.extend("law %s %s" % (x, law.weights[x]) for x in law.support)
-        _write(out, "\n".join(lines) + "\n", stdout)
-        return 0 if exact else 1
+        code = 0 if exact else 1
 
-    if args.command == "cdf":
+    elif args.command == "cdf":
         f = chainmod.cdf(mu)
         # cdf lists the chain from bottom to top
         text = "".join("F %s %s\n" % (x, v) for x, v in f.values.items())
-        _write(out, text, stdout)
-        return 0
 
-    if args.command == "quantile":
+    elif args.command == "quantile":
         g = chainmod.lower_adjoint(chainmod.cdf(mu))
-        _write(out, chainmod.format_quantile(g), stdout)
-        return 0
+        text = chainmod.format_quantile(g)
 
-    if args.command == "pushforward-lebesgue":
+    elif args.command == "pushforward-lebesgue":
         g = chainmod.parse_quantile(_read(args.quantile), base)
         v = chainmod.pushforward_lebesgue(g)
-        _write(out, valmod.format_valuation(v), stdout)
-        return 0
+        text = valmod.format_valuation(v)
 
-    if args.command == "portmanteau":
+    else:
+        # portmanteau, the last command the parser knows
         report = valmod.portmanteau_check(seq, nu, args.from_index)
         lines = []
         for u in base.enumerate_upper_sets():
@@ -283,10 +269,18 @@ def _run(args, stdout) -> int:
                                           else "fail"))
         if report.witness is not None:
             lines.append("witness %s" % report.witness)
-        _write(out, "\n".join(lines) + "\n", stdout)
-        return 0 if report.verdict else 1
+        code = 0 if report.verdict else 1
 
-    raise AssertionError("unhandled command %r" % args.command)
+    if text is None:
+        text = "\n".join(lines) + "\n"
+    # every output is opened before any is written, so a run that cannot
+    # open one writes no answer
+    with _opened(getattr(args, "out", None), stdout) as fh, \
+            _opened(getattr(args, "dot", None), None) as dh:
+        fh.writelines((text,) if isinstance(text, str) else text)
+        if dh is not None:
+            dh.write(dot)
+    return code
 
 
 # the parser `main` builds on its first call
@@ -303,10 +297,7 @@ def main(argv=None) -> int:
     except (NotComparable, NotConvergent) as exc:
         print("NEGATIVE: %s" % exc, file=sys.stderr)
         return 1
-    except Error as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
+    except (Error, OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except MemoryError:

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import OrderViolation, ParseError, TooLarge, UnknownElement
-from .text import digraph, read_lines, statement
+from .text import digraph, read_lines, statement, writable
 
 ORACLE_BOUND = 16
 
@@ -332,6 +332,7 @@ def parse_poset(text: str) -> Poset:
 
 
 def format_poset(p: Poset) -> str:
+    writable(p.elements)
     lines = ["element %s" % e for e in p.elements]
     lines.append("bottom %s" % p.bottom)
     lines.extend("cover %s %s" % c for c in p.covers)

@@ -29,7 +29,7 @@ from .dyadic import MAX_PARSED_EXPONENT, Dyadic
 from .errors import (DepthExceeded, NotComparable, NotConvergent,
                      NotProbability, ParseError, SourceExhausted, TooLarge)
 from .poset import Poset
-from .text import digits, digraph, known, read_lines, statement
+from .text import digits, digraph, known, read_lines, statement, writable
 from .valuation import (SimpleValuation, TransportPlan, _same_base, add,
                         delta, portmanteau_check, scale, transport_plan,
                         way_below)
@@ -400,6 +400,7 @@ def format_map(rmap: RepresentationMap) -> str:
     """
     lines = ["layers %d" % len(rmap.layers)]
     for layer in rmap.layers:
+        writable(layer.values)
         lines.append("layer %d" % layer.depth)
         for bits, y in layer.items():
             lines.append("map %s %s" % (bits or "-", y))

@@ -4,7 +4,8 @@ Every input format (posets, valuations, representation maps, quantile
 maps) is read line by line: ``#`` starts a comment that runs to the end of
 the line, lines left blank are skipped, fields are separated by
 whitespace, and an error names its line. Numbers are ASCII decimal
-digits. The DOT writers quote every ID and label, escaping ``\\`` and
+digits. The serializers write only element names that come back as one
+field. The DOT writers quote every ID and label, escaping ``\\`` and
 ``"``, so any element name gives a valid graph.
 """
 
@@ -37,6 +38,24 @@ def known(name: str, base, lineno: int) -> str:
     if name not in base.index:
         raise UnknownElement("line %d: unknown element %r" % (lineno, name))
     return name
+
+
+def writable(names: list):
+    """Refuse, by ValueError naming the first of them, the names whose
+    str() read_lines would not give back as one field: an empty one, or
+    one holding whitespace or ``#``. The names are checked together, in C:
+    none is empty, and their concatenation has no ``#`` and splits into
+    itself alone."""
+    try:
+        joined = "".join(names)
+    except TypeError:   # not every name is a str
+        names = list(map(str, names))
+        joined = "".join(names)
+    if names and (not all(names) or "#" in joined
+                  or joined.split() != [joined]):
+        bad = next(t for t in map(str, names) if "#" in t or t.split() != [t])
+        raise ValueError("element %r cannot be written: a name must be one "
+                         "field, without whitespace or '#'" % bad)
 
 
 def quote(name) -> str:

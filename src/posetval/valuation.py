@@ -34,7 +34,7 @@ from .dyadic import ONE, ZERO, Dyadic, parse_dyadic
 from .errors import (MassExceeded, MixedBase, NotComparable, NotMonotone,
                      NotProbability, ParseError, PartialMap, UnknownElement)
 from .poset import ORACLE_BOUND, Poset, UpperSet, upper_masks
-from .text import known, read_lines
+from .text import known, read_lines, writable
 
 # the one capacity of the middle edges, which flow.FlowNetwork requires to
 # exceed every sink capacity: a weight is at most 1, so no middle edge
@@ -473,5 +473,6 @@ def parse_valuation(text: str, base: Poset) -> SimpleValuation:
 
 
 def format_valuation(v: SimpleValuation) -> str:
+    writable(v.support)
     lines = ["%s %s" % (x, v.weights[x]) for x in v.support]
     return "\n".join(lines) + ("\n" if lines else "")

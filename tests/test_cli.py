@@ -198,15 +198,24 @@ def test_dot_quotes_names_holding_quotes_and_backslashes(tmp_path):
 
 
 def test_empty_output_paths_exit_2(files, capsys):
+    # every output is opened before any is written, so exit 2 writes no
+    # answer, and an output opened before the failing one is left empty
     m4, mu = files["m4.poset"], files["mu.val"]
+    out = os.path.join(files["dir"], "o.txt")
+    missing = os.path.join(files["dir"], "nodir", "d.dot")
     for argv in (["order", "--mu", mu, "--nu", files["top.val"], "--out", ""],
                  ["order", "--mu", mu, "--nu", files["top.val"], "--dot", ""],
                  ["classify", "--dot", ""],
                  ["sample", "--mu", mu, "--out", ""]):
         capsys.readouterr()
-        assert run(argv + ["--poset", m4])[0] == 2
+        assert run(argv + ["--poset", m4]) == (2, "")
         assert capsys.readouterr().err \
             == "error: [Errno 2] No such file or directory: ''\n"
+    assert run(["order", "--poset", m4, "--mu", mu, "--nu", files["top.val"],
+                "--out", out, "--dot", missing]) == (2, "")
+    assert capsys.readouterr().err \
+        == "error: [Errno 2] No such file or directory: %r\n" % missing
+    assert Path(out).read_text() == ""
 
 
 def test_order_negative_with_witness(files):

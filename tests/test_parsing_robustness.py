@@ -10,8 +10,11 @@ import random
 
 import pytest
 
-from posetval import parse_poset, parse_valuation, parse_map
-from posetval.chain import parse_quantile
+from posetval import (Dyadic, Poset, SimpleValuation, build_schedule, cdf,
+                      format_map, format_poset, format_valuation,
+                      lower_adjoint, parse_map, parse_poset, parse_valuation,
+                      represent)
+from posetval.chain import format_quantile, parse_quantile
 from posetval.errors import (Error, MassExceeded, NotAChain, OrderViolation,
                              ParseError, UnknownElement)
 
@@ -203,3 +206,52 @@ def test_quantile_errors(text, kind, message):
 def test_quantile_refuses_a_base_that_is_not_a_chain():
     _raises_exactly(lambda t: parse_quantile(t, parse_poset(VALID_POSET)),
                     VALID_QUANTILE, NotAChain, "poset is not totally ordered")
+
+
+# -- names the serializers refuse ---------------------------------------------
+# A name is written only if the line reader gives it back as one field:
+# not empty, no whitespace (Unicode's included), no comment sign.
+
+BAD_NAMES = ["a#b", "#", "c d", "", "y\xa0z", "tab\tx", "new\nline",
+             "sep\u2028x", " lead", "trail\t"]
+
+
+def _serialized(name):
+    """Each serializer's output for a chain bot < name < top, on which a
+    valuation charges name and top."""
+    base = Poset(["bot", name, "top"], [("bot", name), (name, "top")], "bot")
+    v = SimpleValuation(base, {name: Dyadic(1, 1), "top": Dyadic(1, 1)})
+    return {"poset": lambda: format_poset(base),
+            "valuation": lambda: format_valuation(v),
+            "map": lambda: format_map(represent(build_schedule(v, 1))),
+            "quantile": lambda: format_quantile(lower_adjoint(cdf(v)))}
+
+
+@pytest.mark.parametrize("name", BAD_NAMES)
+@pytest.mark.parametrize("serializer",
+                         ["poset", "valuation", "map", "quantile"])
+def test_serializers_refuse_names_the_syntax_cannot_carry(serializer, name):
+    with pytest.raises(ValueError) as caught:
+        _serialized(name)[serializer]()
+    assert str(caught.value) == ("element %r cannot be written: a name must "
+                                 "be one field, without whitespace or '#'"
+                                 % name)
+
+
+def test_serializers_name_the_first_bad_element_and_pass_good_ones():
+    with pytest.raises(ValueError, match="^element 'x y' cannot"):
+        format_poset(Poset(["bot", "x y", "a#b"],
+                           [("bot", "x y"), ("bot", "a#b")], "bot"))
+    # a name is written as str() gives it
+    assert format_poset(Poset([0, 1], [(0, 1)], 0)) \
+        == "element 0\nelement 1\nbottom 0\ncover 0 1\n"
+    # any other name round-trips, quotes, backslashes and all
+    for name in ['a"b', "c\\d", "\u00e9", "\x00", "element"]:
+        text = _serialized(name)
+        base = parse_poset(text["poset"]())
+        assert format_poset(base) == text["poset"]()
+        assert format_valuation(parse_valuation(text["valuation"](), base)) \
+            == text["valuation"]()
+        assert format_map(parse_map(text["map"](), base)) == text["map"]()
+        assert format_quantile(parse_quantile(text["quantile"](), base)) \
+            == text["quantile"]()

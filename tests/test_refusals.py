@@ -1,0 +1,119 @@
+"""Library refusals that no other test reaches: each case's exception type
+and its whole message, plus the two fallbacks that refuse nothing."""
+
+from dataclasses import FrozenInstanceError
+
+import pytest
+
+from posetval import (ApproximationSchedule, Dyadic, Layer, Poset, PosetMap,
+                      RepresentationMap, SimpleValuation, UpperSet, Word, add,
+                      cdf, delta, embed, lift_step, lower_adjoint,
+                      portmanteau_check, pushforward, quantile_leq)
+from posetval.errors import (MixedBase, NotAChain, NotComparable,
+                             NotProbability, OrderViolation)
+
+from conftest import make_chain
+
+
+def diamond():
+    return Poset(["bot", "a", "b", "top"],
+                 [("bot", "a"), ("bot", "b"), ("a", "top"), ("b", "top")],
+                 "bot")
+
+
+def halves(base):
+    return SimpleValuation(base, {"a": Dyadic(1, 1), "b": Dyadic(1, 1)})
+
+
+def half_a(base):
+    return SimpleValuation(base, {"a": Dyadic(1, 1)})
+
+
+def bottom_layer():
+    return Layer(0, ends=[1], values=["bot"])
+
+
+def quantile_of_top(chain):
+    return lower_adjoint(cdf(delta(chain, "c2")))
+
+
+def schedule_ending_at_the_bottom():
+    base = diamond()
+    return ApproximationSchedule(halves(base), [delta(base, "bot")] * 2)
+
+
+def delete_bits():
+    w = Word("0")
+    del w.bits
+
+
+REFUSALS = {
+    "poset without elements": (
+        lambda: Poset([], [], "x"),
+        OrderViolation, "poset needs at least one element"),
+    "upper set not upward closed": (
+        lambda: UpperSet(diamond(), frozenset({"a"})),
+        OrderViolation, "set is not upward closed: ['a']"),
+    "schedule without stages": (
+        lambda: ApproximationSchedule(halves(diamond()), []),
+        ValueError, "schedule needs at least one stage"),
+    "schedule ending off the target": (
+        schedule_ending_at_the_bottom,
+        NotComparable, "schedule must end at the target"),
+    "lift toward a subprobability": (
+        lambda: lift_step(bottom_layer(), half_a(diamond()), diamond()),
+        NotProbability, "lift target must have mass 1"),
+    "representation without layers": (
+        lambda: RepresentationMap(diamond(), []),
+        ValueError, "need at least one layer"),
+    "layers of equal depth": (
+        lambda: RepresentationMap(diamond(),
+                                  [bottom_layer(), bottom_layer()]),
+        ValueError, "layer depths must increase strictly"),
+    "quantile maps over two chains": (
+        lambda: quantile_leq(quantile_of_top(make_chain(3)),
+                             quantile_of_top(make_chain(3))),
+        NotAChain, "quantile maps over different chains"),
+    "add across posets": (
+        lambda: add(half_a(diamond()), half_a(diamond())),
+        MixedBase, "cannot add valuations over different posets"),
+    "pushforward across posets": (
+        lambda: pushforward(
+            PosetMap(diamond(), diamond(), {"bot": "bot"}), half_a(diamond())),
+        MixedBase, "map domain differs from the valuation's poset"),
+    "portmanteau of no valuations": (
+        lambda: portmanteau_check([], halves(diamond())),
+        ValueError, "empty sequence"),
+    "negative exponent": (
+        lambda: Dyadic(1, -1),
+        ValueError, "exponent must be nonnegative"),
+    "deleting a word's bits": (
+        delete_bits,
+        FrozenInstanceError, "cannot delete field 'bits'"),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSALS))
+def test_refusal(case):
+    call, kind, message = REFUSALS[case]
+    with pytest.raises(kind) as exc:
+        call()
+    assert type(exc.value) is kind and str(exc.value) == message
+
+
+def test_upper_set_membership():
+    up = UpperSet(diamond(), frozenset({"a", "top"}))
+    assert "a" in up and "top" in up
+    assert "b" not in up and "bot" not in up
+
+
+def test_embed_below_the_word_keeps_it():
+    w = Word("0101", truncated=True)
+    assert embed(w, 2) == w and embed(w, 2).truncated
+
+
+def test_lift_skips_a_taken_fresh_bottom():
+    lifted = Poset(["_bot", "a"], [("_bot", "a")], "_bot").lift()
+    assert lifted.bottom == "_bot_"
+    assert lifted.elements == ["_bot_", "_bot", "a"]
+    assert lifted.covers == [("_bot_", "_bot"), ("_bot", "a")]
