@@ -4,7 +4,8 @@ One command per invocation; deterministic output. Exit status is 0 for a
 positive result, 1 for a negative verdict (an order that does not hold, a
 failed convergence check, ...), and 2 for usage or parse errors. A
 command's output is written only once it is computed and every output
-file is open, so exit 2 writes no answer.
+file is open, so exit 2 writes no answer; `--out` and `--dot` that open
+one file are refused that way too.
 
 `main` builds the argument parser on its first call and reuses it for the
 rest of the process: a parser keeps no state between `parse_args` calls,
@@ -15,6 +16,7 @@ width only when they print.
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
 from contextlib import nullcontext
@@ -274,9 +276,13 @@ def _run(args, stdout) -> int:
     if text is None:
         text = "\n".join(lines) + "\n"
     # every output is opened before any is written, so a run that cannot
-    # open one writes no answer
-    with _opened(getattr(args, "out", None), stdout) as fh, \
+    # open one, or opens one file twice, writes no answer
+    out = getattr(args, "out", None)
+    with _opened(out, stdout) as fh, \
             _opened(getattr(args, "dot", None), None) as dh:
+        if (out is not None and dh is not None
+                and os.path.sameopenfile(fh.fileno(), dh.fileno())):
+            raise ValueError("--out and --dot name the same file")
         fh.writelines((text,) if isinstance(text, str) else text)
         if dh is not None:
             dh.write(dot)

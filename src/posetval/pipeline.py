@@ -7,23 +7,23 @@ the depth-d words ((i + 1)/2^d lands on word i), so the driver's law over
 the grid is the final layer's run-length count, and it equals the target
 exactly -- a counting identity, not a limit.
 
-Sequences route through the weak-convergence gate and report, per grid
-word, how the witnesses' values settle on the limit's. A subprobability
-target is represented over its poset lifted under a fresh bottom that
-takes the missing mass; its witness is undefined at the grid points
-routed there, and its law skips them.
+Sequences route through the weak-convergence gate and report how the
+witnesses' values settle on the limit's: the report is decided on the
+runs of consecutive grid words that settle alike, and lists one record
+per grid word only when asked. A subprobability target is represented
+over its poset lifted under a fresh bottom that takes the missing mass;
+its witness is undefined at the grid points routed there, and its law
+skips them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cantor import Word, _level_bits
 from .dyadic import ONE, Dyadic
 from .errors import NotProbability
 from .skorohod import (ConvergenceReport, RepresentationMap,
-                       convergence_check, represent_sequence,
-                       represent_target)
+                       represent_sequence, represent_target)
 from .valuation import SimpleValuation
 
 
@@ -95,7 +95,8 @@ def skorohod_subprobability(target: SimpleValuation,
 
 @dataclass
 class SequenceReport:
-    """Convergence of a witness family, word by word over the common grid."""
+    """Convergence of a witness family over the common grid; the counts
+    are of grid words."""
 
     convergence: ConvergenceReport
     maximal_words: int
@@ -113,15 +114,23 @@ class SequenceReport:
 
 def skorohod_sequence(targets, limit: SimpleValuation, steps: int,
                       from_index: int = 0):
-    """Witnesses for a weakly convergent family plus the settling report."""
+    """Witnesses for a weakly convergent family plus the settling report.
+
+    The report covers the grid of the maps' top depth (the grid point
+    (i + 1)/2^depth lands on word i, as unit_to_word says) and is decided
+    on the settling runs: the word counts are sums of run lengths, and the
+    per-word records are listed only when read.
+    """
     maps, limit_map = represent_sequence(targets, limit, steps, from_index)
-    depth = max(m.final_depth for m in maps + [limit_map])
-    # the grid point (i + 1)/2^depth lands on word i, as unit_to_word says
-    words = [Word(bits, truncated=True) for bits in _level_bits(depth)]
-    conv = convergence_check(maps, limit_map, words)
-    maximal = [r for r in conv.records if r.maximal]
-    report = SequenceReport(conv, len(maximal),
-                            sum(1 for r in maximal
-                                if r.equal_from is not None))
+    conv = ConvergenceReport.over_grid(maps, limit_map)
+    maximal = equal = start = 0
+    for end, (_, is_maximal, _, equal_from, _) in zip(conv.runs.ends,
+                                                      conv.runs.values):
+        if is_maximal:
+            maximal += end - start
+            if equal_from is not None:
+                equal += end - start
+        start = end
+    report = SequenceReport(conv, maximal, equal)
     witnesses = [SkorohodWitness(t, m) for t, m in zip(targets, maps)]
     return witnesses, SkorohodWitness(limit, limit_map), report

@@ -21,7 +21,6 @@ with the schedule stages is dyadic equality, not approximation.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import InitVar, dataclass
 
 from .cantor import StepMap, Word, _bits
@@ -30,13 +29,12 @@ from .errors import (DepthExceeded, NotComparable, NotConvergent,
                      NotProbability, ParseError, SourceExhausted, TooLarge)
 from .poset import Poset
 from .text import digits, digraph, known, read_lines, statement, writable
-from .valuation import (SimpleValuation, TransportPlan, _same_base, add,
-                        delta, portmanteau_check, scale, transport_plan,
-                        way_below)
+from .valuation import (SimpleValuation, TransportPlan, _same_base, delta,
+                        portmanteau_check, transport_plan, way_below)
 
-# deepest layer lift_step builds; layers are runs, and laws, draws and
-# convergence_check work on the runs, but format_map still lists all
-# 2^depth words of a map, and skorohod_sequence one record per word
+# deepest layer lift_step builds; layers are runs, and laws, draws and the
+# convergence report work on the runs, but format_map still lists all
+# 2^depth words of a map, and the converge command one record per word
 MAX_DEPTH = 16
 
 
@@ -72,8 +70,11 @@ def build_schedule(target: SimpleValuation, steps: int) -> ApproximationSchedule
     """The convex schedule (1 - 2^-k) * target + 2^-k * bottom, k = 1..steps.
 
     Stage 0 is the bottom point mass, stage `steps` the target itself. A
-    bottom target collapses to the constant schedule. The stages are not
-    re-decided: with t the target, on every upper set U without the
+    bottom target collapses to the constant schedule. With E the target's
+    largest exponent and t(x) = n_x / 2^E, stage k weighs x by
+    n_x (2^k - 1) / 2^(k + E), plus 2^E / 2^(k + E) at the bottom, so each
+    stage is one valuation built from integer numerators. The stages are
+    not re-decided: with t the target, on every upper set U without the
     bottom that stage k charges, (1 - 2^-k) t(U) < (1 - 2^-(k + 1)) t(U)
     <= stage (k + 1)(U), so stage k approximates stage k + 1.
 
@@ -93,11 +94,16 @@ def build_schedule(target: SimpleValuation, steps: int) -> ApproximationSchedule
     if target == bot:
         return ApproximationSchedule(target, [bot] * (steps + 1),
                                      _approximating=True)
+    e = target.max_exponent()
+    nums = {x: w.rescale(e) for x, w in target.weights.items()}
+    bottom = target.base.bottom
     stages = [bot]
     for k in range(1, steps):
-        eps = Dyadic(1, k)
-        stages.append(add(scale(target, Dyadic(1, 0) - eps),
-                          scale(bot, eps)))
+        keep = (1 << k) - 1
+        weights = {x: n * keep for x, n in nums.items()}
+        weights[bottom] = weights.get(bottom, 0) + (1 << e)
+        stages.append(SimpleValuation(target.base, {
+            x: Dyadic(n, k + e) for x, n in weights.items()}))
     stages.append(target)
     return ApproximationSchedule(target, stages, _approximating=True)
 
@@ -128,7 +134,12 @@ def lift_step(current: Layer, target: SimpleValuation, base: Poset) -> Layer:
     the whole support (NotComparable otherwise, as transport_plan raises).
     Every plan is verified.
     """
-    law = current.law(base)
+    return _lift(current, current.law(base), target, base)
+
+
+def _lift(current: Layer, law: SimpleValuation, target: SimpleValuation,
+          base: Poset) -> Layer:
+    """lift_step, given the current layer's law."""
     if not target.is_probability():
         raise NotProbability("lift target must have mass 1")
     if len(current.values) == 1:
@@ -245,16 +256,18 @@ def represent(schedule: ApproximationSchedule) -> RepresentationMap:
     """Realize a schedule, stage by stage, via lift_step.
 
     Every layer's law equals its stage exactly; the checks are asserted
-    here rather than trusted.
+    here rather than trusted. Each layer's law is counted once: it is
+    asserted against its stage and then handed to the next lift.
     """
     base = schedule.target.base
     layers = [Layer(0, ends=[1], values=[base.bottom])]
+    law = layers[0].law(base)
+    assert law == schedule.stages[0]
     for stage in schedule.stages[1:]:
-        layers.append(lift_step(layers[-1], stage, base))
-    rmap = RepresentationMap(base, layers)
-    for layer, stage in zip(rmap.layers, schedule.stages):
-        assert layer.law(base) == stage
-    return rmap
+        layers.append(_lift(layers[-1], law, stage, base))
+        law = layers[-1].law(base)
+        assert law == stage
+    return RepresentationMap(base, layers)
 
 
 def represent_target(target: SimpleValuation,
@@ -319,10 +332,48 @@ class ConvergenceRecord:
     ok: bool
 
 
-@dataclass
 class ConvergenceReport:
-    records: list
-    verdict: bool
+    """The verdict on how a family settles, and one record per word.
+
+    `ConvergenceReport(records, verdict)` holds the records of a word list.
+    A report over the whole grid of the family's top depth, made by
+    `over_grid`, keeps the settling runs instead: `runs` is a total step
+    map whose values are the record fields after the word. Its records,
+    one per grid word in word order, each word flagged as the truncation
+    of an infinite one, are listed on the first read of `records`, and
+    that list is kept, so every later read returns the same list. Reports
+    are equal when their verdicts and records are.
+    """
+
+    def __init__(self, records, verdict: bool):
+        self._records = records
+        self.verdict = verdict
+        self.runs = None
+
+    @classmethod
+    def over_grid(cls, maps, limit_map: RepresentationMap):
+        """The report over every word of the top depth, kept as runs."""
+        runs = _settling(maps, limit_map)
+        report = cls(None, all(fields[-1] for fields in runs.values))
+        report.runs = runs
+        return report
+
+    @property
+    def records(self) -> list:
+        if self._records is None:
+            self._records = [
+                ConvergenceRecord(Word(bits, truncated=True), *fields)
+                for bits, fields in self.runs.items()]
+        return self._records
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.verdict == other.verdict and self.records == other.records
+
+    def __repr__(self):
+        return "ConvergenceReport(records=%r, verdict=%r)" % (self.records,
+                                                              self.verdict)
 
 
 def _tail_index(flags) -> int | None:
@@ -335,41 +386,30 @@ def _tail_index(flags) -> int | None:
     return n
 
 
-def convergence_check(maps, limit_map: RepresentationMap,
-                      words) -> ConvergenceReport:
-    """Pointwise convergence of map values toward the limit map.
-
-    Where the limit value is maximal, the sequence must become equal to it
-    and stay equal; elsewhere only the eventually-at-least check applies
-    (the maps need not be ordered among themselves).
+def _settling(maps, limit_map: RepresentationMap) -> StepMap:
+    """The settling fields of every word of the family's top depth, as runs.
 
     Every map is constant between the run ends of its final layer, so the
-    run ends of all the maps, taken at the common top depth, cut the words
-    into segments on which every record field but the word is the same;
-    each segment is settled once and each word finds its segment by one
-    bisection. A word shorter than some map raises DepthExceeded from the
-    first such map, the limit map first; a final-layer value outside the
-    poset then raises UnknownElement. The order is read off up-set masks:
-    a limit value is maximal iff its up-set is itself alone.
+    run ends of all the maps, taken at the top depth, cut the words into
+    segments on which the fields (limit_value, maximal, geq_from,
+    equal_from, ok) are the same; each segment is settled once, and the
+    result's runs are the segments. A final-layer value outside the poset
+    raises UnknownElement, the limit map's first. The order is read off
+    up-set masks: a limit value is maximal iff its up-set is itself alone.
     """
     base = limit_map.base
     index, up = base.index, base._up_mask
-    family = [limit_map] + list(maps)
-    top = max(m.final_depth for m in family)
-    words = list(words)
-    for w in words:
-        if len(w.bits) < top:
-            for m in family:
-                m.evaluate(w)  # DepthExceeded at the first map deeper than w
-    for m in family:
-        base._check(*m.layers[-1].values)
-    cuts = sorted({end << (top - m.final_depth)
-                   for m in family for end in m.layers[-1].ends})
+    finals = [m.layers[-1] for m in [limit_map] + list(maps)]
+    for layer in finals:
+        base._check(*layer.values)
+    top = max(layer.depth for layer in finals)
+    cuts = sorted({end << (top - layer.depth)
+                   for layer in finals for end in layer.ends})
     fields = []
     start = 0
     for end in cuts:
-        lv, *values = [m.layers[-1].at(start >> (top - m.final_depth))
-                       for m in family]
+        lv, *values = [layer.at(start >> (top - layer.depth))
+                       for layer in finals]
         k = index[lv]
         maximal = up[k] == 1 << k
         geq_from = _tail_index([up[k] >> index[v] & 1 for v in values])
@@ -380,9 +420,35 @@ def convergence_check(maps, limit_map: RepresentationMap,
             ok = equal_from is not None
         fields.append((lv, maximal, geq_from, equal_from, ok))
         start = end
-    records = [ConvergenceRecord(
-        w, *fields[bisect_right(cuts, int(w.bits[:top], 2) if top else 0)])
-        for w in words]
+    return StepMap(top, ends=cuts, values=fields)
+
+
+def convergence_check(maps, limit_map: RepresentationMap,
+                      words) -> ConvergenceReport:
+    """Pointwise convergence of map values toward the limit map.
+
+    Where the limit value is maximal, the sequence must become equal to it
+    and stay equal; elsewhere only the eventually-at-least check applies
+    (the maps need not be ordered among themselves).
+
+    The family is settled once, a segment between run ends at a time (the
+    same runs `ConvergenceReport.over_grid` keeps), and each word given
+    takes the fields of the run it falls in. A word shorter than some map
+    raises DepthExceeded from the first such map, the limit map first; a
+    final-layer value outside the poset then raises UnknownElement.
+    """
+    maps = list(maps)
+    family = [limit_map] + maps
+    top = max(m.final_depth for m in family)
+    words = list(words)
+    for w in words:
+        if len(w.bits) < top:
+            for m in family:
+                m.evaluate(w)  # DepthExceeded at the first map deeper than w
+    runs = _settling(maps, limit_map)
+    records = [ConvergenceRecord(w, *runs.at(int(w.bits[:top], 2) if top
+                                              else 0))
+               for w in words]
     return ConvergenceReport(records, all(r.ok for r in records))
 
 

@@ -13,15 +13,17 @@ scanning every candidate, convergence is checked by evaluating every map
 at every word, and quantile maps are compared at every threshold of either
 map, the Portmanteau bullets are checked on every upper set of the whole
 poset with dyadic arithmetic, a sampler's law is tabulated by calling
-its driver at every grid point, and a valuation's weights and mass are
-collected by walking every element of the poset and adding dyadics.
+its driver at every grid point, a valuation's weights and mass are
+collected by walking every element of the poset and adding dyadics, and a
+schedule's stages are convex sums of scaled valuations.
 """
 
 from collections import deque
 from itertools import combinations
 
-from posetval import (Dyadic, FlowNetwork, SimpleValuation, UpperSet, ZERO,
-                      level, pushforward_counting, transport_plan)
+from posetval import (ONE, Dyadic, FlowNetwork, SimpleValuation, UpperSet,
+                      ZERO, add, delta, level, pushforward_counting, scale,
+                      transport_plan)
 from posetval.valuation import PortmanteauRecord
 from posetval.errors import NotAChain
 from posetval.skorohod import ConvergenceRecord, ConvergenceReport
@@ -227,6 +229,17 @@ def convergence_by_words(maps, limit_map, words):
         records.append(ConvergenceRecord(w, lv, maximal, geq_from,
                                          equal_from, ok))
     return ConvergenceReport(records, all(r.ok for r in records))
+
+
+def schedule_by_convex_sums(target: SimpleValuation, steps: int) -> list:
+    """The stages (1 - 2^-k) target + 2^-k bottom, k = 0..steps, each one
+    summed from the two scaled valuations."""
+    bot = delta(target.base, target.base.bottom)
+    stages = [bot]
+    for k in range(1, steps):
+        eps = Dyadic(1, k)
+        stages.append(add(scale(target, ONE - eps), scale(bot, eps)))
+    return stages + [target]
 
 
 def quantile_leq_by_thresholds(g, h) -> bool:

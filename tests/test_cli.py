@@ -218,6 +218,30 @@ def test_empty_output_paths_exit_2(files, capsys):
     assert Path(out).read_text() == ""
 
 
+def test_out_and_dot_on_one_file_exit_2(files, capsys):
+    # both are opened before either is written, so the refusal writes
+    # nothing: not to stdout, and neither answer into the file
+    m4, mu, nu = files["m4.poset"], files["mu.val"], files["top.val"]
+    path = os.path.join(files["dir"], "both.txt")
+    alias = os.path.join(files["dir"], "alias.txt")
+    Path(path).write_text("")
+    os.symlink(path, alias)
+    for argv in (["order", "--mu", mu, "--nu", nu],
+                 ["represent", "--mu", files["da.val"]]):
+        for dot in (path, alias):
+            capsys.readouterr()
+            assert run(argv + ["--poset", m4, "--out", path,
+                               "--dot", dot]) == (2, "")
+            assert capsys.readouterr().err \
+                == "error: --out and --dot name the same file\n"
+            assert Path(path).read_text() == ""
+    other = os.path.join(files["dir"], "other.dot")
+    assert run(["order", "--poset", m4, "--mu", mu, "--nu", nu,
+                "--out", path, "--dot", other]) == (0, "")
+    assert Path(path).read_text().startswith("LEQ: true\n")
+    assert Path(other).read_text().startswith("digraph")
+
+
 def test_order_negative_with_witness(files):
     code, out = run(["order", "--poset", files["m4.poset"],
                      "--mu", files["da.val"], "--nu", files["db.val"]])

@@ -1,8 +1,11 @@
+import copy
+import pickle
 import random
 import time
+import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from posetval import (Dyadic, ONE, Poset, SimpleValuation, Word, add, delta,
@@ -210,6 +213,103 @@ def test_sequence_on_16_elements_is_fast():
     assert report.verdict and report.almost_sure
     assert report.maximal_words == 2688
     assert elapsed < 0.2
+
+
+def grid_words(depth):
+    return [unit_to_word(Dyadic(i, depth), depth)
+            for i in range(1, (1 << depth) + 1)]
+
+
+def blends(limit, rho, halvings, tail):
+    """(1 - 2^-c) limit + 2^-c rho for c = 1..halvings, then the limit
+    `tail` times."""
+    return [add(scale(limit, ONE - Dyadic(1, c)), scale(rho, Dyadic(1, c)))
+            for c in range(1, halvings + 1)] + [limit] * tail
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_sequence_report_matches_word_by_word_oracle(rng):
+    # the report is decided on runs; the oracle evaluates every map at
+    # every grid word. A family that stops short of its limit may pass
+    # the gate and still fail to settle, so both verdicts occur
+    base = random_poset(rng, max_elements=8)
+    limit = random_valuation(rng, base, exp=rng.randint(0, 3),
+                             probability=True)
+    rho = random_valuation(rng, base, exp=rng.randint(0, 3),
+                           probability=True)
+    tail = rng.randint(0, 2)
+    seq = blends(limit, rho, rng.randint(0 if tail else 1, 4), tail)
+    try:
+        witnesses, limit_witness, report = skorohod_sequence(
+            seq, limit, rng.randint(1, 3))
+    except NotConvergent:
+        assume(False)
+    depth = max(w.precision for w in witnesses + [limit_witness])
+    want = convergence_by_words([w.rmap for w in witnesses],
+                                limit_witness.rmap, grid_words(depth))
+    maximal = [r for r in want.records if r.maximal]
+    assert report.verdict == want.verdict
+    assert report.maximal_words == len(maximal)
+    assert report.equal_words == sum(r.equal_from is not None
+                                     for r in maximal)
+    records = report.convergence.records
+    assert records == want.records
+    assert [(r.word.bits, r.word.truncated) for r in records] \
+        == [(w.bits, True) for w in grid_words(depth)]
+    assert report.convergence == want
+
+
+def test_sequence_report_lists_records_once(m4):
+    top = delta(m4, "top")
+    _, _, report = skorohod_sequence(attaining_family(m4, top), top, 2)
+    records = report.convergence.records
+    assert report.convergence.records is records
+    assert len(records) == 1 << report.convergence.runs.depth
+
+
+def test_sequence_report_copies_and_pickles(m4):
+    top = delta(m4, "top")
+    seq = attaining_family(m4, top)
+    _, _, report = skorohod_sequence(seq, top, 2)
+    conv = report.convergence
+    again = pickle.loads(pickle.dumps(conv))
+    assert again == conv and again.verdict == conv.verdict
+    # an edit to a record of a deep copy is seen by the copy alone
+    bad = copy.deepcopy(conv)
+    assert bad == conv
+    bad.records[0].equal_from = (bad.records[0].equal_from or 0) + 1
+    assert bad.records[0].equal_from != conv.records[0].equal_from
+    assert bad != conv
+    # and so it is when the original's records were listed before the copy
+    listed = copy.deepcopy(bad)
+    assert listed == bad and listed.records is not bad.records
+
+
+def test_depth_16_sequence_decides_on_runs():
+    # weights at 2^-12 and blends c = 1, 2 give terms at 2^-14, so K = 2
+    # reaches depth 16: 65536 grid words, but only a handful of runs, and
+    # the verdict and word counts come without a record per word
+    chain = make_chain(4)
+    limit = SimpleValuation(chain, {"c0": Dyadic(1, 12), "c1": Dyadic(3, 12),
+                                    "c2": Dyadic(5, 12),
+                                    "c3": Dyadic((1 << 12) - 9, 12)})
+    rho = SimpleValuation(chain, {"c0": HALF, "c2": HALF})
+    seq = blends(limit, rho, 2, 1)
+    tracemalloc.start()
+    try:
+        witnesses, limit_witness, report = skorohod_sequence(seq, limit, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert max(w.precision for w in witnesses + [limit_witness]) == 16
+    assert peak < 1 << 20
+    assert report.verdict and report.almost_sure
+    runs = report.convergence.runs
+    assert runs.depth == 16 and len(runs.ends) < 64
+    records = report.convergence.records
+    assert len(records) == 1 << 16
+    assert report.maximal_words == sum(r.maximal for r in records) > 0
 
 
 @settings(max_examples=120, deadline=None)

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posetval import (ApproximationSchedule, Dyadic, Layer, ONE,
-                      RepresentationMap, SimpleValuation, Word, add,
+                      RepresentationMap, SimpleValuation, StepMap, Word, add,
                       build_schedule, convergence_check, delta, format_map,
                       leq, level, lift_step, parse_map, pushforward_counting,
                       represent, represent_sequence, sample, scale,
@@ -18,7 +18,8 @@ from posetval.errors import (DepthExceeded, MixedBase, NotComparable,
 from posetval.skorohod import represent_target
 
 from conftest import random_poset, random_valuation
-from oracles import convergence_by_words, lift_step_by_slots
+from oracles import (convergence_by_words, lift_step_by_slots,
+                     schedule_by_convex_sums)
 
 HALF = Dyadic(1, 1)
 
@@ -93,6 +94,53 @@ def test_build_schedule_solves_no_flow(m4, solves):
     assert len(sched.stages) == 5 and solves == []
     ApproximationSchedule(sched.target, sched.stages)
     assert len(solves) == 4
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(1, 8))
+def test_build_schedule_matches_convex_sums(rng, steps):
+    # each stage is written from integer numerators in one valuation; the
+    # oracle sums the two scaled valuations
+    base = random_poset(rng, max_elements=8)
+    target = random_valuation(rng, base, exp=rng.randint(0, 6),
+                              probability=True)
+    want = schedule_by_convex_sums(target, steps)
+    got = build_schedule(target, steps).stages
+    assert got == want
+    assert [list(s.weights.items()) for s in got] \
+        == [list(s.weights.items()) for s in want]
+    assert [s.mass for s in got] == [s.mass for s in want]
+
+
+def test_represent_counts_each_layer_law_once(m4, monkeypatch):
+    calls = []
+    real = StepMap.law
+
+    def counting(layer, base):
+        calls.append(layer.depth)
+        return real(layer, base)
+
+    monkeypatch.setattr(StepMap, "law", counting)
+    target = SimpleValuation(m4, {"a": Dyadic(1, 2), "b": Dyadic(1, 2),
+                                  "top": HALF})
+    for steps in (1, 2, 3, 4):
+        calls.clear()
+        rmap = represent(build_schedule(target, steps))
+        assert calls == [layer.depth for layer in rmap.layers]
+        assert len(calls) == steps + 1
+
+
+def test_lift_step_alone_checks_its_layer_law(m4):
+    # lift_step reads the law off the layer it is given: a two-run layer
+    # (a flow decides) and a one-run layer (the plan is forced) whose laws
+    # are not below the target are both refused
+    two_runs = Layer(1, ends=[1, 2], values=["a", "top"])
+    with pytest.raises(NotComparable):
+        lift_step(two_runs, delta(m4, "b"), m4)
+    with pytest.raises(NotComparable):
+        lift_step(Layer(1, ends=[2], values=["a"]), delta(m4, "b"), m4)
+    lifted = lift_step(two_runs, delta(m4, "top"), m4)
+    assert lifted.law(m4) == delta(m4, "top")
 
 
 def test_schedule_validation_rejects_gaps(m4):
