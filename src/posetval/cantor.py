@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import FrozenInstanceError, dataclass
-from itertools import islice, repeat
+from itertools import repeat
 
 from .dyadic import ONE, ZERO, Dyadic
 from .errors import DepthExceeded, OutOfRange, PartialMap, Unreachable
@@ -201,11 +201,10 @@ class StepMap:
 
     def items(self):
         """(bit string, value) for every word, in word order."""
-        bits = _level_bits(self.depth)
         start = 0
         for end, y in zip(self.ends, self.values):
-            for b in islice(bits, end - start):
-                yield b, y
+            for i in range(start, end):
+                yield _bits(i, self.depth), y
             start = end
 
     @property

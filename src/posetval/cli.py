@@ -4,8 +4,9 @@ One command per invocation; deterministic output. Exit status is 0 for a
 positive result, 1 for a negative verdict (an order that does not hold, a
 failed convergence check, ...), and 2 for usage or parse errors. A
 command's output is written only once it is computed and every output
-file is open, so exit 2 writes no answer; `--out` and `--dot` that open
-one file are refused that way too.
+file is open, so exit 2 writes no answer. `--out` and `--dot` that name
+one regular file are refused before either is opened, so that file keeps
+what it held.
 
 `main` builds the argument parser on its first call and reuses it for the
 rest of the process: a parser keeps no state between `parse_args` calls,
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import os
 import random
+import stat
 import sys
 from contextlib import nullcontext
 
@@ -46,6 +48,21 @@ def _opened(path: str | None, default):
     if path is None:
         return nullcontext(default)
     return open(path, "w", encoding="utf-8")
+
+
+def _one_file(a: str, b: str) -> bool:
+    """Whether two output paths name one regular file, or would create one.
+
+    Paths that both exist are compared by device and inode, so a link or
+    a second spelling is caught; a device such as /dev/null may be named
+    twice. A path that does not exist yet is compared by its resolved
+    spelling, since opening it would create it.
+    """
+    try:
+        sa, sb = os.stat(a), os.stat(b)
+    except FileNotFoundError:
+        return bool(a) and os.path.realpath(a) == os.path.realpath(b)
+    return stat.S_ISREG(sa.st_mode) and os.path.samestat(sa, sb)
 
 
 def _bool(b: bool) -> str:
@@ -276,13 +293,12 @@ def _run(args, stdout) -> int:
     if text is None:
         text = "\n".join(lines) + "\n"
     # every output is opened before any is written, so a run that cannot
-    # open one, or opens one file twice, writes no answer
-    out = getattr(args, "out", None)
-    with _opened(out, stdout) as fh, \
-            _opened(getattr(args, "dot", None), None) as dh:
-        if (out is not None and dh is not None
-                and os.path.sameopenfile(fh.fileno(), dh.fileno())):
-            raise ValueError("--out and --dot name the same file")
+    # open one writes no answer; two names of one file are refused before
+    # either is opened, since opening truncates
+    out, dotpath = getattr(args, "out", None), getattr(args, "dot", None)
+    if out is not None and dotpath is not None and _one_file(out, dotpath):
+        raise ValueError("--out and --dot name the same file")
+    with _opened(out, stdout) as fh, _opened(dotpath, None) as dh:
         fh.writelines((text,) if isinstance(text, str) else text)
         if dh is not None:
             dh.write(dot)

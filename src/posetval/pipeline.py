@@ -7,23 +7,26 @@ the depth-d words ((i + 1)/2^d lands on word i), so the driver's law over
 the grid is the final layer's run-length count, and it equals the target
 exactly -- a counting identity, not a limit.
 
-Sequences route through the weak-convergence gate and report how the
-witnesses' values settle on the limit's: the report is decided on the
-runs of consecutive grid words that settle alike, and lists one record
-per grid word only when asked. A subprobability target is represented
-over its poset lifted under a fresh bottom that takes the missing mass;
-its witness is undefined at the grid points routed there, and its law
-skips them.
+Sequences route through the weak-convergence gate and report, per grid
+word, how the witnesses' values settle on the limit's: each run of
+consecutive grid words that settle alike is settled once, and its fields
+are copied out to the words of the run. A subprobability target is
+represented over its poset lifted under a fresh bottom that takes the
+missing mass; its witness is undefined at the grid points routed there,
+and its law skips them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
+from .cantor import Word, _level_bits
 from .dyadic import ONE, Dyadic
 from .errors import NotProbability
-from .skorohod import (ConvergenceReport, RepresentationMap,
-                       represent_sequence, represent_target)
+from .skorohod import (ConvergenceRecord, ConvergenceReport,
+                       RepresentationMap, _settling, represent_sequence,
+                       represent_target)
 from .valuation import SimpleValuation
 
 
@@ -117,20 +120,28 @@ def skorohod_sequence(targets, limit: SimpleValuation, steps: int,
     """Witnesses for a weakly convergent family plus the settling report.
 
     The report covers the grid of the maps' top depth (the grid point
-    (i + 1)/2^depth lands on word i, as unit_to_word says) and is decided
-    on the settling runs: the word counts are sums of run lengths, and the
-    per-word records are listed only when read.
+    (i + 1)/2^depth lands on word i, as unit_to_word says), one record per
+    word in word order, each word the truncation of an infinite one. It
+    is settled a run at a time: a run's fields are copied to its words,
+    and its length is added to the word counts.
     """
     maps, limit_map = represent_sequence(targets, limit, steps, from_index)
-    conv = ConvergenceReport.over_grid(maps, limit_map)
+    runs = _settling(maps, limit_map)
+    bits = _level_bits(runs.depth)
+    records = []
     maximal = equal = start = 0
-    for end, (_, is_maximal, _, equal_from, _) in zip(conv.runs.ends,
-                                                      conv.runs.values):
+    for end, (lv, is_maximal, geq_from, equal_from, ok) in zip(runs.ends,
+                                                               runs.values):
+        records += [ConvergenceRecord(Word(b, True), lv, is_maximal,
+                                      geq_from, equal_from, ok)
+                    for b in islice(bits, end - start)]
         if is_maximal:
             maximal += end - start
             if equal_from is not None:
                 equal += end - start
         start = end
+    conv = ConvergenceReport(records, all(fields[-1]
+                                          for fields in runs.values))
     report = SequenceReport(conv, maximal, equal)
     witnesses = [SkorohodWitness(t, m) for t, m in zip(targets, maps)]
     return witnesses, SkorohodWitness(limit, limit_map), report

@@ -33,8 +33,8 @@ from .valuation import (SimpleValuation, TransportPlan, _same_base, delta,
                         portmanteau_check, transport_plan, way_below)
 
 # deepest layer lift_step builds; layers are runs, and laws, draws and the
-# convergence report work on the runs, but format_map still lists all
-# 2^depth words of a map, and the converge command one record per word
+# settling of a sequence work on the runs, but format_map still lists all
+# 2^depth words of a map, and a sequence's report one record per word
 MAX_DEPTH = 16
 
 
@@ -332,48 +332,10 @@ class ConvergenceRecord:
     ok: bool
 
 
+@dataclass
 class ConvergenceReport:
-    """The verdict on how a family settles, and one record per word.
-
-    `ConvergenceReport(records, verdict)` holds the records of a word list.
-    A report over the whole grid of the family's top depth, made by
-    `over_grid`, keeps the settling runs instead: `runs` is a total step
-    map whose values are the record fields after the word. Its records,
-    one per grid word in word order, each word flagged as the truncation
-    of an infinite one, are listed on the first read of `records`, and
-    that list is kept, so every later read returns the same list. Reports
-    are equal when their verdicts and records are.
-    """
-
-    def __init__(self, records, verdict: bool):
-        self._records = records
-        self.verdict = verdict
-        self.runs = None
-
-    @classmethod
-    def over_grid(cls, maps, limit_map: RepresentationMap):
-        """The report over every word of the top depth, kept as runs."""
-        runs = _settling(maps, limit_map)
-        report = cls(None, all(fields[-1] for fields in runs.values))
-        report.runs = runs
-        return report
-
-    @property
-    def records(self) -> list:
-        if self._records is None:
-            self._records = [
-                ConvergenceRecord(Word(bits, truncated=True), *fields)
-                for bits, fields in self.runs.items()]
-        return self._records
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.verdict == other.verdict and self.records == other.records
-
-    def __repr__(self):
-        return "ConvergenceReport(records=%r, verdict=%r)" % (self.records,
-                                                              self.verdict)
+    records: list
+    verdict: bool
 
 
 def _tail_index(flags) -> int | None:
@@ -431,8 +393,8 @@ def convergence_check(maps, limit_map: RepresentationMap,
     and stay equal; elsewhere only the eventually-at-least check applies
     (the maps need not be ordered among themselves).
 
-    The family is settled once, a segment between run ends at a time (the
-    same runs `ConvergenceReport.over_grid` keeps), and each word given
+    The family is settled once, a segment between run ends at a time, by
+    the routine `pipeline.skorohod_sequence` uses too, and each word given
     takes the fields of the run it falls in. A word shorter than some map
     raises DepthExceeded from the first such map, the limit map first; a
     final-layer value outside the poset then raises UnknownElement.

@@ -219,27 +219,41 @@ def test_empty_output_paths_exit_2(files, capsys):
 
 
 def test_out_and_dot_on_one_file_exit_2(files, capsys):
-    # both are opened before either is written, so the refusal writes
-    # nothing: not to stdout, and neither answer into the file
+    # two names of one regular file are refused before either is opened:
+    # nothing on stdout, the file keeps what it held, and a file that did
+    # not exist is not created
     m4, mu, nu = files["m4.poset"], files["mu.val"], files["top.val"]
     path = os.path.join(files["dir"], "both.txt")
     alias = os.path.join(files["dir"], "alias.txt")
-    Path(path).write_text("")
+    fresh = os.path.join(files["dir"], "fresh.txt")
+    Path(path).write_text("kept\n")
     os.symlink(path, alias)
     for argv in (["order", "--mu", mu, "--nu", nu],
                  ["represent", "--mu", files["da.val"]]):
-        for dot in (path, alias):
+        for out, dot in ((path, path), (path, alias), (alias, path),
+                         (fresh, fresh),
+                         (fresh, os.path.join(files["dir"], ".",
+                                              "fresh.txt"))):
             capsys.readouterr()
-            assert run(argv + ["--poset", m4, "--out", path,
+            assert run(argv + ["--poset", m4, "--out", out,
                                "--dot", dot]) == (2, "")
             assert capsys.readouterr().err \
                 == "error: --out and --dot name the same file\n"
-            assert Path(path).read_text() == ""
+            assert Path(path).read_text() == "kept\n"
+            assert not os.path.exists(fresh)
     other = os.path.join(files["dir"], "other.dot")
     assert run(["order", "--poset", m4, "--mu", mu, "--nu", nu,
                 "--out", path, "--dot", other]) == (0, "")
     assert Path(path).read_text().startswith("LEQ: true\n")
     assert Path(other).read_text().startswith("digraph")
+
+
+def test_out_and_dot_may_both_be_a_device(files, capsys):
+    # a device is not a regular file: naming it twice is no conflict
+    assert run(["order", "--poset", files["m4.poset"], "--mu", files["mu.val"],
+                "--nu", files["top.val"], "--out", os.devnull,
+                "--dot", os.devnull]) == (0, "")
+    assert capsys.readouterr().err == ""
 
 
 def test_order_negative_with_witness(files):

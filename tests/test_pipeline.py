@@ -14,7 +14,7 @@ from posetval import (Dyadic, ONE, Poset, SimpleValuation, Word, add, delta,
                       skorohod_subprobability, unit_to_word)
 from posetval.errors import (NotConvergent, NotProbability, OutOfRange,
                              TooLarge)
-from posetval.skorohod import represent_sequence
+from posetval.skorohod import _settling, represent_sequence
 
 from conftest import make_chain, random_poset, random_valuation
 from oracles import convergence_by_words, law_by_grid_tabulation
@@ -260,14 +260,6 @@ def test_sequence_report_matches_word_by_word_oracle(rng):
     assert report.convergence == want
 
 
-def test_sequence_report_lists_records_once(m4):
-    top = delta(m4, "top")
-    _, _, report = skorohod_sequence(attaining_family(m4, top), top, 2)
-    records = report.convergence.records
-    assert report.convergence.records is records
-    assert len(records) == 1 << report.convergence.runs.depth
-
-
 def test_sequence_report_copies_and_pickles(m4):
     top = delta(m4, "top")
     seq = attaining_family(m4, top)
@@ -281,34 +273,33 @@ def test_sequence_report_copies_and_pickles(m4):
     bad.records[0].equal_from = (bad.records[0].equal_from or 0) + 1
     assert bad.records[0].equal_from != conv.records[0].equal_from
     assert bad != conv
-    # and so it is when the original's records were listed before the copy
-    listed = copy.deepcopy(bad)
-    assert listed == bad and listed.records is not bad.records
 
 
-def test_depth_16_sequence_decides_on_runs():
+def test_depth_16_sequence_settles_on_runs():
     # weights at 2^-12 and blends c = 1, 2 give terms at 2^-14, so K = 2
     # reaches depth 16: 65536 grid words, but only a handful of runs, and
-    # the verdict and word counts come without a record per word
+    # the family is settled on those runs without a record per word
     chain = make_chain(4)
     limit = SimpleValuation(chain, {"c0": Dyadic(1, 12), "c1": Dyadic(3, 12),
                                     "c2": Dyadic(5, 12),
                                     "c3": Dyadic((1 << 12) - 9, 12)})
     rho = SimpleValuation(chain, {"c0": HALF, "c2": HALF})
     seq = blends(limit, rho, 2, 1)
+    maps, limit_map = represent_sequence(seq, limit, 2)
     tracemalloc.start()
     try:
-        witnesses, limit_witness, report = skorohod_sequence(seq, limit, 2)
+        runs = _settling(maps, limit_map)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert max(w.precision for w in witnesses + [limit_witness]) == 16
-    assert peak < 1 << 20
-    assert report.verdict and report.almost_sure
-    runs = report.convergence.runs
     assert runs.depth == 16 and len(runs.ends) < 64
+    assert peak < 1 << 20
+    _, _, report = skorohod_sequence(seq, limit, 2)
+    assert report.verdict and report.almost_sure
     records = report.convergence.records
     assert len(records) == 1 << 16
+    assert [r.word.bits for r in records[:3]] \
+        == ["0" * 16, "0" * 15 + "1", "0" * 14 + "10"]
     assert report.maximal_words == sum(r.maximal for r in records) > 0
 
 
