@@ -16,10 +16,9 @@ from .flow import Flow, FlowNetwork, max_flow
 from .pipeline import (SkorohodWitness, skorohod, skorohod_sequence,
                        skorohod_subprobability)
 from .poset import Poset, UpperSet, format_poset, parse_poset
-from .skorohod import (ApproximationSchedule, Layer, RepresentationMap,
-                       build_schedule, convergence_check, format_map,
-                       lift_step, parse_map, represent, represent_sequence,
-                       sample)
+from .skorohod import (Layer, RepresentationMap, build_schedule,
+                       convergence_check, format_map, lift_step, parse_map,
+                       represent, represent_sequence, sample)
 from .valuation import (PosetMap, SimpleValuation, TransportPlan, add, delta,
                         format_valuation, integrate_monotone, leq, leq_oracle,
                         leq_witness, normalize, parse_valuation,
@@ -38,9 +37,9 @@ __all__ = [
     "word_to_unit", "unit_to_word",
     "Cdf", "QuantileMap", "cdf", "lower_adjoint", "pushforward_lebesgue",
     "quantile_leq",
-    "ApproximationSchedule", "Layer", "RepresentationMap", "build_schedule",
-    "lift_step", "represent", "sample", "represent_sequence",
-    "convergence_check", "format_map", "parse_map",
+    "Layer", "RepresentationMap", "build_schedule", "lift_step", "represent",
+    "sample", "represent_sequence", "convergence_check", "format_map",
+    "parse_map",
     "SkorohodWitness", "skorohod", "skorohod_sequence",
     "skorohod_subprobability",
     "errors",

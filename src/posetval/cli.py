@@ -204,9 +204,8 @@ def _run(args, stdout) -> int:
             dot = base.to_dot()
 
     elif args.command == "schedule":
-        sched = build_schedule(mu, args.steps)
         lines = []
-        for k, stage in enumerate(sched.stages):
+        for k, stage in enumerate(build_schedule(mu, args.steps)):
             lines.append("stage %d" % k)
             lines.extend("%s %s" % (x, stage.weights[x])
                          for x in stage.support)

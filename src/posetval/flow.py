@@ -76,18 +76,11 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .dyadic import Dyadic
+from .poset import _bits
 from .text import digraph, statement
 
 SOURCE = "source"
 SINK = "sink"
-
-
-def _bits(mask: int):
-    """The positions of mask's set bits, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 class MaskEdges(Mapping):

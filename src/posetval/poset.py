@@ -29,6 +29,14 @@ from .text import digraph, read_lines, statement, writable
 ORACLE_BOUND = 16
 
 
+def _bits(mask: int):
+    """The positions of mask's set bits, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def _refuse_cycle(elements, above, below):
     """Raise OrderViolation naming the first pair i < j (by declaration
     order) on a cycle: i is the least index in any strongly connected
@@ -144,12 +152,7 @@ class Poset:
 
     def _members(self, mask: int) -> frozenset:
         """The elements whose bits are set in mask."""
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(self.elements[low.bit_length() - 1])
-            mask ^= low
-        return frozenset(out)
+        return frozenset(self.elements[b] for b in _bits(mask))
 
     def up_set(self, x) -> frozenset:
         self._check(x)
@@ -197,16 +200,20 @@ class Poset:
                 == len(self.elements))
 
     def classify(self) -> dict:
-        """Shape flags: a pair scan for meets, then a test for a top.
+        """Shape flags: a scan of the incomparable pairs for meets, then a
+        test for a top.
 
         The common lower bounds L of a pair have a greatest element k iff
         L is the principal down-set of k (k in L puts its down-set inside
         L, and k above all of L puts L inside it), so each pair is one set
-        lookup on the bitsets. A finite poset with all meets and a top is a
-        lattice (a pair's join is the meet of its upper bounds), and every
-        lattice has a top, so joins need no scan. A chain skips the scan.
-        Down-sets are ORed up the covers by descending up-set size of the
-        upper end, which puts each element after all those strictly below.
+        lookup on the bitsets. A comparable pair meets at its lower end, so
+        only the incomparable pairs are looked up: for each i, the bits
+        above i outside its up-set and down-set. A finite poset with all
+        meets and a top is a lattice (a pair's join is the meet of its
+        upper bounds), and every lattice has a top, so joins need no scan.
+        A chain skips the scan. Down-sets are ORed up the covers by
+        descending up-set size of the upper end, which puts each element
+        after all those strictly below.
         """
         if self._is_chain():
             return {"is_chain": True, "is_bounded_complete": True,
@@ -218,11 +225,14 @@ class Poset:
                              key=lambda c: -up[index[c[1]]].bit_count()):
             down[index[hi]] |= down[index[lo]]
         downs = set(down)
+        full = (1 << n) - 1
         has_meet = all(down[i] & down[j] in downs
-                       for i in range(n) for j in range(i + 1, n))
+                       for i in range(n)
+                       for j in _bits(full & ~up[i] & ~down[i]
+                                      & ~((2 << i) - 1)))
         return {"is_chain": False,
                 "is_bounded_complete": has_meet,
-                "is_lattice": has_meet and (1 << n) - 1 in downs}
+                "is_lattice": has_meet and full in downs}
 
     def lift(self, fresh_bottom=None) -> "Poset":
         """A copy with a fresh bottom element strictly below the old one."""

@@ -1,13 +1,13 @@
 """Layered monotone maps from binary-tree levels onto a poset.
 
 A probability valuation is realized as the law of a map from the tree: a
-schedule of approximants climbs from the point mass at bottom up to the
-target, and each climb is realized by refining the current level map so
-that normalized counting measure pushes forward to the next approximant
-exactly. The refinement step distributes the slots under each word among
-the targets prescribed by a transport plan; the matching this requires
-always exists for probability measures, and the deterministic slot-filling
-below constructs one outright.
+list of stages, each below the next in the probability order, climbs from
+the point mass at bottom up to the target, and each climb is realized by
+refining the current level map so that normalized counting measure pushes
+forward to the next stage exactly. The refinement step distributes the
+slots under each word among the targets prescribed by a transport plan;
+the matching this requires always exists for probability measures, and
+the deterministic slot-filling below constructs one outright.
 
 A level map is a step function on the words of its level in lexicographic
 order, so a layer is a total `cantor.StepMap`: the end of each run of
@@ -21,7 +21,7 @@ with the schedule stages is dyadic equality, not approximation.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 
 from .cantor import StepMap, Word, _bits
 from .dyadic import MAX_PARSED_EXPONENT, Dyadic
@@ -30,7 +30,7 @@ from .errors import (DepthExceeded, NotComparable, NotConvergent,
 from .poset import Poset
 from .text import digits, digraph, known, read_lines, statement, writable
 from .valuation import (SimpleValuation, TransportPlan, _same_base, delta,
-                        portmanteau_check, transport_plan, way_below)
+                        portmanteau_check, transport_plan)
 
 # deepest layer lift_step builds; layers are runs, and laws, draws and the
 # settling of a sequence work on the runs, but format_map still lists all
@@ -38,43 +38,15 @@ from .valuation import (SimpleValuation, TransportPlan, _same_base, delta,
 MAX_DEPTH = 16
 
 
-@dataclass
-class ApproximationSchedule:
-    """Chain of probability valuations from the bottom point mass up.
+def build_schedule(target: SimpleValuation, steps: int) -> list:
+    """The convex schedule (1 - 2^-k) * target + 2^-k * bottom, k = 0..steps.
 
-    Consecutive stages must be related by way-below in the probability
-    order; the last stage is the target.
-    """
-
-    target: SimpleValuation
-    stages: list
-    # build_schedule's stages approximate each other by construction, so
-    # it skips the way-below re-check (one flow per pair of stages)
-    _approximating: InitVar[bool] = False
-
-    def __post_init__(self, _approximating):
-        if not self.stages:
-            raise ValueError("schedule needs at least one stage")
-        bot = delta(self.target.base, self.target.base.bottom)
-        if self.stages[0] != bot:
-            raise NotComparable("schedule must start at the bottom mass")
-        if self.stages[-1] != self.target:
-            raise NotComparable("schedule must end at the target")
-        for a, b in zip(self.stages, self.stages[1:]):
-            if not _approximating and not way_below(a, b, normalized=True):
-                raise NotComparable("stage %r does not approximate %r"
-                                    % (a, b))
-
-
-def build_schedule(target: SimpleValuation, steps: int) -> ApproximationSchedule:
-    """The convex schedule (1 - 2^-k) * target + 2^-k * bottom, k = 1..steps.
-
-    Stage 0 is the bottom point mass, stage `steps` the target itself. A
-    bottom target collapses to the constant schedule. With E the target's
-    largest exponent and t(x) = n_x / 2^E, stage k weighs x by
-    n_x (2^k - 1) / 2^(k + E), plus 2^E / 2^(k + E) at the bottom, so each
-    stage is one valuation built from integer numerators. The stages are
-    not re-decided: with t the target, on every upper set U without the
+    Stage 0 is the bottom point mass, stage `steps` the target itself. With
+    E the target's largest exponent and t(x) = n_x / 2^E, stage k weighs x
+    by n_x (2^k - 1) / 2^(k + E), plus 2^E / 2^(k + E) at the bottom, so
+    each stage is one valuation built from integer numerators; a bottom
+    target gives the constant schedule. The stages are way below each other
+    by construction: with t the target, on every upper set U without the
     bottom that stage k charges, (1 - 2^-k) t(U) < (1 - 2^-(k + 1)) t(U)
     <= stage (k + 1)(U), so stage k approximates stage k + 1.
 
@@ -86,18 +58,14 @@ def build_schedule(target: SimpleValuation, steps: int) -> ApproximationSchedule
         raise ValueError("schedule length must be at least 1")
     if not target.is_probability():
         raise NotProbability("schedule target must have mass 1")
-    top = target.max_exponent() + steps - 1
+    e = target.max_exponent()
+    top = e + steps - 1
     if top > MAX_PARSED_EXPONENT:
         raise TooLarge("schedule exponent %d exceeds the bound %d"
                        % (top, MAX_PARSED_EXPONENT))
-    bot = delta(target.base, target.base.bottom)
-    if target == bot:
-        return ApproximationSchedule(target, [bot] * (steps + 1),
-                                     _approximating=True)
-    e = target.max_exponent()
     nums = {x: w.rescale(e) for x, w in target.weights.items()}
     bottom = target.base.bottom
-    stages = [bot]
+    stages = [delta(target.base, bottom)]
     for k in range(1, steps):
         keep = (1 << k) - 1
         weights = {x: n * keep for x, n in nums.items()}
@@ -105,7 +73,7 @@ def build_schedule(target: SimpleValuation, steps: int) -> ApproximationSchedule
         stages.append(SimpleValuation(target.base, {
             x: Dyadic(n, k + e) for x, n in weights.items()}))
     stages.append(target)
-    return ApproximationSchedule(target, stages, _approximating=True)
+    return stages
 
 
 # a layer is a total step map on its level
@@ -252,18 +220,26 @@ class RepresentationMap:
         return digraph("layers", "TB", statements)
 
 
-def represent(schedule: ApproximationSchedule) -> RepresentationMap:
-    """Realize a schedule, stage by stage, via lift_step.
+def represent(stages) -> RepresentationMap:
+    """Realize a chain of probability valuations, each <= the next, stage by
+    stage via lift_step, from the depth-0 layer at the bottom.
 
-    Every layer's law equals its stage exactly; the checks are asserted
-    here rather than trusted. Each layer's law is counted once: it is
-    asserted against its stage and then handed to the next lift.
+    The first stage must be the bottom point mass (NotComparable
+    otherwise); a later stage is refused as lift_step refuses it:
+    NotProbability, MixedBase, or NotComparable when it is not above the
+    stage before. Way-below is not needed. Every layer's law equals its
+    stage exactly; the checks are asserted here rather than trusted. Each
+    layer's law is counted once: it is asserted against its stage and then
+    handed to the next lift.
     """
-    base = schedule.target.base
+    if not stages:
+        raise ValueError("schedule needs at least one stage")
+    base = stages[0].base
     layers = [Layer(0, ends=[1], values=[base.bottom])]
     law = layers[0].law(base)
-    assert law == schedule.stages[0]
-    for stage in schedule.stages[1:]:
+    if stages[0] != law:
+        raise NotComparable("schedule must start at the bottom mass")
+    for stage in stages[1:]:
         layers.append(_lift(layers[-1], law, stage, base))
         law = layers[-1].law(base)
         assert law == stage

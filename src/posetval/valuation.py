@@ -33,7 +33,7 @@ from . import flow as flowmod
 from .dyadic import ONE, ZERO, Dyadic, parse_dyadic
 from .errors import (MassExceeded, MixedBase, NotComparable, NotMonotone,
                      NotProbability, ParseError, PartialMap, UnknownElement)
-from .poset import ORACLE_BOUND, Poset, UpperSet, upper_masks
+from .poset import ORACLE_BOUND, Poset, UpperSet, _bits, upper_masks
 from .text import known, read_lines, writable
 
 # the one capacity of the middle edges, which flow.FlowNetwork requires to
@@ -320,7 +320,7 @@ class PosetMap:
         names = source.elements
         for i, t in image.items():
             above = tup[t]
-            breaks = [j for j in flowmod._bits(source._up_mask[i] & domain)
+            breaks = [j for j in _bits(source._up_mask[i] & domain)
                       if not above >> image[j] & 1]
             if breaks:
                 j = min(breaks, key=rank.__getitem__)

@@ -141,7 +141,7 @@ def test_criterion_5_representation_exactness():
         steps = rng.randint(1, 4)
         sched = build_schedule(target, steps)
         rmap = represent(sched)
-        for layer, stage in zip(rmap.layers, sched.stages):
+        for layer, stage in zip(rmap.layers, sched):
             assert pushforward_counting(layer.table, layer.depth, base) \
                 == stage
         counts = {}

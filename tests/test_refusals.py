@@ -5,10 +5,10 @@ from dataclasses import FrozenInstanceError
 
 import pytest
 
-from posetval import (ApproximationSchedule, Dyadic, Layer, Poset, PosetMap,
-                      RepresentationMap, SimpleValuation, UpperSet, Word, add,
-                      cdf, delta, embed, lift_step, lower_adjoint,
-                      portmanteau_check, pushforward, quantile_leq)
+from posetval import (Dyadic, Layer, Poset, PosetMap, RepresentationMap,
+                      SimpleValuation, UpperSet, Word, add, cdf, delta, embed,
+                      lift_step, lower_adjoint, portmanteau_check, pushforward,
+                      quantile_leq, represent)
 from posetval.errors import (MixedBase, NotAChain, NotComparable,
                              NotProbability, OrderViolation)
 
@@ -37,11 +37,6 @@ def quantile_of_top(chain):
     return lower_adjoint(cdf(delta(chain, "c2")))
 
 
-def schedule_ending_at_the_bottom():
-    base = diamond()
-    return ApproximationSchedule(halves(base), [delta(base, "bot")] * 2)
-
-
 def delete_bits():
     w = Word("0")
     del w.bits
@@ -55,11 +50,11 @@ REFUSALS = {
         lambda: UpperSet(diamond(), frozenset({"a"})),
         OrderViolation, "set is not upward closed: ['a']"),
     "schedule without stages": (
-        lambda: ApproximationSchedule(halves(diamond()), []),
+        lambda: represent([]),
         ValueError, "schedule needs at least one stage"),
-    "schedule ending off the target": (
-        schedule_ending_at_the_bottom,
-        NotComparable, "schedule must end at the target"),
+    "schedule starting off the bottom": (
+        lambda: represent([halves(diamond())]),
+        NotComparable, "schedule must start at the bottom mass"),
     "lift toward a subprobability": (
         lambda: lift_step(bottom_layer(), half_a(diamond()), diamond()),
         NotProbability, "lift target must have mass 1"),

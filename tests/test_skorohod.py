@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posetval import (ApproximationSchedule, Dyadic, Layer, ONE,
-                      RepresentationMap, SimpleValuation, StepMap, Word, add,
-                      build_schedule, convergence_check, delta, format_map,
-                      leq, level, lift_step, parse_map, pushforward_counting,
-                      represent, represent_sequence, sample, scale,
-                      skorohod_sequence, skorohod_subprobability, way_below)
+from posetval import (Dyadic, Layer, ONE, RepresentationMap, SimpleValuation,
+                      StepMap, Word, add, build_schedule, convergence_check,
+                      delta, format_map, leq, level, lift_step, parse_map,
+                      pushforward_counting, represent, represent_sequence,
+                      sample, scale, skorohod_sequence,
+                      skorohod_subprobability, way_below)
 from posetval.dyadic import MAX_PARSED_EXPONENT, parse_dyadic
 from posetval.errors import (DepthExceeded, MixedBase, NotComparable,
                              NotConvergent, NotProbability, ParseError,
@@ -31,12 +31,12 @@ def half_half(m4):
 def test_build_schedule_examples(m4):
     top = delta(m4, "top")
     sched = build_schedule(top, 2)
-    assert sched.stages == [delta(m4, "bot"),
-                            SimpleValuation(m4, {"bot": HALF, "top": HALF}),
-                            top]
+    assert sched == [delta(m4, "bot"),
+                     SimpleValuation(m4, {"bot": HALF, "top": HALF}),
+                     top]
     bot = delta(m4, "bot")
-    assert build_schedule(bot, 3).stages == [bot] * 4
-    assert build_schedule(half_half(m4), 1).stages == [bot, half_half(m4)]
+    assert build_schedule(bot, 3) == [bot] * 4
+    assert build_schedule(half_half(m4), 1) == [bot, half_half(m4)]
 
 
 def test_build_schedule_checks(m4):
@@ -52,14 +52,14 @@ def test_schedule_exponents_stay_parseable(c3):
     E = MAX_PARSED_EXPONENT - 1
     deep = SimpleValuation(c3, {"c1": Dyadic(1, E), "c2": ONE - Dyadic(1, E)})
     sched = build_schedule(deep, 2)
-    assert max(t.max_exponent() for t in sched.stages) == MAX_PARSED_EXPONENT
-    for stage in sched.stages:
+    assert max(t.max_exponent() for t in sched) == MAX_PARSED_EXPONENT
+    for stage in sched:
         for w in stage.weights.values():
             assert parse_dyadic(str(w)) == w
     with pytest.raises(TooLarge, match="exceeds the bound"):
         build_schedule(deep, 3)
     half = SimpleValuation(c3, {"c0": HALF, "c2": HALF})
-    assert len(build_schedule(half, MAX_PARSED_EXPONENT).stages) \
+    assert len(build_schedule(half, MAX_PARSED_EXPONENT)) \
         == MAX_PARSED_EXPONENT + 1
     with pytest.raises(TooLarge, match="exceeds the bound"):
         build_schedule(half, MAX_PARSED_EXPONENT + 1)
@@ -71,7 +71,7 @@ def test_schedule_stages_strictly_approximate(m4):
         base = random_poset(rng)
         target = random_valuation(rng, base, probability=True)
         sched = build_schedule(target, rng.randint(1, 4))
-        for a, b in zip(sched.stages, sched.stages[1:]):
+        for a, b in zip(sched, sched[1:]):
             assert way_below(a, b, normalized=True)
             assert leq(a, b)
 
@@ -79,21 +79,18 @@ def test_schedule_stages_strictly_approximate(m4):
 @settings(max_examples=100, deadline=None)
 @given(st.randoms(use_true_random=False), st.integers(1, 6))
 def test_built_schedules_are_way_below_by_construction(rng, steps):
-    # build_schedule does not re-decide its stages; decide them here
+    # nothing in the library decides way-below between the built stages;
+    # decide it here
     base = random_poset(rng, max_elements=8)
     target = random_valuation(rng, base, exp=rng.randint(0, 5),
                               probability=True)
     sched = build_schedule(target, steps)
-    for a, b in zip(sched.stages, sched.stages[1:]):
+    for a, b in zip(sched, sched[1:]):
         assert way_below(a, b, normalized=True)
-    assert ApproximationSchedule(target, sched.stages) == sched
 
 
 def test_build_schedule_solves_no_flow(m4, solves):
-    sched = build_schedule(half_half(m4), 4)
-    assert len(sched.stages) == 5 and solves == []
-    ApproximationSchedule(sched.target, sched.stages)
-    assert len(solves) == 4
+    assert len(build_schedule(half_half(m4), 4)) == 5 and solves == []
 
 
 @settings(max_examples=100, deadline=None)
@@ -105,7 +102,7 @@ def test_build_schedule_matches_convex_sums(rng, steps):
     target = random_valuation(rng, base, exp=rng.randint(0, 6),
                               probability=True)
     want = schedule_by_convex_sums(target, steps)
-    got = build_schedule(target, steps).stages
+    got = build_schedule(target, steps)
     assert got == want
     assert [list(s.weights.items()) for s in got] \
         == [list(s.weights.items()) for s in want]
@@ -143,12 +140,22 @@ def test_lift_step_alone_checks_its_layer_law(m4):
     assert lifted.law(m4) == delta(m4, "top")
 
 
-def test_schedule_validation_rejects_gaps(m4):
-    top = delta(m4, "top")
-    with pytest.raises(NotComparable):
-        ApproximationSchedule(top, [delta(m4, "bot"), delta(m4, "a"), top])
-    with pytest.raises(NotComparable):
-        ApproximationSchedule(top, [top])
+def test_schedule_validation_rejects_gaps(m4, c3):
+    bot = delta(m4, "bot")
+    with pytest.raises(NotComparable, match="bottom mass"):
+        represent([delta(m4, "top")])
+    # one run at a: the forced plan finds b outside a's up-set
+    with pytest.raises(NotComparable, match="no transport plan"):
+        represent([bot, delta(m4, "a"), delta(m4, "b")])
+    # runs at a and b: the flow finds no way up for b's half
+    with pytest.raises(NotComparable, match="no transport plan"):
+        represent([bot, half_half(m4), delta(m4, "a")])
+    with pytest.raises(NotProbability):
+        represent([bot, scale(delta(m4, "top"), HALF)])
+    with pytest.raises(MixedBase):
+        represent([bot, delta(c3, "c1")])
+    with pytest.raises(MixedBase):
+        represent([bot, half_half(m4), delta(c3, "c1")])
 
 
 def test_lift_step_examples(m4):
@@ -262,7 +269,7 @@ def test_represent_matches_slot_by_slot_oracle():
                                   probability=True)
         sched = build_schedule(target, rng.randint(1, 3))
         tables = [(0, {"": base.bottom})]
-        for stage in sched.stages[1:]:
+        for stage in sched[1:]:
             tables.append(lift_step_by_slots(tables[-1][1], tables[-1][0],
                                              stage))
         rmap = represent(sched)
@@ -306,15 +313,46 @@ def test_representation_map_rejects_bad_run_layouts(m4):
                                Layer(2, ends=[3, 4], values=["a", "top"])])
 
 
-def test_schedule_invariant_rejects_non_approximating_chain(m4):
+def test_represent_lifts_a_chain_that_is_not_way_below(m4):
     # a chain that is ordered but not strictly approximating: the middle
-    # stage leaves no residual bottom mass, so it is not way below the top
-    with pytest.raises(NotComparable):
-        ApproximationSchedule(
-            delta(m4, "top"),
-            [delta(m4, "bot"), half_half(m4), delta(m4, "top")])
+    # stage leaves no residual bottom mass, so it is not way below the top;
+    # the lift needs only the order, and each layer's law is its stage
+    stages = [delta(m4, "bot"), half_half(m4), delta(m4, "top")]
+    rmap = represent(stages)
+    assert [layer.law(m4) for layer in rmap.layers] == stages
     assert leq(half_half(m4), delta(m4, "top"))
     assert not way_below(half_half(m4), delta(m4, "top"), normalized=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(1, 7))
+def test_represent_lifts_any_chain_of_small_moves(rng, m):
+    # delta_bot <= s_1 <= ... <= s_m, each step moving 2^-5 of mass up one
+    # declared cover, until the mass sits on maximal elements. A move off
+    # x other than the bottom leaves up(x) charged and unchanged, so that
+    # pair is <= but not way below
+    step = Dyadic(1, 5)
+    base = random_poset(rng, max_elements=7)
+    stages = [delta(base, base.bottom)]
+    for _ in range(m):
+        weights = dict(stages[-1].weights)
+        moves = [(x, y) for x, y in base.covers if x != y and x in weights]
+        if not moves:
+            break
+        x, y = rng.choice(moves)
+        weights[x] -= step
+        weights[y] = weights.get(y, Dyadic(0, 0)) + step
+        stages.append(SimpleValuation(base, weights))
+        if x != base.bottom:
+            assert not way_below(stages[-2], stages[-1], normalized=True)
+    rmap = represent(stages)
+    assert len(rmap.layers) == len(stages)
+    for layer, stage in zip(rmap.layers, stages):
+        assert pushforward_counting(layer.table, layer.depth, base) == stage
+    depth, table = 0, {"": base.bottom}
+    for layer, stage in zip(rmap.layers[1:], stages[1:]):
+        depth, table = lift_step_by_slots(table, depth, stage)
+        assert (layer.depth, layer.table) == (depth, table)
 
 
 def test_three_layer_tables_via_lift_steps(m4):
@@ -331,8 +369,7 @@ def test_represent_constant_bottom(m4):
     rmap = represent(build_schedule(delta(m4, "bot"), 3))
     for layer in rmap.layers:
         assert set(layer.table.values()) == {"bot"}
-    single = represent(ApproximationSchedule(delta(m4, "bot"),
-                                             [delta(m4, "bot")]))
+    single = represent([delta(m4, "bot")])
     assert len(single.layers) == 1
     assert single.evaluate(Word(""))[1] == "bot"
 
