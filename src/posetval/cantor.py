@@ -212,15 +212,19 @@ class StepMap:
         """bit string -> value, for every word the map is defined on."""
         return dict(self.items())
 
-    def law(self, base: Poset) -> SimpleValuation:
-        """Counting measure pushed through the map: run lengths / 2^depth."""
+    def counts(self) -> dict:
+        """value -> the number of words it takes, summed over its runs."""
         counts = {}
         start = 0
         for end, y in zip(self.ends, self.values):
             counts[y] = counts.get(y, 0) + end - start
             start = end
+        return counts
+
+    def law(self, base: Poset) -> SimpleValuation:
+        """Counting measure pushed through the map: run lengths / 2^depth."""
         return SimpleValuation(base, {y: Dyadic(c, self.depth)
-                                      for y, c in counts.items()})
+                                      for y, c in self.counts().items()})
 
     def at(self, i: int):
         """The value at word number i."""

@@ -169,10 +169,13 @@ class Flow:
 
     `cut` is the source side of a minimum cut: SOURCE plus the tagged nodes
     ("left", x) / ("right", y) still reachable in the final residual
-    network. Its crossing capacity equals `value`. `from_source`, `across`
-    and `to_sink` map each edge that carries flow to its flow, in
-    declaration order (`across` by left node, then right node). They are
-    built on first use, since the decisions need only `value` and `cut`.
+    network. Its crossing capacity equals `value`. `units` is (p, [((x, y),
+    k), ...]): the k units of 2^-p moved on each middle edge that carries
+    flow, by left node, then right node, in declaration order; a transport
+    plan travels in this form. `from_source`, `across` (read off `units`)
+    and `to_sink` map each edge that carries flow to its flow as a dyadic,
+    in the same order. All are built on first use, since the decisions
+    need only `value` and `cut`.
     """
 
     def __init__(self, net: FlowNetwork, p: int, sent: list, moved: dict,
@@ -193,10 +196,14 @@ class Flow:
         return self._dyadics(zip(self._net.left, self._sent))
 
     @cached_property
-    def across(self) -> dict:
+    def units(self) -> tuple:
         left, names = self._net.left, self._net.mid_caps.names
-        return self._dyadics(((left[k], names[b]), f)
-                             for (k, b), f in sorted(self._moved.items()))
+        return self._p, [((left[k], names[b]), f)
+                         for (k, b), f in sorted(self._moved.items()) if f]
+
+    @cached_property
+    def across(self) -> dict:
+        return self._dyadics(self.units[1])
 
     @cached_property
     def to_sink(self) -> dict:

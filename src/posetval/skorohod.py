@@ -29,8 +29,8 @@ from .errors import (DepthExceeded, NotComparable, NotConvergent,
                      NotProbability, ParseError, SourceExhausted, TooLarge)
 from .poset import Poset
 from .text import digits, digraph, known, read_lines, statement, writable
-from .valuation import (SimpleValuation, TransportPlan, _same_base, delta,
-                        portmanteau_check, transport_plan)
+from .valuation import (SimpleValuation, _check_units, _same_base,
+                        _transport_units, delta, portmanteau_check)
 
 # deepest layer lift_step builds; layers are runs, and laws, draws and the
 # settling of a sequence work on the runs, but format_map still lists all
@@ -87,20 +87,23 @@ def lift_step(current: Layer, target: SimpleValuation, base: Poset) -> Layer:
     order. The new depth is the smallest one past the current depth at
     which the laws and the transport numbers all become integer counts:
     the target's exponent if larger, since the current law's exponent is
-    at most its depth and a flow's at most its capacities'. Each run of the
-    current layer, taken in word order, covers a block of the new level,
-    which is dealt out to the transported targets in the poset's
-    declaration order, each target taking as many words as its remaining
-    budget allows. That is the word-by-word lexicographic filling, done a
-    run at a time, so the cost grows with the runs and the targets, not
-    with 2^depth; the result is deterministic and monotone over the current
-    layer. Raises TooLarge when that depth exceeds MAX_DEPTH.
+    at most its depth and a flow's at most its capacities'. The transport
+    plan travels as the flow's checked integer units of 2^-p, and each
+    unit from x to y becomes 2^(depth - p) words of the new level. Each
+    run of the current layer, taken in word order, covers a block of the
+    new level, which is dealt out to the targets its value x sends mass to,
+    in the poset's declaration order, each taking as many words as its
+    remaining budget allows. That is the word-by-word lexicographic
+    filling, done a run at a time over x's own targets, so the cost grows
+    with the runs and the plan's entries, not with 2^depth; the result is
+    deterministic and monotone over the current layer. Raises TooLarge
+    when that depth exceeds MAX_DEPTH.
 
     A layer of one run, with value x, has law delta_x, whose only transport
     plan to the target sends each target point y its whole weight from x;
-    that plan is built directly, with no flow solved, once x is found below
-    the whole support (NotComparable otherwise, as transport_plan raises).
-    Every plan is verified.
+    that plan is read off the target's numerators, with no flow solved,
+    once x is found below the whole support (NotComparable otherwise, as
+    transport_plan raises). Every plan takes the one plan check.
     """
     return _lift(current, current.law(base), target, base)
 
@@ -111,26 +114,36 @@ def _lift(current: Layer, law: SimpleValuation, target: SimpleValuation,
     if not target.is_probability():
         raise NotProbability("lift target must have mass 1")
     if len(current.values) == 1:
-        plan = _forced_plan(law, target)
+        p, units = _forced_units(law, target)
     else:
-        plan = transport_plan(law, target)  # NotComparable unless ordered
+        p, units = _transport_units(law, target)  # NotComparable unless <=
     depth = max(current.depth + 1, target.max_exponent())
     if depth > MAX_DEPTH:
         raise TooLarge("representation depth %d exceeds the bound %d"
                        % (depth, MAX_DEPTH))
-    budgets = {xy: t.rescale(depth) for xy, t in plan.entries.items()}
-    targets = target.support
+    # x -> [y, budget in words of the new level], y in reverse declaration
+    # order, so the next target to fill is last
+    deals = {}
+    for (x, y), k in reversed(units):
+        deals.setdefault(x, []).append([y, k << (depth - p)])
     stride = depth - current.depth
     ends, values = [], []
     start = pos = 0
     for end, x in zip(current.ends, current.values):
         need = (end - start) << stride
         start = end
-        for y in targets:
-            take = min(budgets.get((x, y), 0), need)
-            if take <= 0:
-                continue
-            budgets[x, y] -= take
+        deal = deals.get(x, ())
+        while need:
+            if not deal:
+                raise AssertionError("slot without budget at %r"
+                                     % _bits(pos, depth))
+            entry = deal[-1]
+            y, take = entry
+            if take <= need:
+                deal.pop()
+            else:
+                take = need
+                entry[1] -= need
             need -= take
             pos += take
             if values and values[-1] == y:
@@ -138,28 +151,24 @@ def _lift(current: Layer, law: SimpleValuation, target: SimpleValuation,
             else:
                 ends.append(pos)
                 values.append(y)
-            if not need:
-                break
-        else:
-            raise AssertionError("slot without budget at %r"
-                                 % _bits(pos, depth))
-    assert all(b == 0 for b in budgets.values())
+    if any(deals.values()):
+        raise AssertionError("transport budget left after the lift")
     return Layer(depth, ends=ends, values=values)
 
 
-def _forced_plan(law: SimpleValuation,
-                 target: SimpleValuation) -> TransportPlan:
-    """The one transport plan from a point mass law = delta_x to target."""
+def _forced_units(law: SimpleValuation, target: SimpleValuation) -> tuple:
+    """The one transport plan from a point mass law = delta_x to target, as
+    checked integer units (p, [((x, y), k), ...]) of 2^-p."""
     _same_base(law, target)
     (x,) = law.weights
     index = law.base.index
     up = law.base._up_mask[index[x]]
     if any(not up >> index[y] & 1 for y in target.weights):
         raise NotComparable("valuations are not ordered; no transport plan")
-    plan = TransportPlan(law, target,
-                         {(x, y): w for y, w in target.weights.items()})
-    plan.verify()
-    return plan
+    p = target.max_exponent()
+    units = [((x, y), w.rescale(p)) for y, w in target.weights.items()]
+    _check_units(law, target, p, units)
+    return p, units
 
 
 class RepresentationMap:
@@ -228,21 +237,25 @@ def represent(stages) -> RepresentationMap:
     otherwise); a later stage is refused as lift_step refuses it:
     NotProbability, MixedBase, or NotComparable when it is not above the
     stage before. Way-below is not needed. Every layer's law equals its
-    stage exactly; the checks are asserted here rather than trusted. Each
-    layer's law is counted once: it is asserted against its stage and then
-    handed to the next lift.
+    stage exactly, and this is checked rather than trusted: each layer's
+    run lengths are counted once and compared with its stage's numerators
+    at the layer's depth (AssertionError otherwise, kept under `python
+    -O`). The stage, equal to the layer's law, then goes to the next lift,
+    whose plan travels as checked integer units.
     """
     if not stages:
         raise ValueError("schedule needs at least one stage")
     base = stages[0].base
     layers = [Layer(0, ends=[1], values=[base.bottom])]
-    law = layers[0].law(base)
-    if stages[0] != law:
+    if stages[0] != layers[0].law(base):
         raise NotComparable("schedule must start at the bottom mass")
-    for stage in stages[1:]:
-        layers.append(_lift(layers[-1], law, stage, base))
-        law = layers[-1].law(base)
-        assert law == stage
+    for law, stage in zip(stages, stages[1:]):
+        layer = _lift(layers[-1], law, stage, base)
+        if layer.counts() != {x: w.rescale(layer.depth)
+                              for x, w in stage.weights.items()}:
+            raise AssertionError("layer at depth %d does not push forward "
+                                 "to its stage" % layer.depth)
+        layers.append(layer)
     return RepresentationMap(base, layers)
 
 

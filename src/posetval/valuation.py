@@ -185,23 +185,14 @@ class TransportPlan:
     entries: dict
 
     def verify(self):
-        """Check the plan in one pass over its entries.
-
-        Rows and columns are summed as integers at one common exponent.
+        """Check the plan: its entries, rescaled to integers at one common
+        exponent, go through the one check every plan takes (_check_units).
         """
-        base, mu, nu = self.source.base, self.source, self.target
-        index, up = base.index, base._up_mask
+        mu, nu = self.source, self.target
         p = max(mu.max_exponent(), nu.max_exponent(),
                 max((t.exp for t in self.entries.values()), default=0))
-        rows, cols = {}, {}
-        for (x, y), t in self.entries.items():
-            assert not t.is_zero() and up[index[x]] >> index[y] & 1
-            k = t.rescale(p)
-            rows[x] = rows.get(x, 0) + k
-            cols[y] = cols.get(y, 0) + k
-        assert rows == {x: w.rescale(p) for x, w in mu.weights.items()}
-        for y, k in cols.items():
-            assert k <= nu.weights.get(y, ZERO).rescale(p)
+        _check_units(mu, nu, p, [(xy, t.rescale(p))
+                                 for xy, t in self.entries.items()])
 
     def lines(self):
         order = self.source.base.index
@@ -210,14 +201,54 @@ class TransportPlan:
             yield "t %s %s %s" % (x, y, self.entries[x, y])
 
 
+def _check_units(mu: SimpleValuation, nu: SimpleValuation, p: int,
+                 units) -> None:
+    """The check every transport plan takes, on integer units of 2^-p.
+
+    units lists ((x, y), k): k units move from x up to y. Each k must be
+    positive and each x <= y; the units leaving each x must sum to mu(x),
+    and those reaching each y stay within nu(y). p is at least every
+    exponent of mu and nu. Raises AssertionError, which `python -O` keeps.
+    """
+    index, up = mu.base.index, mu.base._up_mask
+    rows, cols = {}, {}
+    for (x, y), k in units:
+        if k <= 0 or not up[index[x]] >> index[y] & 1:
+            raise AssertionError("plan entry %s -> %s is not a positive "
+                                 "upward move" % (x, y))
+        rows[x] = rows.get(x, 0) + k
+        cols[y] = cols.get(y, 0) + k
+    if rows != {x: w.rescale(p) for x, w in mu.weights.items()}:
+        raise AssertionError("plan rows do not sum to the source's weights")
+    for y, k in cols.items():
+        if k > nu.weights.get(y, ZERO).rescale(p):
+            raise AssertionError("plan column %s exceeds the target's weight"
+                                 % (y,))
+
+
+def _transport_units(mu: SimpleValuation, nu: SimpleValuation,
+                     f: flowmod.Flow | None = None) -> tuple:
+    """transport_plan's numbers as checked integer units (p, [((x, y), k),
+    ...]) of 2^-p, listed by x, then y, in declaration order.
+
+    f is the order network's flow when the caller has solved it already.
+    Refuses with NotComparable when the flow does not saturate mu.
+    """
+    if f is None:
+        _same_base(mu, nu)
+        f = flowmod.max_flow(order_network(mu, nu))
+    if f.value != mu.mass:
+        raise NotComparable("valuations are not ordered; no transport plan")
+    p, units = f.units
+    _check_units(mu, nu, p, units)
+    return p, units
+
+
 def _plan(mu: SimpleValuation, nu: SimpleValuation,
           f: flowmod.Flow) -> TransportPlan:
     """The transport numbers of the order network's flow f."""
-    if f.value != mu.mass:
-        raise NotComparable("valuations are not ordered; no transport plan")
-    plan = TransportPlan(mu, nu, dict(f.across))
-    plan.verify()
-    return plan
+    p, units = _transport_units(mu, nu, f)
+    return TransportPlan(mu, nu, {xy: Dyadic(k, p) for xy, k in units})
 
 
 def transport_plan(mu: SimpleValuation, nu: SimpleValuation) -> TransportPlan:
@@ -272,16 +303,20 @@ def integrate_monotone(f: dict, v: SimpleValuation) -> Dyadic:
 
     f must cover the whole poset and respect the order: every pair x <= y
     is checked, x and then y in declaration order, and the error names the
-    first pair with f(y) < f(x).
+    first pair with f(y) < f(x). Each x walks the bits of its up-set mask,
+    so the check costs the order's pairs, not every pair of elements.
     """
     base = v.base
-    for x in base.elements:
+    names, up = base.elements, base._up_mask
+    for x in names:
         if x not in f:
             raise PartialMap("integrand undefined on %r" % (x,))
-    for x in base.elements:
-        for y in base.elements:
-            if base.leq(x, y) and f[y] < f[x]:
-                raise NotMonotone("integrand decreases from %s to %s" % (x, y))
+    for i, x in enumerate(names):
+        fx = f[x]
+        for j in _bits(up[i]):
+            if f[names[j]] < fx:
+                raise NotMonotone("integrand decreases from %s to %s"
+                                  % (x, names[j]))
     total = ZERO
     for x, w in v.weights.items():
         total = total + w * f[x]

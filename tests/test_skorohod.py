@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,7 @@ from posetval.errors import (DepthExceeded, MixedBase, NotComparable,
                              NotConvergent, NotProbability, ParseError,
                              PartialMap, SourceExhausted, TooLarge,
                              UnknownElement)
-from posetval.skorohod import represent_target
+from posetval.skorohod import _lift, represent_target
 
 from conftest import random_poset, random_valuation
 from oracles import (convergence_by_words, lift_step_by_slots,
@@ -110,14 +111,15 @@ def test_build_schedule_matches_convex_sums(rng, steps):
 
 
 def test_represent_counts_each_layer_law_once(m4, monkeypatch):
+    # StepMap.counts is the one run-length count, under StepMap.law too
     calls = []
-    real = StepMap.law
+    real = StepMap.counts
 
-    def counting(layer, base):
+    def counting(layer):
         calls.append(layer.depth)
-        return real(layer, base)
+        return real(layer)
 
-    monkeypatch.setattr(StepMap, "law", counting)
+    monkeypatch.setattr(StepMap, "counts", counting)
     target = SimpleValuation(m4, {"a": Dyadic(1, 2), "b": Dyadic(1, 2),
                                   "top": HALF})
     for steps in (1, 2, 3, 4):
@@ -138,6 +140,37 @@ def test_lift_step_alone_checks_its_layer_law(m4):
         lift_step(Layer(1, ends=[2], values=["a"]), delta(m4, "b"), m4)
     lifted = lift_step(two_runs, delta(m4, "top"), m4)
     assert lifted.law(m4) == delta(m4, "top")
+
+
+def test_lift_refuses_a_law_its_layer_does_not_have(m4):
+    # _lift deals the plan of the law it is given; a law off the layer's
+    # run lengths leaves some run short of budget (the budgets and the
+    # runs both count 2^depth words, so budget left over means a short run
+    # too), and that raises AssertionError, which python -O keeps
+    layer = Layer(1, ends=[1, 2], values=["a", "b"])
+    quarter = Dyadic(1, 2)
+    short = SimpleValuation(m4, {"a": quarter, "b": Dyadic(3, 2)})
+    with pytest.raises(AssertionError, match="slot without budget at '01'"):
+        _lift(layer, short, delta(m4, "top"), m4)
+    over = SimpleValuation(m4, {"a": Dyadic(3, 2), "b": quarter})
+    with pytest.raises(AssertionError, match="slot without budget at '11'"):
+        _lift(layer, over, delta(m4, "top"), m4)
+    lifted = _lift(layer, half_half(m4), delta(m4, "top"), m4)
+    if lifted.counts() != {"top": 4}:
+        pytest.fail("lifted counts %r" % lifted.counts())
+
+
+def test_represent_refuses_a_layer_off_its_stage(m4, monkeypatch):
+    # represent compares each layer's run lengths with its stage; a lift
+    # whose layer pushes forward elsewhere is refused with AssertionError
+    def skewed(current, law, target, base):
+        layer = _lift(current, law, target, base)
+        return Layer(layer.depth, ends=layer.ends,
+                     values=["top"] * len(layer.values))
+
+    monkeypatch.setattr(sys.modules[represent.__module__], "_lift", skewed)
+    with pytest.raises(AssertionError, match="depth 1 does not push"):
+        represent([delta(m4, "bot"), half_half(m4)])
 
 
 def test_schedule_validation_rejects_gaps(m4, c3):
@@ -353,6 +386,29 @@ def test_represent_lifts_any_chain_of_small_moves(rng, m):
     for layer, stage in zip(rmap.layers[1:], stages[1:]):
         depth, table = lift_step_by_slots(table, depth, stage)
         assert (layer.depth, layer.table) == (depth, table)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(1, 5))
+def test_represent_lifts_random_chains_like_the_slot_oracle(rng, m):
+    # delta_bot <= s_1 <= ... <= s_m, s_1 a random probability valuation
+    # and each later stage every unit of the one before moved to a random
+    # point above it, so the layers hold several runs, and one value may
+    # hold several runs; represent lifts on checked integer units, the
+    # oracle fills word by word from transport_plan's dyadic entries
+    base = random_poset(rng, max_elements=7)
+    stages = [delta(base, base.bottom),
+              random_valuation(rng, base, exp=rng.randint(1, 4),
+                               probability=True)]
+    for _ in range(m - 1):
+        stages.append(upward_shuffle(rng, stages[-1],
+                                     exp=rng.randint(1, 4)))
+    rmap = represent(stages)
+    depth, table = 0, {"": base.bottom}
+    for layer, stage in zip(rmap.layers[1:], stages[1:]):
+        depth, table = lift_step_by_slots(table, depth, stage)
+        assert (layer.depth, layer.table) == (depth, table)
+        assert layer.law(base) == stage
 
 
 def test_three_layer_tables_via_lift_steps(m4):

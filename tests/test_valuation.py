@@ -16,7 +16,7 @@ from posetval.errors import (MassExceeded, MixedBase, NotComparable,
                              NotMonotone, NotProbability, PartialMap,
                              UnknownElement)
 
-from posetval.valuation import order_network
+from posetval.valuation import _check_units, _transport_units, order_network
 
 from conftest import (make_chain, random_poset, random_valuation,
                       random_monotone_integrand, shuffled_poset)
@@ -120,6 +120,66 @@ def test_transport_plan_verify_rejects_broken_plans(m4):
             TransportPlan(mu, nu, entries).verify()
     TransportPlan(mu, nu, {("bot", "a"): q, ("bot", "top"): q,
                            ("a", "a"): q, ("a", "top"): q}).verify()
+
+
+def test_check_units_refuses_broken_plans(m4):
+    # the broken plans above, as units of 2^-2: the one check every plan
+    # takes refuses each by raising AssertionError, which python -O keeps
+    mu = SimpleValuation(m4, {"bot": HALF, "a": HALF})
+    nu = SimpleValuation(m4, {"a": HALF, "top": HALF})
+    broken = [
+        ([(("bot", "a"), 2), (("a", "top"), 2), (("bot", "top"), 0)],
+         "plan entry bot -> top is not a positive upward move"),
+        ([(("bot", "a"), 2), (("a", "bot"), 2)],
+         "plan entry a -> bot is not a positive upward move"),
+        ([(("bot", "a"), 1), (("a", "top"), 2)],           # row short
+         "plan rows do not sum to the source's weights"),
+        ([(("bot", "a"), 2), (("a", "top"), 2), (("b", "top"), 1)],
+         "plan rows do not sum to the source's weights"),  # row off mu
+        ([(("bot", "top"), 2), (("a", "top"), 2)],
+         "plan column top exceeds the target's weight"),
+        ([(("bot", "b"), 2), (("a", "top"), 2)],
+         "plan column b exceeds the target's weight"),     # column off nu
+    ]
+    for units, message in broken:
+        with pytest.raises(AssertionError) as err:
+            _check_units(mu, nu, 2, units)
+        if str(err.value) != message:
+            pytest.fail("%r, not %r" % (str(err.value), message))
+    _check_units(mu, nu, 2, [(("bot", "a"), 1), (("bot", "top"), 1),
+                             (("a", "a"), 1), (("a", "top"), 1)])
+
+
+def test_check_units_refuses_a_negative_entry(m4):
+    # the rows sum to mu and every column stays within nu, but a plan
+    # moves no negative mass (a dyadic entry cannot be negative at all)
+    mu = SimpleValuation(m4, {"bot": Dyadic(1, 2)})
+    nu = half_half(m4)
+    with pytest.raises(AssertionError, match="bot -> b is not a positive"):
+        _check_units(mu, nu, 2, [(("bot", "a"), 2), (("bot", "b"), -1)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32))
+def test_transport_plan_is_the_dyadic_form_of_the_lift_units(seed):
+    # the lift takes the checked units; transport_plan writes the same
+    # units as dyadics, in the same order, and both refuse unordered pairs
+    rng = random.Random(seed)
+    base = shuffled_poset(rng, 9, rng.choice([0.2, 0.5]))
+    mu = random_valuation(rng, base, exp=rng.randint(0, 6))
+    nu = random_valuation(rng, base, exp=rng.randint(0, 6))
+    if rng.random() < 0.7:
+        nu = normalize(mu)   # a subprobability lies below its normalization
+    try:
+        plan = transport_plan(mu, nu)
+    except NotComparable:
+        with pytest.raises(NotComparable):
+            _transport_units(mu, nu)
+        return
+    p, units = _transport_units(mu, nu)
+    assert list(plan.entries.items()) \
+        == [(xy, Dyadic(k, p)) for xy, k in units]
+    assert p == max(mu.max_exponent(), nu.max_exponent())
 
 
 def test_transport_plan_exponent_bound(m4):
@@ -325,6 +385,41 @@ def test_integrate_monotone_examples(m4):
     assert integrate_monotone(const_one, half_half(m4)) == ONE
     f = {"bot": ZERO, "a": HALF, "b": HALF, "top": ONE}
     assert integrate_monotone(f, delta(m4, "top")) == ONE
+
+
+def test_integrate_monotone_names_the_first_of_several_breaks():
+    # the diamond declared top first: x runs in declaration order, then y
+    # over x's up-set in declaration order, so top comes before a and b
+    p = Poset(["top", "b", "a", "bot"],
+              [("bot", "a"), ("bot", "b"), ("a", "top"), ("b", "top")],
+              "bot")
+    v = delta(p, "bot")
+    cases = [
+        ({"bot": ONE, "a": ZERO, "b": ZERO, "top": ZERO}, "bot to top"),
+        ({"bot": ONE, "a": ONE, "b": ONE, "top": ZERO}, "b to top"),
+        ({"bot": ONE, "a": HALF, "b": ONE, "top": ONE}, "bot to a"),
+        ({"bot": HALF, "a": HALF, "b": ONE, "top": HALF}, "b to top"),
+    ]
+    for f, pair in cases:
+        with pytest.raises(NotMonotone) as err:
+            integrate_monotone(f, v)
+        assert str(err.value) == "integrand decreases from %s" % pair
+
+
+def test_integrate_monotone_walks_up_sets_not_every_pair():
+    # a 1500-element binary tree has 2 250 000 pairs but about 15 000
+    # comparable ones; the check walks only those
+    n = 1500
+    names = ["n%d" % i for i in range(n)]
+    tree = Poset(names, [(names[i], names[c]) for i in range(n)
+                         for c in (2 * i + 1, 2 * i + 2) if c < n], names[0])
+    f = {x: Dyadic((i + 1).bit_length(), 4) for i, x in enumerate(names)}
+    t0 = time.perf_counter()
+    assert integrate_monotone(f, delta(tree, names[0])) == Dyadic(1, 4)
+    f[names[n - 1]] = ZERO
+    with pytest.raises(NotMonotone, match="from n0 to n1499$"):
+        integrate_monotone(f, delta(tree, names[0]))
+    assert time.perf_counter() - t0 < 0.3
 
 
 def test_integrate_monotone_errors(m4):
