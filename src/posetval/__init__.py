@@ -7,40 +7,35 @@ whose laws are exact by counting.
 """
 
 from . import errors
-from .cantor import (StepMap, Word, embed, level, project,
-                     pushforward_counting, unit_to_word, word_to_unit)
+from .cantor import StepMap, Word, embed, project, unit_to_word, word_to_unit
 from .chain import (Cdf, QuantileMap, cdf, lower_adjoint,
                     pushforward_lebesgue, quantile_leq)
 from .dyadic import ONE, ZERO, Dyadic, parse_dyadic
 from .flow import Flow, FlowNetwork, max_flow
-from .pipeline import (SkorohodWitness, skorohod, skorohod_sequence,
-                       skorohod_subprobability)
+from .pipeline import (SkorohodWitness, represent_sequence, skorohod,
+                       skorohod_sequence, skorohod_subprobability)
 from .poset import Poset, UpperSet, format_poset, parse_poset
-from .skorohod import (Layer, RepresentationMap, build_schedule,
-                       convergence_check, format_map, lift_step, parse_map,
-                       represent, represent_sequence, sample)
+from .skorohod import (Layer, RepresentationMap, build_schedule, format_map,
+                       lift_step, parse_map, represent, sample)
 from .valuation import (PosetMap, SimpleValuation, TransportPlan, add, delta,
-                        format_valuation, integrate_monotone, leq, leq_oracle,
-                        leq_witness, normalize, parse_valuation,
-                        portmanteau_check, pushforward, scale, transport_plan,
-                        way_below)
+                        format_valuation, integrate_monotone, leq, leq_witness,
+                        parse_valuation, portmanteau_check, pushforward, scale,
+                        transport_plan, way_below)
 
 __all__ = [
     "Dyadic", "ZERO", "ONE", "parse_dyadic",
     "Poset", "UpperSet", "parse_poset", "format_poset",
     "FlowNetwork", "Flow", "max_flow",
     "SimpleValuation", "TransportPlan", "PosetMap", "delta", "scale", "add",
-    "leq", "leq_oracle", "leq_witness", "transport_plan", "way_below",
-    "integrate_monotone", "normalize", "pushforward", "portmanteau_check",
+    "leq", "leq_witness", "transport_plan", "way_below",
+    "integrate_monotone", "pushforward", "portmanteau_check",
     "parse_valuation", "format_valuation",
-    "Word", "StepMap", "level", "project", "embed", "pushforward_counting",
-    "word_to_unit", "unit_to_word",
+    "Word", "StepMap", "project", "embed", "word_to_unit", "unit_to_word",
     "Cdf", "QuantileMap", "cdf", "lower_adjoint", "pushforward_lebesgue",
     "quantile_leq",
     "Layer", "RepresentationMap", "build_schedule", "lift_step", "represent",
-    "sample", "represent_sequence", "convergence_check", "format_map",
-    "parse_map",
-    "SkorohodWitness", "skorohod", "skorohod_sequence",
+    "sample", "format_map", "parse_map",
+    "SkorohodWitness", "represent_sequence", "skorohod", "skorohod_sequence",
     "skorohod_subprobability",
     "errors",
 ]

@@ -117,29 +117,6 @@ def _level_bits(depth: int):
     return map(format, range(1 << depth), repeat("0%db" % depth))
 
 
-def level(n: int):
-    """All 2^n words of depth n in lexicographic order (an antichain)."""
-    return [Word(bits) for bits in _level_bits(n)]
-
-
-def pushforward_counting(table: dict, depth: int,
-                         base: Poset) -> SimpleValuation:
-    """Push normalized counting measure on a level through a table.
-
-    table maps every depth-bit string to an element; the result weights
-    each element by its preimage count over 2^depth, hence is always a
-    probability valuation. Monotonicity is not required here.
-    """
-    counts = {}
-    for w in level(depth):
-        if w.bits not in table:
-            raise PartialMap("level map undefined on %r" % w.bits)
-        y = table[w.bits]
-        counts[y] = counts.get(y, 0) + 1
-    return SimpleValuation(base, {y: Dyadic(c, depth)
-                                  for y, c in counts.items()})
-
-
 def word_to_unit(w: Word) -> Dyadic:
     """Binary-expansion value: sum of bit_i / 2^(i+1)."""
     total = ZERO

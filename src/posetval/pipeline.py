@@ -7,13 +7,13 @@ the depth-d words ((i + 1)/2^d lands on word i), so the driver's law over
 the grid is the final layer's run-length count, and it equals the target
 exactly -- a counting identity, not a limit.
 
-Sequences route through the weak-convergence gate and report, per grid
-word, how the witnesses' values settle on the limit's: each run of
-consecutive grid words that settle alike is settled once, and its fields
-are copied out to the words of the run. A subprobability target is
-represented over its poset lifted under a fresh bottom that takes the
-missing mass; its witness is undefined at the grid points routed there,
-and its law skips them.
+Sequences route through the weak-convergence gate, get one map per
+distinct valuation, and report, per grid word, how the witnesses' values
+settle on the limit's: each run of consecutive grid words that settle
+alike is settled once, and its fields are copied out to the words of the
+run. A subprobability target is represented over its poset lifted under
+a fresh bottom that takes the missing mass; its witness is undefined at
+the grid points routed there, and its law skips them.
 """
 
 from __future__ import annotations
@@ -21,13 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice
 
-from .cantor import Word, _level_bits
+from .cantor import StepMap, Word, _level_bits
 from .dyadic import ONE, Dyadic
-from .errors import NotProbability
-from .skorohod import (ConvergenceRecord, ConvergenceReport,
-                       RepresentationMap, _settling, represent_sequence,
-                       represent_target)
-from .valuation import SimpleValuation
+from .errors import NotConvergent, NotProbability
+from .skorohod import RepresentationMap, represent_target
+from .valuation import SimpleValuation, portmanteau_check
 
 
 @dataclass
@@ -96,6 +94,99 @@ def skorohod_subprobability(target: SimpleValuation,
     return SkorohodWitness(target, rmap, lifted.bottom)
 
 
+def represent_sequence(targets, limit: SimpleValuation, steps: int,
+                       from_index: int = 0):
+    """One representation per target plus one for the limit.
+
+    The sequence must pass the weak-convergence check first; all maps use
+    the shared schedule formula, so approximants inherit closeness from
+    the measures themselves. Equal valuations share one map, built once:
+    the map depends only on the valuation, and maps are never mutated.
+    The weights, kept in declaration order with canonical dyadics, are the
+    key.
+    """
+    report = portmanteau_check(targets, limit, from_index)
+    if not report.verdict:
+        raise NotConvergent("sequence fails weak convergence at %s"
+                            % report.witness)
+    built = {}
+
+    def rep(v):
+        key = tuple(v.weights.items())
+        if key not in built:
+            built[key] = represent_target(v, steps)
+        return built[key]
+
+    maps = [rep(t) for t in targets]
+    return maps, rep(limit)
+
+
+@dataclass
+class ConvergenceRecord:
+    word: Word
+    limit_value: object
+    maximal: bool
+    geq_from: int | None   # least tail index from which value >= limit value
+    equal_from: int | None  # least index from which equality holds (maximal)
+    ok: bool
+
+
+@dataclass
+class ConvergenceReport:
+    records: list
+    verdict: bool
+
+
+def _tail_index(flags) -> int | None:
+    """Least N such that every flag from N on is set; None if the last fails."""
+    if not flags or not flags[-1]:
+        return None
+    n = len(flags) - 1
+    while n > 0 and flags[n - 1]:
+        n -= 1
+    return n
+
+
+def _settling(maps, limit_map: RepresentationMap) -> StepMap:
+    """The settling fields of every word of the family's top depth, as runs.
+
+    Where the limit value is maximal, the sequence must become equal to it
+    and stay equal; elsewhere only the eventually-at-least check applies
+    (the maps need not be ordered among themselves). Every map is constant
+    between the run ends of its final layer, so the run ends of all the
+    maps, taken at the top depth, cut the words into segments on which the
+    fields (limit_value, maximal, geq_from, equal_from, ok) are the same;
+    each segment is settled once, and the result's runs are the segments.
+    A final-layer value outside the poset raises UnknownElement, the limit
+    map's first. The order is read off up-set masks: a limit value is
+    maximal iff its up-set is itself alone.
+    """
+    base = limit_map.base
+    index, up = base.index, base._up_mask
+    finals = [m.layers[-1] for m in [limit_map] + list(maps)]
+    for layer in finals:
+        base._check(*layer.values)
+    top = max(layer.depth for layer in finals)
+    cuts = sorted({end << (top - layer.depth)
+                   for layer in finals for end in layer.ends})
+    fields = []
+    start = 0
+    for end in cuts:
+        lv, *values = [layer.at(start >> (top - layer.depth))
+                       for layer in finals]
+        k = index[lv]
+        maximal = up[k] == 1 << k
+        geq_from = _tail_index([up[k] >> index[v] & 1 for v in values])
+        equal_from = None
+        ok = geq_from is not None
+        if maximal:
+            equal_from = _tail_index([v == lv for v in values])
+            ok = equal_from is not None
+        fields.append((lv, maximal, geq_from, equal_from, ok))
+        start = end
+    return StepMap(top, ends=cuts, values=fields)
+
+
 @dataclass
 class SequenceReport:
     """Convergence of a witness family over the common grid; the counts
@@ -115,17 +206,13 @@ class SequenceReport:
         return self.convergence.verdict
 
 
-def skorohod_sequence(targets, limit: SimpleValuation, steps: int,
-                      from_index: int = 0):
-    """Witnesses for a weakly convergent family plus the settling report.
-
-    The report covers the grid of the maps' top depth (the grid point
-    (i + 1)/2^depth lands on word i, as unit_to_word says), one record per
-    word in word order, each word the truncation of an infinite one. It
-    is settled a run at a time: a run's fields are copied to its words,
-    and its length is added to the word counts.
-    """
-    maps, limit_map = represent_sequence(targets, limit, steps, from_index)
+def _sequence_report(maps, limit_map: RepresentationMap) -> SequenceReport:
+    """How a family of maps settles on the limit map, over the grid of the
+    maps' top depth (the grid point (i + 1)/2^depth lands on word i, as
+    unit_to_word says): one record per word in word order, each word the
+    truncation of an infinite one. It is settled a run at a time: a run's
+    fields are copied to its words, and its length is added to the word
+    counts. The family need not pass the weak-convergence gate."""
     runs = _settling(maps, limit_map)
     bits = _level_bits(runs.depth)
     records = []
@@ -142,6 +229,15 @@ def skorohod_sequence(targets, limit: SimpleValuation, steps: int,
         start = end
     conv = ConvergenceReport(records, all(fields[-1]
                                           for fields in runs.values))
-    report = SequenceReport(conv, maximal, equal)
+    return SequenceReport(conv, maximal, equal)
+
+
+def skorohod_sequence(targets, limit: SimpleValuation, steps: int,
+                      from_index: int = 0):
+    """Witnesses for a weakly convergent family, one map per distinct
+    valuation (represent_sequence), plus their settling report
+    (_sequence_report)."""
+    maps, limit_map = represent_sequence(targets, limit, steps, from_index)
+    report = _sequence_report(maps, limit_map)
     witnesses = [SkorohodWitness(t, m) for t, m in zip(targets, maps)]
     return witnesses, SkorohodWitness(limit, limit_map), report

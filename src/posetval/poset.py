@@ -12,8 +12,8 @@ package: every element is compact, so the way-below relation coincides
 with the order itself.
 
 Upper sets of a finite poset are exactly its Scott-open sets; they can be
-enumerated exhaustively to serve as a brute-force oracle for the valuation
-order. The enumeration costs time in proportion to its output, and stops
+enumerated exhaustively, as the `portmanteau` command lists them. The
+enumeration costs time in proportion to its output, and stops
 with TooLarge once (upper sets found) x (elements) passes bound * 2^bound,
 bound = ORACLE_BOUND by default: the most a 16-element poset can need, so
 larger posets are fine as long as they have few upper sets.

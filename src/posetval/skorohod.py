@@ -21,16 +21,14 @@ with the schedule stages is dyadic equality, not approximation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .cantor import StepMap, Word, _bits
 from .dyadic import MAX_PARSED_EXPONENT, Dyadic
-from .errors import (DepthExceeded, NotComparable, NotConvergent,
-                     NotProbability, ParseError, SourceExhausted, TooLarge)
+from .errors import (DepthExceeded, NotComparable, NotProbability,
+                     ParseError, SourceExhausted, TooLarge)
 from .poset import Poset
 from .text import digits, digraph, known, read_lines, statement, writable
 from .valuation import (SimpleValuation, _check_units, _same_base,
-                        _transport_units, delta, portmanteau_check)
+                        _transport_units, delta)
 
 # deepest layer lift_step builds; layers are runs, and laws, draws and the
 # settling of a sequence work on the runs, but format_map still lists all
@@ -282,125 +280,6 @@ def sample(rmap: RepresentationMap, bits):
             raise SourceExhausted("bit source ended after %d bits" % n)
         i = i << 1 | (1 if bit else 0)
     return rmap.layers[-1].at(i)
-
-
-def represent_sequence(targets, limit: SimpleValuation, steps: int,
-                       from_index: int = 0):
-    """One representation per target plus one for the limit.
-
-    The sequence must pass the weak-convergence check first; all maps use
-    the shared schedule formula, so approximants inherit closeness from
-    the measures themselves. Equal valuations share one map, built once:
-    the map depends only on the valuation, and maps are never mutated.
-    The weights, kept in declaration order with canonical dyadics, are the
-    key.
-    """
-    report = portmanteau_check(targets, limit, from_index)
-    if not report.verdict:
-        raise NotConvergent("sequence fails weak convergence at %s"
-                            % report.witness)
-    built = {}
-
-    def rep(v):
-        key = tuple(v.weights.items())
-        if key not in built:
-            built[key] = represent_target(v, steps)
-        return built[key]
-
-    maps = [rep(t) for t in targets]
-    return maps, rep(limit)
-
-
-@dataclass
-class ConvergenceRecord:
-    word: Word
-    limit_value: object
-    maximal: bool
-    geq_from: int | None   # least tail index from which value >= limit value
-    equal_from: int | None  # least index from which equality holds (maximal)
-    ok: bool
-
-
-@dataclass
-class ConvergenceReport:
-    records: list
-    verdict: bool
-
-
-def _tail_index(flags) -> int | None:
-    """Least N such that every flag from N on is set; None if the last fails."""
-    if not flags or not flags[-1]:
-        return None
-    n = len(flags) - 1
-    while n > 0 and flags[n - 1]:
-        n -= 1
-    return n
-
-
-def _settling(maps, limit_map: RepresentationMap) -> StepMap:
-    """The settling fields of every word of the family's top depth, as runs.
-
-    Every map is constant between the run ends of its final layer, so the
-    run ends of all the maps, taken at the top depth, cut the words into
-    segments on which the fields (limit_value, maximal, geq_from,
-    equal_from, ok) are the same; each segment is settled once, and the
-    result's runs are the segments. A final-layer value outside the poset
-    raises UnknownElement, the limit map's first. The order is read off
-    up-set masks: a limit value is maximal iff its up-set is itself alone.
-    """
-    base = limit_map.base
-    index, up = base.index, base._up_mask
-    finals = [m.layers[-1] for m in [limit_map] + list(maps)]
-    for layer in finals:
-        base._check(*layer.values)
-    top = max(layer.depth for layer in finals)
-    cuts = sorted({end << (top - layer.depth)
-                   for layer in finals for end in layer.ends})
-    fields = []
-    start = 0
-    for end in cuts:
-        lv, *values = [layer.at(start >> (top - layer.depth))
-                       for layer in finals]
-        k = index[lv]
-        maximal = up[k] == 1 << k
-        geq_from = _tail_index([up[k] >> index[v] & 1 for v in values])
-        equal_from = None
-        ok = geq_from is not None
-        if maximal:
-            equal_from = _tail_index([v == lv for v in values])
-            ok = equal_from is not None
-        fields.append((lv, maximal, geq_from, equal_from, ok))
-        start = end
-    return StepMap(top, ends=cuts, values=fields)
-
-
-def convergence_check(maps, limit_map: RepresentationMap,
-                      words) -> ConvergenceReport:
-    """Pointwise convergence of map values toward the limit map.
-
-    Where the limit value is maximal, the sequence must become equal to it
-    and stay equal; elsewhere only the eventually-at-least check applies
-    (the maps need not be ordered among themselves).
-
-    The family is settled once, a segment between run ends at a time, by
-    the routine `pipeline.skorohod_sequence` uses too, and each word given
-    takes the fields of the run it falls in. A word shorter than some map
-    raises DepthExceeded from the first such map, the limit map first; a
-    final-layer value outside the poset then raises UnknownElement.
-    """
-    maps = list(maps)
-    family = [limit_map] + maps
-    top = max(m.final_depth for m in family)
-    words = list(words)
-    for w in words:
-        if len(w.bits) < top:
-            for m in family:
-                m.evaluate(w)  # DepthExceeded at the first map deeper than w
-    runs = _settling(maps, limit_map)
-    records = [ConvergenceRecord(w, *runs.at(int(w.bits[:top], 2) if top
-                                              else 0))
-               for w in words]
-    return ConvergenceReport(records, all(r.ok for r in records))
 
 
 # -- serialization -----------------------------------------------------------

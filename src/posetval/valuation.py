@@ -4,22 +4,19 @@ A :class:`SimpleValuation` assigns a dyadic weight to finitely many
 elements; its value on an upper set is the sum of the weights inside. Total
 mass is at most 1 (exactly 1 for probability valuations).
 
-The pointwise order ("mu(U) <= nu(U) on every upper set") is decided two
-independent ways:
-
-* :func:`leq` routes mu's mass upward into nu's mass through a max-flow
-  network whose middle edges follow the poset order; the order holds iff
-  the flow saturates mu. The same flow doubles as an explicit transport
-  plan witnessing the comparison, and its minimum cut yields the upper set
-  refuting it.
-* :func:`leq_oracle` enumerates every upper set and compares values
-  directly. It exists purely to cross-check the flow route.
+The pointwise order ("mu(U) <= nu(U) on every upper set") is decided by
+one flow: :func:`leq` routes mu's mass upward into nu's mass through a
+max-flow network whose middle edges follow the poset order, and the order
+holds iff the flow saturates mu. The same flow doubles as an explicit
+transport plan witnessing the comparison, and its minimum cut yields the
+upper set refuting it. The test suite keeps the brute-force check on
+every upper set as its oracle.
 
 Way-below, mu(U) < nu(U) on every upper set U that mu charges (normalized
 mode exempts the whole poset), is decided on the same network with every
 source capacity raised by one dyadic epsilon. Integration against monotone
-functions, normalization, pushforward along monotone maps and a
-finite-scale weak-convergence (Portmanteau) check complete the module. The
+functions, pushforward along monotone maps and a finite-scale
+weak-convergence (Portmanteau) check complete the module. The
 Portmanteau check sums integer numerators over the upper sets of the
 valuations' joint support, the traces V of the poset's upper sets, and
 reports one record per trace, as up(V), ordered by up(V)'s bitmask.
@@ -33,7 +30,7 @@ from . import flow as flowmod
 from .dyadic import ONE, ZERO, Dyadic, parse_dyadic
 from .errors import (MassExceeded, MixedBase, NotComparable, NotMonotone,
                      NotProbability, ParseError, PartialMap, UnknownElement)
-from .poset import ORACLE_BOUND, Poset, UpperSet, _bits, upper_masks
+from .poset import Poset, UpperSet, _bits, upper_masks
 from .text import known, read_lines, writable
 
 # the one capacity of the middle edges, which flow.FlowNetwork requires to
@@ -257,16 +254,6 @@ def transport_plan(mu: SimpleValuation, nu: SimpleValuation) -> TransportPlan:
     return _plan(mu, nu, flowmod.max_flow(order_network(mu, nu)))
 
 
-def leq_oracle(mu: SimpleValuation, nu: SimpleValuation,
-               bound: int = ORACLE_BOUND) -> bool:
-    """Brute-force order test: compare on every enumerated upper set."""
-    _same_base(mu, nu)
-    for u in mu.base.enumerate_upper_sets(bound):
-        if nu.evaluate(u) < mu.evaluate(u):
-            return False
-    return True
-
-
 def way_below(mu: SimpleValuation, nu: SimpleValuation,
               normalized: bool = False) -> bool:
     """The approximation relation between valuations, decided by one flow.
@@ -321,14 +308,6 @@ def integrate_monotone(f: dict, v: SimpleValuation) -> Dyadic:
     for x, w in v.weights.items():
         total = total + w * f[x]
     return total
-
-
-def normalize(v: SimpleValuation) -> SimpleValuation:
-    """Send the missing mass to bottom; a projection onto probability."""
-    gap = ONE - v.mass
-    if gap.is_zero():
-        return v
-    return add(v, scale(delta(v.base, v.base.bottom), gap))
 
 
 @dataclass

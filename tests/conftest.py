@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from posetval import Dyadic, Poset, SimpleValuation, flow
+from posetval import (ONE, Dyadic, Poset, SimpleValuation, add, delta, flow,
+                      scale)
 
 
 @pytest.fixture
@@ -75,3 +76,11 @@ def random_monotone_integrand(rng: random.Random, base: Poset, exp=4):
     raw = {x: Dyadic(rng.randint(0, 1 << exp), exp) for x in base.elements}
     return {x: max((raw[y] for y in base.down_set(x)), default=raw[x])
             for x in base.elements}
+
+
+def normalize(v: SimpleValuation) -> SimpleValuation:
+    """Send the missing mass to bottom; a projection onto probability."""
+    gap = ONE - v.mass
+    if gap.is_zero():
+        return v
+    return add(v, scale(delta(v.base, v.base.bottom), gap))

@@ -1,32 +1,37 @@
 """Independent brute-force reference computations for the test suite.
 
-Nothing here reuses the code paths under test: cuts are enumerated rather
+Nothing here reuses the code paths under test: the order is decided by
+comparing two valuations on every upper set, cuts are enumerated rather
 than derived from flows, a maximum flow is grown one breadth-first
 augmenting path at a time (Edmonds-Karp, on dyadics) rather than by
 blocking flows, upper sets are filtered straight from the order relation
 or scanned over every bitmask, strict-transport feasibility and
 subprobability way-below are decided by exhaustive Hall-style subset
-conditions, a lift step fills the new level word by word, the order is
-reachability by graph search (and the first pair an integrand decreases
-on, or a map breaks, is scanned over it), meets and joins are found by
-scanning every candidate, convergence is checked by evaluating every map
-at every word, and quantile maps are compared at every threshold of either
-map, the Portmanteau bullets are checked on every upper set of the whole
-poset with dyadic arithmetic, a sampler's law is tabulated by calling
-its driver at every grid point, a valuation's weights and mass are
-collected by walking every element of the poset and adding dyadics, and a
+conditions, the words of a level are spelled out one by one and a table
+on them is pushed forward by tallying every word, a lift step fills the
+new level word by word, the order is reachability by graph search (and
+the first pair an integrand decreases on, or a map breaks, is scanned
+over it), meets and joins are found by scanning every candidate,
+convergence is checked by evaluating every map at every word, and
+quantile maps are compared at every threshold of either map, the
+Portmanteau bullets are checked on every upper set of the whole poset
+with dyadic arithmetic, a sampler's law is tabulated by calling its
+driver at every grid point, a valuation's weights and mass are collected
+by walking every element of the poset and adding dyadics, and a
 schedule's stages are convex sums of scaled valuations.
+
+The library keeps none of these; the laws it does export, such as
+`integrate_monotone` or `word_to_unit`, are checked against them.
 """
 
 from collections import deque
-from itertools import combinations
+from itertools import combinations, product
 
 from posetval import (ONE, Dyadic, FlowNetwork, SimpleValuation, UpperSet,
-                      ZERO, add, delta, level, pushforward_counting, scale,
-                      transport_plan)
+                      Word, ZERO, add, delta, scale, transport_plan)
 from posetval.valuation import PortmanteauRecord
-from posetval.errors import NotAChain
-from posetval.skorohod import ConvergenceRecord, ConvergenceReport
+from posetval.errors import NotAChain, PartialMap
+from posetval.pipeline import ConvergenceRecord, ConvergenceReport
 
 
 def weights_by_elements(base, weights: dict):
@@ -41,6 +46,35 @@ def weights_by_elements(base, weights: dict):
     for w in clean.values():
         mass = mass + w
     return clean, mass
+
+
+def level(n: int):
+    """All 2^n words of depth n in lexicographic order, spelled bit by bit."""
+    return [Word("".join(bits)) for bits in product("01", repeat=n)]
+
+
+def pushforward_counting(table: dict, depth: int,
+                         base) -> SimpleValuation:
+    """Normalized counting measure on a level pushed through a table.
+
+    table maps every depth-bit string to an element; each element weighs
+    its preimage count over 2^depth, tallied one word at a time.
+    """
+    counts = {}
+    for w in level(depth):
+        if w.bits not in table:
+            raise PartialMap("level map undefined on %r" % w.bits)
+        y = table[w.bits]
+        counts[y] = counts.get(y, 0) + 1
+    return SimpleValuation(base, {y: Dyadic(c, depth)
+                                  for y, c in counts.items()})
+
+
+def leq_oracle(mu: SimpleValuation, nu: SimpleValuation) -> bool:
+    """The order by its definition: mu(U) <= nu(U) on every upper set U,
+    each scanned over all bitmasks and valued by summing weights."""
+    return all(not value_on(nu, u) < value_on(mu, u)
+               for u in upper_sets_by_masks(mu.base))
 
 
 def min_cut_by_enumeration(net: FlowNetwork) -> Dyadic:

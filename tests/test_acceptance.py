@@ -13,18 +13,16 @@ import time
 import pytest
 
 from posetval import (Dyadic, ONE, SimpleValuation, add, build_schedule,
-                      cdf, convergence_check, delta, leq,
-                      leq_oracle, level, lift_step, lower_adjoint,
-                      portmanteau_check, pushforward_counting,
-                      pushforward_lebesgue, quantile_leq, represent,
-                      represent_sequence, sample, scale, skorohod,
+                      cdf, delta, leq, lift_step, lower_adjoint,
+                      portmanteau_check, pushforward_lebesgue, quantile_leq,
+                      represent, sample, scale, skorohod, skorohod_sequence,
                       skorohod_subprobability, transport_plan, way_below)
 from posetval.cli import main as cli_main
 from posetval.skorohod import Layer
-from posetval.valuation import normalize
 
-from conftest import make_chain, random_poset, random_valuation
-from oracles import strict_transport_exists
+from conftest import make_chain, normalize, random_poset, random_valuation
+from oracles import (leq_oracle, level, pushforward_counting,
+                     strict_transport_exists)
 from test_chain import random_quantile
 
 PASS = "ACCEPTANCE %-2d PASS - %s"
@@ -169,15 +167,13 @@ def test_criterion_6_convergence_dichotomy():
         base = random_poset(rng, max_elements=5)
         limit = random_valuation(rng, base, exp=2, probability=True)
         seq = _attaining_family(base, limit, rng)
-        maps, limit_map = represent_sequence(seq, limit, 2)
-        depth = max(m.final_depth for m in maps + [limit_map])
-        report = convergence_check(maps, limit_map, level(depth))
-        for rec in report.records:
+        _, _, report = skorohod_sequence(seq, limit, 2)
+        for rec in report.convergence.records:
             words_checked += 1
             assert rec.geq_from is not None or rec.maximal
             if rec.maximal:
                 assert rec.equal_from is not None
-                assert 0 <= rec.equal_from < len(maps)
+                assert 0 <= rec.equal_from < len(seq)
             else:
                 assert rec.geq_from is not None
     print(PASS % (6, "convergence dichotomy on 20 families (%d words)"

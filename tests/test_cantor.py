@@ -7,9 +7,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from posetval import (Dyadic, Layer, ONE, QuantileMap, StepMap, Word, ZERO,
-                      embed, level, project, pushforward_counting,
-                      unit_to_word, word_to_unit)
+                      embed, project, unit_to_word, word_to_unit)
 from posetval.errors import DepthExceeded, OutOfRange, PartialMap
+
+from oracles import level, pushforward_counting
 
 words = st.text(alphabet="01", max_size=10).map(Word)
 

@@ -1,12 +1,19 @@
-"""Every global name the library's code loads is bound.
+"""Every global name the library's code loads is bound, and every name it
+imports is used.
 
 A name that no module binds, say an exception class whose import was
 removed, raises NameError only when its line runs, and a refusal that no
 test reaches hides it. This walks the bytecode of every function and class
 body instead: each LOAD_GLOBAL or LOAD_NAME must name something bound in
 its module, a builtin, or a name its own class body stores.
+
+The other way round, an import that code moved elsewhere left behind is
+found on the syntax tree: every name a module imports must be loaded in it,
+annotations included. `__init__` imports only to export, so there the
+imported names must be exactly `__all__`.
 """
 
+import ast
 import builtins
 import dis
 import importlib
@@ -65,3 +72,70 @@ def test_an_unbound_global_is_found(tmp_path):
                     "    j = k + missing\n")
     assert list(unbound_loads(path, {"__name__": "probe"})) == [
         ("f", 3, "UnknownElement"), ("C", 9, "missing")]
+
+
+def imported_names(tree):
+    """{bound name: line} for each import of the module, `from __future__`
+    imports left out."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound = alias.asname or alias.name.partition(".")[0]
+                names[bound] = node.lineno
+    return names
+
+
+def loaded_names(tree):
+    """The names the module loads, with those inside string annotations."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        annotations = []
+        if isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+        for ann in annotations:
+            if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+                names |= loaded_names(ast.parse(ann.value, mode="eval"))
+    return names
+
+
+def unused_imports(path):
+    """(line, name) for each imported name the module never loads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    loaded = loaded_names(tree)
+    return sorted((line, name) for name, line in imported_names(tree).items()
+                  if name not in loaded)
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.stem != "__init__"],
+                         ids=lambda p: p.stem)
+def test_every_imported_name_is_used(path):
+    assert unused_imports(path) == []
+
+
+def test_the_package_exports_exactly_what_it_imports():
+    init = Path(posetval.__file__)
+    imported = imported_names(ast.parse(init.read_text(encoding="utf-8")))
+    assert sorted(posetval.__all__) == sorted(imported)
+
+
+def test_an_unused_import_is_found(tmp_path):
+    # the check itself: an import left behind, beside imports used only in
+    # an annotation (plain or quoted), an alias and a dotted module
+    path = tmp_path / "probe.py"
+    path.write_text("from __future__ import annotations\n\n"
+                    "import os.path\nfrom dataclasses import dataclass, field\n"
+                    "from .errors import NotConvergent as Refused\n"
+                    "from .poset import Poset, UpperSet\n\n\n"
+                    "def f(p: Poset) -> \"UpperSet\":\n"
+                    "    return os.path.join(p)\n")
+    assert unused_imports(path) == [(4, "dataclass"), (4, "field"),
+                                    (5, "Refused")]

@@ -14,7 +14,7 @@ from posetval import (Dyadic, ONE, Poset, SimpleValuation, Word, add, delta,
                       skorohod_subprobability, unit_to_word)
 from posetval.errors import (NotConvergent, NotProbability, OutOfRange,
                              TooLarge)
-from posetval.skorohod import _settling, represent_sequence
+from posetval.pipeline import _settling, represent_sequence
 
 from conftest import make_chain, random_poset, random_valuation
 from oracles import convergence_by_words, law_by_grid_tabulation

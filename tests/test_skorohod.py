@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posetval import (Dyadic, Layer, ONE, RepresentationMap, SimpleValuation,
-                      StepMap, Word, add, build_schedule, convergence_check,
-                      delta, format_map, leq, level, lift_step, parse_map,
-                      pushforward_counting, represent, represent_sequence,
+                      StepMap, Word, add, build_schedule, delta, format_map,
+                      leq, lift_step, parse_map, represent, represent_sequence,
                       sample, scale, skorohod_sequence,
                       skorohod_subprobability, way_below)
 from posetval.dyadic import MAX_PARSED_EXPONENT, parse_dyadic
@@ -16,11 +15,12 @@ from posetval.errors import (DepthExceeded, MixedBase, NotComparable,
                              NotConvergent, NotProbability, ParseError,
                              PartialMap, SourceExhausted, TooLarge,
                              UnknownElement)
+from posetval.pipeline import _sequence_report, _settling
 from posetval.skorohod import _lift, represent_target
 
 from conftest import random_poset, random_valuation
-from oracles import (convergence_by_words, lift_step_by_slots,
-                     schedule_by_convex_sums)
+from oracles import (convergence_by_words, level, lift_step_by_slots,
+                     pushforward_counting, schedule_by_convex_sums)
 
 HALF = Dyadic(1, 1)
 
@@ -580,8 +580,7 @@ def test_convergence_check_dichotomy(m4):
     top = delta(m4, "top")
     seq = geometric_then_limit(m4, top, None)
     maps, limit_map = represent_sequence(seq, top, 2)
-    depth = max(m.final_depth for m in maps + [limit_map])
-    report = convergence_check(maps, limit_map, level(depth))
+    report = _sequence_report(maps, limit_map).convergence
     assert report.verdict
     for rec in report.records:
         assert rec.maximal  # the limit is concentrated on the top
@@ -589,7 +588,8 @@ def test_convergence_check_dichotomy(m4):
 
     constant = [half_half(m4)] * 4
     cmaps, climit = represent_sequence(constant, half_half(m4), 1)
-    creport = convergence_check(cmaps, climit, level(1))
+    creport = _sequence_report(cmaps, climit).convergence
+    assert len(creport.records) == 2
     assert all(rec.equal_from == 0 or not rec.maximal
                for rec in creport.records)
 
@@ -604,7 +604,7 @@ def test_never_attaining_family_settles_on_all_ones_word(m4):
                scale(delta(m4, "a"), Dyadic(1, n))) for n in range(1, 5)]
     maps, limit_map = represent_sequence(seq, top, 3)
     depth = max(m.final_depth for m in maps + [limit_map])
-    report = convergence_check(maps, limit_map, level(depth))
+    report = _sequence_report(maps, limit_map).convergence
     ones = [r for r in report.records if r.word.bits == "1" * depth]
     assert len(ones) == 1 and ones[0].maximal
     assert ones[0].equal_from == 0
@@ -619,8 +619,7 @@ def test_convergence_check_non_maximal_limit(m4):
     seq = [add(scale(half_half(m4), Dyadic(1, n)),
                scale(bot, ONE - Dyadic(1, n))) for n in (1, 2, 3)] + [bot]
     maps, limit_map = represent_sequence(seq, bot, 1)
-    depth = max(m.final_depth for m in maps + [limit_map])
-    report = convergence_check(maps, limit_map, level(depth))
+    report = _sequence_report(maps, limit_map).convergence
     assert report.verdict
     for rec in report.records:
         assert not rec.maximal
@@ -641,22 +640,27 @@ def test_convergence_check_matches_word_by_word_oracle(seed):
                for _ in range(rng.randint(0, 4))]
     maps = [represent(build_schedule(v, rng.randint(1, 3))) for v in seq]
     limit_map = represent(build_schedule(limit, rng.randint(1, 3)))
+    # the settling runs, copied out to the grid words, against every map
+    # evaluated at every word; the family need not pass the gate
     depth = max(m.final_depth for m in maps + [limit_map])
-    grid = level(depth)
-    shuffled = rng.sample(grid, len(grid))
-    repeated = grid + [rng.choice(grid) for _ in range(8)]
-    deeper = level(depth + rng.randint(1, 2))
-    for words in (grid, shuffled, repeated, deeper, deeper[::3], []):
-        assert convergence_check(maps, limit_map, words) \
-            == convergence_by_words(maps, limit_map, words)
-    # a short word, after some good ones, fails on the first map too deep
-    # for it, the limit map first
-    short = grid[:3] + [Word(rng.choice(grid).bits[:rng.randrange(depth)])]
-    with pytest.raises(DepthExceeded) as got:
-        convergence_check(maps, limit_map, short)
-    with pytest.raises(DepthExceeded) as want:
-        convergence_by_words(maps, limit_map, short)
-    assert str(got.value) == str(want.value)
+    report = _sequence_report(maps, limit_map)
+    want = convergence_by_words(maps, limit_map, level(depth))
+    assert report.convergence == want
+    assert report.maximal_words == sum(r.maximal for r in want.records)
+    assert report.equal_words == sum(r.maximal and r.equal_from is not None
+                                     for r in want.records)
+    # a family that passes the gate: skorohod_sequence's own records
+    if not seq:
+        return
+    try:
+        witnesses, limit_witness, got = skorohod_sequence(
+            seq, limit, rng.randint(1, 3))
+    except NotConvergent:
+        return
+    maps = [w.rmap for w in witnesses]
+    depth = max(m.final_depth for m in maps + [limit_witness.rmap])
+    assert got.convergence == convergence_by_words(maps, limit_witness.rmap,
+                                                   level(depth))
 
 
 def test_order_masks_refuse_a_foreign_value(m4):
@@ -664,10 +668,9 @@ def test_order_masks_refuse_a_foreign_value(m4):
     # outside the poset is refused by name, never by a bare KeyError
     limit_map = represent_target(delta(m4, "top"), 2)
     stray = RepresentationMap(m4, [Layer(0, ends=[1], values=["zz"])])
-    grid = level(limit_map.final_depth)
     for maps, limit in (([limit_map, stray], limit_map), ([limit_map], stray)):
         with pytest.raises(UnknownElement, match="'zz'"):
-            convergence_check(maps, limit, grid)
+            _settling(maps, limit)
     with pytest.raises(UnknownElement, match="'zz'"):
         RepresentationMap(m4, [Layer(0, ends=[1], values=["bot"]),
                                Layer(1, ends=[1, 2], values=["a", "zz"])])

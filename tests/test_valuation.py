@@ -8,19 +8,18 @@ from hypothesis import strategies as st
 
 from posetval import (Dyadic, ONE, Poset, PosetMap, SimpleValuation,
                       TransportPlan, UpperSet, ZERO, add, delta,
-                      format_valuation, integrate_monotone, leq, leq_oracle,
-                      leq_witness, normalize, parse_valuation,
-                      portmanteau_check, pushforward, scale, transport_plan,
-                      way_below)
+                      format_valuation, integrate_monotone, leq, leq_witness,
+                      parse_valuation, portmanteau_check, pushforward, scale,
+                      transport_plan, way_below)
 from posetval.errors import (MassExceeded, MixedBase, NotComparable,
                              NotMonotone, NotProbability, PartialMap,
                              UnknownElement)
 
 from posetval.valuation import _check_units, _transport_units, order_network
 
-from conftest import (make_chain, random_poset, random_valuation,
+from conftest import (make_chain, normalize, random_poset, random_valuation,
                       random_monotone_integrand, shuffled_poset)
-from oracles import (first_break_by_scan, first_decrease_by_scan,
+from oracles import (first_break_by_scan, first_decrease_by_scan, leq_oracle,
                      portmanteau_by_upper_sets, strict_transport_exists,
                      way_below_by_subsets, weights_by_elements)
 
