@@ -13,9 +13,9 @@ from .chain import (Cdf, QuantileMap, cdf, lower_adjoint,
 from .dyadic import ONE, ZERO, Dyadic, parse_dyadic
 from .flow import Flow, FlowNetwork, max_flow
 from .pipeline import (SkorohodWitness, represent_sequence, skorohod,
-                       skorohod_sequence, skorohod_subprobability)
+                       skorohod_sequence)
 from .poset import Poset, UpperSet, format_poset, parse_poset
-from .skorohod import (Layer, RepresentationMap, build_schedule, format_map,
+from .skorohod import (RepresentationMap, build_schedule, format_map,
                        lift_step, parse_map, represent, sample)
 from .valuation import (PosetMap, SimpleValuation, TransportPlan, add, delta,
                         format_valuation, integrate_monotone, leq, leq_witness,
@@ -33,9 +33,8 @@ __all__ = [
     "Word", "StepMap", "project", "embed", "word_to_unit", "unit_to_word",
     "Cdf", "QuantileMap", "cdf", "lower_adjoint", "pushforward_lebesgue",
     "quantile_leq",
-    "Layer", "RepresentationMap", "build_schedule", "lift_step", "represent",
-    "sample", "format_map", "parse_map",
+    "RepresentationMap", "build_schedule", "lift_step", "represent", "sample",
+    "format_map", "parse_map",
     "SkorohodWitness", "represent_sequence", "skorohod", "skorohod_sequence",
-    "skorohod_subprobability",
     "errors",
 ]

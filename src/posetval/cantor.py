@@ -157,8 +157,8 @@ class StepMap:
     ends[k-1] <= i < ends[k], with ends[-1] = 0, and run k maps it to
     values[k]. The map is defined on the words below its last end, which
     is 2^depth for a total map. `StepMap(depth, table)` compresses a dict
-    over every depth-bit string into a total map; `table` expands the
-    runs back into one.
+    over every depth-bit string into a total map; `items` lists the runs
+    back out a word at a time.
     """
 
     depth: int
@@ -183,11 +183,6 @@ class StepMap:
             for i in range(start, end):
                 yield _bits(i, self.depth), y
             start = end
-
-    @property
-    def table(self) -> dict:
-        """bit string -> value, for every word the map is defined on."""
-        return dict(self.items())
 
     def counts(self) -> dict:
         """value -> the number of words it takes, summed over its runs."""

@@ -245,15 +245,13 @@ def _run(args, stdout) -> int:
         code = 0 if report.verdict else 1
 
     elif args.command == "skorohod":
-        probability = mu.is_probability()
-        witness = (pipeline.skorohod(mu, args.steps) if probability
-                   else pipeline.skorohod_subprobability(mu, args.steps))
+        witness = pipeline.skorohod(mu, args.steps)
         law = witness.law_on_grid()
         exact = law == mu
         d = witness.precision
         # grid point (i + 1)/2^d lands on word i, so the law's mass counts
         # the defined grid points
-        third = ("driver %s" % witness.describe() if probability
+        third = ("driver %s" % witness.describe() if mu.is_probability()
                  else "defined %d" % law.mass.rescale(d))
         lines = ["precision %d" % d, "grid %d" % (1 << d), third,
                  "EXACT_LAW: %s" % _bool(exact)]

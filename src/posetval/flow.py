@@ -88,6 +88,8 @@ class MaskEdges(Mapping):
 
     Bit b of rows[x] is the edge (x, names[b]); rows lists the left side in
     order, and set bits must ascend in the right side's declaration order.
+    `columns`, the OR of the rows, masks every right node an edge reaches;
+    it is taken once, here, for the network's check and every solve.
     Read as a mapping (x, y) -> cap, the edges come in left order, then by
     ascending bit; the dict is built on the first lookup or iteration, and
     len counts bits.
@@ -95,6 +97,10 @@ class MaskEdges(Mapping):
 
     def __init__(self, rows: dict, names, cap: Dyadic):
         self.rows, self.names, self.cap = rows, names, cap
+        columns = 0
+        for row in rows.values():
+            columns |= row
+        self.columns = columns
 
     def __len__(self):
         return sum(row.bit_count() for row in self.rows.values())
@@ -133,9 +139,8 @@ class FlowNetwork:
 
     def __post_init__(self):
         right = {y: j for j, y in enumerate(self.right)}
-        if len(set(self.left)) != len(self.left) \
-                or len(right) != len(self.right):
-            raise ValueError("duplicate node name within a side")
+        if len(right) != len(self.right):
+            raise ValueError("duplicate right node name")
         if set(self.source_caps) - set(self.left) \
                 or set(self.sink_caps) - right.keys():
             raise ValueError("terminal capacity on unknown node")
@@ -148,11 +153,10 @@ class FlowNetwork:
             raise ValueError("middle capacity %s is not above zero and every "
                              "sink capacity" % cap)
         if list(mid.rows) != self.left:
+            # rows is a dict, so this refuses a repeated left name too
             raise ValueError("mask rows must list the left side in order")
-        columns, last = 0, -1
-        for row in mid.rows.values():
-            columns |= row
-        for b in _bits(columns):
+        last = -1
+        for b in _bits(mid.columns):
             j = right.get(mid.names[b]) if b < len(mid.names) else None
             if j is None or j <= last:
                 raise ValueError("mask bit %d is no right node, or out of "
@@ -169,46 +173,28 @@ class Flow:
 
     `cut` is the source side of a minimum cut: SOURCE plus the tagged nodes
     ("left", x) / ("right", y) still reachable in the final residual
-    network. Its crossing capacity equals `value`. `units` is (p, [((x, y),
-    k), ...]): the k units of 2^-p moved on each middle edge that carries
-    flow, by left node, then right node, in declaration order; a transport
-    plan travels in this form. `from_source`, `across` (read off `units`)
-    and `to_sink` map each edge that carries flow to its flow as a dyadic,
-    in the same order. All are built on first use, since the decisions
-    need only `value` and `cut`.
+    network. Its crossing capacity equals `value`. `units` is (p,
+    [((x, y), k), ...]): the k units of 2^-p moved on each middle edge that
+    carries flow, by left node, then right node, in declaration order. It
+    is the flow's one form: a transport plan travels in it, and by
+    conservation a left node's row sum is the flow on its source edge, a
+    right node's column sum the flow on its sink edge. It is built on first
+    use, since the decisions need only `value` and `cut`.
     """
 
-    def __init__(self, net: FlowNetwork, p: int, sent: list, moved: dict,
-                 drained: dict, cut: frozenset):
-        # units at exponent p: sent[k] from the source into left[k],
-        # moved[k, b] from left[k] to the right node names[b], drained[b]
-        # from names[b] into the sink
-        self._net, self._p = net, p
-        self._sent, self._moved, self._drained = sent, moved, drained
+    def __init__(self, net: FlowNetwork, p: int, moved: dict, total: int,
+                 cut: frozenset):
+        # moved[k, b]: units of 2^-p from left[k] to the right node names[b];
+        # total: the units that left the source
+        self._net, self._p, self._moved = net, p, moved
         self.cut = cut
-        self.value = Dyadic(sum(sent), p)
-
-    def _dyadics(self, units) -> dict:
-        return {key: Dyadic(k, self._p) for key, k in units if k}
-
-    @cached_property
-    def from_source(self) -> dict:
-        return self._dyadics(zip(self._net.left, self._sent))
+        self.value = Dyadic(total, p)
 
     @cached_property
     def units(self) -> tuple:
         left, names = self._net.left, self._net.mid_caps.names
         return self._p, [((left[k], names[b]), f)
                          for (k, b), f in sorted(self._moved.items()) if f]
-
-    @cached_property
-    def across(self) -> dict:
-        return self._dyadics(self.units[1])
-
-    @cached_property
-    def to_sink(self) -> dict:
-        names = self._net.mid_caps.names
-        return self._dyadics((names[b], f) for b, f in self._drained.items())
 
 
 def _levels(source: int, sink: int, fwd: list, back: dict):
@@ -257,9 +243,7 @@ def max_flow(net: FlowNetwork) -> Flow:
     fwd = list(net.mid_caps.rows.values())
     sent = [0 if c is None else c.num << (p - c.exp)
             for c in map(net.source_caps.get, net.left)]
-    columns = 0
-    for row in fwd:
-        columns |= row
+    columns = net.mid_caps.columns
     back, drained = {}, {}
     while columns:
         low = columns & -columns
@@ -268,8 +252,8 @@ def max_flow(net: FlowNetwork) -> Flow:
         c = net.sink_caps.get(names[b])
         back[b] = 0
         drained[b] = 0 if c is None else c.num << (p - c.exp)
-    # until the end, sent and drained hold the terminal residuals
-    src_cap, sink_cap = list(sent), dict(drained)
+    # from here on, sent and drained hold the terminal residuals
+    supply = sum(sent)
     moved = {}
     src = sum(1 << k for k, r in enumerate(sent) if r)
     snk = sum(1 << b for b, r in drained.items() if r)
@@ -355,29 +339,37 @@ def max_flow(net: FlowNetwork) -> Flow:
             else:
                 break
 
-    sent = [c - r for c, r in zip(src_cap, sent)]
-    drained = {b: c - drained[b] for b, c in sink_cap.items()}
     cut = {SOURCE}
     cut.update(("left", net.left[k]) for k in _bits(seen[0]))
     cut.update(("right", names[b]) for b in _bits(seen[1]))
-    return Flow(net, p, sent, moved, drained, frozenset(cut))
+    return Flow(net, p, moved, supply - sum(sent), frozenset(cut))
 
 
-def to_dot(net: FlowNetwork, flow: Flow | None = None) -> str:
-    """Debug rendering of a network, optionally annotated with a flow."""
+def to_dot(net: FlowNetwork, flow: Flow) -> str:
+    """Debug rendering of a network, each edge labelled with its flow.
 
-    def label(c, f):
-        return "%s of %s" % (f, c) if f is not None else str(c)
+    The flow on an edge is read off `units`: the edge's own units in the
+    middle, a row sum on a source edge, a column sum on a sink edge. An
+    edge that carries nothing shows its capacity alone.
+    """
+    p, units = flow.units
+    rows, cols = {}, {}
+    for (x, y), k in units:
+        rows[x] = rows.get(x, 0) + k
+        cols[y] = cols.get(y, 0) + k
+    across = dict(units)
+
+    def label(c, k):
+        return "%s of %s" % (Dyadic(k, p), c) if k else str(c)
 
     statements = []
     for x, c in net.source_caps.items():
-        f = flow.from_source.get(x) if flow else None
-        statements.append(statement(SOURCE, "L_%s" % x, label=label(c, f)))
+        statements.append(statement(SOURCE, "L_%s" % x,
+                                    label=label(c, rows.get(x))))
     for (x, y), c in net.mid_caps.items():
-        f = flow.across.get((x, y)) if flow else None
         statements.append(statement("L_%s" % x, "R_%s" % y,
-                                    label=label(c, f)))
+                                    label=label(c, across.get((x, y)))))
     for y, c in net.sink_caps.items():
-        f = flow.to_sink.get(y) if flow else None
-        statements.append(statement("R_%s" % y, SINK, label=label(c, f)))
+        statements.append(statement("R_%s" % y, SINK,
+                                    label=label(c, cols.get(y))))
     return digraph("flow", "LR", statements)

@@ -11,9 +11,11 @@ Sequences route through the weak-convergence gate, get one map per
 distinct valuation, and report, per grid word, how the witnesses' values
 settle on the limit's: each run of consecutive grid words that settle
 alike is settled once, and its fields are copied out to the words of the
-run. A subprobability target is represented over its poset lifted under
-a fresh bottom that takes the missing mass; its witness is undefined at
-the grid points routed there, and its law skips them.
+run. `skorohod` is the one entry point for a target of any mass up to 1:
+the target's own mass decides whether its poset is lifted. A target below
+mass 1 is represented over its poset lifted under a fresh bottom that
+takes the missing mass; its witness is undefined at the grid points
+routed there, and its law skips them.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from itertools import islice
 
 from .cantor import StepMap, Word, _level_bits
 from .dyadic import ONE, Dyadic
-from .errors import NotConvergent, NotProbability
+from .errors import NotConvergent
 from .skorohod import RepresentationMap, represent_target
 from .valuation import SimpleValuation, portmanteau_check
 
@@ -71,25 +73,18 @@ class SkorohodWitness:
 
 
 def skorohod(target: SimpleValuation, steps: int) -> SkorohodWitness:
-    """Witness for a probability target with dyadic weights."""
-    if not target.is_probability():
-        raise NotProbability("pipeline target must have mass 1; "
-                             "use the subprobability variant")
-    return SkorohodWitness(target, represent_target(target, steps))
+    """Witness for a target of mass <= 1; its law on the defined grid is
+    the target.
 
-
-def skorohod_subprobability(target: SimpleValuation,
-                            steps: int) -> SkorohodWitness:
-    """Witness for mass <= 1; its law on the defined grid is the target.
-
-    The target's poset is lifted under a fresh bottom, which takes the
-    missing mass, and the lifted probability target is represented.
+    A probability target is represented as it is. Below mass 1 the
+    target's poset is lifted under a fresh bottom, which takes the missing
+    mass, and the lifted probability target is represented.
     """
+    if target.is_probability():
+        return SkorohodWitness(target, represent_target(target, steps))
     lifted = target.base.lift()
     weights = dict(target.weights)
-    gap = ONE - target.mass
-    if not gap.is_zero():
-        weights[lifted.bottom] = gap
+    weights[lifted.bottom] = ONE - target.mass
     rmap = represent_target(SimpleValuation(lifted, weights), steps)
     return SkorohodWitness(target, rmap, lifted.bottom)
 

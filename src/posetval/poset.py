@@ -13,10 +13,10 @@ with the order itself.
 
 Upper sets of a finite poset are exactly its Scott-open sets; they can be
 enumerated exhaustively, as the `portmanteau` command lists them. The
-enumeration costs time in proportion to its output, and stops
-with TooLarge once (upper sets found) x (elements) passes bound * 2^bound,
-bound = ORACLE_BOUND by default: the most a 16-element poset can need, so
-larger posets are fine as long as they have few upper sets.
+enumeration costs time in proportion to its output, and stops with
+TooLarge once (upper sets found) x (elements) passes ORACLE_BOUND *
+2^ORACLE_BOUND: the most a 16-element poset can need, so larger posets are
+fine as long as they have few upper sets.
 """
 
 from __future__ import annotations
@@ -180,14 +180,14 @@ class Poset:
             mask |= 1 << index[x]
         return all(not up[index[x]] & ~mask for x in members)
 
-    def enumerate_upper_sets(self, bound: int = ORACLE_BOUND):
+    def enumerate_upper_sets(self):
         """All upward-closed subsets, each once, in ascending bitmask order.
 
         Includes the empty set and the full set. Raises TooLarge once
-        (sets found) x (elements) passes bound * 2^bound; see upper_masks.
+        (sets found) x (elements) passes the budget; see upper_masks.
         """
         return [UpperSet(self, self._members(m))
-                for m in upper_masks(self._up_mask, bound)]
+                for m in upper_masks(self._up_mask)]
 
     def _is_chain(self) -> bool:
         """True iff every two elements are comparable.
@@ -211,13 +211,10 @@ class Poset:
         above i outside its up-set and down-set. A finite poset with all
         meets and a top is a lattice (a pair's join is the meet of its
         upper bounds), and every lattice has a top, so joins need no scan.
-        A chain skips the scan. Down-sets are ORed up the covers by
-        descending up-set size of the upper end, which puts each element
-        after all those strictly below.
+        A chain has no incomparable pair, so its scan finds every meet.
+        Down-sets are ORed up the covers by descending up-set size of the
+        upper end, which puts each element after all those strictly below.
         """
-        if self._is_chain():
-            return {"is_chain": True, "is_bounded_complete": True,
-                    "is_lattice": True}
         n = len(self.elements)
         index, up = self.index, self._up_mask
         down = [1 << j for j in range(n)]
@@ -230,18 +227,16 @@ class Poset:
                        for i in range(n)
                        for j in _bits(full & ~up[i] & ~down[i]
                                       & ~((2 << i) - 1)))
-        return {"is_chain": False,
+        return {"is_chain": self._is_chain(),
                 "is_bounded_complete": has_meet,
                 "is_lattice": has_meet and full in downs}
 
-    def lift(self, fresh_bottom=None) -> "Poset":
-        """A copy with a fresh bottom element strictly below the old one."""
-        if fresh_bottom is None:
-            fresh_bottom = "_bot"
-            while fresh_bottom in self.index:
-                fresh_bottom += "_"
-        elif fresh_bottom in self.index:
-            raise OrderViolation("%r already an element" % fresh_bottom)
+    def lift(self) -> "Poset":
+        """A copy with a fresh bottom element strictly below the old one:
+        "_bot", with as many "_" appended as it takes to be new."""
+        fresh_bottom = "_bot"
+        while fresh_bottom in self.index:
+            fresh_bottom += "_"
         return Poset([fresh_bottom] + self.elements,
                      [(fresh_bottom, self.bottom)] + self.covers,
                      fresh_bottom)
@@ -256,7 +251,7 @@ class Poset:
         return "Poset(%d elements, bottom=%s)" % (len(self), self.bottom)
 
 
-def upper_masks(up, bound: int = ORACLE_BOUND) -> list:
+def upper_masks(up) -> list:
     """The upper sets of an order given by its up-closure bitmasks.
 
     up[i] is the bitmask of the elements above element i (itself included).
@@ -266,10 +261,10 @@ def upper_masks(up, bound: int = ORACLE_BOUND) -> list:
     mask of those left out; a branch whose two masks meet is dropped, and
     every other branch completes (take the closure itself), so the work
     grows with the output. Raises TooLarge once (sets found) x (elements)
-    passes bound * 2^bound.
+    passes ORACLE_BOUND * 2^ORACLE_BOUND.
     """
     n = len(up)
-    budget = bound << bound
+    budget = ORACLE_BOUND << ORACLE_BOUND
     masks = []
     # (next bit to decide, up-closure of the bits taken, bits left out);
     # the 1-branch is pushed first so the 0-branch is popped first, and
@@ -280,7 +275,8 @@ def upper_masks(up, bound: int = ORACLE_BOUND) -> list:
         if i < 0:
             if (len(masks) + 1) * n > budget:
                 raise TooLarge("upper sets of %d elements exceed the "
-                               "oracle budget %d * 2^%d" % (n, bound, bound))
+                               "oracle budget %d * 2^%d"
+                               % (n, ORACLE_BOUND, ORACLE_BOUND))
             masks.append(closed)
             continue
         bit = 1 << i

@@ -74,11 +74,8 @@ def build_schedule(target: SimpleValuation, steps: int) -> list:
     return stages
 
 
-# a layer is a total step map on its level
-Layer = StepMap
-
-
-def lift_step(current: Layer, target: SimpleValuation, base: Poset) -> Layer:
+def lift_step(current: StepMap, target: SimpleValuation,
+              base: Poset) -> StepMap:
     """Refine a level map so counting measure pushes to `target` exactly.
 
     The current map's law must lie below `target` in the probability
@@ -106,8 +103,8 @@ def lift_step(current: Layer, target: SimpleValuation, base: Poset) -> Layer:
     return _lift(current, current.law(base), target, base)
 
 
-def _lift(current: Layer, law: SimpleValuation, target: SimpleValuation,
-          base: Poset) -> Layer:
+def _lift(current: StepMap, law: SimpleValuation, target: SimpleValuation,
+          base: Poset) -> StepMap:
     """lift_step, given the current layer's law."""
     if not target.is_probability():
         raise NotProbability("lift target must have mass 1")
@@ -151,7 +148,7 @@ def _lift(current: Layer, law: SimpleValuation, target: SimpleValuation,
                 values.append(y)
     if any(deals.values()):
         raise AssertionError("transport budget left after the lift")
-    return Layer(depth, ends=ends, values=values)
+    return StepMap(depth, ends=ends, values=values)
 
 
 def _forced_units(law: SimpleValuation, target: SimpleValuation) -> tuple:
@@ -244,7 +241,7 @@ def represent(stages) -> RepresentationMap:
     if not stages:
         raise ValueError("schedule needs at least one stage")
     base = stages[0].base
-    layers = [Layer(0, ends=[1], values=[base.bottom])]
+    layers = [StepMap(0, ends=[1], values=[base.bottom])]
     if stages[0] != layers[0].law(base):
         raise NotComparable("schedule must start at the bottom mass")
     for law, stage in zip(stages, stages[1:]):
@@ -345,4 +342,4 @@ def parse_map(text: str, base: Poset) -> RepresentationMap:
     for depth, table in layers:
         if len(table) != 1 << depth:
             raise ParseError("layer %d is not total" % depth)
-    return RepresentationMap(base, [Layer(d, t) for d, t in layers])
+    return RepresentationMap(base, [StepMap(d, t) for d, t in layers])

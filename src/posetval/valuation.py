@@ -24,7 +24,7 @@ reports one record per trace, as up(V), ordered by up(V)'s bitmask.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from . import flow as flowmod
 from .dyadic import ONE, ZERO, Dyadic, parse_dyadic
@@ -280,9 +280,10 @@ def way_below(mu: SimpleValuation, nu: SimpleValuation,
     net = order_network(mu, nu)
     p = max(mu.max_exponent(), nu.max_exponent())
     eps = Dyadic(1, p + (len(net.left) - 1).bit_length())
-    raised = {x: c + eps for x, c in net.source_caps.items()}
-    return flowmod.max_flow(replace(net, source_caps=raised)).from_source \
-        == raised
+    caps = net.source_caps  # the network's own copy of mu's weights
+    for x, c in caps.items():
+        caps[x] = c + eps
+    return flowmod.max_flow(net).value == sum(caps.values(), ZERO)
 
 
 def integrate_monotone(f: dict, v: SimpleValuation) -> Dyadic:
@@ -376,7 +377,6 @@ class PortmanteauReport:
     set of the whole poset in ascending bitmask order.
     """
 
-    from_index: int
     records: list
     verdict: bool
     witness: UpperSet | None
@@ -464,8 +464,7 @@ def portmanteau_check(seq, limit: SimpleValuation,
         records.append(rec)
         if witness is None and not (rec.open_ok and rec.closed_ok):
             witness = rec.upper
-    return PortmanteauReport(from_index, records, witness is None, witness,
-                             support)
+    return PortmanteauReport(records, witness is None, witness, support)
 
 
 # -- text form ---------------------------------------------------------------

@@ -12,13 +12,12 @@ import time
 
 import pytest
 
-from posetval import (Dyadic, ONE, SimpleValuation, add, build_schedule,
-                      cdf, delta, leq, lift_step, lower_adjoint,
-                      portmanteau_check, pushforward_lebesgue, quantile_leq,
-                      represent, sample, scale, skorohod, skorohod_sequence,
-                      skorohod_subprobability, transport_plan, way_below)
+from posetval import (Dyadic, ONE, SimpleValuation, StepMap, add,
+                      build_schedule, cdf, delta, leq, lift_step,
+                      lower_adjoint, portmanteau_check, pushforward_lebesgue,
+                      quantile_leq, represent, sample, scale, skorohod,
+                      skorohod_sequence, transport_plan, way_below)
 from posetval.cli import main as cli_main
-from posetval.skorohod import Layer
 
 from conftest import make_chain, normalize, random_poset, random_valuation
 from oracles import (leq_oracle, level, pushforward_counting,
@@ -122,11 +121,11 @@ def test_criterion_4_lift_step_exactness():
                 y = rng.choice(ups)
                 target[y] = target.get(y, Dyadic(0, 0)) + Dyadic(1, 4)
         mu_prime = SimpleValuation(base, target)
-        lifted = lift_step(Layer(depth, table), mu_prime, base)
+        lifted = lift_step(StepMap(depth, table), mu_prime, base)
         assert lifted.depth > depth
-        assert pushforward_counting(lifted.table, lifted.depth, base) \
-            == mu_prime
-        for bits, y in lifted.table.items():
+        assert pushforward_counting(dict(lifted.items()), lifted.depth,
+                                    base) == mu_prime
+        for bits, y in lifted.items():
             assert base.leq(table[bits[:depth]], y)
     print(PASS % (4, "lift step exact on 500 instances"))
 
@@ -140,8 +139,8 @@ def test_criterion_5_representation_exactness():
         sched = build_schedule(target, steps)
         rmap = represent(sched)
         for layer, stage in zip(rmap.layers, sched):
-            assert pushforward_counting(layer.table, layer.depth, base) \
-                == stage
+            assert pushforward_counting(dict(layer.items()), layer.depth,
+                                        base) == stage
         counts = {}
         for w in level(rmap.final_depth):
             v = rmap.evaluate(w)[1]
@@ -185,13 +184,8 @@ def test_criterion_7_skorohod_law_exactness():
     for i in range(50):
         base = random_poset(rng, max_elements=6)
         steps = rng.randint(1, 3)
-        if i % 2 == 0:
-            target = random_valuation(rng, base, exp=3, probability=True)
-            witness = skorohod(target, steps)
-        else:
-            target = random_valuation(rng, base, exp=3)
-            witness = skorohod_subprobability(target, steps)
-        assert witness.law_on_grid() == target
+        target = random_valuation(rng, base, exp=3, probability=i % 2 == 0)
+        assert skorohod(target, steps).law_on_grid() == target
     print(PASS % (7, "grid tabulation exact on 50 witnesses"))
 
 

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from posetval import (Dyadic, Layer, ONE, QuantileMap, StepMap, Word, ZERO,
-                      embed, project, unit_to_word, word_to_unit)
+from posetval import (Dyadic, ONE, QuantileMap, SimpleValuation, StepMap, Word,
+                      ZERO, build_schedule, embed, project, represent,
+                      unit_to_word, word_to_unit)
 from posetval.errors import DepthExceeded, OutOfRange, PartialMap
 
 from oracles import level, pushforward_counting
@@ -156,8 +157,11 @@ def test_uniform_cell_lengths():
             assert Dyadic(1, n) <= length + cell
 
 
-def test_layers_and_quantile_maps_are_step_maps():
-    assert Layer is StepMap
+def test_layers_and_quantile_maps_are_step_maps(m4):
+    target = SimpleValuation(m4, {"a": Dyadic(1, 1), "b": Dyadic(1, 1)})
+    layers = represent(build_schedule(target, 2)).layers
+    assert len(layers) == 3
+    assert all(type(layer) is StepMap for layer in layers)
     assert issubclass(QuantileMap, StepMap)
 
 

@@ -14,7 +14,7 @@ import pytest
 
 import posetval
 from posetval import (Dyadic, format_poset, format_valuation,
-                      portmanteau_check, skorohod, skorohod_subprobability)
+                      portmanteau_check, skorohod)
 from posetval import cli
 from posetval.cli import main
 
@@ -490,8 +490,7 @@ def test_skorohod_stdout_matches_grid_tabulation(tmp_path):
         path = tmp_path / ("v%d.val" % case)
         path.write_text(format_valuation(target))
         steps = rng.randint(1, 4)
-        w = (skorohod(target, steps) if target.is_probability()
-             else skorohod_subprobability(target, steps))
+        w = skorohod(target, steps)
         d = w.precision
         law = law_by_grid_tabulation(w)
         if w.fresh_bottom is None:

@@ -25,6 +25,23 @@ def network(left, right, source_caps, pairs, sink_caps, cap=WIDE):
                        sink_caps)
 
 
+def edge_flows(f):
+    """The flow on each edge that carries some, as dyadics, read off the
+    engine's units: the middle edges' own units, and their row and column
+    sums on the source and sink edges (conservation)."""
+    p, units = f.units
+    rows, cols = {}, {}
+    for (x, y), k in units:
+        rows[x] = rows.get(x, 0) + k
+        cols[y] = cols.get(y, 0) + k
+
+    def dyadics(pairs):
+        return {key: Dyadic(k, p) for key, k in pairs}
+
+    return {"from_source": dyadics(rows.items()), "across": dyadics(units),
+            "to_sink": dyadics(cols.items())}
+
+
 def bottleneck_net():
     # source -> a capped 3/4, a -> sink capped 1/2
     return network(["a"], ["a"], {"a": Dyadic(3, 2)}, [("a", "a")],
@@ -47,8 +64,7 @@ def test_bottleneck():
 def test_diamond_routing():
     f = max_flow(diamond_net())
     assert f.value == Dyadic(1, 0)
-    assert f.across[("a", "top")] == Dyadic(1, 1)
-    assert f.across[("b", "top")] == Dyadic(1, 1)
+    assert f.units == (1, [(("a", "top"), 1), (("b", "top"), 1)])
     assert crossing_capacity(diamond_net(), f.cut) == Dyadic(1, 0)
 
 
@@ -102,10 +118,10 @@ def test_flows_are_integral_at_common_denominator():
         net = random_net(rng)
         p = net.common_exponent()
         f = max_flow(net)
-        for d in (f.value, *f.from_source.values(), *f.across.values(),
-                  *f.to_sink.values()):
-            assert d.exp <= p
-            d.rescale(p)  # must not raise
+        assert f.value.exp <= p
+        assert f.units[0] == p
+        assert all(type(k) is int and k > 0 for _, k in f.units[1])
+        assert sum(k for _, k in f.units[1]) == f.value.rescale(p)
 
 
 def test_conservation_and_capacity():
@@ -113,22 +129,15 @@ def test_conservation_and_capacity():
     for _ in range(60):
         net = random_net(rng)
         f = max_flow(net)
-        for x in net.left:
-            inflow = f.from_source.get(x, ZERO)
-            outflow = ZERO
-            for (x2, y), t in f.across.items():
-                if x2 == x:
-                    outflow = outflow + t
-                assert t < net.mid_caps[x2, y]  # no middle edge saturates
-            assert inflow == outflow
-            assert inflow <= net.source_caps[x]
-        for y in net.right:
-            into = ZERO
-            for (_, y2), t in f.across.items():
-                if y2 == y:
-                    into = into + t
-            assert into == f.to_sink.get(y, ZERO)
-            assert into <= net.sink_caps[y]
+        flows = edge_flows(f)
+        for xy, t in flows["across"].items():
+            assert t < net.mid_caps[xy]  # no middle edge saturates
+        for x, t in flows["from_source"].items():
+            assert t <= net.source_caps[x]
+        for y, t in flows["to_sink"].items():
+            assert t <= net.sink_caps[y]
+        assert sum(flows["from_source"].values(), ZERO) == f.value \
+            == sum(flows["to_sink"].values(), ZERO)
 
 
 def test_empty_supply_gives_zero_flow():
@@ -143,17 +152,23 @@ def test_dot_annotations():
 
 
 def test_dot_of_non_string_names():
-    net = network([0], [1], {0: Dyadic(1, 0)}, [(0, 1)], {1: Dyadic(1, 1)})
-    dot = to_dot(net)
-    assert '"L_0" -> "R_1" [label="2"];' in dot
-    assert '"R_1" -> "sink" [label="1/2^1"];' in dot
+    # an edge that carries flow shows it against its capacity; one that
+    # carries none shows its capacity alone
+    net = network([0], [1, 3], {0: Dyadic(1, 0)}, [(0, 1), (0, 3)],
+                  {1: Dyadic(1, 1), 3: ZERO})
+    dot = to_dot(net, max_flow(net))
+    assert '"source" -> "L_0" [label="1/2^1 of 1"];' in dot
+    assert '"L_0" -> "R_1" [label="1/2^1 of 2"];' in dot
+    assert '"L_0" -> "R_3" [label="2"];' in dot
+    assert '"R_1" -> "sink" [label="1/2^1 of 1/2^1"];' in dot
+    assert '"R_3" -> "sink" [label="0"];' in dot
 
 
 def assert_breadth_first_flow(net):
     # the printed transport plans are this flow
     f = max_flow(net)
     expected = max_flow_by_shortest_paths(net)
-    assert {name: getattr(f, name) for name in expected} == expected
+    assert {"value": f.value, "cut": f.cut, **edge_flows(f)} == expected
     assert crossing_capacity(net, f.cut) == f.value
     return f
 
@@ -228,8 +243,8 @@ def test_max_flow_is_the_breadth_first_flow_on_larger_decision_networks(rng):
     assert len(net.mid_caps) == len(pairs)
     assert list(net.mid_caps) == pairs
     # a transport plan lists its entries in this order
-    across = assert_breadth_first_flow(net).across
-    assert list(across) == [e for e in pairs if e in across]
+    across = [xy for xy, _ in assert_breadth_first_flow(net).units[1]]
+    assert across == [e for e in pairs if e in across]
     p = max(mu.max_exponent(), nu.max_exponent())
     eps = Dyadic(1, p + (len(net.left) - 1).bit_length())
     assert_breadth_first_flow(replace(net, source_caps={
@@ -245,7 +260,7 @@ def test_second_phase_reroutes_along_a_back_edge():
                   {"p": unit(1), "q": unit(1)})
     f = assert_breadth_first_flow(net)
     assert f.value == unit(2)
-    assert f.across == {("a", "q"): unit(1), ("b", "p"): unit(1)}
+    assert f.units == (0, [(("a", "q"), 1), (("b", "p"), 1)])
     assert f.cut == {"source"}
 
 
@@ -294,7 +309,7 @@ def test_first_phase_source_and_sink_saturate_together():
                   [("a", "p"), ("b", "p"), ("b", "q"), ("c", "p")],
                   {"p": unit(1), "q": unit(1)})
     f = assert_breadth_first_flow(net)
-    assert f.across == {("a", "p"): unit(1), ("b", "q"): unit(1)}
+    assert f.units == (0, [(("a", "p"), 1), (("b", "q"), 1)])
     assert f.cut == {"source", ("left", "c"), ("right", "p"), ("left", "a")}
 
 
@@ -306,7 +321,7 @@ def test_no_three_edge_path_at_the_start():
                   [("a", "p"), ("b", "q")], {"p": ZERO, "q": Dyadic(1, 0)})
     f = assert_breadth_first_flow(net)
     assert f.value == ZERO
-    assert (f.from_source, f.across, f.to_sink) == ({}, {}, {})
+    assert f.units == (1, [])
     assert f.cut == {"source", ("left", "a"), ("right", "p")}
 
 
@@ -328,5 +343,6 @@ def test_breadth_first_flow_at_decide_size(seed):
         nu = sparse_valuation(rng, base, 60, exp=8)
     net = order_network(mu, nu)
     f = assert_breadth_first_flow(net)
-    assert list(f.across) == [e for e in net.mid_caps if e in f.across]
+    across = [xy for xy, _ in f.units[1]]
+    assert across == [e for e in net.mid_caps if e in across]
     assert (f.value == mu.mass) == bool(seed % 2)

@@ -10,10 +10,8 @@ from hypothesis import strategies as st
 
 from posetval import (Dyadic, ONE, Poset, SimpleValuation, Word, add, delta,
                       sample,
-                      scale, skorohod, skorohod_sequence,
-                      skorohod_subprobability, unit_to_word)
-from posetval.errors import (NotConvergent, NotProbability, OutOfRange,
-                             TooLarge)
+                      scale, skorohod, skorohod_sequence, unit_to_word)
+from posetval.errors import NotConvergent, OutOfRange, TooLarge
 from posetval.pipeline import _settling, represent_sequence
 
 from conftest import make_chain, random_poset, random_valuation
@@ -40,8 +38,17 @@ def test_half_half_witness(m4):
 
 
 def test_probability_precondition(m4):
-    with pytest.raises(NotProbability):
-        skorohod(scale(delta(m4, "top"), HALF), 2)
+    # below mass 1 the target's poset is lifted under a fresh bottom, which
+    # takes the missing mass; the defined grid points carry the target
+    target = SimpleValuation(m4, {"a": Dyadic(1, 2), "top": Dyadic(1, 1)})
+    w = skorohod(target, 2)
+    assert w.fresh_bottom not in m4.index
+    assert w.rmap.base.bottom == w.fresh_bottom
+    assert w.rmap.base.leq(w.fresh_bottom, m4.bottom)
+    assert w.law_on_grid() == target
+    defined = sum(w.defined(r) for r in w.grid())
+    assert defined == target.mass.rescale(w.precision) \
+        == 3 << (w.precision - 2)
 
 
 def test_exact_law_randomized():
@@ -72,24 +79,25 @@ def test_unit_map_lex_monotone(m4):
 
 def test_subprobability_witness(m4):
     target = scale(delta(m4, "top"), HALF)
-    w = skorohod_subprobability(target, 2)
+    w = skorohod(target, 2)
     grid = w.grid()
     defined = [r for r in grid if w.defined(r)]
     assert len(defined) * 2 == len(grid)
     assert all(w.driver(r) == "top" for r in defined)
     assert w.law_on_grid() == target
 
-    full = skorohod_subprobability(half_half(m4), 2)
+    full = skorohod(half_half(m4), 2)
+    assert full.fresh_bottom is None and full.rmap.base is m4
     assert all(full.defined(r) for r in full.grid())
     assert full.law_on_grid() == half_half(m4)
 
-    nothing = skorohod_subprobability(SimpleValuation(m4, {}), 2)
+    nothing = skorohod(SimpleValuation(m4, {}), 2)
     assert not any(nothing.defined(r) for r in nothing.grid())
 
 
 def test_driver_rejects_points_outside_the_unit_interval(m4):
     for w in (skorohod(half_half(m4), 2),
-              skorohod_subprobability(scale(delta(m4, "top"), HALF), 2)):
+              skorohod(scale(delta(m4, "top"), HALF), 2)):
         assert w.driver(ONE) in ("a", "b", "top")
         with pytest.raises(OutOfRange):
             w.driver(Dyadic(3, 1))
@@ -107,7 +115,7 @@ def test_single_element_poset_subprobability():
     from posetval import Poset
     single = Poset(["x"], [], "x")
     zero = SimpleValuation(single, {})
-    w = skorohod_subprobability(zero, 1)
+    w = skorohod(zero, 1)
     assert not any(w.defined(r) for r in w.grid())
     assert w.law_on_grid() == zero
 
@@ -117,7 +125,7 @@ def test_subprobability_randomized():
     for _ in range(30):
         base = random_poset(rng)
         target = random_valuation(rng, base)
-        w = skorohod_subprobability(target, rng.randint(1, 3))
+        w = skorohod(target, rng.randint(1, 3))
         assert w.law_on_grid() == target
 
 
@@ -312,8 +320,7 @@ def test_law_on_grid_matches_grid_tabulation(rng, probability):
     target = random_valuation(rng, base, exp=rng.randint(0, 6),
                               probability=probability)
     steps = rng.randint(1, 5)
-    w = (skorohod(target, steps) if probability
-         else skorohod_subprobability(target, steps))
+    w = skorohod(target, steps)
     assert w.precision <= 12
     assert w.law_on_grid() == law_by_grid_tabulation(w) == target
 
@@ -323,7 +330,7 @@ def test_unrepresentable_step_counts_are_refused_at_once(m4):
     # under the depth bound, and the schedule is not built
     target = half_half(m4)
     calls = [lambda: skorohod(target, 100000),
-             lambda: skorohod_subprobability(scale(target, HALF), 100000),
+             lambda: skorohod(scale(target, HALF), 100000),
              lambda: represent_sequence([target], target, 100000),
              lambda: skorohod_sequence([target], target, 100000)]
     for call in calls:

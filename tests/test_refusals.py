@@ -5,10 +5,10 @@ from dataclasses import FrozenInstanceError
 
 import pytest
 
-from posetval import (Dyadic, Layer, Poset, PosetMap, RepresentationMap,
-                      SimpleValuation, UpperSet, Word, add, cdf, delta, embed,
-                      lift_step, lower_adjoint, portmanteau_check, pushforward,
-                      quantile_leq, represent)
+from posetval import (Dyadic, Poset, PosetMap, RepresentationMap,
+                      SimpleValuation, StepMap, UpperSet, Word, add, cdf,
+                      delta, embed, lift_step, lower_adjoint,
+                      portmanteau_check, pushforward, quantile_leq, represent)
 from posetval.errors import (MixedBase, NotAChain, NotComparable,
                              NotProbability, OrderViolation)
 
@@ -30,7 +30,7 @@ def half_a(base):
 
 
 def bottom_layer():
-    return Layer(0, ends=[1], values=["bot"])
+    return StepMap(0, ends=[1], values=["bot"])
 
 
 def quantile_of_top(chain):

@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posetval import (Dyadic, Layer, ONE, RepresentationMap, SimpleValuation,
+from posetval import (Dyadic, ONE, RepresentationMap, SimpleValuation,
                       StepMap, Word, add, build_schedule, delta, format_map,
                       leq, lift_step, parse_map, represent, represent_sequence,
-                      sample, scale, skorohod_sequence,
-                      skorohod_subprobability, way_below)
+                      sample, scale, skorohod, skorohod_sequence, way_below)
 from posetval.dyadic import MAX_PARSED_EXPONENT, parse_dyadic
 from posetval.errors import (DepthExceeded, MixedBase, NotComparable,
                              NotConvergent, NotProbability, ParseError,
@@ -133,11 +132,11 @@ def test_lift_step_alone_checks_its_layer_law(m4):
     # lift_step reads the law off the layer it is given: a two-run layer
     # (a flow decides) and a one-run layer (the plan is forced) whose laws
     # are not below the target are both refused
-    two_runs = Layer(1, ends=[1, 2], values=["a", "top"])
+    two_runs = StepMap(1, ends=[1, 2], values=["a", "top"])
     with pytest.raises(NotComparable):
         lift_step(two_runs, delta(m4, "b"), m4)
     with pytest.raises(NotComparable):
-        lift_step(Layer(1, ends=[2], values=["a"]), delta(m4, "b"), m4)
+        lift_step(StepMap(1, ends=[2], values=["a"]), delta(m4, "b"), m4)
     lifted = lift_step(two_runs, delta(m4, "top"), m4)
     assert lifted.law(m4) == delta(m4, "top")
 
@@ -147,7 +146,7 @@ def test_lift_refuses_a_law_its_layer_does_not_have(m4):
     # run lengths leaves some run short of budget (the budgets and the
     # runs both count 2^depth words, so budget left over means a short run
     # too), and that raises AssertionError, which python -O keeps
-    layer = Layer(1, ends=[1, 2], values=["a", "b"])
+    layer = StepMap(1, ends=[1, 2], values=["a", "b"])
     quarter = Dyadic(1, 2)
     short = SimpleValuation(m4, {"a": quarter, "b": Dyadic(3, 2)})
     with pytest.raises(AssertionError, match="slot without budget at '01'"):
@@ -165,8 +164,8 @@ def test_represent_refuses_a_layer_off_its_stage(m4, monkeypatch):
     # whose layer pushes forward elsewhere is refused with AssertionError
     def skewed(current, law, target, base):
         layer = _lift(current, law, target, base)
-        return Layer(layer.depth, ends=layer.ends,
-                     values=["top"] * len(layer.values))
+        return StepMap(layer.depth, ends=layer.ends,
+                       values=["top"] * len(layer.values))
 
     monkeypatch.setattr(sys.modules[represent.__module__], "_lift", skewed)
     with pytest.raises(AssertionError, match="depth 1 does not push"):
@@ -192,17 +191,17 @@ def test_schedule_validation_rejects_gaps(m4, c3):
 
 
 def test_lift_step_examples(m4):
-    base_layer = Layer(0, {"": "bot"})
+    base_layer = StepMap(0, {"": "bot"})
     lifted = lift_step(base_layer, half_half(m4), m4)
     assert lifted.depth == 1
-    assert lifted.table == {"0": "a", "1": "b"}
+    assert dict(lifted.items()) == {"0": "a", "1": "b"}
 
     second = lift_step(lifted, delta(m4, "top"), m4)
     assert second.depth == 2
-    assert second.table == {w.bits: "top" for w in level(2)}
+    assert dict(second.items()) == {w.bits: "top" for w in level(2)}
 
     with pytest.raises(NotComparable):
-        lift_step(Layer(0, {"": "top"}), half_half(m4), m4)
+        lift_step(StepMap(0, {"": "top"}), half_half(m4), m4)
 
 
 def test_lift_step_randomized_exactness():
@@ -211,13 +210,14 @@ def test_lift_step_randomized_exactness():
         base = random_poset(rng)
         depth = rng.randint(0, 3)
         table = {w.bits: rng.choice(base.elements) for w in level(depth)}
-        current = Layer(depth, table)
+        current = StepMap(depth, table)
         law = pushforward_counting(table, depth, base)
         target = upward_shuffle(rng, law)
         lifted = lift_step(current, target, base)
         assert lifted.depth > depth
-        assert pushforward_counting(lifted.table, lifted.depth, base) == target
-        for bits, y in lifted.table.items():
+        assert pushforward_counting(dict(lifted.items()), lifted.depth,
+                                    base) == target
+        for bits, y in lifted.items():
             assert base.leq(table[bits[:depth]], y)
 
 
@@ -243,9 +243,9 @@ def test_lift_step_matches_slot_by_slot_oracle():
         table = {w.bits: rng.choice(base.elements) for w in level(depth)}
         law = pushforward_counting(table, depth, base)
         target = upward_shuffle(rng, law, exp=rng.randint(4, 12))
-        lifted = lift_step(Layer(depth, table), target, base)
+        lifted = lift_step(StepMap(depth, table), target, base)
         assert lifted.depth <= 12
-        assert (lifted.depth, lifted.table) \
+        assert (lifted.depth, dict(lifted.items())) \
             == lift_step_by_slots(table, depth, target)
 
 
@@ -266,15 +266,15 @@ def test_one_run_lift_matches_the_flow_plan(seed):
                     want = lift_step_by_slots(table, depth, target)
                 except NotComparable:
                     with pytest.raises(NotComparable):
-                        lift_step(Layer(depth, table), target, base)
+                        lift_step(StepMap(depth, table), target, base)
                     continue
-                lifted = lift_step(Layer(depth, table), target, base)
-                assert (lifted.depth, lifted.table) == want
+                lifted = lift_step(StepMap(depth, table), target, base)
+                assert (lifted.depth, dict(lifted.items())) == want
 
 
 def test_one_run_lift_checks_the_base(m4, c3):
     with pytest.raises(MixedBase):
-        lift_step(Layer(0, {"": "bot"}), delta(c3, "c0"), m4)
+        lift_step(StepMap(0, {"": "bot"}), delta(c3, "c0"), m4)
 
 
 def test_represent_solves_no_flow_for_the_first_lift(solves):
@@ -313,37 +313,38 @@ def test_represent_matches_slot_by_slot_oracle():
             lines.extend("map %s %s" % (bits or "-", table[bits])
                          for bits in sorted(table))
         assert format_map(rmap) == "\n".join(lines) + "\n"
-        expected = RepresentationMap(base, [Layer(d, t) for d, t in tables])
+        expected = RepresentationMap(base, [StepMap(d, t) for d, t in tables])
         assert rmap.to_dot() == expected.to_dot()
 
 
 def test_layer_runs_round_trip(m4):
-    layer = Layer(2, {"00": "a", "01": "a", "10": "top", "11": "top"})
+    layer = StepMap(2, {"00": "a", "01": "a", "10": "top", "11": "top"})
     assert (layer.ends, layer.values) == ([2, 4], ["a", "top"])
-    assert layer.table == {"00": "a", "01": "a", "10": "top", "11": "top"}
+    assert dict(layer.items()) == {"00": "a", "01": "a", "10": "top",
+                                   "11": "top"}
     assert layer.law(m4) == SimpleValuation(m4, {"a": HALF, "top": HALF})
     assert [layer.at(i) for i in range(4)] == ["a", "a", "top", "top"]
     with pytest.raises(PartialMap):
-        Layer(1, {"0": "a"})
+        StepMap(1, {"0": "a"})
     with pytest.raises(ValueError):
-        Layer(1, {"0": "a", "1": "b", "10": "top"})
+        StepMap(1, {"0": "a", "1": "b", "10": "top"})
 
 
 def test_representation_map_rejects_bad_run_layouts(m4):
-    bot = Layer(0, {"": "bot"})
+    bot = StepMap(0, {"": "bot"})
     with pytest.raises(ValueError, match="not total"):
-        RepresentationMap(m4, [bot, Layer(1, ends=[1], values=["a"])])
+        RepresentationMap(m4, [bot, StepMap(1, ends=[1], values=["a"])])
     with pytest.raises(ValueError, match="not total"):
-        RepresentationMap(m4, [bot, Layer(1, ends=[1, 1, 2],
+        RepresentationMap(m4, [bot, StepMap(1, ends=[1, 1, 2],
                                           values=["a", "a", "b"])])
-    parent = Layer(1, {"0": "a", "1": "top"})
+    parent = StepMap(1, {"0": "a", "1": "top"})
     RepresentationMap(m4, [bot, parent,
-                           Layer(2, ends=[2, 4], values=["a", "top"])])
+                           StepMap(2, ends=[2, 4], values=["a", "top"])])
     # the child's boundary at word 3 falls inside the parent's run over
     # words 2..3, so word 10 maps to a, below its parent's top
     with pytest.raises(NotComparable, match="'10'"):
         RepresentationMap(m4, [bot, parent,
-                               Layer(2, ends=[3, 4], values=["a", "top"])])
+                               StepMap(2, ends=[3, 4], values=["a", "top"])])
 
 
 def test_represent_lifts_a_chain_that_is_not_way_below(m4):
@@ -381,11 +382,12 @@ def test_represent_lifts_any_chain_of_small_moves(rng, m):
     rmap = represent(stages)
     assert len(rmap.layers) == len(stages)
     for layer, stage in zip(rmap.layers, stages):
-        assert pushforward_counting(layer.table, layer.depth, base) == stage
+        assert pushforward_counting(dict(layer.items()), layer.depth,
+                                    base) == stage
     depth, table = 0, {"": base.bottom}
     for layer, stage in zip(rmap.layers[1:], stages[1:]):
         depth, table = lift_step_by_slots(table, depth, stage)
-        assert (layer.depth, layer.table) == (depth, table)
+        assert (layer.depth, dict(layer.items())) == (depth, table)
 
 
 @settings(max_examples=100, deadline=None)
@@ -407,34 +409,34 @@ def test_represent_lifts_random_chains_like_the_slot_oracle(rng, m):
     depth, table = 0, {"": base.bottom}
     for layer, stage in zip(rmap.layers[1:], stages[1:]):
         depth, table = lift_step_by_slots(table, depth, stage)
-        assert (layer.depth, layer.table) == (depth, table)
+        assert (layer.depth, dict(layer.items())) == (depth, table)
         assert layer.law(base) == stage
 
 
 def test_three_layer_tables_via_lift_steps(m4):
     # the same three-layer construction, stepped through lift_step (which
     # only needs the plain order between consecutive laws)
-    first = lift_step(Layer(0, {"": "bot"}), half_half(m4), m4)
+    first = lift_step(StepMap(0, {"": "bot"}), half_half(m4), m4)
     second = lift_step(first, delta(m4, "top"), m4)
     assert (first.depth, second.depth) == (1, 2)
-    assert first.table == {"0": "a", "1": "b"}
-    assert second.table == {w.bits: "top" for w in level(2)}
+    assert dict(first.items()) == {"0": "a", "1": "b"}
+    assert dict(second.items()) == {w.bits: "top" for w in level(2)}
 
 
 def test_represent_constant_bottom(m4):
     rmap = represent(build_schedule(delta(m4, "bot"), 3))
     for layer in rmap.layers:
-        assert set(layer.table.values()) == {"bot"}
+        assert set(dict(layer.items()).values()) == {"bot"}
     single = represent([delta(m4, "bot")])
     assert len(single.layers) == 1
     assert single.evaluate(Word(""))[1] == "bot"
 
 
 def test_evaluate_examples(m4):
-    first = lift_step(Layer(0, {"": "bot"}), half_half(m4), m4)
+    first = lift_step(StepMap(0, {"": "bot"}), half_half(m4), m4)
     second = lift_step(first, delta(m4, "top"), m4)
     from posetval import RepresentationMap
-    rmap = RepresentationMap(m4, [Layer(0, {"": "bot"}), first, second])
+    rmap = RepresentationMap(m4, [StepMap(0, {"": "bot"}), first, second])
     chain, value = rmap.evaluate(Word("11"))
     assert chain == ["bot", "b", "top"] and value == "top"
     chain, value = rmap.evaluate(Word("00"))
@@ -667,30 +669,31 @@ def test_order_masks_refuse_a_foreign_value(m4):
     # the order is read off up-set masks, indexed by element; a value
     # outside the poset is refused by name, never by a bare KeyError
     limit_map = represent_target(delta(m4, "top"), 2)
-    stray = RepresentationMap(m4, [Layer(0, ends=[1], values=["zz"])])
+    stray = RepresentationMap(m4, [StepMap(0, ends=[1], values=["zz"])])
     for maps, limit in (([limit_map, stray], limit_map), ([limit_map], stray)):
         with pytest.raises(UnknownElement, match="'zz'"):
             _settling(maps, limit)
     with pytest.raises(UnknownElement, match="'zz'"):
-        RepresentationMap(m4, [Layer(0, ends=[1], values=["bot"]),
-                               Layer(1, ends=[1, 2], values=["a", "zz"])])
+        RepresentationMap(m4, [StepMap(0, ends=[1], values=["bot"]),
+                               StepMap(1, ends=[1, 2], values=["a", "zz"])])
     with pytest.raises(UnknownElement, match="'zz'"):
-        Layer(1, ends=[2], values=["zz"]).first_disagreement(
-            Layer(2, ends=[4], values=["top"]), m4)
+        StepMap(1, ends=[2], values=["zz"]).first_disagreement(
+            StepMap(2, ends=[4], values=["top"]), m4)
 
 
 def test_represent_subprobability_examples(m4):
     target = scale(delta(m4, "top"), HALF)
-    rep = skorohod_subprobability(target, 2)
+    rep = skorohod(target, 2)
     assert rep.law_on_grid() == target
     grid = rep.grid()
     defined = [r for r in grid if rep.defined(r)]
     assert len(defined) * 2 == len(grid)
 
-    full = skorohod_subprobability(half_half(m4), 2)
+    full = skorohod(half_half(m4), 2)
+    assert full.fresh_bottom is None and full.rmap.base is m4
     assert all(full.defined(r) for r in full.grid())
 
-    nothing = skorohod_subprobability(SimpleValuation(m4, {}), 2)
+    nothing = skorohod(SimpleValuation(m4, {}), 2)
     assert not any(nothing.defined(r) for r in nothing.grid())
     assert nothing.law_on_grid() == SimpleValuation(m4, {})
 
@@ -700,9 +703,12 @@ def test_subprobability_randomized():
     for _ in range(25):
         base = random_poset(rng)
         target = random_valuation(rng, base)
-        rep = skorohod_subprobability(target, rng.randint(1, 3))
+        rep = skorohod(target, rng.randint(1, 3))
         assert rep.law_on_grid() == target
-        assert rep.rmap.base.leq(rep.fresh_bottom, base.bottom)
+        if target.is_probability():
+            assert rep.fresh_bottom is None and rep.rmap.base is base
+        else:
+            assert rep.rmap.base.leq(rep.fresh_bottom, base.bottom)
 
 
 def test_map_serialization_round_trip(m4):
