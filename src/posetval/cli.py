@@ -172,20 +172,19 @@ def _run(args, stdout) -> int:
     code, text, dot = 0, None, None
 
     if args.command == "order":
-        net = valmod.order_network(mu, nu)
-        flow = flowmod.max_flow(net)
+        flow = valmod._order_flow(mu, nu)   # kept: transport_plan reads it
         witness = valmod._witness(mu, flow)
         holds = witness is None
         lines = ["LEQ: %s" % _bool(holds)]
         if holds:
-            lines.extend(valmod._plan(mu, nu, flow).lines())
+            lines.extend(valmod.transport_plan(mu, nu).lines())
         else:
             lines.append("witness %s" % witness)
             lines.append("mu %s" % mu.evaluate(witness))
             lines.append("nu %s" % nu.evaluate(witness))
         code = 0 if holds else 1
         if args.dot is not None:
-            dot = flowmod.to_dot(net, flow)
+            dot = flowmod.to_dot(flow)
 
     elif args.command == "waybelow":
         holds = valmod.way_below(mu, nu, normalized=args.normalized)

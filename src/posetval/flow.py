@@ -174,27 +174,33 @@ class Flow:
     `cut` is the source side of a minimum cut: SOURCE plus the tagged nodes
     ("left", x) / ("right", y) still reachable in the final residual
     network. Its crossing capacity equals `value`. `units` is (p,
-    [((x, y), k), ...]): the k units of 2^-p moved on each middle edge that
+    (((x, y), k), ...)): the k units of 2^-p moved on each middle edge that
     carries flow, by left node, then right node, in declaration order. It
     is the flow's one form: a transport plan travels in it, and by
     conservation a left node's row sum is the flow on its source edge, a
     right node's column sum the flow on its sink edge. It is built on first
-    use, since the decisions need only `value` and `cut`.
+    use, since the decisions need only `value` and `cut`, and it is a tuple
+    of tuples, so a flow shared between callers cannot be changed through
+    it. `net` is the network the flow was solved on.
     """
 
     def __init__(self, net: FlowNetwork, p: int, moved: dict, total: int,
                  cut: frozenset):
         # moved[k, b]: units of 2^-p from left[k] to the right node names[b];
         # total: the units that left the source
-        self._net, self._p, self._moved = net, p, moved
+        self.net, self._p, self._moved = net, p, moved
         self.cut = cut
         self.value = Dyadic(total, p)
 
     @cached_property
     def units(self) -> tuple:
-        left, names = self._net.left, self._net.mid_caps.names
-        return self._p, [((left[k], names[b]), f)
-                         for (k, b), f in sorted(self._moved.items()) if f]
+        left, names = self.net.left, self.net.mid_caps.names
+        # from a list: tuple() grows a generator's tuple by resizing it,
+        # which raised peak RSS by about 1 MB per 6 000 Skorohod builds
+        # (Python 3.11)
+        return self._p, tuple([((left[k], names[b]), f)
+                               for (k, b), f in sorted(self._moved.items())
+                               if f])
 
 
 def _levels(source: int, sink: int, fwd: list, back: dict):
@@ -345,13 +351,14 @@ def max_flow(net: FlowNetwork) -> Flow:
     return Flow(net, p, moved, supply - sum(sent), frozenset(cut))
 
 
-def to_dot(net: FlowNetwork, flow: Flow) -> str:
-    """Debug rendering of a network, each edge labelled with its flow.
+def to_dot(flow: Flow) -> str:
+    """Debug rendering of a flow's network, each edge labelled with its flow.
 
     The flow on an edge is read off `units`: the edge's own units in the
     middle, a row sum on a source edge, a column sum on a sink edge. An
     edge that carries nothing shows its capacity alone.
     """
+    net = flow.net
     p, units = flow.units
     rows, cols = {}, {}
     for (x, y), k in units:

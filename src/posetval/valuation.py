@@ -12,14 +12,27 @@ transport plan witnessing the comparison, and its minimum cut yields the
 upper set refuting it. The test suite keeps the brute-force check on
 every upper set as its oracle.
 
+A decision and its certificate cost one solve. :func:`leq`,
+:func:`leq_witness` and :func:`transport_plan` all take the flow from
+_order_flow, which keeps the flow of the last pair it solved, so `leq`
+followed by the plan or the witness of the same pair solves once. The
+slot holds exactly one pair: a decision and its certificate are asked one
+after the other, so one pair is all they share. More entries would hold
+flows that no certificate reads, and would make a query's cost depend on
+the queries asked before it.
+
 Way-below, mu(U) < nu(U) on every upper set U that mu charges (normalized
 mode exempts the whole poset), is decided on the same network with every
-source capacity raised by one dyadic epsilon. Integration against monotone
-functions, pushforward along monotone maps and a finite-scale
-weak-convergence (Portmanteau) check complete the module. The
-Portmanteau check sums integer numerators over the upper sets of the
-valuations' joint support, the traces V of the poset's upper sets, and
-reports one record per trace, as up(V), ordered by up(V)'s bitmask.
+source capacity raised by one dyadic epsilon. It builds and solves a
+network of its own, outside the slot, since it raises that network's
+capacities in place.
+
+Integration against monotone functions, pushforward along monotone maps
+and a finite-scale weak-convergence (Portmanteau) check complete the
+module. The Portmanteau check sums integer numerators over the upper
+sets of the valuations' joint support, the traces V of the poset's upper
+sets, and reports one record per trace, as up(V), ordered by up(V)'s
+bitmask.
 """
 
 from __future__ import annotations
@@ -141,14 +154,42 @@ def order_network(mu: SimpleValuation, nu: SimpleValuation) -> flowmod.FlowNetwo
         flowmod.MaskEdges(rows, mu.base.elements, _WIDE), dict(nu.weights))
 
 
+# (key, flow): the last pair _order_flow solved, replaced as one tuple
+_kept = (None, None)
+
+
+def _order_flow(mu: SimpleValuation, nu: SimpleValuation) -> flowmod.Flow:
+    """The maximum flow of order_network(mu, nu), solved once per pair.
+
+    The flow of the last pair solved is kept in one slot, under the key
+    (base, mu's weights, nu's weights). The base compares by identity and
+    the weights by their canonical dyadic values, so an equal key means an
+    identical network, whose deterministic solve gives an identical flow:
+    the slot changes no answer. It is replaced by one assignment, so a
+    reader never pairs one key with another pair's flow. A flow's value,
+    cut and units are immutable (the units are tuples), so the callers
+    share it.
+    """
+    global _kept
+    _same_base(mu, nu)
+    key = (mu.base, tuple(mu.weights.items()), tuple(nu.weights.items()))
+    kept_key, kept = _kept
+    if key == kept_key:
+        return kept
+    f = flowmod.max_flow(order_network(mu, nu))
+    _kept = key, f
+    return f
+
+
 def leq(mu: SimpleValuation, nu: SimpleValuation) -> bool:
     """The valuation order, decided by max-flow.
 
     True iff the maximum flow routes all of mu's mass, i.e. iff transport
-    numbers moving mass only upward exist.
+    numbers moving mass only upward exist. The flow is kept (see
+    _order_flow), so a following leq_witness or transport_plan of the same
+    pair solves nothing more.
     """
-    _same_base(mu, nu)
-    return flowmod.max_flow(order_network(mu, nu)).value == mu.mass
+    return _order_flow(mu, nu).value == mu.mass
 
 
 def _witness(mu: SimpleValuation, f: flowmod.Flow):
@@ -164,9 +205,12 @@ def _witness(mu: SimpleValuation, f: flowmod.Flow):
 
 
 def leq_witness(mu: SimpleValuation, nu: SimpleValuation):
-    """On failure of leq, an upper set U with mu(U) > nu(U), else None."""
-    _same_base(mu, nu)
-    return _witness(mu, flowmod.max_flow(order_network(mu, nu)))
+    """On failure of leq, an upper set U with mu(U) > nu(U), else None.
+
+    It reads the cut of the flow leq solved for the same pair, or solves
+    that flow once and keeps it (see _order_flow).
+    """
+    return _witness(mu, _order_flow(mu, nu))
 
 
 @dataclass
@@ -223,17 +267,14 @@ def _check_units(mu: SimpleValuation, nu: SimpleValuation, p: int,
                                  % (y,))
 
 
-def _transport_units(mu: SimpleValuation, nu: SimpleValuation,
-                     f: flowmod.Flow | None = None) -> tuple:
-    """transport_plan's numbers as checked integer units (p, [((x, y), k),
-    ...]) of 2^-p, listed by x, then y, in declaration order.
+def _transport_units(mu: SimpleValuation, nu: SimpleValuation) -> tuple:
+    """transport_plan's numbers as checked integer units (p, (((x, y), k),
+    ...)) of 2^-p, listed by x, then y, in declaration order.
 
-    f is the order network's flow when the caller has solved it already.
+    They are the units of the order network's flow (see _order_flow).
     Refuses with NotComparable when the flow does not saturate mu.
     """
-    if f is None:
-        _same_base(mu, nu)
-        f = flowmod.max_flow(order_network(mu, nu))
+    f = _order_flow(mu, nu)
     if f.value != mu.mass:
         raise NotComparable("valuations are not ordered; no transport plan")
     p, units = f.units
@@ -241,17 +282,15 @@ def _transport_units(mu: SimpleValuation, nu: SimpleValuation,
     return p, units
 
 
-def _plan(mu: SimpleValuation, nu: SimpleValuation,
-          f: flowmod.Flow) -> TransportPlan:
-    """The transport numbers of the order network's flow f."""
-    p, units = _transport_units(mu, nu, f)
-    return TransportPlan(mu, nu, {xy: Dyadic(k, p) for xy, k in units})
-
-
 def transport_plan(mu: SimpleValuation, nu: SimpleValuation) -> TransportPlan:
-    """Extract transport numbers from the maximum flow; requires mu <= nu."""
-    _same_base(mu, nu)
-    return _plan(mu, nu, flowmod.max_flow(order_network(mu, nu)))
+    """Extract transport numbers from the maximum flow; requires mu <= nu.
+
+    It reads the flow leq solved for the same pair, or solves that flow
+    once and keeps it (see _order_flow); either way the plan takes the one
+    plan check.
+    """
+    p, units = _transport_units(mu, nu)
+    return TransportPlan(mu, nu, {xy: Dyadic(k, p) for xy, k in units})
 
 
 def way_below(mu: SimpleValuation, nu: SimpleValuation,
@@ -269,6 +308,10 @@ def way_below(mu: SimpleValuation, nu: SimpleValuation,
     first drops mu's bottom mass, which only the whole poset holds; that
     set then fails only if mu misses the bottom, and then so does up(supp
     mu), which has all of mu's mass. A bottom point mass charges nothing.
+
+    The raised network is built and solved here on every call, outside
+    _order_flow's slot: its capacities are raised in place, so neither it
+    nor its flow answers the order question of any pair.
     """
     _same_base(mu, nu)
     if normalized:

@@ -64,7 +64,7 @@ def test_bottleneck():
 def test_diamond_routing():
     f = max_flow(diamond_net())
     assert f.value == Dyadic(1, 0)
-    assert f.units == (1, [(("a", "top"), 1), (("b", "top"), 1)])
+    assert f.units == (1, ((("a", "top"), 1), (("b", "top"), 1)))
     assert crossing_capacity(diamond_net(), f.cut) == Dyadic(1, 0)
 
 
@@ -146,8 +146,7 @@ def test_empty_supply_gives_zero_flow():
 
 
 def test_dot_annotations():
-    net = diamond_net()
-    dot = to_dot(net, max_flow(net))
+    dot = to_dot(max_flow(diamond_net()))
     assert "digraph" in dot and "1/2^1" in dot
 
 
@@ -156,7 +155,7 @@ def test_dot_of_non_string_names():
     # carries none shows its capacity alone
     net = network([0], [1, 3], {0: Dyadic(1, 0)}, [(0, 1), (0, 3)],
                   {1: Dyadic(1, 1), 3: ZERO})
-    dot = to_dot(net, max_flow(net))
+    dot = to_dot(max_flow(net))
     assert '"source" -> "L_0" [label="1/2^1 of 1"];' in dot
     assert '"L_0" -> "R_1" [label="1/2^1 of 2"];' in dot
     assert '"L_0" -> "R_3" [label="2"];' in dot
@@ -260,7 +259,7 @@ def test_second_phase_reroutes_along_a_back_edge():
                   {"p": unit(1), "q": unit(1)})
     f = assert_breadth_first_flow(net)
     assert f.value == unit(2)
-    assert f.units == (0, [(("a", "q"), 1), (("b", "p"), 1)])
+    assert f.units == (0, ((("a", "q"), 1), (("b", "p"), 1)))
     assert f.cut == {"source"}
 
 
@@ -309,7 +308,7 @@ def test_first_phase_source_and_sink_saturate_together():
                   [("a", "p"), ("b", "p"), ("b", "q"), ("c", "p")],
                   {"p": unit(1), "q": unit(1)})
     f = assert_breadth_first_flow(net)
-    assert f.units == (0, [(("a", "p"), 1), (("b", "q"), 1)])
+    assert f.units == (0, ((("a", "p"), 1), (("b", "q"), 1)))
     assert f.cut == {"source", ("left", "c"), ("right", "p"), ("left", "a")}
 
 
@@ -321,7 +320,7 @@ def test_no_three_edge_path_at_the_start():
                   [("a", "p"), ("b", "q")], {"p": ZERO, "q": Dyadic(1, 0)})
     f = assert_breadth_first_flow(net)
     assert f.value == ZERO
-    assert f.units == (1, [])
+    assert f.units == (1, ())
     assert f.cut == {"source", ("left", "a"), ("right", "p")}
 
 

@@ -10,7 +10,7 @@ from posetval import (Dyadic, ONE, Poset, PosetMap, SimpleValuation,
                       TransportPlan, UpperSet, ZERO, add, delta,
                       format_valuation, integrate_monotone, leq, leq_witness,
                       parse_valuation, portmanteau_check, pushforward, scale,
-                      transport_plan, way_below)
+                      transport_plan, valuation, way_below)
 from posetval.errors import (MassExceeded, MixedBase, NotComparable,
                              NotMonotone, NotProbability, PartialMap,
                              UnknownElement)
@@ -360,6 +360,105 @@ def test_each_decision_solves_one_flow(m4, solves):
         solves.clear()
         decide()
         assert len(solves) == 1
+
+
+def test_a_decision_and_its_certificate_solve_once(m4, solves):
+    # leq keeps its flow, so the plan or the witness of the same pair, or
+    # of an equal pair built anew, reads it instead of solving again
+    mu, top = half_half(m4), delta(m4, "top")
+    assert leq(mu, top)
+    assert transport_plan(mu, top).entries == {("a", "top"): HALF,
+                                               ("b", "top"): HALF}
+    assert len(solves) == 1
+    assert leq(half_half(m4), delta(m4, "top"))
+    transport_plan(half_half(m4), delta(m4, "top")).verify()
+    assert len(solves) == 1
+    solves.clear()
+    assert not leq(top, mu)
+    assert leq_witness(top, mu).members == frozenset({"top"})
+    assert len(solves) == 1
+
+
+def pushed_up(rng, v):
+    """v with each point's weight moved to a random element above it."""
+    base = v.base
+    out = {}
+    for x, w in v.weights.items():
+        y = rng.choice(sorted(base.up_set(x), key=base.index.get))
+        out[y] = out.get(y, ZERO) + w
+    return SimpleValuation(base, out)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32),
+       st.lists(st.tuples(st.sampled_from(["leq", "leq_witness",
+                                           "transport_plan", "way_below"]),
+                          st.integers(0, 3), st.booleans()),
+                min_size=1, max_size=12))
+def test_interleaved_decisions_match_the_oracles(seed, calls):
+    # a pair; the same pair built anew as distinct equal objects; the same
+    # weights on a second poset with the same element names, flat above
+    # its bottom, where mass moved up from another point is not ordered;
+    # and mu with another nu: the kept flow must answer for its own pair
+    # only, in either direction
+    rng = random.Random(seed)
+    base = random_poset(rng, 7)
+    names = base.elements
+    other = Poset(names, [(names[0], x) for x in names[1:]], names[0])
+    mu = random_valuation(rng, base)
+    nu, nu2 = (pushed_up(rng, mu) if rng.random() < 0.5
+               else random_valuation(rng, base) for _ in range(2))
+    pairs = [(mu, nu),
+             (SimpleValuation(base, dict(mu.weights)),
+              SimpleValuation(base, dict(nu.weights))),
+             (SimpleValuation(other, mu.weights),
+              SimpleValuation(other, nu.weights)),
+             (mu, nu2)]
+    for op, i, flip in calls:
+        a, b = pairs[i][::-1] if flip else pairs[i]
+        holds = leq_oracle(a, b)
+        if op == "leq":
+            assert leq(a, b) == holds
+        elif op == "leq_witness":
+            witness = leq_witness(a, b)
+            if holds:
+                assert witness is None
+            else:
+                assert b.evaluate(witness) < a.evaluate(witness)
+        elif op == "transport_plan":
+            if holds:
+                plan = transport_plan(a, b)
+                assert plan.source is a and plan.target is b
+                plan.verify()
+            else:
+                with pytest.raises(NotComparable):
+                    transport_plan(a, b)
+        else:
+            assert way_below(a, b) == way_below_by_subsets(a, b)
+
+
+def test_mixed_base_is_refused_whatever_the_kept_flow(m4):
+    twin = Poset(list(m4.elements), m4.covers, m4.bottom)
+    mu, top = half_half(m4), delta(m4, "top")
+    assert leq(mu, top)     # the kept pair has these items on m4
+    for a, b in ((half_half(twin), top), (mu, delta(twin, "top"))):
+        for decide in (leq, leq_witness, transport_plan):
+            with pytest.raises(MixedBase):
+                decide(a, b)
+
+
+def test_way_below_leaves_the_kept_network_alone(m4, solves):
+    mu, top = scale(half_half(m4), HALF), delta(m4, "top")
+    assert leq(mu, top)
+    kept = valuation._kept[1]
+    assert way_below(mu, top)
+    assert valuation._kept[1] is kept
+    assert kept.net.source_caps == mu.weights
+    plan = transport_plan(mu, top)
+    plan.verify()
+    assert plan.entries == {("a", "top"): Dyadic(1, 2),
+                            ("b", "top"): Dyadic(1, 2)}
+    assert len(solves) == 2     # leq and way_below's own network
 
 
 def test_order_bounds_monotone_integrals():
