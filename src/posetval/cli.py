@@ -29,7 +29,7 @@ from . import pipeline
 from . import valuation as valmod
 from .errors import Error, NotComparable, NotConvergent
 from .poset import parse_poset
-from .skorohod import build_schedule, format_map, represent_target
+from .skorohod import _schedule_stages, format_map, represent_target
 from .skorohod import sample as draw_sample
 from .valuation import parse_valuation
 
@@ -155,10 +155,19 @@ def _draws(rmap, seed: int, count: int):
     yield "".join("tally %s %d\n" % (x, n) for x, n in tally.items() if n)
 
 
+def _stage_texts(stages):
+    """The text of a schedule, one stage at a time: a stage is made only
+    once the text of the one before it is written, so memory holds one
+    stage however long the schedule is."""
+    for k, stage in enumerate(stages):
+        yield "stage %d\n%s" % (k, "".join(
+            "%s %s\n" % (x, w) for x, w in stage.weights.items()))
+
+
 def _run(args, stdout) -> int:
     """Compute the command's exit code, its main text (a string, or the
-    draws of `sample` as they are made) and its DOT text (None without
-    --dot), then write them."""
+    draws of `sample` or the stages of `schedule` as they are made) and
+    its DOT text (None without --dot), then write them."""
     base = parse_poset(_read(args.poset))
 
     def load(path):
@@ -203,11 +212,7 @@ def _run(args, stdout) -> int:
             dot = base.to_dot()
 
     elif args.command == "schedule":
-        lines = []
-        for k, stage in enumerate(build_schedule(mu, args.steps)):
-            lines.append("stage %d" % k)
-            lines.extend("%s %s" % (x, stage.weights[x])
-                         for x in stage.support)
+        text = _stage_texts(_schedule_stages(mu, args.steps))
 
     elif args.command == "represent":
         rmap = represent_target(mu, args.steps)

@@ -44,8 +44,10 @@ declaration order, so each path found is the lexicographically first
 shortest path of the residual network, the path a breadth-first search
 records, since its tree path to a node is the first shortest one. The last
 search, the one that fails to reach the sink, marks the source side of a
-minimum cut; the returned flow carries it, so one solve answers both the
-flow and the cut question.
+minimum cut; the returned flow keeps it as the search's two masks, left
+and right, so one solve answers both the flow and the cut question. The
+cut's tagged node set is built from the masks on its first read: the
+order decisions and the lift never read it.
 
 A phase whose levels are two masks, paths source -> x -> y -> sink, runs
 as a direct greedy pass instead: for each left node x of the first level
@@ -173,24 +175,37 @@ class Flow:
 
     `cut` is the source side of a minimum cut: SOURCE plus the tagged nodes
     ("left", x) / ("right", y) still reachable in the final residual
-    network. Its crossing capacity equals `value`. `units` is (p,
+    network. Its crossing capacity equals `value`. The flow keeps that side
+    as `_seen`, the last search's (left mask, right mask): bit k of the
+    left mask stands for left[k], bit b of the right one for the right node
+    names[b]. `cut` is built from the masks on its first read; a caller
+    that needs only the masks reads `_seen`. `units` is (p,
     (((x, y), k), ...)): the k units of 2^-p moved on each middle edge that
     carries flow, by left node, then right node, in declaration order. It
     is the flow's one form: a transport plan travels in it, and by
     conservation a left node's row sum is the flow on its source edge, a
     right node's column sum the flow on its sink edge. It is built on first
-    use, since the decisions need only `value` and `cut`, and it is a tuple
-    of tuples, so a flow shared between callers cannot be changed through
-    it. `net` is the network the flow was solved on.
+    use, since the decisions need only `value` and the cut's masks, and it
+    is a tuple of tuples, so a flow shared between callers cannot be
+    changed through it. `net` is the network the flow was solved on.
     """
 
     def __init__(self, net: FlowNetwork, p: int, moved: dict, total: int,
-                 cut: frozenset):
+                 seen: tuple):
         # moved[k, b]: units of 2^-p from left[k] to the right node names[b];
         # total: the units that left the source
         self.net, self._p, self._moved = net, p, moved
-        self.cut = cut
+        self._seen = seen
         self.value = Dyadic(total, p)
+
+    @cached_property
+    def cut(self) -> frozenset:
+        left, names = self.net.left, self.net.mid_caps.names
+        seen_left, seen_right = self._seen
+        cut = {SOURCE}
+        cut.update(("left", left[k]) for k in _bits(seen_left))
+        cut.update(("right", names[b]) for b in _bits(seen_right))
+        return frozenset(cut)
 
     @cached_property
     def units(self) -> tuple:
@@ -282,31 +297,46 @@ def max_flow(net: FlowNetwork) -> Flow:
                     bs ^= ybit
                     b = ybit.bit_length() - 1
                     t = drained[b]
-                    delta = min(s, t)
-                    moved[k, b] = delta
                     back[b] |= xbit
-                    if delta == t:
+                    if t < s:
+                        # the sink edge saturates: y leaves, x goes on
+                        moved[k, b] = t
+                        drained[b] = 0
                         right ^= ybit
                         snk ^= ybit
-                    drained[b] = t - delta
-                    s -= delta
-                    if not s:
-                        src ^= xbit
-                        break
+                        s -= t
+                        continue
+                    # the source edge saturates, and the sink edge too
+                    # when t == s: x is done
+                    moved[k, b] = s
+                    t -= s
+                    drained[b] = t
+                    if not t:
+                        right ^= ybit
+                        snk ^= ybit
+                    s = 0
+                    src ^= xbit
+                    break
                 sent[k] = s
             continue
         path = []   # path[i] is at level i + 1: left at even i, right at odd
         while True:
             d = len(path)
             if d == top:
-                # the bounded edges in path order: the source edge, the back
-                # edges path[e - 1] -> path[e] at even e, the sink edge
-                res = [sent[path[0]]]
-                res.extend(moved[path[e], path[e - 1]]
-                           for e in range(2, top, 2))
-                res.append(drained[path[-1]])
-                delta = min(res)
+                # one pass over the bounded edges in path order (the source
+                # edge, the back edges path[e - 1] -> path[e] at even e,
+                # the sink edge) finds the least residual and the first
+                # edge with it; the search resumes at that edge's tail,
+                # and a saturated sink edge leaves its right node a dead end
                 k = path[0]
+                delta, resume = sent[k], 0
+                for e in range(2, top, 2):
+                    f = moved[path[e], path[e - 1]]
+                    if f < delta:
+                        delta, resume = f, e
+                b = path[-1]
+                if drained[b] < delta:
+                    delta, resume = drained[b], top - 1
                 sent[k] -= delta
                 if not sent[k]:
                     levels[0] &= ~(1 << k)
@@ -324,14 +354,11 @@ def max_flow(net: FlowNetwork) -> Flow:
                         else:
                             del moved[k, b]
                             back[b] &= ~(1 << k)
-                b = path[-1]
                 drained[b] -= delta
                 if not drained[b]:
                     levels[-1] &= ~(1 << b)
                     snk &= ~(1 << b)
-                # resume at the tail of the first saturated edge; a
-                # saturated sink edge leaves its right node a dead end
-                del path[min(2 * res.index(delta), top - 1):]
+                del path[resume:]
                 continue
             if d:
                 u = path[-1]
@@ -345,10 +372,7 @@ def max_flow(net: FlowNetwork) -> Flow:
             else:
                 break
 
-    cut = {SOURCE}
-    cut.update(("left", net.left[k]) for k in _bits(seen[0]))
-    cut.update(("right", names[b]) for b in _bits(seen[1]))
-    return Flow(net, p, moved, supply - sum(sent), frozenset(cut))
+    return Flow(net, p, moved, supply - sum(sent), tuple(seen))
 
 
 def to_dot(flow: Flow) -> str:

@@ -7,27 +7,29 @@ the depth-d words ((i + 1)/2^d lands on word i), so the driver's law over
 the grid is the final layer's run-length count, and it equals the target
 exactly -- a counting identity, not a limit.
 
-Sequences route through the weak-convergence gate, get one map per
+Sequences route through the weak-convergence gate, which reads the
+Portmanteau rows for its verdict and witness alone, get one map per
 distinct valuation, and report, per grid word, how the witnesses' values
 settle on the limit's: each run of consecutive grid words that settle
-alike is settled once, and its fields are copied out to the words of the
-run. `skorohod` is the one entry point for a target of any mass up to 1:
-the target's own mass decides whether its poset is lifted. A target below
-mass 1 is represented over its poset lifted under a fresh bottom that
-takes the missing mass; its witness is undefined at the grid points
-routed there, and its law skips them.
+alike is settled once, and its records are made a run at a time, its
+fields copied out to the words of the run. `skorohod` is the one entry
+point for a target of any mass up to 1: the target's own mass decides
+whether its poset is lifted. A target below mass 1 is represented over
+its poset lifted under a fresh bottom that takes the missing mass; its
+witness is undefined at the grid points routed there, and its law skips
+them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, repeat
 
 from .cantor import StepMap, Word, _level_bits
 from .dyadic import ONE, Dyadic
 from .errors import NotConvergent
 from .skorohod import RepresentationMap, represent_target
-from .valuation import SimpleValuation, portmanteau_check
+from .valuation import SimpleValuation, portmanteau_witness
 
 
 @dataclass
@@ -93,17 +95,19 @@ def represent_sequence(targets, limit: SimpleValuation, steps: int,
                        from_index: int = 0):
     """One representation per target plus one for the limit.
 
-    The sequence must pass the weak-convergence check first; all maps use
-    the shared schedule formula, so approximants inherit closeness from
-    the measures themselves. Equal valuations share one map, built once:
-    the map depends only on the valuation, and maps are never mutated.
-    The weights, kept in declaration order with canonical dyadics, are the
-    key.
+    The sequence must pass the weak-convergence check first: the gate,
+    portmanteau_witness, reads the Portmanteau rows and raises
+    NotConvergent at the first failing upper set, portmanteau_check's
+    witness, with no record built for the rest. All maps use the shared
+    schedule formula, so approximants inherit closeness from the measures
+    themselves. Equal valuations share one map, built once: the map depends
+    only on the valuation, and maps are never mutated. The weights, kept in
+    declaration order with canonical dyadics, are the key.
     """
-    report = portmanteau_check(targets, limit, from_index)
-    if not report.verdict:
+    witness = portmanteau_witness(targets, limit, from_index)
+    if witness is not None:
         raise NotConvergent("sequence fails weak convergence at %s"
-                            % report.witness)
+                            % witness)
     built = {}
 
     def rep(v):
@@ -206,17 +210,20 @@ def _sequence_report(maps, limit_map: RepresentationMap) -> SequenceReport:
     maps' top depth (the grid point (i + 1)/2^depth lands on word i, as
     unit_to_word says): one record per word in word order, each word the
     truncation of an infinite one. It is settled a run at a time: a run's
-    fields are copied to its words, and its length is added to the word
-    counts. The family need not pass the weak-convergence gate."""
+    records are made by one C-level map over its words, with the run's
+    fields repeated (each Word still checks its bits), and its length is
+    added to the word counts. Every record is built here, in the call. The
+    family need not pass the weak-convergence gate."""
     runs = _settling(maps, limit_map)
     bits = _level_bits(runs.depth)
     records = []
     maximal = equal = start = 0
     for end, (lv, is_maximal, geq_from, equal_from, ok) in zip(runs.ends,
                                                                runs.values):
-        records += [ConvergenceRecord(Word(b, True), lv, is_maximal,
-                                      geq_from, equal_from, ok)
-                    for b in islice(bits, end - start)]
+        records += map(ConvergenceRecord,
+                       map(Word, islice(bits, end - start), repeat(True)),
+                       repeat(lv), repeat(is_maximal), repeat(geq_from),
+                       repeat(equal_from), repeat(ok))
         if is_maximal:
             maximal += end - start
             if equal_from is not None:

@@ -52,6 +52,15 @@ def build_schedule(target: SimpleValuation, steps: int) -> list:
     TooLarge before building when E + steps - 1 passes the parser's
     exponent bound, so every stage printed can be read back.
     """
+    return list(_schedule_stages(target, steps))
+
+
+def _schedule_stages(target: SimpleValuation, steps: int):
+    """The stages of build_schedule(target, steps), made one at a time as
+    they are read, so that a caller writing each one holds one stage.
+
+    Its refusals are raised at the call, before any stage is made.
+    """
     if steps < 1:
         raise ValueError("schedule length must be at least 1")
     if not target.is_probability():
@@ -61,17 +70,22 @@ def build_schedule(target: SimpleValuation, steps: int) -> list:
     if top > MAX_PARSED_EXPONENT:
         raise TooLarge("schedule exponent %d exceeds the bound %d"
                        % (top, MAX_PARSED_EXPONENT))
+    return _stages(target, e, steps)
+
+
+def _stages(target: SimpleValuation, e: int, steps: int):
+    """The schedule's stages, one at a time; e is the target's largest
+    exponent."""
     nums = {x: w.rescale(e) for x, w in target.weights.items()}
-    bottom = target.base.bottom
-    stages = [delta(target.base, bottom)]
+    base = target.base
+    yield delta(base, base.bottom)
     for k in range(1, steps):
         keep = (1 << k) - 1
         weights = {x: n * keep for x, n in nums.items()}
-        weights[bottom] = weights.get(bottom, 0) + (1 << e)
-        stages.append(SimpleValuation(target.base, {
-            x: Dyadic(n, k + e) for x, n in weights.items()}))
-    stages.append(target)
-    return stages
+        weights[base.bottom] = weights.get(base.bottom, 0) + (1 << e)
+        yield SimpleValuation(base, {x: Dyadic(n, k + e)
+                                     for x, n in weights.items()})
+    yield target
 
 
 def lift_step(current: StepMap, target: SimpleValuation,

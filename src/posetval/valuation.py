@@ -31,8 +31,10 @@ Integration against monotone functions, pushforward along monotone maps
 and a finite-scale weak-convergence (Portmanteau) check complete the
 module. The Portmanteau check sums integer numerators over the upper
 sets of the valuations' joint support, the traces V of the poset's upper
-sets, and reports one record per trace, as up(V), ordered by up(V)'s
-bitmask.
+sets. One routine, _trace_rows, makes a row per trace, ordered by up(V)'s
+bitmask, and two readers share it: portmanteau_check reports one record
+per row, as up(V), and the weak-convergence gate of a sequence
+(portmanteau_witness) builds the upper set of the first failing row alone.
 """
 
 from __future__ import annotations
@@ -196,12 +198,18 @@ def _witness(mu: SimpleValuation, f: flowmod.Flow):
     """An upper set refuting mu <= nu, read off the order network's flow f.
 
     None when f saturates mu; otherwise mu's support on the source side of
-    f's minimum cut generates an upper set U with mu(U) > nu(U).
+    f's minimum cut generates an upper set U with mu(U) > nu(U). The left
+    nodes are mu's support in order, so the cut's left mask picks them, and
+    U is the OR of their up-set masks.
     """
     if f.value == mu.mass:
         return None
-    blocked = [x for x in mu.support if ("left", x) in f.cut]
-    return UpperSet(mu.base, mu.base.upward_closure(blocked))
+    base = mu.base
+    index, up, left = base.index, base._up_mask, f.net.left
+    closure = 0
+    for k in _bits(f._seen[0]):
+        closure |= up[index[left[k]]]
+    return UpperSet(base, base._members(closure))
 
 
 def leq_witness(mu: SimpleValuation, nu: SimpleValuation):
@@ -417,20 +425,25 @@ class PortmanteauReport:
     U & support. Each record stands for one trace V, as up(V), the least
     upper set with that trace; the records ascend by up(V)'s bitmask, so
     the witness, the first failing record, is also the first failing upper
-    set of the whole poset in ascending bitmask order.
+    set of the whole poset in ascending bitmask order. base is the poset
+    the valuations live on.
     """
 
     records: list
     verdict: bool
     witness: UpperSet | None
     support: frozenset
+    base: Poset
     _by_upper: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._by_upper = {r.upper.members: r for r in self.records}
 
     def record_for(self, upper: UpperSet) -> PortmanteauRecord:
-        """The record of upper's trace, whose flags are upper's own."""
+        """The record of upper's trace, whose flags are upper's own; upper
+        must be an upper set of the report's poset."""
+        if upper.base is not self.base:
+            raise MixedBase("upper set belongs to a different poset")
         return self._by_upper[
             upper.base.upward_closure(upper.members & self.support)]
 
@@ -455,21 +468,17 @@ def _approaches(values, limit) -> bool:
     return True
 
 
-def portmanteau_check(seq, limit: SimpleValuation,
-                      from_index: int = 0) -> PortmanteauReport:
-    """Check the two weak-convergence bullets on every upper set.
+def _trace_rows(seq, limit: SimpleValuation, from_index: int):
+    """The two weak-convergence bullets on every trace, as rows.
 
-    On a finite poset every upper set is both Scott-open and finitely
-    generated, so both bullets run against the same family. The tail
-    starts at from_index; liminf/limsup are rendered as exact decay
+    Returns (rows, support). support S is the union of the supports of the
+    tail seq[from_index:] and of the limit; rows holds one row (closure,
+    open_ok, closed_ok) per upper set V of S under the induced order, the
+    traces of the poset's upper sets on S, where closure is the bitmask of
+    up(V). The rows ascend by closure: distinct traces have distinct
+    closures. Each valuation is summed over a trace as integer numerators
+    at one common exponent, and the bullets are read as exact decay
     certificates (see _approaches).
-
-    Only the upper sets of the support S (the union of the supports of the
-    tail and the limit, under the induced order) are enumerated: they are
-    exactly the traces of the poset's upper sets on S. Each valuation is
-    summed over a trace as integer numerators at one common exponent. The
-    report holds one record per trace, as the least upper set with that
-    trace, in ascending bitmask order (see PortmanteauReport).
     """
     if not seq:
         raise ValueError("empty sequence")
@@ -497,17 +506,52 @@ def portmanteau_check(seq, limit: SimpleValuation,
                 sums = [a + b for a, b in zip(sums, cols[k])]
         rows.append((closure, sums))
     rows.sort()     # by up(V): distinct traces have distinct closures
-    records = []
-    witness = None
-    for closure, sums in rows:
-        *values, target = sums
-        rec = PortmanteauRecord(UpperSet(base, base._members(closure)),
-                                _approaches(values, target),
-                                _approaches([-v for v in values], -target))
-        records.append(rec)
-        if witness is None and not (rec.open_ok and rec.closed_ok):
-            witness = rec.upper
-    return PortmanteauReport(records, witness is None, witness, support)
+    return [(closure, _approaches(values, target),
+             _approaches([-v for v in values], -target))
+            for closure, (*values, target) in rows], support
+
+
+def portmanteau_witness(seq, limit: SimpleValuation,
+                        from_index: int = 0) -> UpperSet | None:
+    """The Portmanteau witness alone: portmanteau_check(seq, limit,
+    from_index).witness, or None when the check passes.
+
+    It reads the same rows and builds one UpperSet, the first failing
+    row's, with no record for the others: a sequence's weak-convergence
+    gate needs only the verdict and the witness.
+    """
+    rows, _ = _trace_rows(seq, limit, from_index)
+    for closure, open_ok, closed_ok in rows:
+        if not (open_ok and closed_ok):
+            base = limit.base
+            return UpperSet(base, base._members(closure))
+    return None
+
+
+def portmanteau_check(seq, limit: SimpleValuation,
+                      from_index: int = 0) -> PortmanteauReport:
+    """Check the two weak-convergence bullets on every upper set.
+
+    On a finite poset every upper set is both Scott-open and finitely
+    generated, so both bullets run against the same family. The tail
+    starts at from_index; liminf/limsup are rendered as exact decay
+    certificates (see _approaches).
+
+    Only the upper sets of the support S (the union of the supports of the
+    tail and the limit, under the induced order) are enumerated: they are
+    exactly the traces of the poset's upper sets on S (see _trace_rows).
+    The report holds one record per trace, as the least upper set with that
+    trace, in ascending bitmask order (see PortmanteauReport).
+    """
+    rows, support = _trace_rows(seq, limit, from_index)
+    base = limit.base
+    records = [PortmanteauRecord(UpperSet(base, base._members(closure)),
+                                 open_ok, closed_ok)
+               for closure, open_ok, closed_ok in rows]
+    witness = next((r.upper for r in records
+                    if not (r.open_ok and r.closed_ok)), None)
+    return PortmanteauReport(records, witness is None, witness, support,
+                             base)
 
 
 # -- text form ---------------------------------------------------------------

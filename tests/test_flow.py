@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posetval import Dyadic, FlowNetwork, SimpleValuation, ZERO, max_flow
+from posetval import (Dyadic, FlowNetwork, SimpleValuation, ZERO, leq_witness,
+                      max_flow)
 from posetval.flow import MaskEdges, to_dot
 from posetval.valuation import order_network
 
 from conftest import random_poset, random_valuation, shuffled_poset
-from oracles import max_flow_by_shortest_paths, min_cut_by_enumeration
+from oracles import (max_flow_by_shortest_paths, min_cut_by_enumeration,
+                     value_on)
 
 # the middle capacity of the order network: above every sink capacity
 WIDE = Dyadic(2, 0)
@@ -324,24 +326,54 @@ def test_no_three_edge_path_at_the_start():
     assert f.cut == {"source", ("left", "a"), ("right", "p")}
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_breadth_first_flow_at_decide_size(seed):
-    # a sparse 200-element poset and 60-point supports, the size of the
-    # largest order queries: the first phase routes most of the mass, and
-    # later phases reroute it along back edges
+def decide_size_pair(seed):
+    """A sparse 200-element poset and 60-point supports mu and nu, the size
+    of the largest order queries; for an odd seed nu is mu with each
+    point's mass moved up, so all of it is routed."""
     rng = random.Random(seed)
     base = shuffled_poset(rng, 200, 0.02, size=200)
     mu = sparse_valuation(rng, base, 60, exp=8)
-    if seed % 2:    # each point's mass moved up, so all of it is routed
+    if seed % 2:
         up = {}
         for x, w in mu.weights.items():
             y = rng.choice(sorted(base.up_set(x), key=base.index.get))
             up[y] = up.get(y, ZERO) + w
-        nu = SimpleValuation(base, up)
-    else:
-        nu = sparse_valuation(rng, base, 60, exp=8)
+        return mu, SimpleValuation(base, up)
+    return mu, sparse_valuation(rng, base, 60, exp=8)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_breadth_first_flow_at_decide_size(seed):
+    # the first phase routes most of the mass, and later phases reroute it
+    # along back edges
+    mu, nu = decide_size_pair(seed)
     net = order_network(mu, nu)
     f = assert_breadth_first_flow(net)
     across = [xy for xy, _ in f.units[1]]
     assert across == [e for e in net.mid_caps if e in across]
     assert (f.value == mu.mass) == bool(seed % 2)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_the_cut_is_built_on_its_first_read(seed):
+    # decide-size order networks: the flow keeps the cut as masks, and the
+    # tagged set built from them on the first read is one frozenset,
+    # whether it is read before or after the units, and a minimum cut
+    mu, nu = decide_size_pair(seed)
+    net = order_network(mu, nu)
+    cut_first, units_first = max_flow(net), max_flow(net)
+    assert "cut" not in vars(cut_first)
+    cut = cut_first.cut
+    assert cut is cut_first.cut and isinstance(cut, frozenset)
+    units = units_first.units
+    assert cut_first.units == units and units_first.cut == cut
+    assert crossing_capacity(net, cut) == cut_first.value
+    # leq_witness reads the left mask alone: its upper set is the upward
+    # closure of mu's support on the source side, and it breaks mu <= nu
+    witness = leq_witness(mu, nu)
+    if seed % 2:
+        assert cut_first.value == mu.mass and witness is None
+        return
+    blocked = [x for x in mu.support if ("left", x) in cut]
+    assert witness.members == mu.base.upward_closure(blocked)
+    assert value_on(mu, witness.members) > value_on(nu, witness.members)

@@ -2,9 +2,10 @@
 
 Each case runs one `posetval` command in process and compares its exit
 code and the SHA-256 digest of its stdout with the values recorded here.
-The plans printed by `order` and `transport` and the maps behind
-`represent`, `sample`, `skorohod` and `converge` are deterministic, so a
-change to how a plan is solved, checked or dealt out to the slots fails
+The plans printed by `order` and `transport`, the stages printed by
+`schedule` and the maps behind `represent`, `sample`, `skorohod` and
+`converge` are deterministic, so a change to how a stage is built or
+written, or how a plan is solved, checked or dealt out to the slots, fails
 here by the name of the case it moved.
 """
 
@@ -83,6 +84,7 @@ def cases():
             out.append(("sample-" + tag, ["sample"] + given + K
                         + ["--count", "500", "--seed", "3"]))
             out.append(("skorohod-" + tag, ["skorohod"] + given + K))
+            out.append(("schedule-" + tag, ["schedule"] + given + K))
     for k in range(1, 5):
         K = ["--K", str(k)]
         out.append(("skorohod-m4-halftop-K%d" % k, [
@@ -197,6 +199,22 @@ GOLDEN = {
     'converge-m4-fail-K4': (1, 'de0e2582df0766edea55106e7c2ca16bf3c1a69085d46114f5fa27b3bb5ef523'),
     'converge-m4-gate-K4': (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'converge-p10-K4': (0, '16ed8b0ac909b7b9c3ba388980fdf717f9579451fc0f50780427c2ef39658760'),
+    'schedule-m4-q-K1': (0, '369c8ba138ada351dd41c921ca373e6af74946ca869dbf4d4fa4895ff0527bc1'),
+    'schedule-m4-q-K2': (0, '1334ccd6ee24790c97ac6b9e64dd7e3f1ddd950748c867bb341ece7aa41b05ee'),
+    'schedule-m4-q-K3': (0, '16005d7e9de408860206b2867c029568a50ddbf1a3c64ca8a65d243c8c22ce30'),
+    'schedule-m4-q-K4': (0, '8e2954e767a4cb6b93c80e174728ab46d40597537b5a5ad44f9eaf264f3e203c'),
+    'schedule-m4-halves-K1': (0, 'e44aba7b9ced82f9f94a92c9d68d193c06bc4c4a8c7af92d9c5e4b2607e25635'),
+    'schedule-m4-halves-K2': (0, '47966b8a5607a1277754c173d8b2fa4c7270842fb8ab9895a3bd0a9e74b96640'),
+    'schedule-m4-halves-K3': (0, '94a2123d404943fbeecdd6b7895e22badb9a1651b47cce18d07bc9dcd983a887'),
+    'schedule-m4-halves-K4': (0, '2a5d78f9533a0f5a2e708c0a3c7033558835689432a716b61985565779d32846'),
+    'schedule-p10-mu11-K1': (0, 'db989f06f425b90fa5f7d42b088bab3e44ee22c54f03f9cc3fbd67dc54f54298'),
+    'schedule-p10-mu11-K2': (0, '476d4413c40e4ebdcea901b60e31e4f4e797177fed632857435441d2e68e37e6'),
+    'schedule-p10-mu11-K3': (0, 'f2daa3dd516e1c32e8415bec9fbcdf6ca0f2834a87d3421b585942f096660bc6'),
+    'schedule-p10-mu11-K4': (0, '4e7542fc6bd5ff66b7fac6146f44c10e879b8037935197cff3e7dff64a8b6f2c'),
+    'schedule-p10-t5-K1': (0, 'a908c2478fa9ca8e00111d38641633e61ec52997c4a547b5f2c4033b865c8d7e'),
+    'schedule-p10-t5-K2': (0, '22c7a038101986f111146317019a99a9a89907d9584f6ac1c6f9ea6fc54c3e1c'),
+    'schedule-p10-t5-K3': (0, 'f37c8095b18e0a3910d799bca62235f52502ca8dc6381789cfa69584a6678408'),
+    'schedule-p10-t5-K4': (0, 'b387d380b852ba6f732d79c77dbab89e3bfe8c5704636623dc5de9e902169910'),
     'order-m4-halves-top': (0, 'ed0a7119a6fb83b3ca555c78caf32098e2ac8d5eb96c1cdc241e8fb3caaa7cc1'),
     'order-m4-q-top': (0, '142408b60a73208b5e218ed4482e13130b770b032b813ede120fc74f6edc045e'),
     'order-m4-plan_mu-plan_nu': (0, '36245d5ebc1e3a815af5aff0e6424fd2af21040f3e17eeec689c22d612b05585'),

@@ -9,10 +9,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from posetval import (Dyadic, ONE, Poset, SimpleValuation, Word, add, delta,
-                      sample,
+                      portmanteau_check, sample,
                       scale, skorohod, skorohod_sequence, unit_to_word)
 from posetval.errors import NotConvergent, OutOfRange, TooLarge
 from posetval.pipeline import _settling, represent_sequence
+from posetval.valuation import portmanteau_witness
 
 from conftest import make_chain, random_poset, random_valuation
 from oracles import convergence_by_words, law_by_grid_tabulation
@@ -233,6 +234,37 @@ def blends(limit, rho, halvings, tail):
     `tail` times."""
     return [add(scale(limit, ONE - Dyadic(1, c)), scale(rho, Dyadic(1, c)))
             for c in range(1, halvings + 1)] + [limit] * tail
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_gate_agrees_with_portmanteau_check(rng):
+    # the gate reads the Portmanteau rows for their first failure alone;
+    # convergent blends halve their distance to the limit and escaping ones
+    # double it, and the tail may start anywhere, so both verdicts occur
+    base = random_poset(rng, max_elements=10,
+                        density=rng.choice([0.1, 0.3, 0.5]))
+    limit = random_valuation(rng, base, exp=rng.randint(0, 3),
+                             probability=True)
+    rho = random_valuation(rng, base, exp=rng.randint(0, 3),
+                           probability=True)
+    halvings = rng.randint(1, 4)
+    if rng.random() < 0.5:
+        seq = blends(limit, rho, halvings, rng.randint(0, 2))
+    else:
+        seq = blends(limit, rho, halvings, 0)[::-1]
+    from_index = rng.randrange(len(seq))
+    report = portmanteau_check(seq, limit, from_index)
+    witness = portmanteau_witness(seq, limit, from_index)
+    assert (witness is None) == report.verdict
+    assert witness == report.witness
+    if witness is None:
+        represent_sequence(seq, limit, 1, from_index)
+        return
+    with pytest.raises(NotConvergent) as refused:
+        represent_sequence(seq, limit, 1, from_index)
+    assert str(refused.value) == ("sequence fails weak convergence at %s"
+                                  % report.witness)
 
 
 @settings(max_examples=80, deadline=None)

@@ -772,6 +772,26 @@ def test_portmanteau_matches_whole_poset_loop(rng):
         assert report.record_for(rec.upper).upper.members == key
 
 
+def test_record_for_refuses_an_upper_set_of_another_poset():
+    # a trace is looked up by members, so an upper set of another poset
+    # must be refused by its base, not matched by names: {d} would land on
+    # the empty set's record and {a, d} on no record at all
+    p3 = Poset(["bot", "a", "b"], [("bot", "a"), ("bot", "b")], "bot")
+    p4 = Poset(["bot", "a", "b", "d"],
+               [("bot", "a"), ("bot", "b"), ("bot", "d")], "bot")
+    v = delta(p3, "a")
+    report = portmanteau_check([v, v], v)
+    twin = Poset(p3.elements, p3.covers, p3.bottom)
+    for upper in (UpperSet(p4, frozenset({"d"})),
+                  UpperSet(p4, frozenset({"a", "d"})),
+                  UpperSet(p4, frozenset({"a"})),
+                  UpperSet(twin, frozenset({"a"}))):
+        with pytest.raises(MixedBase):
+            report.record_for(upper)
+    assert report.record_for(UpperSet(p3, frozenset({"a"}))).upper.members \
+        == {"a"}
+
+
 def test_valuation_text_round_trip(m4):
     rng = random.Random(14)
     for _ in range(30):
