@@ -131,6 +131,13 @@ class FlowNetwork:
     right -> sink. Left and right node names may overlap (they are
     distinct nodes). The middle capacity must be positive and exceed every
     sink capacity, so no middle edge can saturate.
+
+    The public constructor checks all of this. The library's own order
+    network is made by _built, which checks nothing: order_network builds
+    the rows as up-set masks restricted to nu's support, listed in mu's
+    support order, with one capacity above every weight, so each fact the
+    check tests holds by construction, and a property test re-runs the
+    check on the networks order_network builds.
     """
 
     left: list
@@ -164,6 +171,14 @@ class FlowNetwork:
                 raise ValueError("mask bit %d is no right node, or out of "
                                  "the right side's order" % b)
             last = j
+
+    @classmethod
+    def _built(cls, left, right, source_caps, mid_caps, sink_caps):
+        """The network of these fields, trusted as given: no check runs."""
+        net = cls.__new__(cls)
+        net.left, net.right, net.source_caps = left, right, source_caps
+        net.mid_caps, net.sink_caps = mid_caps, sink_caps
+        return net
 
     def common_exponent(self) -> int:
         caps = [*self.source_caps.values(), *self.sink_caps.values()]

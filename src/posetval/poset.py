@@ -186,8 +186,7 @@ class Poset:
         Includes the empty set and the full set. Raises TooLarge once
         (sets found) x (elements) passes the budget; see upper_masks.
         """
-        return [UpperSet(self, self._members(m))
-                for m in upper_masks(self._up_mask)]
+        return [UpperSet._closed(self, m) for m in upper_masks(self._up_mask)]
 
     def _is_chain(self) -> bool:
         """True iff every two elements are comparable.
@@ -292,7 +291,14 @@ def upper_masks(up) -> list:
 
 @dataclass(frozen=True)
 class UpperSet:
-    """An upward-closed subset of a poset (a Scott-open at finite scale)."""
+    """An upward-closed subset of a poset (a Scott-open at finite scale).
+
+    The public constructor checks that the members are elements and are
+    upward closed. The library's own upper sets come from a bitmask that
+    is an OR of up-set masks, closed by construction: upper_masks' sets,
+    a cut's closure and the Portmanteau rows' up(V). Those are built by
+    _closed, which skips the check; a property test re-runs it on them.
+    """
 
     base: Poset
     members: frozenset
@@ -301,6 +307,15 @@ class UpperSet:
         if not self.base.is_upper(self.members):
             raise OrderViolation("set is not upward closed: %s"
                                  % sorted(self.members))
+
+    @classmethod
+    def _closed(cls, base: Poset, mask: int) -> "UpperSet":
+        """The upper set of base whose members are mask's bits, trusted to
+        be upward closed: no check runs."""
+        upper = cls.__new__(cls)
+        object.__setattr__(upper, "base", base)
+        object.__setattr__(upper, "members", base._members(mask))
+        return upper
 
     def __contains__(self, x):
         return x in self.members

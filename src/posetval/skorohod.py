@@ -27,7 +27,7 @@ from .errors import (DepthExceeded, NotComparable, NotProbability,
                      ParseError, SourceExhausted, TooLarge)
 from .poset import Poset
 from .text import digits, digraph, known, read_lines, statement, writable
-from .valuation import (SimpleValuation, _check_units, _same_base,
+from .valuation import (SimpleValuation, _check_units, _same_base, _solve,
                         _transport_units, delta)
 
 # deepest layer lift_step builds; layers are runs, and laws, draws and the
@@ -112,7 +112,13 @@ def lift_step(current: StepMap, target: SimpleValuation,
     plan to the target sends each target point y its whole weight from x;
     that plan is read off the target's numerators, with no flow solved,
     once x is found below the whole support (NotComparable otherwise, as
-    transport_plan raises). Every plan takes the one plan check.
+    transport_plan raises). Any other layer's plan comes from a fresh
+    solve of the order network (valuation._solve), outside the order
+    decisions' slot: a lift never asks for the same pair twice, so it
+    neither builds the slot's key nor evicts the pair kept there. Both
+    paths refuse a target on another poset with MixedBase, and every plan
+    takes the one plan check, _check_units, which is what lets represent
+    trust the layers it builds.
     """
     return _lift(current, current.law(base), target, base)
 
@@ -125,7 +131,8 @@ def _lift(current: StepMap, law: SimpleValuation, target: SimpleValuation,
     if len(current.values) == 1:
         p, units = _forced_units(law, target)
     else:
-        p, units = _transport_units(law, target)  # NotComparable unless <=
+        # NotComparable unless law <= target
+        p, units = _transport_units(law, target, _solve(law, target))
     depth = max(current.depth + 1, target.max_exponent())
     if depth > MAX_DEPTH:
         raise TooLarge("representation depth %d exceeds the bound %d"
@@ -185,6 +192,15 @@ class RepresentationMap:
 
     Layers are monotone along projections and strictly deepen; the final
     layer's counting pushforward is the represented valuation.
+
+    The public constructor, and parse_map through it, checks that every
+    layer is total and that each layer lies above the one before on every
+    word (first_disagreement). represent builds its map through _built,
+    which checks neither: each of its layers is total and one level deeper
+    than the last by construction of the lift, and every unit the lift
+    deals moves from x up to some y >= x, which _check_units has checked
+    on the plan, so each word's value lies above its prefix's. A property
+    test re-runs the public check on the maps represent builds.
     """
 
     def __init__(self, base: Poset, layers):
@@ -206,6 +222,13 @@ class RepresentationMap:
             if i is not None:
                 raise NotComparable("layers disagree above word %r"
                                     % _bits(i, b.depth))
+
+    @classmethod
+    def _built(cls, base: Poset, layers: list) -> "RepresentationMap":
+        """The map of these layers, trusted as given: no check runs."""
+        rmap = cls.__new__(cls)
+        rmap.base, rmap.layers = base, layers
+        return rmap
 
     @property
     def final_depth(self) -> int:
@@ -250,7 +273,9 @@ def represent(stages) -> RepresentationMap:
     run lengths are counted once and compared with its stage's numerators
     at the layer's depth (AssertionError otherwise, kept under `python
     -O`). The stage, equal to the layer's law, then goes to the next lift,
-    whose plan travels as checked integer units.
+    whose plan travels as checked integer units. Those two checks make the
+    layers total and monotone, so the map is returned without the public
+    constructor's walk over them (see RepresentationMap).
     """
     if not stages:
         raise ValueError("schedule needs at least one stage")
@@ -265,7 +290,7 @@ def represent(stages) -> RepresentationMap:
             raise AssertionError("layer at depth %d does not push forward "
                                  "to its stage" % layer.depth)
         layers.append(layer)
-    return RepresentationMap(base, layers)
+    return RepresentationMap._built(base, layers)
 
 
 def represent_target(target: SimpleValuation,

@@ -19,7 +19,9 @@ followed by the plan or the witness of the same pair solves once. The
 slot holds exactly one pair: a decision and its certificate are asked one
 after the other, so one pair is all they share. More entries would hold
 flows that no certificate reads, and would make a query's cost depend on
-the queries asked before it.
+the queries asked before it. The Skorohod lift never asks for the same
+pair twice, so it solves through _solve, outside the slot, and leaves the
+kept flow alone.
 
 Way-below, mu(U) < nu(U) on every upper set U that mu charges (normalized
 mode exempts the whole poset), is decided on the same network with every
@@ -147,13 +149,23 @@ def order_network(mu: SimpleValuation, nu: SimpleValuation) -> flowmod.FlowNetwo
     whose set bits ascend in declaration order, as nu's support does. They
     share the capacity _WIDE, above every sink capacity nu(y) <= 1, so they
     act as uncapacitated, as a transport's entries are.
+
+    These are the facts FlowNetwork's check tests, true by construction,
+    so the network is built through FlowNetwork._built, with no check.
     """
     index, up = mu.base.index, mu.base._up_mask
     columns = sum(1 << index[y] for y in nu.weights)
     rows = {x: up[index[x]] & columns for x in mu.weights}
-    return flowmod.FlowNetwork(
+    return flowmod.FlowNetwork._built(
         mu.support, nu.support, dict(mu.weights),
         flowmod.MaskEdges(rows, mu.base.elements, _WIDE), dict(nu.weights))
+
+
+def _solve(mu: SimpleValuation, nu: SimpleValuation) -> flowmod.Flow:
+    """The maximum flow of order_network(mu, nu), solved afresh; mu and nu
+    must share their poset (MixedBase otherwise)."""
+    _same_base(mu, nu)
+    return flowmod.max_flow(order_network(mu, nu))
 
 
 # (key, flow): the last pair _order_flow solved, replaced as one tuple
@@ -161,24 +173,26 @@ _kept = (None, None)
 
 
 def _order_flow(mu: SimpleValuation, nu: SimpleValuation) -> flowmod.Flow:
-    """The maximum flow of order_network(mu, nu), solved once per pair.
+    """_solve(mu, nu), kept in a slot of one pair: the order decisions'
+    cache.
 
-    The flow of the last pair solved is kept in one slot, under the key
-    (base, mu's weights, nu's weights). The base compares by identity and
-    the weights by their canonical dyadic values, so an equal key means an
-    identical network, whose deterministic solve gives an identical flow:
-    the slot changes no answer. It is replaced by one assignment, so a
-    reader never pairs one key with another pair's flow. A flow's value,
-    cut and units are immutable (the units are tuples), so the callers
-    share it.
+    The flow of the last pair solved is kept under the key (mu's base,
+    nu's base, mu's weights, nu's weights). The bases compare by identity
+    and the weights by their canonical dyadic values, so an equal key means
+    a pair that passed _solve's base check and an identical network, whose
+    deterministic solve gives an identical flow: the slot changes no
+    answer. It is replaced by one assignment, so a reader never pairs one
+    key with another pair's flow. A flow's value, cut and units are
+    immutable (the units are tuples), so the callers share it. The lift
+    calls _solve itself and never builds a key.
     """
     global _kept
-    _same_base(mu, nu)
-    key = (mu.base, tuple(mu.weights.items()), tuple(nu.weights.items()))
+    key = (mu.base, nu.base, tuple(mu.weights.items()),
+           tuple(nu.weights.items()))
     kept_key, kept = _kept
     if key == kept_key:
         return kept
-    f = flowmod.max_flow(order_network(mu, nu))
+    f = _solve(mu, nu)
     _kept = key, f
     return f
 
@@ -200,7 +214,7 @@ def _witness(mu: SimpleValuation, f: flowmod.Flow):
     None when f saturates mu; otherwise mu's support on the source side of
     f's minimum cut generates an upper set U with mu(U) > nu(U). The left
     nodes are mu's support in order, so the cut's left mask picks them, and
-    U is the OR of their up-set masks.
+    U is the OR of their up-set masks, upward closed by construction.
     """
     if f.value == mu.mass:
         return None
@@ -209,7 +223,7 @@ def _witness(mu: SimpleValuation, f: flowmod.Flow):
     closure = 0
     for k in _bits(f._seen[0]):
         closure |= up[index[left[k]]]
-    return UpperSet(base, base._members(closure))
+    return UpperSet._closed(base, closure)
 
 
 def leq_witness(mu: SimpleValuation, nu: SimpleValuation):
@@ -275,14 +289,17 @@ def _check_units(mu: SimpleValuation, nu: SimpleValuation, p: int,
                                  % (y,))
 
 
-def _transport_units(mu: SimpleValuation, nu: SimpleValuation) -> tuple:
-    """transport_plan's numbers as checked integer units (p, (((x, y), k),
-    ...)) of 2^-p, listed by x, then y, in declaration order.
+def _transport_units(mu: SimpleValuation, nu: SimpleValuation,
+                     f: flowmod.Flow) -> tuple:
+    """The units of f, the flow of order_network(mu, nu), as a checked
+    transport plan (p, (((x, y), k), ...)) of 2^-p, listed by x, then y, in
+    declaration order.
 
-    They are the units of the order network's flow (see _order_flow).
-    Refuses with NotComparable when the flow does not saturate mu.
+    transport_plan passes the slot's flow (_order_flow), the lift a fresh
+    one (_solve); either has checked that mu and nu share their poset.
+    Refuses with NotComparable when f does not saturate mu. The units take
+    _check_units whichever solve gave them.
     """
-    f = _order_flow(mu, nu)
     if f.value != mu.mass:
         raise NotComparable("valuations are not ordered; no transport plan")
     p, units = f.units
@@ -297,7 +314,7 @@ def transport_plan(mu: SimpleValuation, nu: SimpleValuation) -> TransportPlan:
     once and keeps it (see _order_flow); either way the plan takes the one
     plan check.
     """
-    p, units = _transport_units(mu, nu)
+    p, units = _transport_units(mu, nu, _order_flow(mu, nu))
     return TransportPlan(mu, nu, {xy: Dyadic(k, p) for xy, k in units})
 
 
@@ -523,8 +540,7 @@ def portmanteau_witness(seq, limit: SimpleValuation,
     rows, _ = _trace_rows(seq, limit, from_index)
     for closure, open_ok, closed_ok in rows:
         if not (open_ok and closed_ok):
-            base = limit.base
-            return UpperSet(base, base._members(closure))
+            return UpperSet._closed(limit.base, closure)
     return None
 
 
@@ -545,7 +561,7 @@ def portmanteau_check(seq, limit: SimpleValuation,
     """
     rows, support = _trace_rows(seq, limit, from_index)
     base = limit.base
-    records = [PortmanteauRecord(UpperSet(base, base._members(closure)),
+    records = [PortmanteauRecord(UpperSet._closed(base, closure),
                                  open_ok, closed_ok)
                for closure, open_ok, closed_ok in rows]
     witness = next((r.upper for r in records

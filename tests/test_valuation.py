@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 from posetval import (Dyadic, ONE, Poset, PosetMap, SimpleValuation,
                       TransportPlan, UpperSet, ZERO, add, delta,
                       format_valuation, integrate_monotone, leq, leq_witness,
-                      parse_valuation, portmanteau_check, pushforward, scale,
-                      transport_plan, valuation, way_below)
+                      parse_valuation, pipeline, portmanteau_check, pushforward,
+                      scale, transport_plan, valuation, way_below)
 from posetval.errors import (MassExceeded, MixedBase, NotComparable,
                              NotMonotone, NotProbability, PartialMap,
                              UnknownElement)
 
-from posetval.valuation import _check_units, _transport_units, order_network
+from posetval.valuation import (_check_units, _solve, _transport_units,
+                                order_network)
 
 from conftest import (make_chain, normalize, random_poset, random_valuation,
                       random_monotone_integrand, shuffled_poset)
@@ -173,9 +174,9 @@ def test_transport_plan_is_the_dyadic_form_of_the_lift_units(seed):
         plan = transport_plan(mu, nu)
     except NotComparable:
         with pytest.raises(NotComparable):
-            _transport_units(mu, nu)
+            _transport_units(mu, nu, _solve(mu, nu))
         return
-    p, units = _transport_units(mu, nu)
+    p, units = _transport_units(mu, nu, _solve(mu, nu))
     assert list(plan.entries.items()) \
         == [(xy, Dyadic(k, p)) for xy, k in units]
     assert p == max(mu.max_exponent(), nu.max_exponent())
@@ -459,6 +460,25 @@ def test_way_below_leaves_the_kept_network_alone(m4, solves):
     assert plan.entries == {("a", "top"): Dyadic(1, 2),
                             ("b", "top"): Dyadic(1, 2)}
     assert len(solves) == 2     # leq and way_below's own network
+
+
+def test_a_lift_leaves_the_kept_flow_alone(m4, solves):
+    # the lift solves its own networks outside the slot, so a plan asked
+    # after a Skorohod build still reads the flow leq kept
+    mu, top = half_half(m4), delta(m4, "top")
+    assert leq(mu, top)
+    kept = valuation._kept[1]
+    target = SimpleValuation(m4, {"a": Dyadic(1, 2), "b": Dyadic(1, 2),
+                                  "top": HALF})
+    pipeline.skorohod(target, 3)
+    # stage 1 lifts the one-run bottom layer by its forced plan; stages 2
+    # and 3 each solve one network
+    assert len(solves) == 3
+    assert valuation._kept[1] is kept
+    plan = transport_plan(mu, top)
+    assert len(solves) == 3
+    plan.verify()
+    assert plan.entries == {("a", "top"): HALF, ("b", "top"): HALF}
 
 
 def test_order_bounds_monotone_integrals():
