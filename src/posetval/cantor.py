@@ -16,12 +16,15 @@ ambiguous choice and makes grid tabulations exact.
 A step map sends the words of one level, in lexicographic order, to
 values, and stores the runs of consecutive words with one value. Read
 through the bridge it is a step function on [0, 1]: representation layers
-and the quantile maps of chains are both step maps.
+and the quantile maps of chains are both step maps. Several step maps are
+compared word by word through one walk over their merged runs
+(_segments), which the order of two maps and the settling of a sequence
+both read.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import FrozenInstanceError, dataclass
 from itertools import repeat
 
@@ -215,28 +218,38 @@ class StepMap:
 
         Both maps are read at the deeper of the two depths, and the walk
         stops at the shorter total; the result is a word number at that
-        depth, or None. Each pair of overlapping runs is compared once,
-        by one bit of an up-set mask; every value of either map must be an
+        depth, the start of the first of their merged runs (_segments)
+        that breaks the order, or None. Each segment is compared once, by
+        one bit of an up-set mask; every value of either map must be an
         element of base (UnknownElement otherwise).
         """
-        top = max(self.depth, other.depth)
-        sa, sb = top - self.depth, top - other.depth
-        stop = (min(self.ends[-1] << sa, other.ends[-1] << sb)
-                if self.ends and other.ends else 0)
-        a, b = self.values, other.values
-        base._check(*a, *b)
+        base._check(*self.values, *other.values)
         index, up = base.index, base._up_mask
-        i = j = pos = 0
-        while pos < stop:
-            a_end, b_end = self.ends[i] << sa, other.ends[j] << sb
-            end = min(a_end, b_end)
-            # a run of length zero (a quantile threshold at 0) holds no word
-            if pos < end and not up[index[a[i]]] >> index[b[j]] & 1:
-                return pos
-            pos = end
-            i += a_end == end
-            j += b_end == end
+        _, ends, pairs = _segments([self, other])
+        for start, (x, y) in zip([0, *ends], pairs):
+            if not up[index[x]] >> index[y] & 1:
+                return start
         return None
+
+
+def _segments(maps):
+    """The merged runs of several step maps: (depth, ends, values).
+
+    Every map is read at the deepest depth among them, so its run ends are
+    shifted up to that depth, and the words are cut at every map's run
+    ends up to the shortest total. ends lists the end of each segment, on
+    which no map changes value, and values the tuple of the maps' values
+    on it, in the order of maps. A run of length zero (a quantile
+    threshold at 0) holds no word and makes no segment: a segment takes
+    the first run of each map that ends at or past its end.
+    """
+    depth = max(m.depth for m in maps)
+    shifted = [[end << depth - m.depth for end in m.ends] for m in maps]
+    stop = min(s[-1] if s else 0 for s in shifted)
+    ends = sorted({end for s in shifted for end in s if 0 < end <= stop})
+    columns = [[m.values[bisect_left(s, end)] for end in ends]
+               for m, s in zip(maps, shifted)]
+    return depth, ends, list(zip(*columns))
 
 
 def _compress(table: dict, depth: int):

@@ -155,15 +155,6 @@ def _draws(rmap, seed: int, count: int):
     yield "".join("tally %s %d\n" % (x, n) for x, n in tally.items() if n)
 
 
-def _stage_texts(stages):
-    """The text of a schedule, one stage at a time: a stage is made only
-    once the text of the one before it is written, so memory holds one
-    stage however long the schedule is."""
-    for k, stage in enumerate(stages):
-        yield "stage %d\n%s" % (k, "".join(
-            "%s %s\n" % (x, w) for x, w in stage.weights.items()))
-
-
 def _run(args, stdout) -> int:
     """Compute the command's exit code, its main text (a string, or the
     draws of `sample` or the stages of `schedule` as they are made) and
@@ -181,8 +172,7 @@ def _run(args, stdout) -> int:
     code, text, dot = 0, None, None
 
     if args.command == "order":
-        flow = valmod._order_flow(mu, nu)   # kept: transport_plan reads it
-        witness = valmod._witness(mu, flow)
+        witness = valmod.leq_witness(mu, nu)
         holds = witness is None
         lines = ["LEQ: %s" % _bool(holds)]
         if holds:
@@ -193,7 +183,8 @@ def _run(args, stdout) -> int:
             lines.append("nu %s" % nu.evaluate(witness))
         code = 0 if holds else 1
         if args.dot is not None:
-            dot = flowmod.to_dot(flow)
+            # the flow leq_witness solved, read back from the kept slot
+            dot = flowmod.to_dot(valmod._order_flow(mu, nu))
 
     elif args.command == "waybelow":
         holds = valmod.way_below(mu, nu, normalized=args.normalized)
@@ -212,7 +203,10 @@ def _run(args, stdout) -> int:
             dot = base.to_dot()
 
     elif args.command == "schedule":
-        text = _stage_texts(_schedule_stages(mu, args.steps))
+        # a stage is made only once the text of the one before it is
+        # written, so memory holds one stage however long the schedule is
+        text = ("stage %d\n%s" % (k, valmod.format_valuation(stage))
+                for k, stage in enumerate(_schedule_stages(mu, args.steps)))
 
     elif args.command == "represent":
         rmap = represent_target(mu, args.steps)

@@ -23,9 +23,9 @@ them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import islice
 
-from .cantor import StepMap, Word, _level_bits
+from .cantor import StepMap, Word, _level_bits, _segments
 from .dyadic import ONE, Dyadic
 from .errors import NotConvergent
 from .skorohod import RepresentationMap, represent_target
@@ -152,27 +152,21 @@ def _settling(maps, limit_map: RepresentationMap) -> StepMap:
     Where the limit value is maximal, the sequence must become equal to it
     and stay equal; elsewhere only the eventually-at-least check applies
     (the maps need not be ordered among themselves). Every map is constant
-    between the run ends of its final layer, so the run ends of all the
-    maps, taken at the top depth, cut the words into segments on which the
-    fields (limit_value, maximal, geq_from, equal_from, ok) are the same;
-    each segment is settled once, and the result's runs are the segments.
-    A final-layer value outside the poset raises UnknownElement, the limit
+    on each of the merged runs of the final layers (cantor._segments), so
+    the fields (limit_value, maximal, geq_from, equal_from, ok) are settled
+    once per segment, and the result's runs are the segments. A
+    final-layer value outside the poset raises UnknownElement, the limit
     map's first. The order is read off up-set masks: a limit value is
     maximal iff its up-set is itself alone.
     """
     base = limit_map.base
     index, up = base.index, base._up_mask
-    finals = [m.layers[-1] for m in [limit_map] + list(maps)]
+    finals = [m.layers[-1] for m in [limit_map, *maps]]
     for layer in finals:
         base._check(*layer.values)
-    top = max(layer.depth for layer in finals)
-    cuts = sorted({end << (top - layer.depth)
-                   for layer in finals for end in layer.ends})
+    top, ends, columns = _segments(finals)
     fields = []
-    start = 0
-    for end in cuts:
-        lv, *values = [layer.at(start >> (top - layer.depth))
-                       for layer in finals]
+    for lv, *values in columns:
         k = index[lv]
         maximal = up[k] == 1 << k
         geq_from = _tail_index([up[k] >> index[v] & 1 for v in values])
@@ -182,8 +176,7 @@ def _settling(maps, limit_map: RepresentationMap) -> StepMap:
             equal_from = _tail_index([v == lv for v in values])
             ok = equal_from is not None
         fields.append((lv, maximal, geq_from, equal_from, ok))
-        start = end
-    return StepMap(top, ends=cuts, values=fields)
+    return StepMap(top, ends=ends, values=fields)
 
 
 @dataclass
@@ -210,20 +203,18 @@ def _sequence_report(maps, limit_map: RepresentationMap) -> SequenceReport:
     maps' top depth (the grid point (i + 1)/2^depth lands on word i, as
     unit_to_word says): one record per word in word order, each word the
     truncation of an infinite one. It is settled a run at a time: a run's
-    records are made by one C-level map over its words, with the run's
-    fields repeated (each Word still checks its bits), and its length is
-    added to the word counts. Every record is built here, in the call. The
-    family need not pass the weak-convergence gate."""
+    fields are copied out to a record per word of the run, and its length
+    is added to the word counts. Every record is built here, in the call.
+    The family need not pass the weak-convergence gate."""
     runs = _settling(maps, limit_map)
     bits = _level_bits(runs.depth)
     records = []
     maximal = equal = start = 0
     for end, (lv, is_maximal, geq_from, equal_from, ok) in zip(runs.ends,
                                                                runs.values):
-        records += map(ConvergenceRecord,
-                       map(Word, islice(bits, end - start), repeat(True)),
-                       repeat(lv), repeat(is_maximal), repeat(geq_from),
-                       repeat(equal_from), repeat(ok))
+        records += [ConvergenceRecord(Word(b, True), lv, is_maximal,
+                                      geq_from, equal_from, ok)
+                    for b in islice(bits, end - start)]
         if is_maximal:
             maximal += end - start
             if equal_from is not None:

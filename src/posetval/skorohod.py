@@ -88,25 +88,25 @@ def _stages(target: SimpleValuation, e: int, steps: int):
     yield target
 
 
-def lift_step(current: StepMap, target: SimpleValuation,
-              base: Poset) -> StepMap:
+def lift_step(current: StepMap, target: SimpleValuation) -> StepMap:
     """Refine a level map so counting measure pushes to `target` exactly.
 
-    The current map's law must lie below `target` in the probability
-    order. The new depth is the smallest one past the current depth at
-    which the laws and the transport numbers all become integer counts:
-    the target's exponent if larger, since the current law's exponent is
-    at most its depth and a flow's at most its capacities'. The transport
-    plan travels as the flow's checked integer units of 2^-p, and each
-    unit from x to y becomes 2^(depth - p) words of the new level. Each
-    run of the current layer, taken in word order, covers a block of the
-    new level, which is dealt out to the targets its value x sends mass to,
-    in the poset's declaration order, each taking as many words as its
-    remaining budget allows. That is the word-by-word lexicographic
-    filling, done a run at a time over x's own targets, so the cost grows
-    with the runs and the plan's entries, not with 2^depth; the result is
-    deterministic and monotone over the current layer. Raises TooLarge
-    when that depth exceeds MAX_DEPTH.
+    The current map's law, taken on the target's poset, must lie below
+    `target` in the probability order; a value of the map that is not an
+    element of that poset raises UnknownElement. The new depth is the
+    smallest one past the current depth at which the laws and the transport
+    numbers all become integer counts: the target's exponent if larger,
+    since the current law's exponent is at most its depth and a flow's at
+    most its capacities'. The transport plan travels as the flow's checked
+    integer units of 2^-p, and each unit from x to y becomes 2^(depth - p)
+    words of the new level. Each run of the current layer, taken in word
+    order, covers a block of the new level, which is dealt out to the
+    targets its value x sends mass to, in the poset's declaration order,
+    each taking as many words as its remaining budget allows. That is the
+    word-by-word lexicographic filling, done a run at a time over x's own
+    targets, so the cost grows with the runs and the plan's entries, not
+    with 2^depth; the result is deterministic and monotone over the current
+    layer. Raises TooLarge when that depth exceeds MAX_DEPTH.
 
     A layer of one run, with value x, has law delta_x, whose only transport
     plan to the target sends each target point y its whole weight from x;
@@ -115,17 +115,17 @@ def lift_step(current: StepMap, target: SimpleValuation,
     transport_plan raises). Any other layer's plan comes from a fresh
     solve of the order network (valuation._solve), outside the order
     decisions' slot: a lift never asks for the same pair twice, so it
-    neither builds the slot's key nor evicts the pair kept there. Both
-    paths refuse a target on another poset with MixedBase, and every plan
-    takes the one plan check, _check_units, which is what lets represent
-    trust the layers it builds.
+    neither builds the slot's key nor evicts the pair kept there. Every
+    plan takes the one plan check, _check_units, which is what lets
+    represent trust the layers it builds.
     """
-    return _lift(current, current.law(base), target, base)
+    return _lift(current, current.law(target.base), target)
 
 
-def _lift(current: StepMap, law: SimpleValuation, target: SimpleValuation,
-          base: Poset) -> StepMap:
-    """lift_step, given the current layer's law."""
+def _lift(current: StepMap, law: SimpleValuation,
+          target: SimpleValuation) -> StepMap:
+    """lift_step, given the current layer's law; both plan paths refuse a
+    law and a target on two posets with MixedBase."""
     if not target.is_probability():
         raise NotProbability("lift target must have mass 1")
     if len(current.values) == 1:
@@ -284,7 +284,7 @@ def represent(stages) -> RepresentationMap:
     if stages[0] != layers[0].law(base):
         raise NotComparable("schedule must start at the bottom mass")
     for law, stage in zip(stages, stages[1:]):
-        layer = _lift(layers[-1], law, stage, base)
+        layer = _lift(layers[-1], law, stage)
         if layer.counts() != {x: w.rescale(layer.depth)
                               for x, w in stage.weights.items()}:
             raise AssertionError("layer at depth %d does not push forward "

@@ -19,9 +19,10 @@ followed by the plan or the witness of the same pair solves once. The
 slot holds exactly one pair: a decision and its certificate are asked one
 after the other, so one pair is all they share. More entries would hold
 flows that no certificate reads, and would make a query's cost depend on
-the queries asked before it. The Skorohod lift never asks for the same
-pair twice, so it solves through _solve, outside the slot, and leaves the
-kept flow alone.
+the queries asked before it. The slot keys the pair's posets by weak
+reference, so it keeps the last flow but no poset alive. The Skorohod lift
+never asks for the same pair twice, so it solves through _solve, outside
+the slot, and leaves the kept flow alone.
 
 Way-below, mu(U) < nu(U) on every upper set U that mu charges (normalized
 mode exempts the whole poset), is decided on the same network with every
@@ -41,6 +42,7 @@ per row, as up(V), and the weak-convergence gate of a sequence
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 from . import flow as flowmod
@@ -177,8 +179,10 @@ def _order_flow(mu: SimpleValuation, nu: SimpleValuation) -> flowmod.Flow:
     cache.
 
     The flow of the last pair solved is kept under the key (mu's base,
-    nu's base, mu's weights, nu's weights). The bases compare by identity
-    and the weights by their canonical dyadic values, so an equal key means
+    nu's base, mu's weights, nu's weights). The bases are held by weak
+    references: a live one compares as its poset does, by identity, and a
+    dead one equals no new one, so the slot never keeps a poset alive. The
+    weights compare by their canonical dyadic values, so an equal key means
     a pair that passed _solve's base check and an identical network, whose
     deterministic solve gives an identical flow: the slot changes no
     answer. It is replaced by one assignment, so a reader never pairs one
@@ -187,8 +191,8 @@ def _order_flow(mu: SimpleValuation, nu: SimpleValuation) -> flowmod.Flow:
     calls _solve itself and never builds a key.
     """
     global _kept
-    key = (mu.base, nu.base, tuple(mu.weights.items()),
-           tuple(nu.weights.items()))
+    key = (weakref.ref(mu.base), weakref.ref(nu.base),
+           tuple(mu.weights.items()), tuple(nu.weights.items()))
     kept_key, kept = _kept
     if key == kept_key:
         return kept
@@ -208,14 +212,17 @@ def leq(mu: SimpleValuation, nu: SimpleValuation) -> bool:
     return _order_flow(mu, nu).value == mu.mass
 
 
-def _witness(mu: SimpleValuation, f: flowmod.Flow):
-    """An upper set refuting mu <= nu, read off the order network's flow f.
+def leq_witness(mu: SimpleValuation, nu: SimpleValuation):
+    """On failure of leq, an upper set U with mu(U) > nu(U), else None.
 
-    None when f saturates mu; otherwise mu's support on the source side of
-    f's minimum cut generates an upper set U with mu(U) > nu(U). The left
-    nodes are mu's support in order, so the cut's left mask picks them, and
-    U is the OR of their up-set masks, upward closed by construction.
+    It reads the flow leq solved for the same pair, or solves that flow
+    once and keeps it (see _order_flow). When the flow does not saturate
+    mu, mu's support on the source side of its minimum cut generates U.
+    The left nodes are mu's support in order, so the cut's left mask picks
+    them, and U is the OR of their up-set masks, upward closed by
+    construction.
     """
+    f = _order_flow(mu, nu)
     if f.value == mu.mass:
         return None
     base = mu.base
@@ -224,15 +231,6 @@ def _witness(mu: SimpleValuation, f: flowmod.Flow):
     for k in _bits(f._seen[0]):
         closure |= up[index[left[k]]]
     return UpperSet._closed(base, closure)
-
-
-def leq_witness(mu: SimpleValuation, nu: SimpleValuation):
-    """On failure of leq, an upper set U with mu(U) > nu(U), else None.
-
-    It reads the cut of the flow leq solved for the same pair, or solves
-    that flow once and keeps it (see _order_flow).
-    """
-    return _witness(mu, _order_flow(mu, nu))
 
 
 @dataclass

@@ -398,6 +398,26 @@ def first_decrease_by_scan(base, f):
     return None
 
 
+def _spelled_out(m):
+    """A step map's value on each word it is defined on, a word at a time."""
+    out, start = [], 0
+    for end, y in zip(m.ends, m.values):
+        out += [y] * (end - start)
+        start = end
+    return out
+
+
+def first_disagreement_by_words(f, g, base):
+    """StepMap.first_disagreement, by scanning every word of the deeper
+    depth below the shorter total, in word order."""
+    top = max(f.depth, g.depth)
+    a, b = _spelled_out(f), _spelled_out(g)
+    stop = min(len(a) << top - f.depth, len(b) << top - g.depth)
+    return next((i for i in range(stop)
+                 if not base.leq(a[i >> top - f.depth],
+                                 b[i >> top - g.depth])), None)
+
+
 def first_break_by_scan(source, target, mapping):
     """The first pair (x, y) of the map's domain, x and then y in mapping
     order, with x <= y and mapping[x] not <= mapping[y], both orders found

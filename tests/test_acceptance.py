@@ -121,7 +121,7 @@ def test_criterion_4_lift_step_exactness():
                 y = rng.choice(ups)
                 target[y] = target.get(y, Dyadic(0, 0)) + Dyadic(1, 4)
         mu_prime = SimpleValuation(base, target)
-        lifted = lift_step(StepMap(depth, table), mu_prime, base)
+        lifted = lift_step(StepMap(depth, table), mu_prime)
         assert lifted.depth > depth
         assert pushforward_counting(dict(lifted.items()), lifted.depth,
                                     base) == mu_prime

@@ -11,7 +11,9 @@ from posetval import (Dyadic, ONE, QuantileMap, SimpleValuation, StepMap, Word,
                       unit_to_word, word_to_unit)
 from posetval.errors import DepthExceeded, OutOfRange, PartialMap
 
-from oracles import level, pushforward_counting
+from conftest import shuffled_poset
+from oracles import (first_disagreement_by_words, level,
+                     pushforward_counting)
 
 words = st.text(alphabet="01", max_size=10).map(Word)
 
@@ -187,6 +189,28 @@ def test_step_map_first_disagreement(m4):
     assert head.first_disagreement(fine, m4) is None
     assert coarse.first_disagreement(head, m4) is None
     assert StepMap(0).first_disagreement(fine, m4) is None
+
+
+def random_step_map(rng, base, depth):
+    """Runs over the first words of the depth-level, up to a random total
+    (perhaps partial, perhaps none), some of them of length zero."""
+    total = rng.randint(0, 1 << depth)
+    ends = sorted(rng.randint(0, total) for _ in range(rng.randint(0, 4)))
+    if total or rng.random() < 0.5:
+        ends.append(total)
+    return StepMap(depth, ends=ends,
+                   values=[rng.choice(base.elements) for _ in ends])
+
+
+@given(st.randoms(use_true_random=False))
+def test_first_disagreement_is_the_word_scan(rng):
+    base = shuffled_poset(rng, 6, rng.choice([0.2, 0.5]))
+    f = random_step_map(rng, base, rng.randint(0, 4))
+    g = random_step_map(rng, base, rng.randint(0, 4))
+    want = first_disagreement_by_words(f, g, base)
+    assert f.first_disagreement(g, base) == want
+    assert StepMap(0).first_disagreement(g, base) is None
+    assert g.first_disagreement(StepMap(0), base) is None
 
 
 def test_words_are_frozen_values():

@@ -139,3 +139,42 @@ def test_an_unused_import_is_found(tmp_path):
                     "    return os.path.join(p)\n")
     assert unused_imports(path) == [(4, "dataclass"), (4, "field"),
                                     (5, "Refused")]
+
+
+def unread_parameters(path):
+    """(line, function, parameter) for each parameter of a function that
+    its body never reads; dunder methods, whose signatures Python fixes,
+    are left out."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    unread = []
+    for node in ast.walk(tree):
+        if (not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                or node.name.startswith("__") and node.name.endswith("__")):
+            continue
+        a = node.args
+        params = filter(None, [*a.posonlyargs, *a.args, a.vararg,
+                               *a.kwonlyargs, a.kwarg])
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unread += [(node.lineno, node.name, p.arg) for p in params
+                   if p.arg not in read]
+    return unread
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
+def test_every_parameter_is_read(path):
+    assert unread_parameters(path) == []
+
+
+def test_an_unread_parameter_is_found(tmp_path):
+    # the check itself: a parameter only written, one never named, and
+    # one read only by a nested function, beside a dunder left alone
+    path = tmp_path / "probe.py"
+    path.write_text("def f(a, b, *rest, c=1, **kw):\n    b = 2\n"
+                    "    return a + len(kw)\n\n\n"
+                    "def g(x):\n    def h():\n        return x\n"
+                    "    return h\n\n\n"
+                    "class C:\n    def __exit__(self, *exc):\n"
+                    "        return None\n")
+    assert unread_parameters(path) == [(1, "f", "b"), (1, "f", "rest"),
+                                       (1, "f", "c")]

@@ -56,7 +56,7 @@ REFUSALS = {
         lambda: represent([halves(diamond())]),
         NotComparable, "schedule must start at the bottom mass"),
     "lift toward a subprobability": (
-        lambda: lift_step(bottom_layer(), half_a(diamond()), diamond()),
+        lambda: lift_step(bottom_layer(), half_a(diamond())),
         NotProbability, "lift target must have mass 1"),
     "representation without layers": (
         lambda: RepresentationMap(diamond(), []),

@@ -1,6 +1,8 @@
+import gc
 import random
 import time
 import tracemalloc
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -479,6 +481,22 @@ def test_a_lift_leaves_the_kept_flow_alone(m4, solves):
     assert len(solves) == 3
     plan.verify()
     assert plan.entries == {("a", "top"): HALF, ("b", "top"): HALF}
+
+
+def test_the_kept_flow_keeps_no_poset_alive(solves):
+    # the slot keys the pair's posets by weak reference: once the caller
+    # lets go of a poset, the flow kept for it does not hold it, and a
+    # poset made afterwards never hits the dead key
+    base = make_chain(3)
+    mu, nu = delta(base, "c0"), delta(base, "c2")
+    assert leq(mu, nu)
+    ref = weakref.ref(base)
+    del base, mu, nu
+    gc.collect()
+    assert ref() is None
+    again = make_chain(3)
+    assert leq(delta(again, "c0"), delta(again, "c2"))
+    assert len(solves) == 2
 
 
 def test_order_bounds_monotone_integrals():
