@@ -25,21 +25,21 @@ both read.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import FrozenInstanceError, dataclass
-from itertools import repeat
+from dataclasses import dataclass
+from itertools import islice, repeat
 
-from .dyadic import ONE, ZERO, Dyadic
+from .dyadic import ONE, ZERO, Dyadic, _Value
 from .errors import DepthExceeded, OutOfRange, PartialMap, Unreachable
 from .poset import Poset
 from .valuation import SimpleValuation
 
 
-class Word:
+class Word(_Value):
     """A binary word; bits is a string over '0'/'1'.
 
-    An immutable value with two slots, like `dyadic.Dyadic`: equality and
-    hashing go by `bits` alone, so a truncation equals the finite word
-    with its bits.
+    An immutable value (`dyadic._Value`) with two slots, like
+    `dyadic.Dyadic`: equality and hashing go by `bits` alone, so a
+    truncation equals the finite word with its bits.
     """
 
     __slots__ = ("bits", "truncated")
@@ -49,15 +49,6 @@ class Word:
             raise ValueError("bits must be over {0,1}: %r" % bits)
         _set_bits(self, bits)
         _set_truncated(self, truncated)
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError("cannot assign to field %r" % name)
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError("cannot delete field %r" % name)
-
-    def __reduce__(self):
-        return Word, (self.bits, self.truncated)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -95,15 +86,16 @@ def project(w: Word, m: int) -> Word:
     The prefix of a word is known exactly even when the word stands for
     an infinite one, so the result is a genuine finite word.
     """
+    if m < 0:
+        raise ValueError("depth must be nonnegative, not %d" % m)
     if m > len(w.bits):
         raise DepthExceeded("cannot project %r to depth %d" % (w.bits, m))
     return Word(w.bits[:m])
 
 
 def embed(w: Word, n: int) -> Word:
-    """Pad with zeros to depth n; a section of project."""
-    if n < len(w.bits):
-        return Word(w.bits, w.truncated)
+    """Pad with zeros to depth n; a section of project. Below the word's
+    own depth there is nothing to pad, and the word comes back as it is."""
     return Word(w.bits + "0" * (n - len(w.bits)), w.truncated)
 
 
@@ -149,6 +141,8 @@ def unit_to_word(r: Dyadic, n: int) -> Word:
     For dyadic r > 0 this is the non-terminating expansion, so the first n
     bits encode ceil(r * 2^n) - 1; r = 0 gives the all-zeros word.
     """
+    if n < 0:
+        raise ValueError("depth must be nonnegative, not %d" % n)
     return Word(_bits(_word_number(r, n), n), truncated=True)
 
 
@@ -180,12 +174,11 @@ class StepMap:
         return Dyadic(self.ends[-1], self.depth) if self.ends else ZERO
 
     def items(self):
-        """(bit string, value) for every word, in word order."""
-        start = 0
-        for end, y in zip(self.ends, self.values):
-            for i in range(start, end):
-                yield _bits(i, self.depth), y
-            start = end
+        """(bit string, value) for every word, in word order: each run
+        takes its words off one lister of the level (_level_bits)."""
+        words = _level_bits(self.depth)
+        for start, end, y in zip([0, *self.ends], self.ends, self.values):
+            yield from zip(islice(words, end - start), repeat(y))
 
     def counts(self) -> dict:
         """value -> the number of words it takes, summed over its runs."""

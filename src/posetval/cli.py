@@ -226,16 +226,11 @@ def _run(args, stdout) -> int:
             seq, nu, args.steps, args.from_index)
         lines = []
         for rec in report.convergence.records:
-            fields = ["word %s" % rec.word, "limit %s" % rec.limit_value]
-            if rec.maximal:
-                fields.append("equal_from %s"
-                              % ("-" if rec.equal_from is None
-                                 else rec.equal_from))
-            else:
-                fields.append("geq_from %s"
-                              % ("-" if rec.geq_from is None
-                                 else rec.geq_from))
-            lines.append(" ".join(fields))
+            name, value = (("equal_from", rec.equal_from) if rec.maximal
+                           else ("geq_from", rec.geq_from))
+            lines.append("word %s limit %s %s %s"
+                         % (rec.word, rec.limit_value, name,
+                            "-" if value is None else value))
         lines.append("maximal_words %d" % report.maximal_words)
         lines.append("equal_words %d" % report.equal_words)
         lines.append("CONVERGENCE: %s" % ("pass" if report.verdict

@@ -19,14 +19,34 @@ from .errors import NegativeResult, ParseError, PrecisionLoss
 from .text import digits
 
 
+class _Value:
+    """An immutable value held in its class's slots.
+
+    Assigning or deleting a field raises `dataclasses.FrozenInstanceError`,
+    and copy and pickle rebuild the value through its class's constructor,
+    called with the slots' values in the order `__slots__` lists them. A
+    subclass sets its slots through their own descriptors, which
+    `__setattr__` does not reach, and defines its own equality and hash.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError("cannot delete field %r" % name)
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, s) for s in self.__slots__)
+
+
 @total_ordering
-class Dyadic:
+class Dyadic(_Value):
     """A nonnegative dyadic rational, value = num / 2**exp, in canonical form.
 
-    An immutable value with two slots: assigning or deleting a field
-    raises `dataclasses.FrozenInstanceError`, equality and hashing go by
-    `(num, exp)`, and `__reduce__` lets copy and pickle rebuild it through
-    the constructor. Every construction runs `__post_init__` once, through
+    An immutable value (`_Value`) with two slots, equal and hashed by
+    `(num, exp)`. Every construction runs `__post_init__` once, through
     the attribute, which checks the sign and canonicalizes; it is kept as
     a method, not folded into `__init__`, so that wrapping
     `Dyadic.__post_init__` counts every value made.
@@ -55,15 +75,6 @@ class Dyadic:
                 shift = exp
             _set_num(self, num >> shift)
             _set_exp(self, exp - shift)
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError("cannot assign to field %r" % name)
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError("cannot delete field %r" % name)
-
-    def __reduce__(self):
-        return Dyadic, (self.num, self.exp)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

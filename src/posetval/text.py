@@ -43,19 +43,12 @@ def known(name: str, base, lineno: int) -> str:
 def writable(names: list):
     """Refuse, by ValueError naming the first of them, the names whose
     str() read_lines would not give back as one field: an empty one, or
-    one holding whitespace or ``#``. The names are checked together, in C:
-    none is empty, and their concatenation has no ``#`` and splits into
-    itself alone."""
-    try:
-        joined = "".join(names)
-    except TypeError:   # not every name is a str
-        names = list(map(str, names))
-        joined = "".join(names)
-    if names and (not all(names) or "#" in joined
-                  or joined.split() != [joined]):
-        bad = next(t for t in map(str, names) if "#" in t or t.split() != [t])
-        raise ValueError("element %r cannot be written: a name must be one "
-                         "field, without whitespace or '#'" % bad)
+    one holding whitespace or ``#``. One test covers all three, since an
+    empty name splits into no field at all."""
+    for name in map(str, names):
+        if "#" in name or name.split() != [name]:
+            raise ValueError("element %r cannot be written: a name must be "
+                             "one field, without whitespace or '#'" % name)
 
 
 def quote(name) -> str:

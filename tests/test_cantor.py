@@ -34,6 +34,14 @@ def test_project_examples():
         project(Word("01"), 3)
 
 
+def test_project_refuses_a_negative_depth():
+    # w.bits[:m] would count a negative m from the end of the word
+    for w, m in ((Word("0101"), -1), (Word("01"), -5), (Word(""), -1)):
+        with pytest.raises(ValueError, match="depth must be nonnegative, "
+                                             "not %d" % m):
+            project(w, m)
+
+
 def test_embed_examples():
     assert embed(Word("1"), 3) == Word("100")
     assert embed(Word("01"), 2) == Word("01")
@@ -109,6 +117,13 @@ def test_unit_to_word_examples():
     assert unit_to_word(ONE, 2) == Word("11")
     with pytest.raises(OutOfRange):
         unit_to_word(Dyadic(3, 1), 2)
+
+
+def test_unit_to_word_refuses_a_negative_depth():
+    for r in (ZERO, Dyadic(1, 1), ONE):
+        with pytest.raises(ValueError, match="depth must be nonnegative, "
+                                             "not -1"):
+            unit_to_word(r, -1)
 
 
 def test_unit_to_word_is_least_word_reaching_r():
@@ -211,6 +226,18 @@ def test_first_disagreement_is_the_word_scan(rng):
     assert f.first_disagreement(g, base) == want
     assert StepMap(0).first_disagreement(g, base) is None
     assert g.first_disagreement(StepMap(0), base) is None
+
+
+@given(st.randoms(use_true_random=False))
+def test_items_lists_every_word_below_the_total(rng):
+    base = shuffled_poset(rng, 4, 0.5)
+    depth = rng.randint(0, 5)
+    f = random_step_map(rng, base, depth)
+    n = f.ends[-1] if f.ends else 0
+    want = [(format(i, "0%db" % depth) if depth else "", f.at(i))
+            for i in range(n)]
+    assert list(f.items()) == want
+    assert list(StepMap(0).items()) == []
 
 
 def test_words_are_frozen_values():

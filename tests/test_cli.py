@@ -776,14 +776,25 @@ def test_portmanteau_bytes_match_whole_poset_loop(tmp_path):
 
 
 def test_subprocess_entry_point(files):
-    # the module entry point behaves like main(); the child imports the
-    # same package as this test, installed or from the source tree
+    # the module entry point behaves like main(): the answer and exit 0 of
+    # a run that succeeds, then exit 2 with an error line and no answer
+    # for a --poset file that is missing; the child imports the same
+    # package as this test, installed or from the source tree
     src = os.path.dirname(os.path.dirname(posetval.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "posetval", "classify",
-         "--poset", files["m4.poset"]],
-        capture_output=True, text=True, env=env)
-    assert proc.returncode == 0
-    assert "is_lattice: true" in proc.stdout
+
+    def entry(poset):
+        return subprocess.run(
+            [sys.executable, "-m", "posetval", "classify", "--poset", poset],
+            capture_output=True, text=True, env=env)
+
+    proc = entry(files["m4.poset"])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, "is_bounded_complete: true\nis_chain: false\nis_lattice: true\n",
+        "")
+    missing = os.path.join(files["dir"], "missing.poset")
+    proc = entry(missing)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == ("error: [Errno 2] No such file or directory: %r\n"
+                           % missing)
