@@ -11,7 +11,6 @@ from .cantor import StepMap, Word, embed, project, unit_to_word, word_to_unit
 from .chain import (Cdf, QuantileMap, cdf, lower_adjoint,
                     pushforward_lebesgue, quantile_leq)
 from .dyadic import ONE, ZERO, Dyadic, parse_dyadic
-from .flow import Flow, FlowNetwork, max_flow
 from .pipeline import (SkorohodWitness, represent_sequence, skorohod,
                        skorohod_sequence)
 from .poset import Poset, UpperSet, format_poset, parse_poset
@@ -25,7 +24,6 @@ from .valuation import (PosetMap, SimpleValuation, TransportPlan, add, delta,
 __all__ = [
     "Dyadic", "ZERO", "ONE", "parse_dyadic",
     "Poset", "UpperSet", "parse_poset", "format_poset",
-    "FlowNetwork", "Flow", "max_flow",
     "SimpleValuation", "TransportPlan", "PosetMap", "delta", "scale", "add",
     "leq", "leq_witness", "transport_plan", "way_below",
     "integrate_monotone", "pushforward", "portmanteau_check",

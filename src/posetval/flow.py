@@ -7,8 +7,9 @@ capacities are rescaled to a common denominator 2^p, the search runs over
 plain integers (so termination and exactness are trivial), and results are
 scaled back; every returned flow is therefore dyadic with exponent <= p.
 
-A network has one shape. Its middle edges are one bitmask row per left
-node (see MaskEdges), all of one capacity, which must exceed every sink
+The module is internal: valuation.order_network makes every network it
+solves. A network has one shape. Its middle edges are one bitmask row per
+left node (see MaskEdges), all of one capacity, which exceeds every sink
 capacity. The flow on x -> y is at most y's sink capacity, so a middle
 edge never saturates and a minimum cut never crosses the middle layer:
 the solver never reads the middle capacity, and the rows never change.
@@ -44,10 +45,8 @@ declaration order, so each path found is the lexicographically first
 shortest path of the residual network, the path a breadth-first search
 records, since its tree path to a node is the first shortest one. The last
 search, the one that fails to reach the sink, marks the source side of a
-minimum cut; the returned flow keeps it as the search's two masks, left
-and right, so one solve answers both the flow and the cut question. The
-cut's tagged node set is built from the masks on its first read: the
-order decisions and the lift never read it.
+minimum cut; the returned flow keeps it as `cut`, the search's two masks,
+left and right, so one solve answers both the flow and the cut question.
 
 A phase whose levels are two masks, paths source -> x -> y -> sink, runs
 as a direct greedy pass instead: for each left node x of the first level
@@ -91,7 +90,7 @@ class MaskEdges(Mapping):
     Bit b of rows[x] is the edge (x, names[b]); rows lists the left side in
     order, and set bits must ascend in the right side's declaration order.
     `columns`, the OR of the rows, masks every right node an edge reaches;
-    it is taken once, here, for the network's check and every solve.
+    it is taken once, here, for every solve.
     Read as a mapping (x, y) -> cap, the edges come in left order, then by
     ascending bit; the dict is built on the first lookup or iteration, and
     len counts bits.
@@ -129,15 +128,15 @@ class FlowNetwork:
 
     Edges run source -> left, left -> right (mid_caps, MaskEdges rows),
     right -> sink. Left and right node names may overlap (they are
-    distinct nodes). The middle capacity must be positive and exceed every
+    distinct nodes). The middle capacity is positive and exceeds every
     sink capacity, so no middle edge can saturate.
 
-    The public constructor checks all of this. The library's own order
-    network is made by _built, which checks nothing: order_network builds
-    the rows as up-set masks restricted to nu's support, listed in mu's
-    support order, with one capacity above every weight, so each fact the
-    check tests holds by construction, and a property test re-runs the
-    check on the networks order_network builds.
+    The fields are trusted as given: nothing checks them. Their one
+    producer, valuation.order_network, builds the rows as up-set masks
+    restricted to nu's support, listed in mu's support order, with one
+    capacity above every weight, so the shape holds by construction; the
+    test suite keeps a reference check of it and runs it on the networks
+    order_network builds.
     """
 
     left: list
@@ -146,81 +145,30 @@ class FlowNetwork:
     mid_caps: MaskEdges
     sink_caps: dict
 
-    def __post_init__(self):
-        right = {y: j for j, y in enumerate(self.right)}
-        if len(right) != len(self.right):
-            raise ValueError("duplicate right node name")
-        if set(self.source_caps) - set(self.left) \
-                or set(self.sink_caps) - right.keys():
-            raise ValueError("terminal capacity on unknown node")
-        mid = self.mid_caps
-        if not isinstance(mid, MaskEdges):
-            raise TypeError("middle edges must be MaskEdges rows")
-        cap = mid.cap   # c < cap, as numerators over 2^(c.exp + cap.exp)
-        if not cap.num or any(c.num << cap.exp >= cap.num << c.exp
-                              for c in self.sink_caps.values()):
-            raise ValueError("middle capacity %s is not above zero and every "
-                             "sink capacity" % cap)
-        if list(mid.rows) != self.left:
-            # rows is a dict, so this refuses a repeated left name too
-            raise ValueError("mask rows must list the left side in order")
-        last = -1
-        for b in _bits(mid.columns):
-            j = right.get(mid.names[b]) if b < len(mid.names) else None
-            if j is None or j <= last:
-                raise ValueError("mask bit %d is no right node, or out of "
-                                 "the right side's order" % b)
-            last = j
-
-    @classmethod
-    def _built(cls, left, right, source_caps, mid_caps, sink_caps):
-        """The network of these fields, trusted as given: no check runs."""
-        net = cls.__new__(cls)
-        net.left, net.right, net.source_caps = left, right, source_caps
-        net.mid_caps, net.sink_caps = mid_caps, sink_caps
-        return net
-
-    def common_exponent(self) -> int:
-        caps = [*self.source_caps.values(), *self.sink_caps.values()]
-        return max((c.exp for c in caps), default=0)
-
 
 class Flow:
     """A maximum flow; capacity and conservation hold exactly.
 
-    `cut` is the source side of a minimum cut: SOURCE plus the tagged nodes
-    ("left", x) / ("right", y) still reachable in the final residual
-    network. Its crossing capacity equals `value`. The flow keeps that side
-    as `_seen`, the last search's (left mask, right mask): bit k of the
-    left mask stands for left[k], bit b of the right one for the right node
-    names[b]. `cut` is built from the masks on its first read; a caller
-    that needs only the masks reads `_seen`. `units` is (p,
-    (((x, y), k), ...)): the k units of 2^-p moved on each middle edge that
-    carries flow, by left node, then right node, in declaration order. It
-    is the flow's one form: a transport plan travels in it, and by
-    conservation a left node's row sum is the flow on its source edge, a
-    right node's column sum the flow on its sink edge. It is built on first
-    use, since the decisions need only `value` and the cut's masks, and it
-    is a tuple of tuples, so a flow shared between callers cannot be
+    `cut` is the source side of a minimum cut, the nodes still reachable
+    in the final residual network, as the last search's (left mask, right
+    mask): bit k of the left mask stands for left[k], bit b of the right
+    one for the right node names[b]. Its crossing capacity equals `value`.
+    `units` is (p, (((x, y), k), ...)): the k units of 2^-p moved on each
+    middle edge that carries flow, by left node, then right node, in
+    declaration order. It is the flow's one form: a transport plan travels
+    in it, and by conservation a left node's row sum is the flow on its
+    source edge, a right node's column sum the flow on its sink edge. It is
+    built on first use, since the decisions need only `value` and the cut,
+    and it is a tuple of tuples, so a flow shared between callers cannot be
     changed through it. `net` is the network the flow was solved on.
     """
 
     def __init__(self, net: FlowNetwork, p: int, moved: dict, total: int,
-                 seen: tuple):
+                 cut: tuple):
         # moved[k, b]: units of 2^-p from left[k] to the right node names[b];
         # total: the units that left the source
-        self.net, self._p, self._moved = net, p, moved
-        self._seen = seen
+        self.net, self._p, self._moved, self.cut = net, p, moved, cut
         self.value = Dyadic(total, p)
-
-    @cached_property
-    def cut(self) -> frozenset:
-        left, names = self.net.left, self.net.mid_caps.names
-        seen_left, seen_right = self._seen
-        cut = {SOURCE}
-        cut.update(("left", left[k]) for k in _bits(seen_left))
-        cut.update(("right", names[b]) for b in _bits(seen_right))
-        return frozenset(cut)
 
     @cached_property
     def units(self) -> tuple:
@@ -272,7 +220,8 @@ def max_flow(net: FlowNetwork) -> Flow:
     level's bits and then each one's right bits instead. The augmenting
     paths are the breadth-first ones (see the module docstring).
     """
-    p = net.common_exponent()
+    p = max((c.exp for c in (*net.source_caps.values(),
+                             *net.sink_caps.values())), default=0)
     names = net.mid_caps.names
     # fwd[k]: the right nodes of left node k's middle edges, all residual;
     # back[b]: left nodes whose middle edge to right node b carries flow

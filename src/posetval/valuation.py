@@ -52,8 +52,8 @@ from .errors import (MassExceeded, MixedBase, NotComparable, NotMonotone,
 from .poset import Poset, UpperSet, _bits, upper_masks
 from .text import known, read_lines, writable
 
-# the one capacity of the middle edges, which flow.FlowNetwork requires to
-# exceed every sink capacity: a weight is at most 1, so no middle edge
+# the one capacity of the middle edges, above every sink capacity, as the
+# flow engine relies on: a weight is at most 1, so no middle edge
 # saturates and a minimum cut never crosses the middle layer
 _WIDE = Dyadic(2, 0)
 
@@ -152,13 +152,14 @@ def order_network(mu: SimpleValuation, nu: SimpleValuation) -> flowmod.FlowNetwo
     share the capacity _WIDE, above every sink capacity nu(y) <= 1, so they
     act as uncapacitated, as a transport's entries are.
 
-    These are the facts FlowNetwork's check tests, true by construction,
-    so the network is built through FlowNetwork._built, with no check.
+    It is the one producer of flow networks, and the engine trusts its
+    fields: each fact of the network's shape holds by construction, and
+    the test suite's reference check runs on what it builds.
     """
     index, up = mu.base.index, mu.base._up_mask
     columns = sum(1 << index[y] for y in nu.weights)
     rows = {x: up[index[x]] & columns for x in mu.weights}
-    return flowmod.FlowNetwork._built(
+    return flowmod.FlowNetwork(
         mu.support, nu.support, dict(mu.weights),
         flowmod.MaskEdges(rows, mu.base.elements, _WIDE), dict(nu.weights))
 
@@ -218,9 +219,9 @@ def leq_witness(mu: SimpleValuation, nu: SimpleValuation):
     It reads the flow leq solved for the same pair, or solves that flow
     once and keeps it (see _order_flow). When the flow does not saturate
     mu, mu's support on the source side of its minimum cut generates U.
-    The left nodes are mu's support in order, so the cut's left mask picks
-    them, and U is the OR of their up-set masks, upward closed by
-    construction.
+    The left nodes are mu's support in order, so the cut's left mask,
+    f.cut[0], picks them, and U is the OR of their up-set masks, upward
+    closed by construction.
     """
     f = _order_flow(mu, nu)
     if f.value == mu.mass:
@@ -228,7 +229,7 @@ def leq_witness(mu: SimpleValuation, nu: SimpleValuation):
     base = mu.base
     index, up, left = base.index, base._up_mask, f.net.left
     closure = 0
-    for k in _bits(f._seen[0]):
+    for k in _bits(f.cut[0]):
         closure |= up[index[left[k]]]
     return UpperSet._closed(base, closure)
 

@@ -4,16 +4,17 @@ Nothing here reuses the code paths under test: the order is decided by
 comparing two valuations on every upper set, cuts are enumerated rather
 than derived from flows, a maximum flow is grown one breadth-first
 augmenting path at a time (Edmonds-Karp, on dyadics) rather than by
-blocking flows, upper sets are filtered straight from the order relation
-or scanned over every bitmask, strict-transport feasibility and
-subprobability way-below are decided by exhaustive Hall-style subset
-conditions, the words of a level are spelled out one by one and a table
-on them is pushed forward by tallying every word, a lift step fills the
-new level word by word, the order is reachability by graph search (and
-the first pair an integrand decreases on, or a map breaks, is scanned
-over it), meets and joins are found by scanning every candidate,
-convergence is checked by evaluating every map at every word, and
-quantile maps are compared at every threshold of either map, the
+blocking flows, a flow network's shape is checked condition by condition
+rather than trusted from its builder, upper sets are filtered straight
+from the order relation or scanned over every bitmask, strict-transport
+feasibility and subprobability way-below are decided by exhaustive
+Hall-style subset conditions, the words of a level are spelled out one
+by one and a table on them is pushed forward by tallying every word, a
+lift step fills the new level word by word, the order is reachability by
+graph search (and the first pair an integrand decreases on, or a map
+breaks, is scanned over it), meets and joins are found by scanning every
+candidate, convergence is checked by evaluating every map at every word,
+and quantile maps are compared at every threshold of either map, the
 Portmanteau bullets are checked on every upper set of the whole poset
 with dyadic arithmetic, a sampler's law is tabulated by calling its
 driver at every grid point, a valuation's weights and mass are collected
@@ -27,8 +28,9 @@ The library keeps none of these; the laws it does export, such as
 from collections import deque
 from itertools import combinations, product
 
-from posetval import (ONE, Dyadic, FlowNetwork, SimpleValuation, UpperSet,
-                      Word, ZERO, add, delta, scale, transport_plan)
+from posetval import (ONE, Dyadic, SimpleValuation, UpperSet, Word, ZERO,
+                      add, delta, scale, transport_plan)
+from posetval.flow import FlowNetwork, MaskEdges
 from posetval.valuation import PortmanteauRecord
 from posetval.errors import NotAChain, PartialMap
 from posetval.pipeline import ConvergenceRecord, ConvergenceReport
@@ -75,6 +77,47 @@ def leq_oracle(mu: SimpleValuation, nu: SimpleValuation) -> bool:
     each scanned over all bitmasks and valued by summing weights."""
     return all(not value_on(nu, u) < value_on(mu, u)
                for u in upper_sets_by_masks(mu.base))
+
+
+def network_violations(net: FlowNetwork) -> list:
+    """Each way the network breaks the one shape the flow engine trusts,
+    as a message; empty for a network of that shape.
+
+    The middle edges must be MaskEdges rows that list the left side in
+    order, whose set bits, ORed over the rows and read from the lowest,
+    name right nodes in the right side's order; terminal capacities sit on
+    nodes of their side; no right name repeats; the middle capacity is
+    above zero and above every sink capacity.
+    """
+    out = []
+    mid = net.mid_caps
+    if not isinstance(mid, MaskEdges):
+        return ["the middle edges are not MaskEdges rows"]
+    if list(mid.rows) != list(net.left):
+        out.append("the rows do not list the left side in order")
+    position = {y: j for j, y in enumerate(net.right)}
+    union = 0
+    for row in mid.rows.values():
+        union |= row
+    last = -1
+    for b in range(union.bit_length()):
+        if union >> b & 1:
+            j = position.get(mid.names[b]) if b < len(mid.names) else None
+            if j is None or j <= last:
+                out.append("bit %d is no right node, or out of the right "
+                           "side's order" % b)
+                break
+            last = j
+    if any(x not in net.left for x in net.source_caps) \
+            or any(y not in position for y in net.sink_caps):
+        out.append("a terminal capacity sits on an unknown node")
+    if len(position) != len(net.right):
+        out.append("a right name repeats")
+    if not ZERO < mid.cap or any(not c < mid.cap
+                                 for c in net.sink_caps.values()):
+        out.append("the middle capacity %s is not above zero and every sink "
+                   "capacity" % (mid.cap,))
+    return out
 
 
 def min_cut_by_enumeration(net: FlowNetwork) -> Dyadic:

@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posetval import (Dyadic, FlowNetwork, SimpleValuation, ZERO, leq_witness,
-                      max_flow)
-from posetval.flow import MaskEdges, to_dot
+from posetval import Dyadic, SimpleValuation, ZERO, leq_witness
+from posetval.flow import FlowNetwork, MaskEdges, max_flow, to_dot
 from posetval.valuation import order_network
 
 from conftest import random_poset, random_valuation, shuffled_poset
 from oracles import (max_flow_by_shortest_paths, min_cut_by_enumeration,
-                     value_on)
+                     network_violations, value_on)
 
 # the middle capacity of the order network: above every sink capacity
 WIDE = Dyadic(2, 0)
@@ -25,6 +24,20 @@ def network(left, right, source_caps, pairs, sink_caps, cap=WIDE):
             for x in left}
     return FlowNetwork(left, right, source_caps, MaskEdges(rows, right, cap),
                        sink_caps)
+
+
+def tagged(f):
+    """The source side of f's minimum cut as tagged nodes: "source", then
+    ("left", left[k]) for bit k of the left mask and ("right", names[b])
+    for bit b of the right one."""
+    net, (lefts, rights) = f.net, f.cut
+    names = net.mid_caps.names
+    return frozenset(["source"]
+                     + [("left", x) for k, x in enumerate(net.left)
+                        if lefts >> k & 1]
+                     + [("right", names[b])
+                        for b in range(rights.bit_length())
+                        if rights >> b & 1])
 
 
 def edge_flows(f):
@@ -59,15 +72,15 @@ def test_bottleneck():
     f = max_flow(bottleneck_net())
     assert f.value == Dyadic(1, 1)
     # the sink edge is the bottleneck, so everything else sits on the left
-    assert f.cut == {"source", ("left", "a"), ("right", "a")}
-    assert crossing_capacity(bottleneck_net(), f.cut) == f.value
+    assert tagged(f) == {"source", ("left", "a"), ("right", "a")}
+    assert crossing_capacity(bottleneck_net(), tagged(f)) == f.value
 
 
 def test_diamond_routing():
     f = max_flow(diamond_net())
     assert f.value == Dyadic(1, 0)
     assert f.units == (1, ((("a", "top"), 1), (("b", "top"), 1)))
-    assert crossing_capacity(diamond_net(), f.cut) == Dyadic(1, 0)
+    assert crossing_capacity(diamond_net(), tagged(f)) == Dyadic(1, 0)
 
 
 def test_disconnected_supply_excluded():
@@ -110,15 +123,17 @@ def test_max_flow_equals_min_cut_on_random_instances():
         f = max_flow(net)
         assert f.value == min_cut_by_enumeration(net)
         # the returned partition really achieves the returned value
-        assert "source" in f.cut and "sink" not in f.cut
-        assert crossing_capacity(net, f.cut) == f.value
+        cut = tagged(f)
+        assert "source" in cut and "sink" not in cut
+        assert crossing_capacity(net, cut) == f.value
 
 
 def test_flows_are_integral_at_common_denominator():
     rng = random.Random(12)
     for _ in range(60):
         net = random_net(rng)
-        p = net.common_exponent()
+        p = max(c.exp for c in [*net.source_caps.values(),
+                                *net.sink_caps.values()])
         f = max_flow(net)
         assert f.value.exp <= p
         assert f.units[0] == p
@@ -169,8 +184,9 @@ def assert_breadth_first_flow(net):
     # the printed transport plans are this flow
     f = max_flow(net)
     expected = max_flow_by_shortest_paths(net)
-    assert {"value": f.value, "cut": f.cut, **edge_flows(f)} == expected
-    assert crossing_capacity(net, f.cut) == f.value
+    cut = tagged(f)
+    assert {"value": f.value, "cut": cut, **edge_flows(f)} == expected
+    assert crossing_capacity(net, cut) == f.value
     return f
 
 
@@ -202,6 +218,7 @@ def networks(draw):
 @settings(max_examples=300, deadline=None)
 @given(networks())
 def test_max_flow_is_the_breadth_first_flow_on_general_networks(net):
+    assert network_violations(net) == []
     assert assert_breadth_first_flow(net).value == min_cut_by_enumeration(net)
 
 
@@ -262,14 +279,16 @@ def test_second_phase_reroutes_along_a_back_edge():
     f = assert_breadth_first_flow(net)
     assert f.value == unit(2)
     assert f.units == (0, ((("a", "q"), 1), (("b", "p"), 1)))
-    assert f.cut == {"source"}
+    assert tagged(f) == {"source"}
 
 
 def test_mask_edges_are_checked_against_the_sides():
-    # bit b of a row is names[b]; rows must list the left side, the set
-    # bits must be right nodes in the right side's order, names are unique
-    # within a side, terminal capacities name nodes of their side, and the
-    # middle capacity exceeds zero and every sink capacity
+    # the reference check of the one shape: bit b of a row is names[b];
+    # rows must list the left side, the set bits must be right nodes in the
+    # right side's order, names are unique within a side, terminal
+    # capacities name nodes of their side, and the middle capacity exceeds
+    # zero and every sink capacity. The engine checks none of this, so each
+    # broken network is built, and the check must report it
     names = ["u", "v", "w"]
     one = Dyadic(1, 0)
 
@@ -280,7 +299,9 @@ def test_mask_edges_are_checked_against_the_sides():
     ok = net(["a", "b"], {"a": 0b101, "b": 0b100}, ["u", "w"])
     assert list(ok.mid_caps) == [("a", "u"), ("a", "w"), ("b", "w")]
     assert len(ok.mid_caps) == 3 and ok.mid_caps["a", "w"] == WIDE
-    net(["a"], {"a": 1}, ["u"], sinks={"u": one}, cap=Dyadic(3, 1))
+    assert network_violations(ok) == []
+    assert network_violations(net(["a"], {"a": 1}, ["u"], sinks={"u": one},
+                                  cap=Dyadic(3, 1))) == []
     for left, rows, right, sources, sinks, cap in [
             (["a", "b"], {"b": 1, "a": 1}, ["u"], {}, {}, WIDE),
             (["a"], {"a": 0b010}, ["u", "w"], {}, {}, WIDE),
@@ -294,10 +315,12 @@ def test_mask_edges_are_checked_against_the_sides():
             (["a"], {"a": 1}, ["u", "w"], {}, {"w": WIDE}, WIDE),
             (["a"], {"a": 1}, ["u", "w"], {}, {"w": WIDE}, one),
             (["a"], {"a": 1}, ["u"], {}, {}, ZERO)]:
-        with pytest.raises(ValueError):
-            net(left, rows, right, sources, sinks, cap)
-    with pytest.raises(TypeError):
-        FlowNetwork(["a"], ["u"], {}, {("a", "u"): WIDE}, {})
+        broken = net(left, rows, right, sources, sinks, cap)
+        assert network_violations(broken), (left, rows, right, sources,
+                                            sinks, cap)
+    plain = FlowNetwork(["a"], ["u"], {}, {("a", "u"): WIDE}, {})
+    assert network_violations(plain) == [
+        "the middle edges are not MaskEdges rows"]
 
 
 def test_first_phase_source_and_sink_saturate_together():
@@ -311,7 +334,8 @@ def test_first_phase_source_and_sink_saturate_together():
                   {"p": unit(1), "q": unit(1)})
     f = assert_breadth_first_flow(net)
     assert f.units == (0, ((("a", "p"), 1), (("b", "q"), 1)))
-    assert f.cut == {"source", ("left", "c"), ("right", "p"), ("left", "a")}
+    assert tagged(f) == {"source", ("left", "c"), ("right", "p"),
+                         ("left", "a")}
 
 
 def test_no_three_edge_path_at_the_start():
@@ -323,7 +347,7 @@ def test_no_three_edge_path_at_the_start():
     f = assert_breadth_first_flow(net)
     assert f.value == ZERO
     assert f.units == (1, ())
-    assert f.cut == {"source", ("left", "a"), ("right", "p")}
+    assert tagged(f) == {"source", ("left", "a"), ("right", "p")}
 
 
 def decide_size_pair(seed):
@@ -356,23 +380,20 @@ def test_breadth_first_flow_at_decide_size(seed):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_the_cut_is_built_on_its_first_read(seed):
-    # decide-size order networks: the flow keeps the cut as masks, and the
-    # tagged set built from them on the first read is one frozenset,
-    # whether it is read before or after the units, and a minimum cut
+    # decide-size order networks: the flow keeps the cut as the last
+    # search's two masks, left and right. They give a minimum cut: its
+    # crossing capacity equals the value of a flow, so neither can be
+    # bettered. leq_witness reads the left mask alone, and its upper set is
+    # the upward closure of mu's points on the source side
     mu, nu = decide_size_pair(seed)
     net = order_network(mu, nu)
-    cut_first, units_first = max_flow(net), max_flow(net)
-    assert "cut" not in vars(cut_first)
-    cut = cut_first.cut
-    assert cut is cut_first.cut and isinstance(cut, frozenset)
-    units = units_first.units
-    assert cut_first.units == units and units_first.cut == cut
-    assert crossing_capacity(net, cut) == cut_first.value
-    # leq_witness reads the left mask alone: its upper set is the upward
-    # closure of mu's support on the source side, and it breaks mu <= nu
+    f = max_flow(net)
+    assert all(type(mask) is int for mask in f.cut) and len(f.cut) == 2
+    cut = tagged(f)
+    assert crossing_capacity(net, cut) == f.value
     witness = leq_witness(mu, nu)
     if seed % 2:
-        assert cut_first.value == mu.mass and witness is None
+        assert f.value == mu.mass and witness is None
         return
     blocked = [x for x in mu.support if ("left", x) in cut]
     assert witness.members == mu.base.upward_closure(blocked)

@@ -1,27 +1,30 @@
-"""The library's own builders skip the public constructors' checks.
+"""The library's own builders skip checks whose facts hold by construction.
 
-order_network, represent and the upper sets built from a closure mask
+represent and the upper sets built from a closure mask
 (enumerate_upper_sets, the order witness, the Portmanteau records and the
-sequence gate) make their objects through private constructors that check
-nothing, because each checked fact holds by construction. These
-properties re-run the public check on what those paths build. A failure
-raises from the public constructor or through pytest.fail, not from an
-assert statement, so the properties still test something under
-`python -O`.
+sequence gate) make their objects through private constructors that skip
+the public constructors' checks, because each checked fact holds by
+construction; these properties re-run the public check on what those
+paths build. A flow network has no public check at all: order_network is
+its one producer, and the flow engine trusts its fields. Its property
+runs the reference check, oracles.network_violations, on every network
+the decisions and the lift solve. A failure raises from a public
+constructor or goes through pytest.fail, not through an assert
+statement, so the properties still test something under `python -O`.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posetval import (FlowNetwork, RepresentationMap, SimpleValuation,
-                      UpperSet, flow, leq, leq_witness, portmanteau_check,
-                      represent, way_below)
+from posetval import (RepresentationMap, SimpleValuation, UpperSet, flow, leq,
+                      leq_witness, portmanteau_check, represent, way_below)
 from posetval.dyadic import Dyadic
 from posetval.skorohod import represent_target
 from posetval.valuation import order_network, portmanteau_witness
 
 from conftest import normalize, random_valuation, shuffled_poset
+from oracles import network_violations
 
 
 def pushed_up(rng, v, exp):
@@ -86,9 +89,9 @@ def test_order_networks_pass_the_public_check(rng):
     if len(nets) < 3:
         pytest.fail("only %d networks were solved" % len(nets))
     for net in nets:
-        # raises ValueError or TypeError on a network that breaks its shape
-        FlowNetwork(net.left, net.right, net.source_caps, net.mid_caps,
-                    net.sink_caps)
+        violations = network_violations(net)
+        if violations:
+            pytest.fail("%s: %s" % (net, "; ".join(violations)))
 
 
 @settings(max_examples=150, deadline=None)
