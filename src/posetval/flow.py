@@ -68,6 +68,34 @@ flow, cut and transport plan is the same:
 - A left node with no set bit left is a dead end, and the search moves on
   to the next x; once the first level is spent, the phase ends.
 The greedy pass walks exactly these steps, without building a path.
+
+A phase whose levels are four masks, paths source -> x -> y -> x2 -> y2
+-> sink, runs as a direct pass too: for each left node x of the first
+level in bit order, take the lowest y of (x's row & the second level), the
+lowest x2 of (y's back mask & the third level) and the lowest y2 of (x2's
+row & the last level), and push the least of the source, back and sink
+residuals. Each saturated edge then leaves its mask: the source edge takes
+x out of the first level (the pass goes on at the next x), the back edge
+takes x2 out of y's back mask, and the sink edge takes y2 out of the last
+level. Then the pass searches again from x's row. A node with no set bit
+left at its step is a dead end and clears its own bit from its level: y
+from the second, x2 from the third; an x with none is done. This makes
+the augmentations of the general search, in the same order and by the
+same amounts:
+- The general search takes the same four lowest-bit steps, augments by
+  the same least residual, and resumes at the tail of the first saturated
+  edge; at a dead end it clears the node's bit and steps back to the node
+  before it.
+- Within the phase no mask the pass reads gains a bit: augmenting sets x
+  in y's back mask, but x lies in the first level, not the third, and sets
+  x2 in y2's back mask, which the phase never reads, since y2 is in the
+  last level. Edges ahead of the first saturated one keep residual, and
+  their nodes stay in their levels.
+- So the search again from x's row finds the same y, x2 and y2 up to the
+  tail of the first saturated edge, and from there takes the step the
+  general search takes on resuming; after a dead end it takes the step
+  the general search takes on stepping back.
+The direct pass walks exactly these steps, without building a path.
 """
 
 from __future__ import annotations
@@ -155,11 +183,13 @@ class Flow:
     one for the right node names[b]. Its crossing capacity equals `value`.
     `units` is (p, (((x, y), k), ...)): the k units of 2^-p moved on each
     middle edge that carries flow, by left node, then right node, in
-    declaration order. It is the flow's one form: a transport plan travels
-    in it, and by conservation a left node's row sum is the flow on its
-    source edge, a right node's column sum the flow on its sink edge. It is
-    built on first use, since the decisions need only `value` and the cut,
-    and it is a tuple of tuples, so a flow shared between callers cannot be
+    declaration order. Every k is positive: the solve keeps a count only
+    for an edge that carries flow, since each of its passes deletes a count
+    that falls to 0. It is the flow's one form: a transport plan travels in
+    it, and by conservation a left node's row sum is the flow on its source
+    edge, a right node's column sum the flow on its sink edge. It is built
+    on first use, since the decisions need only `value` and the cut, and it
+    is a tuple of tuples, so a flow shared between callers cannot be
     changed through it. `net` is the network the flow was solved on.
     """
 
@@ -177,19 +207,19 @@ class Flow:
         # which raised peak RSS by about 1 MB per 6 000 Skorohod builds
         # (Python 3.11)
         return self._p, tuple([((left[k], names[b]), f)
-                               for (k, b), f in sorted(self._moved.items())
-                               if f])
+                               for (k, b), f in sorted(self._moved.items())])
 
 
-def _levels(source: int, sink: int, fwd: list, back: dict):
+def _levels(source: int, sink: int, fwd: list, back: list):
     """The levels of a breadth-first search from the source, one mask each.
 
-    source and sink mask the left and right nodes with terminal residual.
-    Returns (levels, seen): levels[i] is level i + 1, left nodes at even i
-    and right nodes at odd i, and the last level keeps only the right nodes
-    with sink residual. levels is None when the sink is out of reach; seen,
-    the masks of the left and right nodes reached, is then the source side
-    of a minimum cut.
+    source and sink mask the left and right nodes with terminal residual;
+    fwd[k] is left node k's row, back[b] right node b's mask of left nodes
+    whose edge to it carries flow. Returns (levels, seen): levels[i] is
+    level i + 1, left nodes at even i and right nodes at odd i, and the last
+    level keeps only the right nodes with sink residual. levels is None
+    when the sink is out of reach; seen, the masks of the left and right
+    nodes reached, is then the source side of a minimum cut.
     """
     levels, seen = [source], [source, 0]
     while levels[-1]:
@@ -212,13 +242,17 @@ def max_flow(net: FlowNetwork) -> Flow:
     """A maximum flow together with a minimum cut (integer Dinic on masks).
 
     Each phase levels the residual network into one mask per level, then
-    finds a blocking flow by a depth-first search on an explicit path that
-    steps to the lowest usable bit of the next level. After an augmentation
-    the search resumes at the tail of the first saturated edge, which is a
-    terminal or a back edge: middle edges never saturate. A phase of
-    three-edge paths, only ever the first, is a greedy pass over the left
-    level's bits and then each one's right bits instead. The augmenting
-    paths are the breadth-first ones (see the module docstring).
+    finds a blocking flow. A phase of three-edge paths, only ever the
+    first, is a greedy pass over the left level's bits and then each one's
+    right bits. A phase of five-edge paths is a direct pass of nested
+    lowest-bit steps over its four level masks, which searches again from
+    the left node's row after each augmentation. A deeper phase runs a
+    depth-first search on an explicit path that steps to the lowest usable
+    bit of the next level and, after an augmentation, resumes at the tail
+    of the first saturated edge, which is a terminal or a back edge: middle
+    edges never saturate. All three take the breadth-first augmenting
+    paths, in the same order and by the same amounts (see the module
+    docstring).
     """
     p = max((c.exp for c in (*net.source_caps.values(),
                              *net.sink_caps.values())), default=0)
@@ -229,19 +263,21 @@ def max_flow(net: FlowNetwork) -> Flow:
     sent = [0 if c is None else c.num << (p - c.exp)
             for c in map(net.source_caps.get, net.left)]
     columns = net.mid_caps.columns
-    back, drained = {}, {}
+    back = [0] * columns.bit_length()
+    drained = back[:]
+    snk = 0
     while columns:
         low = columns & -columns
         columns ^= low
         b = low.bit_length() - 1
         c = net.sink_caps.get(names[b])
-        back[b] = 0
-        drained[b] = 0 if c is None else c.num << (p - c.exp)
+        if c is not None and c.num:
+            drained[b] = c.num << (p - c.exp)
+            snk |= low
     # from here on, sent and drained hold the terminal residuals
     supply = sum(sent)
     moved = {}
     src = sum(1 << k for k, r in enumerate(sent) if r)
-    snk = sum(1 << b for b, r in drained.items() if r)
     while True:
         levels, seen = _levels(src, snk, fwd, back)
         if levels is None:
@@ -283,9 +319,63 @@ def max_flow(net: FlowNetwork) -> Flow:
                     break
                 sent[k] = s
             continue
-        path = []   # path[i] is at level i + 1: left at even i, right at odd
+        if top == 4:
+            # paths source -> x -> y -> x2 -> y2 -> sink, as a direct pass
+            # (see the module docstring)
+            ks, ys, xs, zs = levels
+            while ks:
+                xbit = ks & -ks
+                ks ^= xbit
+                k = xbit.bit_length() - 1
+                row = fwd[k]
+                s = sent[k]
+                while True:
+                    nxt = row & ys
+                    if not nxt:
+                        break                   # x is a dead end
+                    ybit = nxt & -nxt
+                    b = ybit.bit_length() - 1
+                    nxt = back[b] & xs
+                    if not nxt:
+                        ys ^= ybit              # y is a dead end
+                        continue
+                    x2bit = nxt & -nxt
+                    k2 = x2bit.bit_length() - 1
+                    nxt = fwd[k2] & zs
+                    if not nxt:
+                        xs ^= x2bit             # x2 is a dead end
+                        continue
+                    zbit = nxt & -nxt
+                    b2 = zbit.bit_length() - 1
+                    f = moved[k2, b]
+                    t = drained[b2]
+                    delta = s if s < f else f
+                    if t < delta:
+                        delta = t
+                    moved[k, b] = moved.get((k, b), 0) + delta
+                    back[b] |= xbit
+                    if f == delta:
+                        del moved[k2, b]
+                        back[b] ^= x2bit
+                    else:
+                        moved[k2, b] = f - delta
+                    moved[k2, b2] = moved.get((k2, b2), 0) + delta
+                    back[b2] |= x2bit
+                    drained[b2] = t - delta
+                    if t == delta:
+                        zs ^= zbit
+                        snk ^= zbit
+                    s -= delta
+                    if not s:
+                        src ^= xbit
+                        break
+                sent[k] = s
+            continue
+        # path[i] is at level i + 1: left at even i, right at odd; d nodes
+        # of it are live
+        path, d = [0] * top, 0
+        last = top - 1
         while True:
-            d = len(path)
             if d == top:
                 # one pass over the bounded edges in path order (the source
                 # edge, the back edges path[e - 1] -> path[e] at even e,
@@ -293,46 +383,53 @@ def max_flow(net: FlowNetwork) -> Flow:
                 # edge with it; the search resumes at that edge's tail,
                 # and a saturated sink edge leaves its right node a dead end
                 k = path[0]
-                delta, resume = sent[k], 0
+                delta, d = sent[k], 0
                 for e in range(2, top, 2):
                     f = moved[path[e], path[e - 1]]
                     if f < delta:
-                        delta, resume = f, e
-                b = path[-1]
-                if drained[b] < delta:
-                    delta, resume = drained[b], top - 1
+                        delta, d = f, e
+                z = path[last]
+                t = drained[z]
+                if t < delta:
+                    delta, d = t, last
                 sent[k] -= delta
                 if not sent[k]:
-                    levels[0] &= ~(1 << k)
-                    src &= ~(1 << k)
-                for e in range(1, top):
-                    if e & 1:       # forward along left k -> right b
-                        k, b = path[e - 1], path[e]
-                        moved[k, b] = moved.get((k, b), 0) + delta
-                        back[b] |= 1 << k
-                    else:           # back from right b, cancelling k -> b
-                        b, k = path[e - 1], path[e]
-                        f = moved[k, b] - delta
-                        if f:
-                            moved[k, b] = f
-                        else:
-                            del moved[k, b]
-                            back[b] &= ~(1 << k)
-                drained[b] -= delta
-                if not drained[b]:
-                    levels[-1] &= ~(1 << b)
-                    snk &= ~(1 << b)
-                del path[resume:]
+                    levels[0] ^= 1 << k
+                    src ^= 1 << k
+                # one step per forward edge path[e - 1] -> path[e] and the
+                # back edge path[e] -> path[e + 1] after it, which cancels
+                # flow on path[e + 1] -> path[e]
+                for e in range(1, last, 2):
+                    b, k = path[e], path[e - 1]
+                    moved[k, b] = moved.get((k, b), 0) + delta
+                    mask = back[b] | 1 << k
+                    k = path[e + 1]
+                    f = moved[k, b] - delta
+                    if f:
+                        moved[k, b] = f
+                    else:
+                        del moved[k, b]
+                        mask ^= 1 << k
+                    back[b] = mask
+                k = path[last - 1]
+                moved[k, z] = moved.get((k, z), 0) + delta
+                back[z] |= 1 << k
+                drained[z] = t - delta
+                if t == delta:
+                    levels[last] ^= 1 << z
+                    snk ^= 1 << z
                 continue
             if d:
-                u = path[-1]
+                u = path[d - 1]
                 nxt = (fwd[u] if d & 1 else back[u]) & levels[d]
             else:
                 nxt = levels[0]
             if nxt:
-                path.append((nxt & -nxt).bit_length() - 1)
+                path[d] = (nxt & -nxt).bit_length() - 1
+                d += 1
             elif d:
-                levels[d - 1] &= ~(1 << path.pop())  # dead end
+                d -= 1
+                levels[d] ^= 1 << path[d]       # dead end
             else:
                 break
 

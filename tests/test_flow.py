@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posetval import Dyadic, SimpleValuation, ZERO, leq_witness
+from posetval import Dyadic, SimpleValuation, ZERO, flow, leq_witness
 from posetval.flow import FlowNetwork, MaskEdges, max_flow, to_dot
 from posetval.valuation import order_network
 
@@ -15,6 +15,29 @@ from oracles import (max_flow_by_shortest_paths, min_cut_by_enumeration,
 
 # the middle capacity of the order network: above every sink capacity
 WIDE = Dyadic(2, 0)
+
+
+def unit(k):
+    return Dyadic(k, 0)
+
+
+levels_of = flow._levels
+
+
+@pytest.fixture
+def phase_levels(monkeypatch):
+    """The level counts of the phases max_flow runs, in order, as _levels
+    returns them; the last search, which finds no path, adds none."""
+    counts = []
+
+    def recording(*args):
+        levels, seen = levels_of(*args)
+        if levels is not None:
+            counts.append(len(levels))
+        return levels, seen
+
+    monkeypatch.setattr(flow, "_levels", recording)
+    return counts
 
 
 def network(left, right, source_caps, pairs, sink_caps, cap=WIDE):
@@ -272,7 +295,6 @@ def test_max_flow_is_the_breadth_first_flow_on_larger_decision_networks(rng):
 def test_second_phase_reroutes_along_a_back_edge():
     # the first phase sends a's unit to p and so drains p; the second sends
     # b's unit to p, back over a -> p, and on to q, cancelling a -> p
-    unit = lambda k: Dyadic(k, 0)
     net = network(["a", "b"], ["p", "q"], {"a": unit(1), "b": unit(1)},
                   [("a", "p"), ("a", "q"), ("b", "p")],
                   {"p": unit(1), "q": unit(1)})
@@ -327,7 +349,6 @@ def test_first_phase_source_and_sink_saturate_together():
     # a's unit fills p exactly, so b passes over the drained p to q, and c
     # finds no right node left; c's unspent supply then reaches p and, back
     # over a -> p, a, but not b, whose edge to p carries nothing
-    unit = lambda k: Dyadic(k, 0)
     net = network(["a", "b", "c"], ["p", "q"],
                   {"a": unit(1), "b": unit(1), "c": unit(1)},
                   [("a", "p"), ("b", "p"), ("b", "q"), ("c", "p")],
@@ -366,7 +387,10 @@ def decide_size_pair(seed):
     return mu, sparse_valuation(rng, base, 60, exp=8)
 
 
-@pytest.mark.parametrize("seed", range(4))
+DECIDE_SEEDS = range(24)
+
+
+@pytest.mark.parametrize("seed", DECIDE_SEEDS)
 def test_breadth_first_flow_at_decide_size(seed):
     # the first phase routes most of the mass, and later phases reroute it
     # along back edges
@@ -378,8 +402,17 @@ def test_breadth_first_flow_at_decide_size(seed):
     assert (f.value == mu.mass) == bool(seed % 2)
 
 
+def test_decide_size_seeds_run_every_kind_of_phase(phase_levels):
+    # between them, the seeds above run two-level phases (the greedy pass),
+    # four-level ones (the direct pass) and deeper ones (the general
+    # search), so each of the three is compared with the oracle there
+    for seed in DECIDE_SEEDS:
+        max_flow(order_network(*decide_size_pair(seed)))
+    assert {2, 4} <= set(phase_levels) and max(phase_levels) >= 6
+
+
 @pytest.mark.parametrize("seed", range(6))
-def test_the_cut_is_built_on_its_first_read(seed):
+def test_the_cut_masks_give_a_minimum_cut_and_the_witness(seed):
     # decide-size order networks: the flow keeps the cut as the last
     # search's two masks, left and right. They give a minimum cut: its
     # crossing capacity equals the value of a flow, so neither can be
@@ -398,3 +431,63 @@ def test_the_cut_is_built_on_its_first_read(seed):
     blocked = [x for x in mu.support if ("left", x) in cut]
     assert witness.members == mu.base.upward_closure(blocked)
     assert value_on(mu, witness.members) > value_on(nu, witness.members)
+
+
+# Networks whose second phase has four levels, paths source -> x -> y ->
+# x2 -> y2 -> sink. In each, the first phase sends every unit of a to p
+# and drains p, so that b reaches q only through p, back over a -> p, and
+# a.
+FOUR_LEVEL_PHASES = {
+    # b's last unit, the unit on a -> p and nothing of q's two: the source
+    # and back edges saturate together, and q keeps one unit
+    "source_and_back_tie": (
+        ["a", "b"], ["p", "q"], {"a": unit(1), "b": unit(1)},
+        [("a", "p"), ("a", "q"), ("b", "p")], {"p": unit(1), "q": unit(2)},
+        ((("a", "q"), 1), (("b", "p"), 1))),
+    # one of b's two units: the back and sink edges saturate together. The
+    # first phase also filled p from a3, which reaches q too, but q has
+    # left the last level, so a3 is a dead end, and b keeps its other unit
+    "back_and_sink_tie": (
+        ["a", "a3", "b"], ["p", "q"],
+        {"a": unit(1), "a3": unit(1), "b": unit(2)},
+        [("a", "p"), ("a", "q"), ("a3", "p"), ("a3", "q"), ("b", "p")],
+        {"p": unit(2), "q": unit(1)},
+        ((("a", "q"), 1), (("a3", "p"), 1), (("b", "p"), 1))),
+    # one unit on every bounded edge: all three saturate together
+    "source_back_and_sink_tie": (
+        ["a", "b"], ["p", "q"], {"a": unit(1), "b": unit(1)},
+        [("a", "p"), ("a", "q"), ("b", "p")], {"p": unit(1), "q": unit(1)},
+        ((("a", "q"), 1), (("b", "p"), 1))),
+    # c has supply but no middle edge: the step to level 2 finds nothing,
+    # and c, a dead end, leaves level 1
+    "dead_end_at_level_2": (
+        ["c", "a", "b"], ["p", "q"], {"c": unit(1), "a": unit(1),
+                                      "b": unit(1)},
+        [("a", "p"), ("a", "q"), ("b", "p")], {"p": unit(1), "q": unit(1)},
+        ((("a", "q"), 1), (("b", "p"), 1))),
+    # z takes nothing and carries nothing, so the step from it to level 3
+    # finds nothing: z leaves level 2, and b goes on to p
+    "dead_end_at_level_3": (
+        ["a", "b"], ["z", "p", "q"], {"a": unit(1), "b": unit(1)},
+        [("a", "p"), ("a", "q"), ("b", "z"), ("b", "p")],
+        {"z": ZERO, "p": unit(1), "q": unit(1)},
+        ((("a", "q"), 1), (("b", "p"), 1))),
+    # the first phase fills p from a2 and a; a2 reaches only p, so the step
+    # from it to level 4 finds nothing: a2 leaves level 3, and the path
+    # runs back over a -> p instead
+    "dead_end_at_level_4": (
+        ["a2", "a", "b"], ["p", "q"], {"a2": unit(1), "a": unit(1),
+                                       "b": unit(1)},
+        [("a2", "p"), ("a", "p"), ("a", "q"), ("b", "p")],
+        {"p": unit(2), "q": unit(1)},
+        ((("a2", "p"), 1), (("a", "q"), 1), (("b", "p"), 1))),
+}
+
+
+@pytest.mark.parametrize("case", FOUR_LEVEL_PHASES)
+def test_four_level_phase_ties_and_dead_ends(case, phase_levels):
+    left, right, sources, pairs, sinks, across = FOUR_LEVEL_PHASES[case]
+    net = network(left, right, sources, pairs, sinks)
+    f = assert_breadth_first_flow(net)
+    assert phase_levels == [2, 4]
+    assert f.units == (0, across)
