@@ -202,12 +202,17 @@ class Flow:
 
     @cached_property
     def units(self) -> tuple:
+        """The flow's units, by left node, then right node: the keys
+        (k, b) of `moved` are unique, so sorting the keys alone gives the
+        order sorting its items would, without comparing (key, count)
+        pairs."""
         left, names = self.net.left, self.net.mid_caps.names
+        moved = self._moved
         # from a list: tuple() grows a generator's tuple by resizing it,
         # which raised peak RSS by about 1 MB per 6 000 Skorohod builds
         # (Python 3.11)
-        return self._p, tuple([((left[k], names[b]), f)
-                               for (k, b), f in sorted(self._moved.items())])
+        return self._p, tuple([((left[k], names[b]), moved[k, b])
+                               for k, b in sorted(moved)])
 
 
 def _levels(source: int, sink: int, fwd: list, back: list):

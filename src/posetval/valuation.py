@@ -64,7 +64,10 @@ class SimpleValuation:
     Zero-weight entries are dropped, so equal valuations have equal weight
     maps, kept in element declaration order. Construction walks the given
     weights only, not the poset, and sums the mass as integer numerators
-    at the largest exponent. Instances are immutable by convention.
+    at the largest exponent. It keeps both: `_top` is the largest weight
+    exponent (0 with no weights) and `_total` the mass numerator at it, so
+    max_exponent() and is_probability() read them instead of walking the
+    weights or building a Dyadic. Instances are immutable by convention.
     """
 
     def __init__(self, base: Poset, weights: dict):
@@ -83,7 +86,7 @@ class SimpleValuation:
         mass = Dyadic(total, top)
         if total > 1 << top:
             raise MassExceeded("total mass %s exceeds 1" % mass)
-        self.mass = mass
+        self.mass, self._top, self._total = mass, top, total
 
     @property
     def support(self):
@@ -95,10 +98,10 @@ class SimpleValuation:
         return self.weights.get(x, ZERO)
 
     def is_probability(self) -> bool:
-        return self.mass == ONE
+        return self._total == 1 << self._top
 
     def max_exponent(self) -> int:
-        return max((w.exp for w in self.weights.values()), default=0)
+        return self._top
 
     def evaluate(self, upper: UpperSet) -> Dyadic:
         """Mass inside an upper set of the same base poset."""

@@ -1,5 +1,7 @@
 import random
 import sys
+import tracemalloc
+from itertools import cycle
 
 import pytest
 from hypothesis import given, settings
@@ -476,6 +478,77 @@ def test_sample_reads_the_word_the_bits_spell(rng):
     with pytest.raises(SourceExhausted,
                        match="^bit source ended after %d bits$" % short):
         sample(rmap, iter([1] * short))
+
+
+def test_sample_reads_each_bit_as_its_truth_value(m4):
+    # a draw tests each bit for truth, as `if bit` does, so any object is
+    # a bit and draws as bool(bit) would
+    rmap = represent(build_schedule(half_half(m4), 1))
+    truthy, falsy = (2, "x", True), (None, "", [], False)
+    for bit in truthy + falsy:
+        assert sample(rmap, iter([bit])) == sample(rmap, iter([bool(bit)]))
+    rng = random.Random(35)
+    for _ in range(20):
+        base = random_poset(rng, max_elements=8)
+        target = random_valuation(rng, base, exp=rng.randint(0, 5),
+                                  probability=True)
+        rmap = represent(build_schedule(target, rng.randint(1, 4)))
+        bits = [rng.randrange(2) for _ in range(rmap.final_depth)]
+        source = [rng.choice(truthy if b else falsy) for b in bits]
+        word = Word("".join(map(str, bits)))
+        assert sample(rmap, source) == rmap.evaluate(word)[1]
+
+
+def runs_map(m4, rng, depth, cuts):
+    """bot, then a depth-level layer whose runs end at the sorted cuts and
+    at 2^depth, each run on a random element above bot."""
+    ends = cuts + [1 << depth]
+    values = [rng.choice(["a", "b", "top"]) for _ in ends]
+    return RepresentationMap(m4, [StepMap(0, {"": "bot"}),
+                                  StepMap(depth, ends=ends, values=values)])
+
+
+@pytest.mark.parametrize("depth", [65, 300])
+def test_sample_draws_from_maps_deeper_than_the_parser_reads(m4, depth):
+    # the public constructor bounds no depth, so neither may a draw: its
+    # place values are made for any depth, not read off a fixed table
+    rng = random.Random(depth)
+    cuts = sorted({rng.getrandbits(depth) for _ in range(6)} - {0})
+    rmap = runs_map(m4, rng, depth, cuts)
+    numbers = [0, (1 << depth) - 1] + [c + k for c in cuts for k in (-1, 0)]
+    numbers += [rng.getrandbits(depth) for _ in range(20)]
+    for i in numbers:
+        extra = [rng.randrange(2) for _ in range(3)]
+        bits = [int(b) for b in format(i, "0%db" % depth)] + extra
+        source = iter(bits)
+        word = Word("".join(map(str, bits)))
+        assert sample(rmap, source) == rmap.evaluate(word)[1]
+        assert list(source) == extra        # exactly depth bits were drawn
+    for short in (0, 64, depth - 1):
+        with pytest.raises(SourceExhausted,
+                           match="^bit source ended after %d bits$" % short):
+            sample(rmap, iter([1] * short))
+
+
+def test_draws_keep_no_memory(m4):
+    # a draw's buffer is freed with it: 20 000 draws from one source leave
+    # the traced size where it was. A tuple buffer fails this: tuple()
+    # grows its result by resizing, and the resized tuples pile up on
+    # CPython's free lists
+    rng = random.Random(36)
+    rmap = runs_map(m4, rng, 12, sorted(rng.sample(range(1, 1 << 12), 40)))
+    source = cycle([rng.randrange(2) for _ in range(4099)])
+    for _ in range(10):
+        sample(rmap, source)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(20000):
+            sample(rmap, source)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 64 * 1024, grown
 
 
 def test_sampling_exhaustive_exactness(m4):

@@ -1,4 +1,6 @@
+import copy
 import gc
+import pickle
 import random
 import time
 import tracemalloc
@@ -870,3 +872,19 @@ def test_construction_matches_the_walk_over_every_element(seed):
     for w in (ZERO, Dyadic(1, 3)):
         with pytest.raises(UnknownElement):
             SimpleValuation(base, {**weights, stranger: w})
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_kept_exponent_and_mass_agree_with_the_weights(rng):
+    # max_exponent and is_probability read what construction kept; they
+    # must say what the weights say, on the empty valuation, on masses
+    # below 1, and on copies and pickles too
+    base = random_poset(rng, max_elements=8)
+    v = (SimpleValuation(base, {}) if rng.random() < 0.2 else
+         random_valuation(rng, base, exp=rng.randint(0, 6),
+                          probability=rng.random() < 0.5))
+    for u in (v, copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
+        assert u.max_exponent() == max(
+            (w.exp for w in u.weights.values()), default=0)
+        assert u.is_probability() == (u.mass == ONE)
