@@ -99,7 +99,7 @@ def embed(w: Word, n: int) -> Word:
     return Word(w.bits + "0" * (n - len(w.bits)), w.truncated)
 
 
-def _bits(i: int, depth: int) -> str:
+def _word_bits(i: int, depth: int) -> str:
     """Word number i of the depth-level, as a bit string."""
     return format(i, "0%db" % depth) if depth else ""
 
@@ -113,12 +113,9 @@ def _level_bits(depth: int):
 
 
 def word_to_unit(w: Word) -> Dyadic:
-    """Binary-expansion value: sum of bit_i / 2^(i+1)."""
-    total = ZERO
-    for i, b in enumerate(w.bits):
-        if b == "1":
-            total = total + Dyadic(1, i + 1)
-    return total
+    """Binary-expansion value: sum of bit_i / 2^(i+1), the word's number
+    over 2^len."""
+    return Dyadic(int(w.bits or "0", 2), len(w.bits))
 
 
 def _word_number(r: Dyadic, n: int) -> int:
@@ -143,7 +140,7 @@ def unit_to_word(r: Dyadic, n: int) -> Word:
     """
     if n < 0:
         raise ValueError("depth must be nonnegative, not %d" % n)
-    return Word(_bits(_word_number(r, n), n), truncated=True)
+    return Word(_word_bits(_word_number(r, n), n), truncated=True)
 
 
 @dataclass(init=False)

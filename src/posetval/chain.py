@@ -57,22 +57,47 @@ def cdf(v: SimpleValuation) -> Cdf:
     running = ZERO
     values = {}
     for x in _ascending(v.base):
-        running = running + v.weight(x)
+        running = running + v.weights.get(x, ZERO)
         values[x] = running
     return Cdf(v.base, values)
+
+
+def _check_breakpoint(base: Poset, last, threshold: Dyadic, element,
+                      lineno=None):
+    """Refuse the breakpoint (threshold, element) after last, the one
+    before it (None for the first): ParseError for a threshold above 1,
+    UnknownElement for an element outside the chain, and ParseError when
+    the threshold or the element does not ascend strictly past last's,
+    along the chain. Each refusal names lineno when it is given."""
+    if ONE < threshold:
+        raise ParseError("threshold %s exceeds 1" % threshold, lineno)
+    if lineno is None:
+        base._check(element)
+    else:
+        known(element, base, lineno)
+    # on a chain, an element not below last's lies strictly above it
+    if last is not None and (not last[0] < threshold
+                             or base.leq(element, last[1])):
+        raise ParseError("breakpoints must ascend strictly", lineno)
 
 
 class QuantileMap(StepMap):
     """Step function [0, total] -> chain, the lower adjoint of a CDF.
 
     breakpoints are (threshold, element) pairs with strictly ascending
-    thresholds and strictly ascending elements; the map sends r in
-    (threshold[i-1], threshold[i]] to element[i], and r = 0 to the chain's
-    least element. Above the last threshold the map is undefined (the
-    generating valuation had mass below r).
+    thresholds, at most 1, and strictly ascending elements of the chain;
+    the map sends r in (threshold[i-1], threshold[i]] to element[i], and
+    r = 0 to the chain's least element. Above the last threshold the map
+    is undefined (the generating valuation had mass below r). The
+    constructor refuses a base that is not a chain (NotAChain) and
+    breakpoints that parse_quantile would refuse, with its errors, naming
+    no line.
     """
 
     def __init__(self, base: Poset, breakpoints):
+        _require_chain(base)
+        for last, (t, x) in zip([None, *breakpoints], breakpoints):
+            _check_breakpoint(base, last, t, x)
         self.base = base
         depth = max((t.exp for t, _ in breakpoints), default=0)
         super().__init__(depth,
@@ -129,7 +154,6 @@ def quantile_leq(g: QuantileMap, h: QuantileMap) -> bool:
 def parse_quantile(text: str, base: Poset) -> QuantileMap:
     """Parse "break <dyadic> <element>" lines, ascending, thresholds <= 1."""
     _require_chain(base)
-    rank = {x: i for i, x in enumerate(_ascending(base))}
     breakpoints = []
     for lineno, _, parts in read_lines(text):
         if len(parts) != 3 or parts[0] != "break":
@@ -138,14 +162,9 @@ def parse_quantile(text: str, base: Poset) -> QuantileMap:
             threshold = parse_dyadic(parts[1])
         except ParseError:
             raise ParseError("bad threshold %r" % parts[1], lineno)
-        if ONE < threshold:
-            raise ParseError("threshold %s exceeds 1" % threshold, lineno)
-        element = known(parts[2], base, lineno)
-        if breakpoints:
-            t0, e0 = breakpoints[-1]
-            if not (t0 < threshold and rank[e0] < rank[element]):
-                raise ParseError("breakpoints must ascend strictly", lineno)
-        breakpoints.append((threshold, element))
+        _check_breakpoint(base, breakpoints[-1] if breakpoints else None,
+                          threshold, parts[2], lineno)
+        breakpoints.append((threshold, parts[2]))
     return QuantileMap(base, breakpoints)
 
 

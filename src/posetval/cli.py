@@ -69,7 +69,7 @@ def _bool(b: bool) -> str:
     return "true" if b else "false"
 
 
-def _bits(seed: int):
+def _bit_source(seed: int):
     rng = random.Random(seed)
     while True:
         yield rng.randrange(2)
@@ -143,7 +143,7 @@ def _draws(rmap, seed: int, count: int):
     """The text of count draws from rmap, a batch at a time so that memory
     stays flat however many there are, then one tally line per element
     drawn; no draws, no text."""
-    bits = _bits(seed)
+    bits = _bit_source(seed)
     tally = dict.fromkeys(rmap.base.elements, 0)
     while count:
         batch = [draw_sample(rmap, bits)

@@ -100,7 +100,6 @@ The direct pass walks exactly these steps, without building a path.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -112,16 +111,14 @@ SOURCE = "source"
 SINK = "sink"
 
 
-class MaskEdges(Mapping):
+class MaskEdges:
     """Middle edges of one capacity, given as one bitmask row per left node.
 
     Bit b of rows[x] is the edge (x, names[b]); rows lists the left side in
     order, and set bits must ascend in the right side's declaration order.
     `columns`, the OR of the rows, masks every right node an edge reaches;
-    it is taken once, here, for every solve.
-    Read as a mapping (x, y) -> cap, the edges come in left order, then by
-    ascending bit; the dict is built on the first lookup or iteration, and
-    len counts bits.
+    it is taken once, here, for every solve. len counts the edges, the set
+    bits of the rows.
     """
 
     def __init__(self, rows: dict, names, cap: Dyadic):
@@ -133,21 +130,6 @@ class MaskEdges(Mapping):
 
     def __len__(self):
         return sum(row.bit_count() for row in self.rows.values())
-
-    def __iter__(self):
-        return iter(self._edges)
-
-    def __getitem__(self, key):
-        return self._edges[key]
-
-    def __repr__(self):
-        return "MaskEdges(%r)" % (self._edges,)
-
-    @cached_property
-    def _edges(self) -> dict:
-        names, cap = self.names, self.cap
-        return {(x, names[b]): cap for x, row in self.rows.items()
-                for b in _bits(row)}
 
 
 @dataclass
@@ -446,7 +428,8 @@ def to_dot(flow: Flow) -> str:
 
     The flow on an edge is read off `units`: the edge's own units in the
     middle, a row sum on a source edge, a column sum on a sink edge. An
-    edge that carries nothing shows its capacity alone.
+    edge that carries nothing shows its capacity alone. The middle edges
+    are read off the rows: by left node, then by ascending bit.
     """
     net = flow.net
     p, units = flow.units
@@ -463,9 +446,12 @@ def to_dot(flow: Flow) -> str:
     for x, c in net.source_caps.items():
         statements.append(statement(SOURCE, "L_%s" % x,
                                     label=label(c, rows.get(x))))
-    for (x, y), c in net.mid_caps.items():
-        statements.append(statement("L_%s" % x, "R_%s" % y,
-                                    label=label(c, across.get((x, y)))))
+    names, cap = net.mid_caps.names, net.mid_caps.cap
+    for x, row in net.mid_caps.rows.items():
+        for b in _bits(row):
+            y = names[b]
+            statements.append(statement("L_%s" % x, "R_%s" % y,
+                                        label=label(cap, across.get((x, y)))))
     for y, c in net.sink_caps.items():
         statements.append(statement("R_%s" % y, SINK,
                                     label=label(c, cols.get(y))))

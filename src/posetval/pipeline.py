@@ -67,10 +67,12 @@ class SkorohodWitness:
     def law_on_grid(self) -> SimpleValuation:
         """The driver's law over the defined grid points, on the target's
         poset; equals the target exactly. Grid point (i + 1)/2^d lands on
-        word i, so this is the map's law without the fresh bottom."""
-        law = self.rmap.law()
+        word i, so this is the final layer's run-length count without the
+        fresh bottom, over 2^precision."""
+        d = self.precision
         return SimpleValuation(self.target.base,
-                               {x: w for x, w in law.weights.items()
+                               {x: Dyadic(c, d) for x, c
+                                in self.rmap.layers[-1].counts().items()
                                 if x != self.fresh_bottom})
 
 
@@ -154,17 +156,16 @@ def _settling(maps, limit_map: RepresentationMap) -> StepMap:
     (the maps need not be ordered among themselves). Every map is constant
     on each of the merged runs of the final layers (cantor._segments), so
     the fields (limit_value, maximal, geq_from, equal_from, ok) are settled
-    once per segment, and the result's runs are the segments. A
-    final-layer value outside the poset raises UnknownElement, the limit
-    map's first. The order is read off up-set masks: a limit value is
-    maximal iff its up-set is itself alone.
+    once per segment, and the result's runs are the segments. The order
+    is read off up-set masks: a limit value is maximal iff its up-set is
+    itself alone. Every value is an element of the poset, since every map
+    comes from represent or from the public constructor, which checks
+    each layer's values.
     """
     base = limit_map.base
     index, up = base.index, base._up_mask
-    finals = [m.layers[-1] for m in [limit_map, *maps]]
-    for layer in finals:
-        base._check(*layer.values)
-    top, ends, columns = _segments(finals)
+    top, ends, columns = _segments([m.layers[-1]
+                                    for m in [limit_map, *maps]])
     fields = []
     for lv, *values in columns:
         k = index[lv]

@@ -24,7 +24,7 @@ from __future__ import annotations
 from functools import cache
 from itertools import compress, islice
 
-from .cantor import StepMap, Word, _bits
+from .cantor import StepMap, Word, _word_bits
 from .dyadic import MAX_PARSED_EXPONENT, Dyadic
 from .errors import (DepthExceeded, NotComparable, NotProbability,
                      ParseError, SourceExhausted, TooLarge)
@@ -155,7 +155,7 @@ def _lift(current: StepMap, law: SimpleValuation,
         while need:
             if not deal:
                 raise AssertionError("slot without budget at %r"
-                                     % _bits(pos, depth))
+                                     % _word_bits(pos, depth))
             entry = deal[-1]
             y, take = entry
             if take <= need:
@@ -197,13 +197,15 @@ class RepresentationMap:
     layer's counting pushforward is the represented valuation.
 
     The public constructor, and parse_map through it, checks that every
-    layer is total and that each layer lies above the one before on every
+    layer is total, that its values are elements of base (UnknownElement
+    otherwise), and that each layer lies above the one before on every
     word (first_disagreement). represent builds its map through _built,
-    which checks neither: each of its layers is total and one level deeper
-    than the last by construction of the lift, and every unit the lift
-    deals moves from x up to some y >= x, which _check_units has checked
-    on the plan, so each word's value lies above its prefix's. A property
-    test re-runs the public check on the maps represent builds.
+    which checks none of this: each of its layers is total and one level
+    deeper than the last by construction of the lift, its values are
+    points of a stage's support, and every unit the lift deals moves from
+    x up to some y >= x, which _check_units has checked on the plan, so
+    each word's value lies above its prefix's. A property test re-runs the
+    public check on the maps represent builds.
     """
 
     def __init__(self, base: Poset, layers):
@@ -218,13 +220,14 @@ class RepresentationMap:
                     or any(lo >= hi for lo, hi in zip([0] + ends, ends))):
                 raise ValueError("layer at depth %d is not total"
                                  % layer.depth)
+            base._check(*layer.values)
         for a, b in zip(self.layers, self.layers[1:]):
             if not a.depth < b.depth:
                 raise ValueError("layer depths must increase strictly")
             i = a.first_disagreement(b, base)
             if i is not None:
                 raise NotComparable("layers disagree above word %r"
-                                    % _bits(i, b.depth))
+                                    % _word_bits(i, b.depth))
 
     @classmethod
     def _built(cls, base: Poset, layers: list) -> "RepresentationMap":

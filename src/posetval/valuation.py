@@ -331,7 +331,8 @@ def way_below(mu: SimpleValuation, nu: SimpleValuation,
     nonempty S in mu's support. Both sides are multiples of 2^-p, so a
     strict gap is at least 2^-p >= eps * |S| for eps = 2^-(p +
     ceil(log2 |supp mu|)): the condition holds iff the order network still
-    saturates with every source capacity raised by eps. Normalized mode
+    saturates with every source capacity raised by eps, so that the flow
+    carries mu's mass and eps more per point of its support. Normalized mode
     first drops mu's bottom mass, which only the whole poset holds; that
     set then fails only if mu misses the bottom, and then so does up(supp
     mu), which has all of mu's mass. A bottom point mass charges nothing.
@@ -353,7 +354,7 @@ def way_below(mu: SimpleValuation, nu: SimpleValuation,
     caps = net.source_caps  # the network's own copy of mu's weights
     for x, c in caps.items():
         caps[x] = c + eps
-    return flowmod.max_flow(net).value == sum(caps.values(), ZERO)
+    return flowmod.max_flow(net).value == mu.mass + Dyadic(len(caps), eps.exp)
 
 
 def integrate_monotone(f: dict, v: SimpleValuation) -> Dyadic:
@@ -445,7 +446,8 @@ class PortmanteauReport:
     upper set with that trace; the records ascend by up(V)'s bitmask, so
     the witness, the first failing record, is also the first failing upper
     set of the whole poset in ascending bitmask order. base is the poset
-    the valuations live on.
+    the valuations live on. A record is found by its trace: up(V) & support
+    is V again, since V is upward closed within the support.
     """
 
     records: list
@@ -453,18 +455,18 @@ class PortmanteauReport:
     witness: UpperSet | None
     support: frozenset
     base: Poset
-    _by_upper: dict = field(init=False, repr=False, compare=False)
+    _by_trace: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self._by_upper = {r.upper.members: r for r in self.records}
+        self._by_trace = {r.upper.members & self.support: r
+                          for r in self.records}
 
     def record_for(self, upper: UpperSet) -> PortmanteauRecord:
         """The record of upper's trace, whose flags are upper's own; upper
         must be an upper set of the report's poset."""
         if upper.base is not self.base:
             raise MixedBase("upper set belongs to a different poset")
-        return self._by_upper[
-            upper.base.upward_closure(upper.members & self.support)]
+        return self._by_trace[upper.members & self.support]
 
 
 def _approaches(values, limit) -> bool:

@@ -79,6 +79,14 @@ def leq_oracle(mu: SimpleValuation, nu: SimpleValuation) -> bool:
                for u in upper_sets_by_masks(mu.base))
 
 
+def middle_edges(net: FlowNetwork) -> dict:
+    """A network's middle edges as (x, y) -> capacity, read bit by bit off
+    its MaskEdges rows: by left node, then by ascending bit."""
+    mid = net.mid_caps
+    return {(x, mid.names[b]): mid.cap for x, row in mid.rows.items()
+            for b in range(row.bit_length()) if row >> b & 1}
+
+
 def network_violations(net: FlowNetwork) -> list:
     """Each way the network breaks the one shape the flow engine trusts,
     as a message; empty for a network of that shape.
@@ -131,7 +139,7 @@ def min_cut_by_enumeration(net: FlowNetwork) -> Dyadic:
             for x, c in net.source_caps.items():
                 if ("left", x) not in side:
                     value = value + c
-            for (x, y), c in net.mid_caps.items():
+            for (x, y), c in middle_edges(net).items():
                 if ("left", x) in side and ("right", y) not in side:
                     value = value + c
             for y, c in net.sink_caps.items():
@@ -153,7 +161,7 @@ def max_flow_by_shortest_paths(net: FlowNetwork) -> dict:
     res = {v: dict.fromkeys(nodes, ZERO) for v in nodes}
     for x, c in net.source_caps.items():
         res["source"][("left", x)] = c
-    for (x, y), c in net.mid_caps.items():
+    for (x, y), c in middle_edges(net).items():
         res[("left", x)][("right", y)] = c
     for y, c in net.sink_caps.items():
         res[("right", y)]["sink"] = c
@@ -188,7 +196,7 @@ def max_flow_by_shortest_paths(net: FlowNetwork) -> dict:
             "cut": frozenset(parent),
             "from_source": from_source,
             "across": moved(((x, y), (("left", x), ("right", y)))
-                            for x, y in net.mid_caps),
+                            for x, y in middle_edges(net)),
             "to_sink": moved((y, (("right", y), "sink")) for y in net.right)}
 
 

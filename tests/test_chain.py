@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 from posetval import (Dyadic, ONE, Poset, QuantileMap, SimpleValuation, ZERO,
                       cdf, delta, leq, lower_adjoint, pushforward_lebesgue,
                       quantile_leq, scale)
-from posetval.chain import _ascending, format_quantile, parse_quantile
-from posetval.errors import (NotAChain, OutOfRange, PartialQuantile,
-                             UnknownElement, Unreachable)
+from posetval.chain import (Cdf, _ascending, format_quantile,
+                            parse_quantile)
+from posetval.errors import (Error, NotAChain, OutOfRange, ParseError,
+                             PartialQuantile, UnknownElement, Unreachable)
 
 from conftest import make_chain, random_valuation
 from oracles import quantile_leq_by_thresholds
@@ -262,3 +263,72 @@ def test_quantile_text_round_trip(c3):
     text = format_quantile(g)
     assert text.splitlines()[0] == "break 1/2^2 c0"
     assert parse_quantile(text, c3).breakpoints == g.breakpoints
+
+
+EIGHTH = Dyadic(1, 3)
+
+
+@pytest.mark.parametrize("breakpoints, kind, message", [
+    # elements that descend along the chain, thresholds that ascend
+    ([(QUARTER, "c2"), (ONE, "c0")], ParseError,
+     "breakpoints must ascend strictly"),
+    ([(QUARTER, "c1"), (HALF, "c1")], ParseError,
+     "breakpoints must ascend strictly"),
+    ([(HALF, "c0"), (QUARTER, "c1")], ParseError,
+     "breakpoints must ascend strictly"),
+    ([(HALF, "c0"), (HALF, "c1")], ParseError,
+     "breakpoints must ascend strictly"),
+    ([(EIGHTH, "c0"), (Dyadic(3, 1), "c2")], ParseError,
+     "threshold 3/2^1 exceeds 1"),
+    ([(EIGHTH, "c0"), (ONE, "zz")], UnknownElement,
+     "'zz' is not an element")])
+def test_quantile_map_refuses_what_the_parser_refuses(c3, breakpoints, kind,
+                                                      message):
+    # the constructor and parse_quantile share one rule; the constructor's
+    # refusals name no line
+    with pytest.raises(Error) as caught:
+        QuantileMap(c3, breakpoints)
+    assert type(caught.value) is kind and str(caught.value) == message
+    text = "".join("break %s %s\n" % bp for bp in breakpoints)
+    with pytest.raises(Error) as parsed:
+        parse_quantile(text, c3)
+    assert type(parsed.value) is kind
+    assert str(parsed.value).startswith("line %d: " % len(breakpoints))
+
+
+def test_quantile_map_refuses_a_base_that_is_not_a_chain(m4):
+    for make in (lambda: QuantileMap(m4, [(ONE, "top")]),
+                 lambda: QuantileMap(m4, []),
+                 lambda: lower_adjoint(Cdf(m4, {"bot": ZERO, "a": HALF,
+                                                "b": HALF, "top": ONE}))):
+        with pytest.raises(NotAChain, match="poset is not totally ordered"):
+            make()
+
+
+def shuffled_chain(rng, n):
+    names = ["c%d" % i for i in range(n)]
+    return Poset(rng.sample(names, n), list(zip(names, names[1:])), "c0")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(1, 8),
+       st.booleans())
+def test_valid_quantile_maps_are_still_made(rng, n, probability):
+    # on valid input the check refuses nothing: the quantile map of every
+    # valuation on a chain declared out of order has the cumulative
+    # breakpoints, its text parses back to it, and its law is the
+    # valuation
+    chain = shuffled_chain(rng, n)
+    v = random_valuation(rng, chain, exp=rng.randint(0, 4),
+                         probability=probability)
+    g = lower_adjoint(cdf(v))
+    running, want = ZERO, []
+    for x in ["c%d" % i for i in range(n)]:
+        if x in v.weights:
+            running = running + v.weights[x]
+            want.append((running, x))
+    assert g.breakpoints == want
+    assert QuantileMap(chain, want).breakpoints == want
+    assert parse_quantile(format_quantile(g), chain).breakpoints == want
+    if probability:
+        assert pushforward_lebesgue(g) == v

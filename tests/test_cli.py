@@ -151,6 +151,49 @@ def test_order_dot_bytes_on_the_diamond(files, tmp_path):
 """
 
 
+@pytest.mark.parametrize("nu_text, code, statements", [
+    ("top 1/2^1\nb 1/2^2\n", 0, [
+        '"source" -> "L_bot" [label="1/2^3 of 1/2^3"];',
+        '"source" -> "L_a" [label="1/2^2 of 1/2^2"];',
+        '"source" -> "L_b" [label="1/2^3 of 1/2^3"];',
+        '"source" -> "L_top" [label="1/2^2 of 1/2^2"];',
+        '"L_bot" -> "R_b" [label="1/2^3 of 2"];',
+        '"L_bot" -> "R_top" [label="2"];',
+        '"L_a" -> "R_top" [label="1/2^2 of 2"];',
+        '"L_b" -> "R_b" [label="1/2^3 of 2"];',
+        '"L_b" -> "R_top" [label="2"];',
+        '"L_top" -> "R_top" [label="1/2^2 of 2"];',
+        '"R_b" -> "sink" [label="1/2^2 of 1/2^2"];',
+        '"R_top" -> "sink" [label="1/2^1 of 1/2^1"];']),
+    ("top 1/2^1\nbot 1/2^2\n", 1, [
+        '"source" -> "L_bot" [label="1/2^3 of 1/2^3"];',
+        '"source" -> "L_a" [label="1/2^2 of 1/2^2"];',
+        '"source" -> "L_b" [label="1/2^3 of 1/2^3"];',
+        '"source" -> "L_top" [label="1/2^3 of 1/2^2"];',
+        '"L_bot" -> "R_bot" [label="1/2^3 of 2"];',
+        '"L_bot" -> "R_top" [label="2"];',
+        '"L_a" -> "R_top" [label="1/2^2 of 2"];',
+        '"L_b" -> "R_top" [label="1/2^3 of 2"];',
+        '"L_top" -> "R_top" [label="1/2^3 of 2"];',
+        '"R_bot" -> "sink" [label="1/2^3 of 1/2^2"];',
+        '"R_top" -> "sink" [label="1/2^1 of 1/2^1"];'])])
+def test_order_dot_bytes_with_weights_listed_out_of_order(
+        files, tmp_path, nu_text, code, statements):
+    # the valuation files list their points against the declaration order,
+    # and every side of the network follows the declaration order
+    mu = tmp_path / "shuffled_mu.val"
+    nu = tmp_path / "shuffled_nu.val"
+    mu.write_text("top 1/2^2\nb 1/2^3\na 1/2^2\nbot 1/2^3\n")
+    nu.write_text(nu_text)
+    dot = tmp_path / "flow.dot"
+    assert run(["order", "--poset", files["m4.poset"], "--mu", str(mu),
+                "--nu", str(nu), "--dot", str(dot)])[0] == code
+    lines = dot.read_text().split("\n")
+    assert lines[:2] == ["digraph flow {", "  rankdir=LR;"]
+    assert lines[2:-2] == ["  " + s for s in statements]
+    assert lines[-2:] == ["}", ""]
+
+
 # a quoted DOT ID: backslash escapes the next character, nothing else may
 # hold a quote or a backslash
 QUOTED = r'"((?:[^"\\]|\\.)*)"'
@@ -631,6 +674,29 @@ def test_chain_commands(files, tmp_path):
                      "--quantile", str(qpath)])
     assert code == 0
     assert out == "c0 1/2^2\nc1 1/2^2\nc2 1/2^1\n"
+
+
+def test_chain_command_bytes_on_a_chain_declared_out_of_order(tmp_path):
+    # the chain c0 < c1 < c2 < c3 < c4, declared c3, c0, c4, c1, c2: cdf
+    # and quantile list the chain from the bottom, and the pushforward
+    # lists its law in declaration order
+    poset = tmp_path / "c5.poset"
+    poset.write_text("element c3\nelement c0\nelement c4\nelement c1\n"
+                     "element c2\nbottom c0\ncover c2 c3\ncover c0 c1\n"
+                     "cover c3 c4\ncover c1 c2\n")
+    mu = tmp_path / "v.val"
+    mu.write_text("c4 1/2^2\nc0 1/2^3\nc2 5/2^3\n")
+    qpath = tmp_path / "q.txt"
+    given = ["--poset", str(poset), "--mu", str(mu)]
+    assert run(["cdf"] + given) == (0, "F c0 1/2^3\nF c1 1/2^3\n"
+                                       "F c2 3/2^2\nF c3 3/2^2\nF c4 1\n")
+    quantile = "break 1/2^3 c0\nbreak 3/2^2 c2\nbreak 1 c4\n"
+    assert run(["quantile"] + given) == (0, quantile)
+    assert run(["quantile"] + given + ["--out", str(qpath)]) == (0, "")
+    assert qpath.read_text() == quantile
+    assert run(["pushforward-lebesgue", "--poset", str(poset),
+                "--quantile", str(qpath)]) \
+        == (0, "c0 1/2^3\nc4 1/2^2\nc2 5/2^3\n")
 
 
 def test_quantile_threshold_above_one_exits_2(files, tmp_path, capsys):

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posetval import Dyadic, SimpleValuation, ZERO, flow, leq_witness
+from posetval import Dyadic, Poset, SimpleValuation, ZERO, flow, leq_witness
 from posetval.flow import FlowNetwork, MaskEdges, max_flow, to_dot
 from posetval.valuation import order_network
 
 from conftest import random_poset, random_valuation, shuffled_poset
-from oracles import (max_flow_by_shortest_paths, min_cut_by_enumeration,
-                     network_violations, value_on)
+from oracles import (max_flow_by_shortest_paths, middle_edges,
+                     min_cut_by_enumeration, network_violations, value_on)
 
 # the middle capacity of the order network: above every sink capacity
 WIDE = Dyadic(2, 0)
@@ -130,7 +130,7 @@ def crossing_capacity(net, side):
     for x, c in net.source_caps.items():
         if ("left", x) not in side:
             total = total + c
-    for (x, y), c in net.mid_caps.items():
+    for (x, y), c in middle_edges(net).items():
         if ("left", x) in side and ("right", y) not in side:
             total = total + c
     for y, c in net.sink_caps.items():
@@ -171,7 +171,7 @@ def test_conservation_and_capacity():
         f = max_flow(net)
         flows = edge_flows(f)
         for xy, t in flows["across"].items():
-            assert t < net.mid_caps[xy]  # no middle edge saturates
+            assert t < middle_edges(net)[xy]  # no middle edge saturates
         for x, t in flows["from_source"].items():
             assert t <= net.source_caps[x]
         for y, t in flows["to_sink"].items():
@@ -190,17 +190,64 @@ def test_dot_annotations():
     assert "digraph" in dot and "1/2^1" in dot
 
 
+def non_string_names_net():
+    return network([0], [1, 3], {0: Dyadic(1, 0)}, [(0, 1), (0, 3)],
+                   {1: Dyadic(1, 1), 3: ZERO})
+
+
 def test_dot_of_non_string_names():
     # an edge that carries flow shows it against its capacity; one that
     # carries none shows its capacity alone
-    net = network([0], [1, 3], {0: Dyadic(1, 0)}, [(0, 1), (0, 3)],
-                  {1: Dyadic(1, 1), 3: ZERO})
-    dot = to_dot(max_flow(net))
+    dot = to_dot(max_flow(non_string_names_net()))
     assert '"source" -> "L_0" [label="1/2^1 of 1"];' in dot
     assert '"L_0" -> "R_1" [label="1/2^1 of 2"];' in dot
     assert '"L_0" -> "R_3" [label="2"];' in dot
     assert '"R_1" -> "sink" [label="1/2^1 of 1/2^1"];' in dot
     assert '"R_3" -> "sink" [label="0"];' in dot
+
+
+def out_of_name_order_net():
+    # the poset and both supports are declared z, m, a, q, out of name
+    # order, and each support is given in yet another order
+    base = Poset(["z", "m", "a", "q"],
+                 [("z", "m"), ("z", "a"), ("m", "q"), ("a", "q")], "z")
+    mu = SimpleValuation(base, {"a": Dyadic(1, 2), "q": Dyadic(1, 3),
+                                "z": Dyadic(1, 2), "m": Dyadic(1, 2)})
+    nu = SimpleValuation(base, {"q": Dyadic(1, 1), "a": Dyadic(1, 2),
+                                "m": Dyadic(1, 3)})
+    return order_network(mu, nu)
+
+
+@pytest.mark.parametrize("make, statements", [
+    (out_of_name_order_net, [
+        '"source" -> "L_z" [label="1/2^2 of 1/2^2"];',
+        '"source" -> "L_m" [label="1/2^2 of 1/2^2"];',
+        '"source" -> "L_a" [label="1/2^2 of 1/2^2"];',
+        '"source" -> "L_q" [label="1/2^3 of 1/2^3"];',
+        '"L_z" -> "R_m" [label="1/2^3 of 2"];',
+        '"L_z" -> "R_a" [label="1/2^3 of 2"];',
+        '"L_z" -> "R_q" [label="2"];',
+        '"L_m" -> "R_m" [label="2"];',
+        '"L_m" -> "R_q" [label="1/2^2 of 2"];',
+        '"L_a" -> "R_a" [label="1/2^3 of 2"];',
+        '"L_a" -> "R_q" [label="1/2^3 of 2"];',
+        '"L_q" -> "R_q" [label="1/2^3 of 2"];',
+        '"R_m" -> "sink" [label="1/2^3 of 1/2^3"];',
+        '"R_a" -> "sink" [label="1/2^2 of 1/2^2"];',
+        '"R_q" -> "sink" [label="1/2^1 of 1/2^1"];']),
+    (non_string_names_net, [
+        '"source" -> "L_0" [label="1/2^1 of 1"];',
+        '"L_0" -> "R_1" [label="1/2^1 of 2"];',
+        '"L_0" -> "R_3" [label="2"];',
+        '"R_1" -> "sink" [label="1/2^1 of 1/2^1"];',
+        '"R_3" -> "sink" [label="0"];'])])
+def test_dot_text_statement_by_statement(make, statements):
+    # source edges, then middle edges by left node and ascending right
+    # node, then sink edges, every side in declaration order
+    lines = to_dot(max_flow(make())).split("\n")
+    assert lines[:2] == ["digraph flow {", "  rankdir=LR;"]
+    assert lines[2:-2] == ["  " + s for s in statements]
+    assert lines[-2:] == ["}", ""]
 
 
 def assert_breadth_first_flow(net):
@@ -282,7 +329,7 @@ def test_max_flow_is_the_breadth_first_flow_on_larger_decision_networks(rng):
     net = order_network(mu, nu)
     pairs = [(x, y) for x in mu.support for y in nu.support if base.leq(x, y)]
     assert len(net.mid_caps) == len(pairs)
-    assert list(net.mid_caps) == pairs
+    assert list(middle_edges(net)) == pairs
     # a transport plan lists its entries in this order
     across = [xy for xy, _ in assert_breadth_first_flow(net).units[1]]
     assert across == [e for e in pairs if e in across]
@@ -319,8 +366,8 @@ def test_mask_edges_are_checked_against_the_sides():
                            sinks)
 
     ok = net(["a", "b"], {"a": 0b101, "b": 0b100}, ["u", "w"])
-    assert list(ok.mid_caps) == [("a", "u"), ("a", "w"), ("b", "w")]
-    assert len(ok.mid_caps) == 3 and ok.mid_caps["a", "w"] == WIDE
+    assert list(middle_edges(ok)) == [("a", "u"), ("a", "w"), ("b", "w")]
+    assert len(ok.mid_caps) == 3 and middle_edges(ok)["a", "w"] == WIDE
     assert network_violations(ok) == []
     assert network_violations(net(["a"], {"a": 1}, ["u"], sinks={"u": one},
                                   cap=Dyadic(3, 1))) == []
@@ -398,7 +445,7 @@ def test_breadth_first_flow_at_decide_size(seed):
     net = order_network(mu, nu)
     f = assert_breadth_first_flow(net)
     across = [xy for xy, _ in f.units[1]]
-    assert across == [e for e in net.mid_caps if e in across]
+    assert across == [e for e in middle_edges(net) if e in across]
     assert (f.value == mu.mass) == bool(seed % 2)
 
 

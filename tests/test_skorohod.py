@@ -16,7 +16,7 @@ from posetval.errors import (DepthExceeded, MixedBase, NotComparable,
                              NotConvergent, NotProbability, ParseError,
                              PartialMap, SourceExhausted, TooLarge,
                              UnknownElement)
-from posetval.pipeline import _sequence_report, _settling
+from posetval.pipeline import _sequence_report
 from posetval.skorohod import _lift, represent_target
 
 from conftest import random_poset, random_valuation
@@ -741,12 +741,10 @@ def test_convergence_check_matches_word_by_word_oracle(seed):
 
 def test_order_masks_refuse_a_foreign_value(m4):
     # the order is read off up-set masks, indexed by element; a value
-    # outside the poset is refused by name, never by a bare KeyError
-    limit_map = represent_target(delta(m4, "top"), 2)
-    stray = RepresentationMap(m4, [StepMap(0, ends=[1], values=["zz"])])
-    for maps, limit in (([limit_map, stray], limit_map), ([limit_map], stray)):
-        with pytest.raises(UnknownElement, match="'zz'"):
-            _settling(maps, limit)
+    # outside the poset is refused by name, never by a bare KeyError, and a
+    # map holding one is refused where it is made, one layer or several
+    with pytest.raises(UnknownElement, match="'zz'"):
+        RepresentationMap(m4, [StepMap(0, ends=[1], values=["zz"])])
     with pytest.raises(UnknownElement, match="'zz'"):
         RepresentationMap(m4, [StepMap(0, ends=[1], values=["bot"]),
                                StepMap(1, ends=[1, 2], values=["a", "zz"])])

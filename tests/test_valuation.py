@@ -25,8 +25,9 @@ from posetval.valuation import (_check_units, _solve, _transport_units,
 from conftest import (make_chain, normalize, random_poset, random_valuation,
                       random_monotone_integrand, shuffled_poset)
 from oracles import (first_break_by_scan, first_decrease_by_scan, leq_oracle,
-                     portmanteau_by_upper_sets, strict_transport_exists,
-                     way_below_by_subsets, weights_by_elements)
+                     middle_edges, portmanteau_by_upper_sets,
+                     strict_transport_exists, way_below_by_subsets,
+                     weights_by_elements)
 
 HALF = Dyadic(1, 1)
 
@@ -599,7 +600,7 @@ def test_order_network_edges_in_declaration_order(seed):
     rng = random.Random(seed)
     base = shuffled_poset(rng, 12, rng.choice([0.2, 0.5]))
     mu, nu = random_valuation(rng, base), random_valuation(rng, base)
-    assert list(order_network(mu, nu).mid_caps) == [
+    assert list(middle_edges(order_network(mu, nu))) == [
         (x, y) for x in mu.support for y in nu.support if base.leq(x, y)]
 
 
