@@ -7,9 +7,8 @@ whose laws are exact by counting.
 """
 
 from . import errors
-from .cantor import StepMap, Word, embed, project, unit_to_word, word_to_unit
-from .chain import (Cdf, QuantileMap, cdf, lower_adjoint,
-                    pushforward_lebesgue, quantile_leq)
+from .cantor import StepMap, Word, unit_to_word
+from .chain import Cdf, QuantileMap, cdf, lower_adjoint, pushforward_lebesgue
 from .dyadic import ONE, ZERO, Dyadic, parse_dyadic
 from .pipeline import (SkorohodWitness, represent_sequence, skorohod,
                        skorohod_sequence)
@@ -17,20 +16,19 @@ from .poset import Poset, UpperSet, format_poset, parse_poset
 from .skorohod import (RepresentationMap, build_schedule, format_map,
                        lift_step, parse_map, represent, sample)
 from .valuation import (PosetMap, SimpleValuation, TransportPlan, add, delta,
-                        format_valuation, integrate_monotone, leq, leq_witness,
-                        parse_valuation, portmanteau_check, pushforward, scale,
-                        transport_plan, way_below)
+                        format_valuation, leq, leq_witness, parse_valuation,
+                        portmanteau_check, pushforward, scale, transport_plan,
+                        way_below)
 
 __all__ = [
     "Dyadic", "ZERO", "ONE", "parse_dyadic",
     "Poset", "UpperSet", "parse_poset", "format_poset",
     "SimpleValuation", "TransportPlan", "PosetMap", "delta", "scale", "add",
     "leq", "leq_witness", "transport_plan", "way_below",
-    "integrate_monotone", "pushforward", "portmanteau_check",
+    "pushforward", "portmanteau_check",
     "parse_valuation", "format_valuation",
-    "Word", "StepMap", "project", "embed", "word_to_unit", "unit_to_word",
+    "Word", "StepMap", "unit_to_word",
     "Cdf", "QuantileMap", "cdf", "lower_adjoint", "pushforward_lebesgue",
-    "quantile_leq",
     "RepresentationMap", "build_schedule", "lift_step", "represent", "sample",
     "format_map", "parse_map",
     "SkorohodWitness", "represent_sequence", "skorohod", "skorohod_sequence",

@@ -7,11 +7,11 @@ bits. A word is either genuinely finite or flagged as the truncation of an
 infinite word; only finite words approximate others (u is way below v iff u
 is finite and a prefix of v).
 
-The bridge to [0, 1] is the binary-expansion value of a word together with
-its lower adjoint: the map sending r to the lexicographically least infinite
-word whose value reaches r. For dyadic r > 0 that word is the
-non-terminating expansion (tail of ones), which pins the otherwise
-ambiguous choice and makes grid tabulations exact.
+The bridge from [0, 1] is the lower adjoint of a word's binary-expansion
+value: unit_to_word sends r to the lexicographically least infinite word
+whose value reaches r. For dyadic r > 0 that word is the non-terminating
+expansion (tail of ones), which pins the otherwise ambiguous choice and
+makes grid tabulations exact.
 
 A step map sends the words of one level, in lexicographic order, to
 values, and stores the runs of consecutive words with one value. Read
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from itertools import islice, repeat
 
 from .dyadic import ONE, ZERO, Dyadic, _Value
-from .errors import DepthExceeded, OutOfRange, PartialMap, Unreachable
+from .errors import OutOfRange, PartialMap, Unreachable
 from .poset import Poset
 from .valuation import SimpleValuation
 
@@ -80,25 +80,6 @@ _set_bits = Word.bits.__set__
 _set_truncated = Word.truncated.__set__
 
 
-def project(w: Word, m: int) -> Word:
-    """The m-bit prefix; functorial over nested depths.
-
-    The prefix of a word is known exactly even when the word stands for
-    an infinite one, so the result is a genuine finite word.
-    """
-    if m < 0:
-        raise ValueError("depth must be nonnegative, not %d" % m)
-    if m > len(w.bits):
-        raise DepthExceeded("cannot project %r to depth %d" % (w.bits, m))
-    return Word(w.bits[:m])
-
-
-def embed(w: Word, n: int) -> Word:
-    """Pad with zeros to depth n; a section of project. Below the word's
-    own depth there is nothing to pad, and the word comes back as it is."""
-    return Word(w.bits + "0" * (n - len(w.bits)), w.truncated)
-
-
 def _word_bits(i: int, depth: int) -> str:
     """Word number i of the depth-level, as a bit string."""
     return format(i, "0%db" % depth) if depth else ""
@@ -110,12 +91,6 @@ def _level_bits(depth: int):
     if not depth:
         return iter([""])
     return map(format, range(1 << depth), repeat("0%db" % depth))
-
-
-def word_to_unit(w: Word) -> Dyadic:
-    """Binary-expansion value: sum of bit_i / 2^(i+1), the word's number
-    over 2^len."""
-    return Dyadic(int(w.bits or "0", 2), len(w.bits))
 
 
 def _word_number(r: Dyadic, n: int) -> int:

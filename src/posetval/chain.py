@@ -11,8 +11,9 @@ compare as valuations.
 A quantile map is given by breakpoints, ascending dyadic thresholds with
 their elements, and stored as a `cantor.StepMap` at the depth of its finest
 threshold: the thresholds times 2^depth are its run ends. The Lebesgue
-pushforward is then the step map's law, exact by counting, and the
-pointwise order is one merge of the two maps' runs.
+pushforward is then the step map's law, exact by counting, and two
+quantile maps compare pointwise by one merge of their runs
+(`StepMap.first_disagreement`).
 """
 
 from __future__ import annotations
@@ -137,18 +138,6 @@ def pushforward_lebesgue(g: QuantileMap) -> SimpleValuation:
     if g.total() != ONE:
         raise PartialQuantile("quantile map stops at mass %s" % g.total())
     return g.law(g.base)
-
-
-def quantile_leq(g: QuantileMap, h: QuantileMap) -> bool:
-    """Pointwise comparison of two quantile maps over their full domain.
-
-    Domains must agree; then one walk over the merged runs decides the
-    order exactly (at r = 0 both sit at the chain's bottom).
-    """
-    if g.base is not h.base:
-        raise NotAChain("quantile maps over different chains")
-    return (g.total() == h.total()
-            and g.first_disagreement(h, g.base) is None)
 
 
 def parse_quantile(text: str, base: Poset) -> QuantileMap:

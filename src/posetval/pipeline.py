@@ -57,13 +57,6 @@ class SkorohodWitness:
         """Value at a unit-interval point."""
         return self.rmap.layers[-1](r)
 
-    def defined(self, r: Dyadic) -> bool:
-        return self.driver(r) != self.fresh_bottom
-
-    def grid(self):
-        d = self.precision
-        return [Dyadic(i, d) for i in range(1, (1 << d) + 1)]
-
     def law_on_grid(self) -> SimpleValuation:
         """The driver's law over the defined grid points, on the target's
         poset; equals the target exactly. Grid point (i + 1)/2^d lands on

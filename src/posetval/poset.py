@@ -9,7 +9,7 @@ antisymmetric, so only a cycle falls back to a strongly connected
 component pass, which names the first pair that breaks antisymmetry.
 Finite posets stand in for countably based domains throughout the
 package: every element is compact, so the way-below relation coincides
-with the order itself.
+with the order itself, and `Poset.leq` decides both.
 
 Upper sets of a finite poset are exactly its Scott-open sets; they can be
 enumerated exhaustively, as the `portmanteau` command lists them. The
@@ -146,30 +146,9 @@ class Poset:
         self._check(x, y)
         return bool(self._up_mask[self.index[x]] >> self.index[y] & 1)
 
-    def way_below(self, x, y) -> bool:
-        """The approximation relation; equals leq on a finite poset."""
-        return self.leq(x, y)
-
     def _members(self, mask: int) -> frozenset:
         """The elements whose bits are set in mask."""
         return frozenset(self.elements[b] for b in _bits(mask))
-
-    def up_set(self, x) -> frozenset:
-        self._check(x)
-        return self._members(self._up_mask[self.index[x]])
-
-    def down_set(self, x) -> frozenset:
-        self._check(x)
-        i = self.index[x]
-        return frozenset(e for e, m in zip(self.elements, self._up_mask)
-                         if m >> i & 1)
-
-    def upward_closure(self, xs) -> frozenset:
-        mask = 0
-        for x in xs:
-            self._check(x)
-            mask |= self._up_mask[self.index[x]]
-        return self._members(mask)
 
     def is_upper(self, members) -> bool:
         members = set(members)

@@ -30,14 +30,14 @@ source capacity raised by one dyadic epsilon. It builds and solves a
 network of its own, outside the slot, since it raises that network's
 capacities in place.
 
-Integration against monotone functions, pushforward along monotone maps
-and a finite-scale weak-convergence (Portmanteau) check complete the
-module. The Portmanteau check sums integer numerators over the upper
-sets of the valuations' joint support, the traces V of the poset's upper
-sets. One routine, _trace_rows, makes a row per trace, ordered by up(V)'s
-bitmask, and two readers share it: portmanteau_check reports one record
-per row, as up(V), and the weak-convergence gate of a sequence
-(portmanteau_witness) builds the upper set of the first failing row alone.
+Pushforward along monotone maps and a finite-scale weak-convergence
+(Portmanteau) check complete the module. The Portmanteau check sums
+integer numerators over the upper sets of the valuations' joint support,
+the traces V of the poset's upper sets. One routine, _trace_rows, makes a
+row per trace, ordered by up(V)'s bitmask, and two readers share it:
+portmanteau_check reports one record per row, as up(V), and the
+weak-convergence gate of a sequence (portmanteau_witness) builds the
+upper set of the first failing row alone.
 """
 
 from __future__ import annotations
@@ -92,10 +92,6 @@ class SimpleValuation:
     def support(self):
         """Support in element declaration order."""
         return list(self.weights)
-
-    def weight(self, x) -> Dyadic:
-        self.base._check(x)
-        return self.weights.get(x, ZERO)
 
     def is_probability(self) -> bool:
         return self._total == 1 << self._top
@@ -355,31 +351,6 @@ def way_below(mu: SimpleValuation, nu: SimpleValuation,
     for x, c in caps.items():
         caps[x] = c + eps
     return flowmod.max_flow(net).value == mu.mass + Dyadic(len(caps), eps.exp)
-
-
-def integrate_monotone(f: dict, v: SimpleValuation) -> Dyadic:
-    """Sum of weight(x) * f(x) for a monotone dyadic-valued f.
-
-    f must cover the whole poset and respect the order: every pair x <= y
-    is checked, x and then y in declaration order, and the error names the
-    first pair with f(y) < f(x). Each x walks the bits of its up-set mask,
-    so the check costs the order's pairs, not every pair of elements.
-    """
-    base = v.base
-    names, up = base.elements, base._up_mask
-    for x in names:
-        if x not in f:
-            raise PartialMap("integrand undefined on %r" % (x,))
-    for i, x in enumerate(names):
-        fx = f[x]
-        for j in _bits(up[i]):
-            if f[names[j]] < fx:
-                raise NotMonotone("integrand decreases from %s to %s"
-                                  % (x, names[j]))
-    total = ZERO
-    for x, w in v.weights.items():
-        total = total + w * f[x]
-    return total
 
 
 @dataclass

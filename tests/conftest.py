@@ -5,6 +5,8 @@ import pytest
 from posetval import (ONE, Dyadic, Poset, SimpleValuation, add, delta, flow,
                       scale)
 
+from oracles import down_set
+
 
 @pytest.fixture
 def m4():
@@ -74,7 +76,7 @@ def random_valuation(rng: random.Random, base: Poset, exp=4,
 def random_monotone_integrand(rng: random.Random, base: Poset, exp=4):
     """f(x) = max of raw random values over the down-set of x."""
     raw = {x: Dyadic(rng.randint(0, 1 << exp), exp) for x in base.elements}
-    return {x: max((raw[y] for y in base.down_set(x)), default=raw[x])
+    return {x: max((raw[y] for y in down_set(base, x)), default=raw[x])
             for x in base.elements}
 
 
@@ -84,3 +86,8 @@ def normalize(v: SimpleValuation) -> SimpleValuation:
     if gap.is_zero():
         return v
     return add(v, scale(delta(v.base, v.base.bottom), gap))
+
+
+def grid(d: int) -> list:
+    """The grid {i/2^d : 1 <= i <= 2^d} of a witness of precision d."""
+    return [Dyadic(i, d) for i in range(1, (1 << d) + 1)]

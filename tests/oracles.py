@@ -1,6 +1,7 @@
-"""Independent brute-force reference computations for the test suite.
+"""Independent brute-force reference computations for the test suite, and
+the laws of the paper that the library no longer holds.
 
-Nothing here reuses the code paths under test: the order is decided by
+No reference reuses the code paths under test: the order is decided by
 comparing two valuations on every upper set, cuts are enumerated rather
 than derived from flows, a maximum flow is grown one breadth-first
 augmenting path at a time (Edmonds-Karp, on dyadics) rather than by
@@ -21,18 +22,27 @@ driver at every grid point, a valuation's weights and mass are collected
 by walking every element of the poset and adding dyadics, and a
 schedule's stages are convex sums of scaled valuations.
 
-The library keeps none of these; the laws it does export, such as
-`integrate_monotone` or `word_to_unit`, are checked against them.
+The library keeps none of these. The laws at the end of the file left the
+package because none of its commands or functions reads them, and they
+keep their library form and refusals, reading the poset's up-set masks
+and the step maps' merged runs: `up_set`, `down_set` and `upward_closure`
+of a poset, `integrate_monotone` (its monotonicity check against
+first_decrease_by_scan), `quantile_leq` (against
+quantile_leq_by_thresholds), and `project`, `embed` and `word_to_unit` on
+words (against the expansion values and the adjunction with
+`unit_to_word` in tests/test_cantor.py).
 """
 
+import weakref
 from collections import deque
 from itertools import combinations, product
 
 from posetval import (ONE, Dyadic, SimpleValuation, UpperSet, Word, ZERO,
                       add, delta, scale, transport_plan)
 from posetval.flow import FlowNetwork, MaskEdges
+from posetval.poset import _bits
 from posetval.valuation import PortmanteauRecord
-from posetval.errors import NotAChain, PartialMap
+from posetval.errors import DepthExceeded, NotAChain, NotMonotone, PartialMap
 from posetval.pipeline import ConvergenceRecord, ConvergenceReport
 
 
@@ -212,16 +222,25 @@ def upper_sets_by_filtering(base):
     return out
 
 
+# poset -> its upper sets: the exhaustive sweep asks for the same poset's
+# sets once per pair of valuations, so each poset is scanned only once
+_upper_sets_scanned = weakref.WeakKeyDictionary()
+
+
 def upper_sets_by_masks(base):
-    """Members of every upper set, scanning all 2^n bitmasks in order."""
-    n = len(base.elements)
-    out = []
-    for mask in range(1 << n):
-        if all(not base._up_mask[i] & ~mask
-               for i in range(n) if mask >> i & 1):
-            out.append(frozenset(e for j, e in enumerate(base.elements)
-                                 if mask >> j & 1))
-    return out
+    """Members of every upper set, scanning all 2^n bitmasks in order.
+
+    The scan runs once per poset; each call gets a new list of its sets.
+    """
+    found = _upper_sets_scanned.get(base)
+    if found is None:
+        n = len(base.elements)
+        found = _upper_sets_scanned[base] = tuple(
+            frozenset(e for j, e in enumerate(base.elements) if mask >> j & 1)
+            for mask in range(1 << n)
+            if all(not base._up_mask[i] & ~mask
+                   for i in range(n) if mask >> i & 1))
+    return list(found)
 
 
 def _approaches_dyadic(values, limit, from_below):
@@ -374,8 +393,8 @@ def strict_transport_exists(mu: SimpleValuation, nu: SimpleValuation,
             max(mu.max_exponent(), nu.max_exponent())
             + max(0, (max(len(cols), 1) - 1).bit_length()))
     total = 1 << q
-    rows = {x: mu.weight(x).rescale(q) for x in mu.support}
-    caps = {y: nu.weight(y).rescale(q) - 1 for y in cols}
+    rows = {x: w.rescale(q) for x, w in mu.weights.items()}
+    caps = {y: nu.weights[y].rescale(q) - 1 for y in cols}
     caps[base.bottom] = total  # unconstrained column at bottom
     reachable = {}
     for x in mu.support:
@@ -404,7 +423,7 @@ def way_below_by_subsets(mu: SimpleValuation, nu: SimpleValuation) -> bool:
     supp = mu.support
     for mask in range(1, 1 << len(supp)):
         sub = [supp[i] for i in range(len(supp)) if mask >> i & 1]
-        above = mu.base.upward_closure(sub)
+        above = upward_closure(mu.base, sub)
         if not (value_on(mu, sub) < value_on(nu, above)):
             return False
     return True
@@ -432,7 +451,8 @@ def lift_step_by_slots(table: dict, depth: int, target: SimpleValuation):
                      if budgets.get((x, y), 0) > 0)
             budgets[x, y] -= 1
             out[bits] = y
-    assert all(b == 0 for b in budgets.values())
+    if any(budgets.values()):     # an if, so that python -O keeps it
+        raise AssertionError("the plan's budgets are not all spent")
     return new_depth, out
 
 
@@ -517,3 +537,92 @@ def law_by_grid_tabulation(witness) -> SimpleValuation:
             counts[x] = counts.get(x, 0) + 1
     return SimpleValuation(witness.target.base,
                            {x: Dyadic(c, d) for x, c in counts.items()})
+
+
+# The laws that left the library, in their library form (see the module
+# docstring).
+
+
+def up_set(base, x) -> frozenset:
+    """The elements above x, x included, read off its up-set mask."""
+    base._check(x)
+    return base._members(base._up_mask[base.index[x]])
+
+
+def down_set(base, x) -> frozenset:
+    """The elements below x, x included: those whose up-set masks hold x."""
+    base._check(x)
+    i = base.index[x]
+    return frozenset(e for e, m in zip(base.elements, base._up_mask)
+                     if m >> i & 1)
+
+
+def upward_closure(base, xs) -> frozenset:
+    """The least upper set holding xs, the OR of their up-set masks."""
+    mask = 0
+    for x in xs:
+        base._check(x)
+        mask |= base._up_mask[base.index[x]]
+    return base._members(mask)
+
+
+def integrate_monotone(f: dict, v: SimpleValuation) -> Dyadic:
+    """Sum of weight(x) * f(x) for a monotone dyadic-valued f.
+
+    f must cover the whole poset and respect the order: every pair x <= y
+    is checked, x and then y in declaration order, and the error names the
+    first pair with f(y) < f(x). Each x walks the bits of its up-set mask,
+    so the check costs the order's pairs, not every pair of elements.
+    """
+    base = v.base
+    names, up = base.elements, base._up_mask
+    for x in names:
+        if x not in f:
+            raise PartialMap("integrand undefined on %r" % (x,))
+    for i, x in enumerate(names):
+        fx = f[x]
+        for j in _bits(up[i]):
+            if f[names[j]] < fx:
+                raise NotMonotone("integrand decreases from %s to %s"
+                                  % (x, names[j]))
+    total = ZERO
+    for x, w in v.weights.items():
+        total = total + w * f[x]
+    return total
+
+
+def quantile_leq(g, h) -> bool:
+    """Pointwise comparison of two quantile maps over their full domain.
+
+    Domains must agree; then one walk over the merged runs decides the
+    order exactly (at r = 0 both sit at the chain's bottom).
+    """
+    if g.base is not h.base:
+        raise NotAChain("quantile maps over different chains")
+    return (g.total() == h.total()
+            and g.first_disagreement(h, g.base) is None)
+
+
+def project(w: Word, m: int) -> Word:
+    """The m-bit prefix; functorial over nested depths.
+
+    The prefix of a word is known exactly even when the word stands for
+    an infinite one, so the result is a genuine finite word.
+    """
+    if m < 0:
+        raise ValueError("depth must be nonnegative, not %d" % m)
+    if m > len(w.bits):
+        raise DepthExceeded("cannot project %r to depth %d" % (w.bits, m))
+    return Word(w.bits[:m])
+
+
+def embed(w: Word, n: int) -> Word:
+    """Pad with zeros to depth n; a section of project. Below the word's
+    own depth there is nothing to pad, and the word comes back as it is."""
+    return Word(w.bits + "0" * (n - len(w.bits)), w.truncated)
+
+
+def word_to_unit(w: Word) -> Dyadic:
+    """Binary-expansion value: sum of bit_i / 2^(i+1), the word's number
+    over 2^len."""
+    return Dyadic(int(w.bits or "0", 2), len(w.bits))

@@ -7,13 +7,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from posetval import (Dyadic, ONE, QuantileMap, SimpleValuation, StepMap, Word,
-                      ZERO, build_schedule, embed, project, represent,
-                      unit_to_word, word_to_unit)
+                      ZERO, build_schedule, represent, unit_to_word)
 from posetval.errors import DepthExceeded, OutOfRange, PartialMap
 
 from conftest import shuffled_poset
-from oracles import (first_disagreement_by_words, level,
-                     pushforward_counting)
+from oracles import (embed, first_disagreement_by_words, level, project,
+                     pushforward_counting, word_to_unit)
 
 words = st.text(alphabet="01", max_size=10).map(Word)
 

@@ -6,14 +6,14 @@ from hypothesis import strategies as st
 
 from posetval import (Dyadic, ONE, Poset, QuantileMap, SimpleValuation, ZERO,
                       cdf, delta, leq, lower_adjoint, pushforward_lebesgue,
-                      quantile_leq, scale)
+                      scale)
 from posetval.chain import (Cdf, _ascending, format_quantile,
                             parse_quantile)
 from posetval.errors import (Error, NotAChain, OutOfRange, ParseError,
                              PartialQuantile, UnknownElement, Unreachable)
 
-from conftest import make_chain, random_valuation
-from oracles import quantile_leq_by_thresholds
+from conftest import grid, make_chain, random_valuation
+from oracles import down_set, quantile_leq, quantile_leq_by_thresholds
 
 QUARTER, HALF = Dyadic(1, 2), Dyadic(1, 1)
 
@@ -38,7 +38,7 @@ def test_ascending_follows_the_order_not_the_declaration(rng, n):
     chain = Poset(rng.sample(names, n), list(zip(names, names[1:])), "c0")
     assert _ascending(chain) == names
     assert names == sorted(chain.elements,
-                           key=lambda x: len(chain.down_set(x)))
+                           key=lambda x: len(down_set(chain, x)))
     v = random_valuation(rng, chain, exp=3)
     assert list(cdf(v).values) == names
     assert lower_adjoint(cdf(v))(ZERO) == "c0"
@@ -237,7 +237,7 @@ def test_single_step_witness_is_inverse_transform_sampling():
                                  probability=True)
             witness = build_witness(v, steps)
             g = lower_adjoint(cdf(v))
-            for r in witness.grid():
+            for r in grid(witness.precision):
                 assert witness.driver(r) == g(r)
 
 

@@ -13,13 +13,13 @@ from pathlib import Path
 import pytest
 
 import posetval
-from posetval import (Dyadic, build_schedule, format_poset, format_valuation,
+from posetval import (build_schedule, format_poset, format_valuation,
                       parse_poset, parse_valuation, portmanteau_check,
                       skorohod)
 from posetval import cli
 from posetval.cli import main
 
-from conftest import random_poset, random_valuation
+from conftest import grid, random_poset, random_valuation
 from oracles import law_by_grid_tabulation, portmanteau_by_upper_sets
 
 M4 = """element bot
@@ -543,8 +543,8 @@ def test_skorohod_stdout_matches_grid_tabulation(tmp_path):
         if w.fresh_bottom is None:
             third = "driver %s" % w.describe()
         else:
-            third = "defined %d" % sum(w.defined(Dyadic(i, d))
-                                       for i in range(1, (1 << d) + 1))
+            third = "defined %d" % sum(w.driver(r) != w.fresh_bottom
+                                       for r in grid(d))
         modes.add(third.split()[0])
         want = ["precision %d" % d, "grid %d" % 2 ** d, third,
                 "EXACT_LAW: true"]
@@ -658,6 +658,25 @@ def test_skorohod_command(files):
                      "--mu", files["halftop.val"], "--K", "2"])
     assert code == 0
     assert "defined" in out and "EXACT_LAW: true" in out
+
+
+def test_the_driver_line_names_what_the_package_exports(files):
+    # skorohod prints its driver as a formula over library functions; each
+    # function it names stays reachable from the package, and the formula,
+    # read with them on the witness's own map, is the driver at every point
+    code, out = run(["skorohod", "--poset", files["m4.poset"],
+                     "--mu", files["mu.val"], "--K", "2"])
+    assert code == 0
+    line = next(x for x in out.splitlines() if x.startswith("driver "))
+    assert re.findall(r"(\w+)\(", line) == ["evaluate", "unit_to_word"]
+    evaluate = posetval.RepresentationMap.evaluate
+    unit_to_word = posetval.unit_to_word
+    base = parse_poset(Path(files["m4.poset"]).read_text())
+    w = skorohod(parse_valuation(Path(files["mu.val"]).read_text(), base), 2)
+    d = w.precision
+    assert line == "driver %s" % w.describe()
+    assert all(evaluate(w.rmap, unit_to_word(r, d))[1] == w.driver(r)
+               for r in grid(d))
 
 
 def test_chain_commands(files, tmp_path):

@@ -11,7 +11,8 @@ from posetval.valuation import order_network
 
 from conftest import random_poset, random_valuation, shuffled_poset
 from oracles import (max_flow_by_shortest_paths, middle_edges,
-                     min_cut_by_enumeration, network_violations, value_on)
+                     min_cut_by_enumeration, network_violations, up_set,
+                     upward_closure, value_on)
 
 # the middle capacity of the order network: above every sink capacity
 WIDE = Dyadic(2, 0)
@@ -428,7 +429,7 @@ def decide_size_pair(seed):
     if seed % 2:
         up = {}
         for x, w in mu.weights.items():
-            y = rng.choice(sorted(base.up_set(x), key=base.index.get))
+            y = rng.choice(sorted(up_set(base, x), key=base.index.get))
             up[y] = up.get(y, ZERO) + w
         return mu, SimpleValuation(base, up)
     return mu, sparse_valuation(rng, base, 60, exp=8)
@@ -476,7 +477,7 @@ def test_the_cut_masks_give_a_minimum_cut_and_the_witness(seed):
         assert f.value == mu.mass and witness is None
         return
     blocked = [x for x in mu.support if ("left", x) in cut]
-    assert witness.members == mu.base.upward_closure(blocked)
+    assert witness.members == upward_closure(mu.base, blocked)
     assert value_on(mu, witness.members) > value_on(nu, witness.members)
 
 

@@ -15,7 +15,7 @@ from posetval.errors import NotConvergent, OutOfRange, TooLarge
 from posetval.pipeline import _settling, represent_sequence
 from posetval.valuation import portmanteau_witness
 
-from conftest import make_chain, random_poset, random_valuation
+from conftest import grid, make_chain, random_poset, random_valuation
 from oracles import convergence_by_words, law_by_grid_tabulation
 
 HALF = Dyadic(1, 1)
@@ -27,13 +27,13 @@ def half_half(m4):
 
 def test_point_mass_witness(m4):
     w = skorohod(delta(m4, "top"), 2)
-    assert all(w.driver(r) == "top" for r in w.grid())
+    assert all(w.driver(r) == "top" for r in grid(w.precision))
     assert w.law_on_grid() == delta(m4, "top")
 
 
 def test_half_half_witness(m4):
     w = skorohod(half_half(m4), 1)
-    values = [w.driver(r) for r in w.grid()]
+    values = [w.driver(r) for r in grid(w.precision)]
     assert sorted(values) == ["a", "b"]
     assert w.law_on_grid() == half_half(m4)
 
@@ -47,7 +47,7 @@ def test_probability_precondition(m4):
     assert w.rmap.base.bottom == w.fresh_bottom
     assert w.rmap.base.leq(w.fresh_bottom, m4.bottom)
     assert w.law_on_grid() == target
-    defined = sum(w.defined(r) for r in w.grid())
+    defined = sum(w.driver(r) != w.fresh_bottom for r in grid(w.precision))
     assert defined == target.mass.rescale(w.precision) \
         == 3 << (w.precision - 2)
 
@@ -64,7 +64,7 @@ def test_exact_law_randomized():
 def test_grid_bijects_with_words(m4):
     w = skorohod(half_half(m4), 2)
     d = w.precision
-    words = [unit_to_word(r, d).bits for r in w.grid()]
+    words = [unit_to_word(r, d).bits for r in grid(d)]
     assert sorted(words) == sorted(format(i, "0%db" % d)
                                    for i in range(1 << d))
 
@@ -73,27 +73,28 @@ def test_unit_map_lex_monotone(m4):
     # the word-level map respects the lexicographic order even though the
     # composed driver need not be monotone into the poset
     w = skorohod(half_half(m4), 2)
-    grid = w.grid()
-    words = [unit_to_word(r, w.precision).bits for r in grid]
+    words = [unit_to_word(r, w.precision).bits for r in grid(w.precision)]
     assert words == sorted(words)
 
 
 def test_subprobability_witness(m4):
     target = scale(delta(m4, "top"), HALF)
     w = skorohod(target, 2)
-    grid = w.grid()
-    defined = [r for r in grid if w.defined(r)]
-    assert len(defined) * 2 == len(grid)
+    points = grid(w.precision)
+    defined = [r for r in points if w.driver(r) != w.fresh_bottom]
+    assert len(defined) * 2 == len(points)
     assert all(w.driver(r) == "top" for r in defined)
     assert w.law_on_grid() == target
 
     full = skorohod(half_half(m4), 2)
     assert full.fresh_bottom is None and full.rmap.base is m4
-    assert all(full.defined(r) for r in full.grid())
+    assert all(full.driver(r) != full.fresh_bottom
+               for r in grid(full.precision))
     assert full.law_on_grid() == half_half(m4)
 
     nothing = skorohod(SimpleValuation(m4, {}), 2)
-    assert not any(nothing.defined(r) for r in nothing.grid())
+    assert all(nothing.driver(r) == nothing.fresh_bottom
+               for r in grid(nothing.precision))
 
 
 def test_driver_rejects_points_outside_the_unit_interval(m4):
@@ -102,14 +103,12 @@ def test_driver_rejects_points_outside_the_unit_interval(m4):
         assert w.driver(ONE) in ("a", "b", "top")
         with pytest.raises(OutOfRange):
             w.driver(Dyadic(3, 1))
-        with pytest.raises(OutOfRange):
-            w.defined(Dyadic(3, 1))
 
 
 def test_bottom_target_witness(m4):
     w = skorohod(delta(m4, "bot"), 1)
     assert w.law_on_grid() == delta(m4, "bot")
-    assert all(w.driver(r) == "bot" for r in w.grid())
+    assert all(w.driver(r) == "bot" for r in grid(w.precision))
 
 
 def test_single_element_poset_subprobability():
@@ -117,7 +116,7 @@ def test_single_element_poset_subprobability():
     single = Poset(["x"], [], "x")
     zero = SimpleValuation(single, {})
     w = skorohod(zero, 1)
-    assert not any(w.defined(r) for r in w.grid())
+    assert all(w.driver(r) == w.fresh_bottom for r in grid(w.precision))
     assert w.law_on_grid() == zero
 
 

@@ -1,5 +1,6 @@
-"""Library refusals that no other test reaches: each case's exception type
-and its whole message, plus the two fallbacks that refuse nothing."""
+"""Library refusals that no other test reaches, and those of the laws that
+moved from the library to tests/oracles.py: each case's exception type and
+its whole message, plus the two fallbacks that refuse nothing."""
 
 from dataclasses import FrozenInstanceError
 
@@ -7,12 +8,13 @@ import pytest
 
 from posetval import (Dyadic, Poset, PosetMap, RepresentationMap,
                       SimpleValuation, StepMap, UpperSet, Word, add, cdf,
-                      delta, embed, lift_step, lower_adjoint,
-                      portmanteau_check, pushforward, quantile_leq, represent)
+                      delta, lift_step, lower_adjoint, portmanteau_check,
+                      pushforward, represent)
 from posetval.errors import (MixedBase, NotAChain, NotComparable,
                              NotProbability, OrderViolation)
 
 from conftest import make_chain
+from oracles import embed, quantile_leq
 
 
 def diamond():

@@ -19,7 +19,7 @@ from posetval.errors import (DepthExceeded, MixedBase, NotComparable,
 from posetval.pipeline import _sequence_report
 from posetval.skorohod import _lift, represent_target
 
-from conftest import random_poset, random_valuation
+from conftest import grid, random_poset, random_valuation
 from oracles import (convergence_by_words, level, lift_step_by_slots,
                      pushforward_counting, schedule_by_convex_sums)
 
@@ -757,16 +757,18 @@ def test_represent_subprobability_examples(m4):
     target = scale(delta(m4, "top"), HALF)
     rep = skorohod(target, 2)
     assert rep.law_on_grid() == target
-    grid = rep.grid()
-    defined = [r for r in grid if rep.defined(r)]
-    assert len(defined) * 2 == len(grid)
+    points = grid(rep.precision)
+    defined = [r for r in points if rep.driver(r) != rep.fresh_bottom]
+    assert len(defined) * 2 == len(points)
 
     full = skorohod(half_half(m4), 2)
     assert full.fresh_bottom is None and full.rmap.base is m4
-    assert all(full.defined(r) for r in full.grid())
+    assert all(full.driver(r) != full.fresh_bottom
+               for r in grid(full.precision))
 
     nothing = skorohod(SimpleValuation(m4, {}), 2)
-    assert not any(nothing.defined(r) for r in nothing.grid())
+    assert all(nothing.driver(r) == nothing.fresh_bottom
+               for r in grid(nothing.precision))
     assert nothing.law_on_grid() == SimpleValuation(m4, {})
 
 

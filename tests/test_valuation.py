@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 
 from posetval import (Dyadic, ONE, Poset, PosetMap, SimpleValuation,
                       TransportPlan, UpperSet, ZERO, add, delta,
-                      format_valuation, integrate_monotone, leq, leq_witness,
-                      parse_valuation, pipeline, portmanteau_check, pushforward,
-                      scale, transport_plan, valuation, way_below)
+                      format_valuation, leq, leq_witness, parse_valuation,
+                      pipeline, portmanteau_check, pushforward, scale,
+                      transport_plan, valuation, way_below)
 from posetval.errors import (MassExceeded, MixedBase, NotComparable,
                              NotMonotone, NotProbability, PartialMap,
                              UnknownElement)
@@ -24,9 +24,10 @@ from posetval.valuation import (_check_units, _solve, _transport_units,
 
 from conftest import (make_chain, normalize, random_poset, random_valuation,
                       random_monotone_integrand, shuffled_poset)
-from oracles import (first_break_by_scan, first_decrease_by_scan, leq_oracle,
-                     middle_edges, portmanteau_by_upper_sets,
-                     strict_transport_exists, way_below_by_subsets,
+from oracles import (first_break_by_scan, first_decrease_by_scan,
+                     integrate_monotone, leq_oracle, middle_edges,
+                     portmanteau_by_upper_sets, strict_transport_exists,
+                     up_set, upward_closure, way_below_by_subsets,
                      weights_by_elements)
 
 HALF = Dyadic(1, 1)
@@ -390,7 +391,7 @@ def pushed_up(rng, v):
     base = v.base
     out = {}
     for x, w in v.weights.items():
-        y = rng.choice(sorted(base.up_set(x), key=base.index.get))
+        y = rng.choice(sorted(up_set(base, x), key=base.index.get))
         out[y] = out.get(y, ZERO) + w
     return SimpleValuation(base, out)
 
@@ -802,13 +803,13 @@ def test_portmanteau_matches_whole_poset_loop(rng):
     support = set()
     for v in seq[from_index:] + [limit]:
         support |= set(v.support)
-    traces = {base.upward_closure(r.upper.members & support)
+    traces = {upward_closure(base, r.upper.members & support)
               for r in records}
     assert [r.upper.members for r in report.records] == \
         [r.upper.members for r in records if r.upper.members in traces]
     ours = {r.upper.members: (r.open_ok, r.closed_ok) for r in report.records}
     for rec in records:
-        key = base.upward_closure(rec.upper.members & support)
+        key = upward_closure(base, rec.upper.members & support)
         assert ours[key] == (rec.open_ok, rec.closed_ok)
         assert report.record_for(rec.upper).upper.members == key
 
