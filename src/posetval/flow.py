@@ -2,13 +2,14 @@
 
 This is the computational engine behind the order test for finitely
 supported measures: the question "can all of mu's mass be routed upward
-into nu's mass?" is a max-flow problem whose capacities are dyadic. All
-capacities are rescaled to a common denominator 2^p, the search runs over
-plain integers (so termination and exactness are trivial), and results are
-scaled back; every returned flow is therefore dyadic with exponent <= p.
+into nu's mass?" is a max-flow problem whose capacities are dyadic. A
+network carries them as integers in units of 2^-p, its field p, so the
+search runs over plain integers (termination and exactness are trivial)
+and reads no exponent: every flow it returns counts units of 2^-p too.
 
-The module is internal: valuation.order_network makes every network it
-solves. A network has one shape. Its middle edges are one bitmask row per
+The module is internal: valuation._network makes every network it
+solves, the order decisions' and the Skorohod lifts'. A network has one
+shape. Its middle edges are one bitmask row per
 left node (see MaskEdges), all of one capacity, which exceeds every sink
 capacity. The flow on x -> y is at most y's sink capacity, so a middle
 edge never saturates and a minimum cut never crosses the middle layer:
@@ -116,12 +117,13 @@ class MaskEdges:
 
     Bit b of rows[x] is the edge (x, names[b]); rows lists the left side in
     order, and set bits must ascend in the right side's declaration order.
-    `columns`, the OR of the rows, masks every right node an edge reaches;
-    it is taken once, here, for every solve. len counts the edges, the set
-    bits of the rows.
+    cap is the one capacity, an integer in the network's units. `columns`,
+    the OR of the rows, masks every right node an edge reaches; it is taken
+    once, here, for every solve. len counts the edges, the set bits of the
+    rows.
     """
 
-    def __init__(self, rows: dict, names, cap: Dyadic):
+    def __init__(self, rows: dict, names, cap: int):
         self.rows, self.names, self.cap = rows, names, cap
         columns = 0
         for row in rows.values():
@@ -138,15 +140,17 @@ class FlowNetwork:
 
     Edges run source -> left, left -> right (mid_caps, MaskEdges rows),
     right -> sink. Left and right node names may overlap (they are
-    distinct nodes). The middle capacity is positive and exceeds every
-    sink capacity, so no middle edge can saturate.
+    distinct nodes). Every capacity is a nonnegative integer count of
+    units of 2^-p: a terminal capacity c stands for c / 2^p. The middle
+    capacity is positive and exceeds every sink capacity, so no middle
+    edge can saturate.
 
     The fields are trusted as given: nothing checks them. Their one
-    producer, valuation.order_network, builds the rows as up-set masks
-    restricted to nu's support, listed in mu's support order, with one
-    capacity above every weight, so the shape holds by construction; the
-    test suite keeps a reference check of it and runs it on the networks
-    order_network builds.
+    producer, valuation._network, builds the rows as up-set masks
+    restricted to the sinks' support, listed in the sources' order, with
+    one capacity above every sink's, so the shape holds by construction;
+    the test suite keeps a reference check of it and runs it on the
+    networks the decisions and the lifts solve.
     """
 
     left: list
@@ -154,6 +158,7 @@ class FlowNetwork:
     source_caps: dict
     mid_caps: MaskEdges
     sink_caps: dict
+    p: int
 
 
 class Flow:
@@ -163,7 +168,9 @@ class Flow:
     in the final residual network, as the last search's (left mask, right
     mask): bit k of the left mask stands for left[k], bit b of the right
     one for the right node names[b]. Its crossing capacity equals `value`.
-    `units` is (p, (((x, y), k), ...)): the k units of 2^-p moved on each
+    `saturated` tells whether every source edge is full, that is, whether
+    the flow routes all the supply. `units` is (p, (((x, y), k), ...)),
+    p the network's: the k units of 2^-p moved on each
     middle edge that carries flow, by left node, then right node, in
     declaration order. Every k is positive: the solve keeps a count only
     for an edge that carries flow, since each of its passes deletes a count
@@ -175,12 +182,13 @@ class Flow:
     changed through it. `net` is the network the flow was solved on.
     """
 
-    def __init__(self, net: FlowNetwork, p: int, moved: dict, total: int,
-                 cut: tuple):
+    def __init__(self, net: FlowNetwork, moved: dict, total: int,
+                 cut: tuple, saturated: bool):
         # moved[k, b]: units of 2^-p from left[k] to the right node names[b];
         # total: the units that left the source
-        self.net, self._p, self._moved, self.cut = net, p, moved, cut
-        self.value = Dyadic(total, p)
+        self.net, self._moved, self.cut = net, moved, cut
+        self.saturated = saturated
+        self.value = Dyadic(total, net.p)
 
     @cached_property
     def units(self) -> tuple:
@@ -193,8 +201,8 @@ class Flow:
         # from a list: tuple() grows a generator's tuple by resizing it,
         # which raised peak RSS by about 1 MB per 6 000 Skorohod builds
         # (Python 3.11)
-        return self._p, tuple([((left[k], names[b]), moved[k, b])
-                               for k, b in sorted(moved)])
+        return self.net.p, tuple([((left[k], names[b]), moved[k, b])
+                                  for k, b in sorted(moved)])
 
 
 def _levels(source: int, sink: int, fwd: list, back: list):
@@ -239,16 +247,14 @@ def max_flow(net: FlowNetwork) -> Flow:
     of the first saturated edge, which is a terminal or a back edge: middle
     edges never saturate. All three take the breadth-first augmenting
     paths, in the same order and by the same amounts (see the module
-    docstring).
+    docstring). The capacities are read as the integers they are.
     """
-    p = max((c.exp for c in (*net.source_caps.values(),
-                             *net.sink_caps.values())), default=0)
     names = net.mid_caps.names
     # fwd[k]: the right nodes of left node k's middle edges, all residual;
     # back[b]: left nodes whose middle edge to right node b carries flow
     fwd = list(net.mid_caps.rows.values())
-    sent = [0 if c is None else c.num << (p - c.exp)
-            for c in map(net.source_caps.get, net.left)]
+    sources, sinks = net.source_caps, net.sink_caps
+    sent = [sources.get(x, 0) for x in net.left]
     columns = net.mid_caps.columns
     back = [0] * columns.bit_length()
     drained = back[:]
@@ -257,9 +263,9 @@ def max_flow(net: FlowNetwork) -> Flow:
         low = columns & -columns
         columns ^= low
         b = low.bit_length() - 1
-        c = net.sink_caps.get(names[b])
-        if c is not None and c.num:
-            drained[b] = c.num << (p - c.exp)
+        c = sinks.get(names[b])
+        if c:
+            drained[b] = c
             snk |= low
     # from here on, sent and drained hold the terminal residuals
     supply = sum(sent)
@@ -420,7 +426,7 @@ def max_flow(net: FlowNetwork) -> Flow:
             else:
                 break
 
-    return Flow(net, p, moved, supply - sum(sent), tuple(seen))
+    return Flow(net, moved, supply - sum(sent), tuple(seen), not src)
 
 
 def to_dot(flow: Flow) -> str:
@@ -428,8 +434,10 @@ def to_dot(flow: Flow) -> str:
 
     The flow on an edge is read off `units`: the edge's own units in the
     middle, a row sum on a source edge, a column sum on a sink edge. An
-    edge that carries nothing shows its capacity alone. The middle edges
-    are read off the rows: by left node, then by ascending bit.
+    edge that carries nothing shows its capacity alone. Flows and
+    capacities are shown as the dyadics their units of 2^-p stand for. The
+    middle edges are read off the rows: by left node, then by ascending
+    bit.
     """
     net = flow.net
     p, units = flow.units
@@ -440,6 +448,7 @@ def to_dot(flow: Flow) -> str:
     across = dict(units)
 
     def label(c, k):
+        c = Dyadic(c, p)
         return "%s of %s" % (Dyadic(k, p), c) if k else str(c)
 
     statements = []

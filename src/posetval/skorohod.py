@@ -16,7 +16,12 @@ checks and evaluation all work on the runs, so their cost grows with the
 number of runs, not with 2^depth.
 
 Everything here is exact: pushforwards are counting arguments, so equality
-with the schedule stages is dyadic equality, not approximation.
+with the schedule stages is dyadic equality, not approximation. A lift
+works on integers throughout: the current layer's run counts and the next
+stage's numerators, both written in words of the new layer, go into one
+flow network at that depth, so each unit of the plan is one word; the
+schedule that represent_target lifts is made as integer numerators and
+never as valuations.
 """
 
 from __future__ import annotations
@@ -24,14 +29,15 @@ from __future__ import annotations
 from functools import cache
 from itertools import compress, islice
 
+from . import flow as flowmod
 from .cantor import StepMap, Word, _word_bits
 from .dyadic import MAX_PARSED_EXPONENT, Dyadic
-from .errors import (DepthExceeded, NotComparable, NotProbability,
+from .errors import (DepthExceeded, MixedBase, NotComparable, NotProbability,
                      ParseError, SourceExhausted, TooLarge)
 from .poset import Poset
 from .text import digits, digraph, known, read_lines, statement, writable
-from .valuation import (SimpleValuation, _check_units, _same_base, _solve,
-                        _transport_units, delta)
+from .valuation import (SimpleValuation, _check_units, _network, _numerators,
+                        _transport_units)
 
 # deepest layer lift_step builds; layers are runs, and laws, draws and the
 # settling of a sequence work on the runs, but format_map still lists all
@@ -44,12 +50,14 @@ def build_schedule(target: SimpleValuation, steps: int) -> list:
 
     Stage 0 is the bottom point mass, stage `steps` the target itself. With
     E the target's largest exponent and t(x) = n_x / 2^E, stage k weighs x
-    by n_x (2^k - 1) / 2^(k + E), plus 2^E / 2^(k + E) at the bottom, so
-    each stage is one valuation built from integer numerators; a bottom
-    target gives the constant schedule. The stages are way below each other
-    by construction: with t the target, on every upper set U without the
-    bottom that stage k charges, (1 - 2^-k) t(U) < (1 - 2^-(k + 1)) t(U)
-    <= stage (k + 1)(U), so stage k approximates stage k + 1.
+    by n_x (2^k - 1) / 2^(k + E), plus 2^E / 2^(k + E) at the bottom. The
+    stages are the integer numerators _stages makes, each wrapped in one
+    valuation, so the formula lives in one place, which represent_target
+    reads without the wrapping; a bottom target gives the constant
+    schedule. The stages are way below each other by construction: with t
+    the target, on every upper set U without the bottom that stage k
+    charges, (1 - 2^-k) t(U) < (1 - 2^-(k + 1)) t(U) <= stage (k + 1)(U),
+    so stage k approximates stage k + 1.
 
     Stage k's exponent is at most E + k, E the target's largest; raises
     TooLarge before building when E + steps - 1 passes the parser's
@@ -64,6 +72,14 @@ def _schedule_stages(target: SimpleValuation, steps: int):
 
     Its refusals are raised at the call, before any stage is made.
     """
+    base = target.base
+    return (SimpleValuation(base, {x: Dyadic(n, e) for x, n in nums.items()})
+            for e, nums in _schedule(target, steps))
+
+
+def _schedule(target: SimpleValuation, steps: int):
+    """The schedule's stages as _stages makes them, after its refusals,
+    which are raised at the call."""
     if steps < 1:
         raise ValueError("schedule length must be at least 1")
     if not target.is_probability():
@@ -77,18 +93,31 @@ def _schedule_stages(target: SimpleValuation, steps: int):
 
 
 def _stages(target: SimpleValuation, e: int, steps: int):
-    """The schedule's stages, one at a time; e is the target's largest
-    exponent."""
-    nums = {x: w.rescale(e) for x, w in target.weights.items()}
+    """The schedule's stages, one at a time, each as (an exponent, the
+    integer numerators of 2^-exponent in declaration order); e is the
+    target's largest exponent.
+
+    Stage k of 1..steps - 1 is written at k + e. That is its largest
+    exponent, the one its valuation has: for e > 0 some n_x is odd, so
+    n_x (2^k - 1) is odd, and so is the bottom's n (2^k - 1) + 2^e; for
+    e = 0 the target is a point mass at x, and a point other than the
+    bottom keeps 2^k - 1. The bottom point mass alone has stage k at 2^k
+    over 2^k, and there the layer the lift makes lies at depth k either
+    way, since every lift deepens the map by a level at least.
+    """
     base = target.base
-    yield delta(base, base.bottom)
+    bottom = base.bottom
+    nums = _numerators(target, e)
+    yield 0, {bottom: 1}
+    # the target's points and the bottom, in declaration order
+    padded = {x: nums.get(x, 0)
+              for x in sorted({*nums, bottom}, key=base.index.__getitem__)}
     for k in range(1, steps):
         keep = (1 << k) - 1
-        weights = {x: n * keep for x, n in nums.items()}
-        weights[base.bottom] = weights.get(base.bottom, 0) + (1 << e)
-        yield SimpleValuation(base, {x: Dyadic(n, k + e)
-                                     for x, n in weights.items()})
-    yield target
+        stage = {x: n * keep for x, n in padded.items()}
+        stage[bottom] += 1 << e
+        yield k + e, stage
+    yield e, nums
 
 
 def lift_step(current: StepMap, target: SimpleValuation) -> StepMap:
@@ -96,47 +125,57 @@ def lift_step(current: StepMap, target: SimpleValuation) -> StepMap:
 
     The current map's law, taken on the target's poset, must lie below
     `target` in the probability order; a value of the map that is not an
-    element of that poset raises UnknownElement. The new depth is the
-    smallest one past the current depth at which the laws and the transport
-    numbers all become integer counts: the target's exponent if larger,
-    since the current law's exponent is at most its depth and a flow's at
-    most its capacities'. The transport plan travels as the flow's checked
-    integer units of 2^-p, and each unit from x to y becomes 2^(depth - p)
-    words of the new level. Each run of the current layer, taken in word
-    order, covers a block of the new level, which is dealt out to the
-    targets its value x sends mass to, in the poset's declaration order,
-    each taking as many words as its remaining budget allows. That is the
-    word-by-word lexicographic filling, done a run at a time over x's own
-    targets, so the cost grows with the runs and the plan's entries, not
-    with 2^depth; the result is deterministic and monotone over the current
-    layer. Raises TooLarge when that depth exceeds MAX_DEPTH.
+    element of that poset raises UnknownElement, and a target that is not
+    a probability NotProbability, before any plan is made. The new depth
+    is the smallest one past the current depth at which the target's
+    weights become integer counts of words: the target's exponent if
+    larger. There the law's numerators are the map's run counts in words
+    of the new level, and they go to _lift with the target's.
+    """
+    base = target.base
+    law = current.law(base)
+    if not target.is_probability():
+        raise NotProbability("lift target must have mass 1")
+    depth = max(current.depth + 1, target.max_exponent())
+    return _lift(base, current, _numerators(law, depth),
+                 _numerators(target, depth), depth)
+
+
+def _lift(base: Poset, current: StepMap, counts: dict, nums: dict,
+          depth: int) -> StepMap:
+    """The layer at `depth` refining `current` whose counting law is nums.
+
+    counts holds the current layer's run counts and nums the stage's
+    numerators, both in words of the new level, 2^-depth, and both in
+    declaration order. The transport plan from counts to nums is solved at
+    that depth, so each of its units is one word of the new level. Each
+    run of the current layer, taken in word order, covers a block of the
+    new level, which is dealt out to the targets its value x sends words
+    to, in the poset's declaration order, each taking as many words as its
+    remaining budget allows. That is the word-by-word lexicographic
+    filling, done a run at a time over x's own targets, so the cost grows
+    with the runs and the plan's entries, not with 2^depth; the result is
+    deterministic and monotone over the current layer. Raises TooLarge
+    when depth exceeds MAX_DEPTH, once the plan is made, so a stage that is
+    not above the last is refused as such whatever its depth.
 
     A layer of one run, with value x, has law delta_x, whose only transport
-    plan to the target sends each target point y its whole weight from x;
-    that plan is read off the target's numerators, with no flow solved,
-    once x is found below the whole support (NotComparable otherwise, as
-    transport_plan raises). Any other layer's plan comes from a fresh
-    solve of the order network (valuation._solve), outside the order
+    plan to the stage sends each point y its whole count from x; that plan
+    is read off nums, with no flow solved, once x is found below every
+    point (NotComparable otherwise, as a flow that cannot saturate
+    refuses). Any other layer's plan comes from a fresh solve of the order
+    network of counts and nums (valuation._network), outside the order
     decisions' slot: a lift never asks for the same pair twice, so it
     neither builds the slot's key nor evicts the pair kept there. Every
     plan takes the one plan check, _check_units, which is what lets
     represent trust the layers it builds.
     """
-    return _lift(current, current.law(target.base), target)
-
-
-def _lift(current: StepMap, law: SimpleValuation,
-          target: SimpleValuation) -> StepMap:
-    """lift_step, given the current layer's law; both plan paths refuse a
-    law and a target on two posets with MixedBase."""
-    if not target.is_probability():
-        raise NotProbability("lift target must have mass 1")
     if len(current.values) == 1:
-        p, units = _forced_units(law, target)
+        units = _forced_units(base, counts, nums)
     else:
-        # NotComparable unless law <= target
-        p, units = _transport_units(law, target, _solve(law, target))
-    depth = max(current.depth + 1, target.max_exponent())
+        # NotComparable unless counts lie below nums
+        _, units = _transport_units(
+            base, flowmod.max_flow(_network(base, depth, counts, nums)))
     if depth > MAX_DEPTH:
         raise TooLarge("representation depth %d exceeds the bound %d"
                        % (depth, MAX_DEPTH))
@@ -144,7 +183,7 @@ def _lift(current: StepMap, law: SimpleValuation,
     # order, so the next target to fill is last
     deals = {}
     for (x, y), k in reversed(units):
-        deals.setdefault(x, []).append([y, k << (depth - p)])
+        deals.setdefault(x, []).append([y, k])
     stride = depth - current.depth
     ends, values = [], []
     start = pos = 0
@@ -175,19 +214,17 @@ def _lift(current: StepMap, law: SimpleValuation,
     return StepMap(depth, ends=ends, values=values)
 
 
-def _forced_units(law: SimpleValuation, target: SimpleValuation) -> tuple:
-    """The one transport plan from a point mass law = delta_x to target, as
-    checked integer units (p, [((x, y), k), ...]) of 2^-p."""
-    _same_base(law, target)
-    (x,) = law.weights
-    index = law.base.index
-    up = law.base._up_mask[index[x]]
-    if any(not up >> index[y] & 1 for y in target.weights):
+def _forced_units(base: Poset, counts: dict, nums: dict) -> list:
+    """The one transport plan from a point mass counts = {x: n} to nums,
+    as checked integer units [((x, y), k), ...]."""
+    (x,) = counts
+    index = base.index
+    up = base._up_mask[index[x]]
+    if any(not up >> index[y] & 1 for y in nums):
         raise NotComparable("valuations are not ordered; no transport plan")
-    p = target.max_exponent()
-    units = [((x, y), w.rescale(p)) for y, w in target.weights.items()]
-    _check_units(law, target, p, units)
-    return p, units
+    units = [((x, y), k) for y, k in nums.items()]
+    _check_units(base, counts, nums, units)
+    return units
 
 
 class RepresentationMap:
@@ -269,45 +306,82 @@ class RepresentationMap:
 
 def represent(stages) -> RepresentationMap:
     """Realize a chain of probability valuations, each <= the next, stage by
-    stage via lift_step, from the depth-0 layer at the bottom.
+    stage via _lift, from the depth-0 layer at the bottom.
 
     The first stage must be the bottom point mass (NotComparable
     otherwise); a later stage is refused as lift_step refuses it:
-    NotProbability, MixedBase, or NotComparable when it is not above the
-    stage before. Way-below is not needed. Every layer's law equals its
-    stage exactly, and this is checked rather than trusted: each layer's
-    run lengths are counted once and compared with its stage's numerators
-    at the layer's depth (AssertionError otherwise, kept under `python
-    -O`). The stage, equal to the layer's law, then goes to the next lift,
-    whose plan travels as checked integer units. Those two checks make the
-    layers total and monotone, so the map is returned without the public
-    constructor's walk over them (see RepresentationMap).
+    NotProbability, then MixedBase when it lies on another poset, then
+    NotComparable when it is not above the stage before. Way-below is not
+    needed. Each stage goes to _represent as its largest exponent and its
+    numerators there.
     """
     if not stages:
         raise ValueError("schedule needs at least one stage")
     base = stages[0].base
-    layers = [StepMap(0, ends=[1], values=[base.bottom])]
-    if stages[0] != layers[0].law(base):
+    layer = StepMap(0, ends=[1], values=[base.bottom])
+    if stages[0] != layer.law(base):
         raise NotComparable("schedule must start at the bottom mass")
-    for law, stage in zip(stages, stages[1:]):
-        layer = _lift(layers[-1], law, stage)
-        if layer.counts() != {x: w.rescale(layer.depth)
-                              for x, w in stage.weights.items()}:
+
+    def numerators(stage):
+        if not stage.is_probability():
+            raise NotProbability("lift target must have mass 1")
+        if stage.base is not base:
+            raise MixedBase("valuations live on different posets")
+        e = stage.max_exponent()
+        return e, _numerators(stage, e)
+
+    return _represent(base, layer, map(numerators, stages[1:]))
+
+
+def _represent(base: Poset, layer: StepMap, stages) -> RepresentationMap:
+    """The map whose first layer is `layer`, the bottom's at depth 0, and
+    whose later layers lift it through stages, each given as (e, integer
+    numerators of 2^-e in declaration order): e is the stage's largest
+    exponent, or one that gives its layer the same depth (see _stages).
+
+    Each layer lies one level past the last at least, at e if that is
+    deeper; there the current layer's counts and the stage's numerators
+    are integer counts of words, and _lift deals them out. Every layer's
+    law equals its stage exactly, and this is checked rather than trusted:
+    each layer's run lengths are counted once and compared with its
+    stage's numerators at the layer's depth (AssertionError otherwise,
+    kept under `python -O`). The stage, equal to the layer's counts, is
+    then the next lift's counts, whose plan travels as checked integer
+    units. Those two checks make the layers total and monotone, so the map
+    is returned without the public constructor's walk over them (see
+    RepresentationMap).
+    """
+    layers = [layer]
+    counts = {base.bottom: 1}
+    for e, nums in stages:
+        depth = max(layer.depth + 1, e)
+        stride = depth - layer.depth
+        if depth != e:
+            nums = {x: n << (depth - e) for x, n in nums.items()}
+        layer = _lift(base, layer, {x: n << stride for x, n in counts.items()},
+                      nums, depth)
+        if layer.counts() != nums:
             raise AssertionError("layer at depth %d does not push forward "
                                  "to its stage" % layer.depth)
         layers.append(layer)
+        counts = nums
     return RepresentationMap._built(base, layers)
 
 
 def represent_target(target: SimpleValuation,
                      steps: int) -> RepresentationMap:
-    """represent(build_schedule(target, steps)), refused before the build
-    when it cannot fit: every lift deepens the map by at least one level,
-    so `steps` stages need depth `steps` or more."""
+    """represent(build_schedule(target, steps)), on the schedule's integer
+    numerators, with no stage made a valuation; refused before the
+    schedule when it cannot fit: every lift deepens the map by at least
+    one level, so `steps` stages need depth `steps` or more."""
     if steps > MAX_DEPTH:
         raise TooLarge("representation depth %d or more exceeds the bound %d"
                        % (steps, MAX_DEPTH))
-    return represent(build_schedule(target, steps))
+    stages = _schedule(target, steps)
+    next(stages)    # the bottom mass, the first layer's law
+    base = target.base
+    return _represent(base, StepMap(0, ends=[1], values=[base.bottom]),
+                      stages)
 
 
 @cache

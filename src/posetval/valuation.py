@@ -21,14 +21,20 @@ after the other, so one pair is all they share. More entries would hold
 flows that no certificate reads, and would make a query's cost depend on
 the queries asked before it. The slot keys the pair's posets by weak
 reference, so it keeps the last flow but no poset alive. The Skorohod lift
-never asks for the same pair twice, so it solves through _solve, outside
+never asks for the same pair twice, so it solves its own network, outside
 the slot, and leaves the kept flow alone.
+
+Every network, the order decisions' and the lifts', comes from one
+producer, _network, which takes the two measures as integer numerators
+of 2^-p; a valuation is rescaled to them once (_numerators). The
+transport plan travels as the flow's integer units, and _check_units
+checks it on those integers.
 
 Way-below, mu(U) < nu(U) on every upper set U that mu charges (normalized
 mode exempts the whole poset), is decided on the same network with every
 source capacity raised by one dyadic epsilon. It builds and solves a
-network of its own, outside the slot, since it raises that network's
-capacities in place.
+network of its own, outside the slot, whose raised capacities answer the
+order question of no pair.
 
 Pushforward along monotone maps and a finite-scale weak-convergence
 (Portmanteau) check complete the module. The Portmanteau check sums
@@ -51,12 +57,6 @@ from .errors import (MassExceeded, MixedBase, NotComparable, NotMonotone,
                      NotProbability, ParseError, PartialMap, UnknownElement)
 from .poset import Poset, UpperSet, _bits, upper_masks
 from .text import known, read_lines, writable
-
-# the one capacity of the middle edges, above every sink capacity, as the
-# flow engine relies on: a weight is at most 1, so no middle edge
-# saturates and a minimum cut never crosses the middle layer
-_WIDE = Dyadic(2, 0)
-
 
 class SimpleValuation:
     """Sum of weighted point masses; weights dyadic, total mass <= 1.
@@ -142,32 +142,46 @@ def _same_base(mu: SimpleValuation, nu: SimpleValuation):
         raise MixedBase("valuations live on different posets")
 
 
-def order_network(mu: SimpleValuation, nu: SimpleValuation) -> flowmod.FlowNetwork:
-    """The network whose maximum flow decides mu <= nu.
+def _numerators(v: SimpleValuation, p: int) -> dict:
+    """v's weights as integer numerators of 2^-p, in declaration order; p
+    is at least v's largest exponent."""
+    return {x: w.num << (p - w.exp) for x, w in v.weights.items()}
 
-    Its middle edges x -> y are the pairs x <= y of mu's and nu's supports,
-    given as one row per x: x's up-set mask restricted to nu's support,
-    whose set bits ascend in declaration order, as nu's support does. They
-    share the capacity _WIDE, above every sink capacity nu(y) <= 1, so they
-    act as uncapacitated, as a transport's entries are.
+
+def _network(base: Poset, p: int, sources: dict,
+             sinks: dict) -> flowmod.FlowNetwork:
+    """The order network of two measures on base given as integer
+    numerators of 2^-p, each a dict from points to positive counts in
+    declaration order; the sinks' total is at most 2^p.
+
+    Its middle edges x -> y are the pairs x <= y of the two supports,
+    given as one row per source point x: x's up-set mask restricted to the
+    sinks' support, whose set bits ascend in declaration order, as the
+    sinks do. They share the capacity 2, that is 2^(p + 1) units, above
+    every sink capacity, so they act as uncapacitated, as a transport's
+    entries are.
 
     It is the one producer of flow networks, and the engine trusts its
     fields: each fact of the network's shape holds by construction, and
-    the test suite's reference check runs on what it builds.
+    the test suite's reference check runs on what it builds. The network
+    holds the two dicts themselves, and the engine only reads them.
     """
-    index, up = mu.base.index, mu.base._up_mask
-    columns = sum(1 << index[y] for y in nu.weights)
-    rows = {x: up[index[x]] & columns for x in mu.weights}
-    return flowmod.FlowNetwork(
-        mu.support, nu.support, dict(mu.weights),
-        flowmod.MaskEdges(rows, mu.base.elements, _WIDE), dict(nu.weights))
+    index, up = base.index, base._up_mask
+    columns = 0
+    for y in sinks:
+        columns |= 1 << index[y]
+    rows = {x: up[index[x]] & columns for x in sources}
+    return flowmod.FlowNetwork(list(sources), list(sinks), sources,
+                               flowmod.MaskEdges(rows, base.elements, 2 << p),
+                               sinks, p)
 
 
-def _solve(mu: SimpleValuation, nu: SimpleValuation) -> flowmod.Flow:
-    """The maximum flow of order_network(mu, nu), solved afresh; mu and nu
-    must share their poset (MixedBase otherwise)."""
-    _same_base(mu, nu)
-    return flowmod.max_flow(order_network(mu, nu))
+def order_network(mu: SimpleValuation,
+                  nu: SimpleValuation) -> flowmod.FlowNetwork:
+    """The network whose maximum flow decides mu <= nu: _network at p the
+    largest exponent of mu and nu, each rescaled once."""
+    p = max(mu._top, nu._top)
+    return _network(mu.base, p, _numerators(mu, p), _numerators(nu, p))
 
 
 # (key, flow): the last pair _order_flow solved, replaced as one tuple
@@ -175,20 +189,21 @@ _kept = (None, None)
 
 
 def _order_flow(mu: SimpleValuation, nu: SimpleValuation) -> flowmod.Flow:
-    """_solve(mu, nu), kept in a slot of one pair: the order decisions'
-    cache.
+    """The maximum flow of order_network(mu, nu), kept in a slot of one
+    pair: the order decisions' cache. mu and nu must share their poset
+    (MixedBase otherwise).
 
     The flow of the last pair solved is kept under the key (mu's base,
     nu's base, mu's weights, nu's weights). The bases are held by weak
     references: a live one compares as its poset does, by identity, and a
     dead one equals no new one, so the slot never keeps a poset alive. The
     weights compare by their canonical dyadic values, so an equal key means
-    a pair that passed _solve's base check and an identical network, whose
+    a pair that passed the base check and an identical network, whose
     deterministic solve gives an identical flow: the slot changes no
     answer. It is replaced by one assignment, so a reader never pairs one
     key with another pair's flow. A flow's value, cut and units are
     immutable (the units are tuples), so the callers share it. The lift
-    calls _solve itself and never builds a key.
+    solves its own networks and never builds a key.
     """
     global _kept
     key = (weakref.ref(mu.base), weakref.ref(nu.base),
@@ -196,7 +211,8 @@ def _order_flow(mu: SimpleValuation, nu: SimpleValuation) -> flowmod.Flow:
     kept_key, kept = _kept
     if key == kept_key:
         return kept
-    f = _solve(mu, nu)
+    _same_base(mu, nu)
+    f = flowmod.max_flow(order_network(mu, nu))
     _kept = key, f
     return f
 
@@ -209,7 +225,7 @@ def leq(mu: SimpleValuation, nu: SimpleValuation) -> bool:
     _order_flow), so a following leq_witness or transport_plan of the same
     pair solves nothing more.
     """
-    return _order_flow(mu, nu).value == mu.mass
+    return _order_flow(mu, nu).saturated
 
 
 def leq_witness(mu: SimpleValuation, nu: SimpleValuation):
@@ -223,7 +239,7 @@ def leq_witness(mu: SimpleValuation, nu: SimpleValuation):
     closed by construction.
     """
     f = _order_flow(mu, nu)
-    if f.value == mu.mass:
+    if f.saturated:
         return None
     base = mu.base
     index, up, left = base.index, base._up_mask, f.net.left
@@ -246,14 +262,15 @@ class TransportPlan:
     entries: dict
 
     def verify(self):
-        """Check the plan: its entries, rescaled to integers at one common
-        exponent, go through the one check every plan takes (_check_units).
+        """Check the plan: its entries and both valuations, rescaled to
+        integers at one common exponent, go through the one check every
+        plan takes (_check_units).
         """
         mu, nu = self.source, self.target
-        p = max(mu.max_exponent(), nu.max_exponent(),
+        p = max(mu._top, nu._top,
                 max((t.exp for t in self.entries.values()), default=0))
-        _check_units(mu, nu, p, [(xy, t.rescale(p))
-                                 for xy, t in self.entries.items()])
+        _check_units(mu.base, _numerators(mu, p), _numerators(nu, p),
+                     [(xy, t.rescale(p)) for xy, t in self.entries.items()])
 
     def lines(self):
         order = self.source.base.index
@@ -262,16 +279,17 @@ class TransportPlan:
             yield "t %s %s %s" % (x, y, self.entries[x, y])
 
 
-def _check_units(mu: SimpleValuation, nu: SimpleValuation, p: int,
-                 units) -> None:
+def _check_units(base: Poset, sources: dict, sinks: dict, units) -> None:
     """The check every transport plan takes, on integer units of 2^-p.
 
-    units lists ((x, y), k): k units move from x up to y. Each k must be
-    positive and each x <= y; the units leaving each x must sum to mu(x),
-    and those reaching each y stay within nu(y). p is at least every
-    exponent of mu and nu. Raises AssertionError, which `python -O` keeps.
+    sources and sinks give the two measures on base as numerators of
+    2^-p, the sources' all positive; units lists ((x, y), k): k units move
+    from x up to y. Each k must be positive and each x <= y; the units
+    leaving each x must sum to its source count, and those reaching each
+    y stay within its sink count. Raises AssertionError, which `python -O`
+    keeps.
     """
-    index, up = mu.base.index, mu.base._up_mask
+    index, up = base.index, base._up_mask
     rows, cols = {}, {}
     for (x, y), k in units:
         if k <= 0 or not up[index[x]] >> index[y] & 1:
@@ -279,29 +297,29 @@ def _check_units(mu: SimpleValuation, nu: SimpleValuation, p: int,
                                  "upward move" % (x, y))
         rows[x] = rows.get(x, 0) + k
         cols[y] = cols.get(y, 0) + k
-    if rows != {x: w.rescale(p) for x, w in mu.weights.items()}:
+    if rows != sources:
         raise AssertionError("plan rows do not sum to the source's weights")
     for y, k in cols.items():
-        if k > nu.weights.get(y, ZERO).rescale(p):
+        if k > sinks.get(y, 0):
             raise AssertionError("plan column %s exceeds the target's weight"
                                  % (y,))
 
 
-def _transport_units(mu: SimpleValuation, nu: SimpleValuation,
-                     f: flowmod.Flow) -> tuple:
-    """The units of f, the flow of order_network(mu, nu), as a checked
-    transport plan (p, (((x, y), k), ...)) of 2^-p, listed by x, then y, in
-    declaration order.
+def _transport_units(base: Poset, f: flowmod.Flow) -> tuple:
+    """The units of f, the flow of a network _network built on base, as a
+    checked transport plan (p, (((x, y), k), ...)) of 2^-p, listed by x,
+    then y, in declaration order.
 
     transport_plan passes the slot's flow (_order_flow), the lift a fresh
-    one (_solve); either has checked that mu and nu share their poset.
-    Refuses with NotComparable when f does not saturate mu. The units take
-    _check_units whichever solve gave them.
+    one of its own network at its new depth. Refuses with NotComparable
+    when f does not saturate the sources. The units take _check_units
+    against the network's own counts, whichever solve gave them.
     """
-    if f.value != mu.mass:
+    if not f.saturated:
         raise NotComparable("valuations are not ordered; no transport plan")
     p, units = f.units
-    _check_units(mu, nu, p, units)
+    net = f.net
+    _check_units(base, net.source_caps, net.sink_caps, units)
     return p, units
 
 
@@ -312,7 +330,7 @@ def transport_plan(mu: SimpleValuation, nu: SimpleValuation) -> TransportPlan:
     once and keeps it (see _order_flow); either way the plan takes the one
     plan check.
     """
-    p, units = _transport_units(mu, nu, _order_flow(mu, nu))
+    p, units = _transport_units(mu.base, _order_flow(mu, nu))
     return TransportPlan(mu, nu, {xy: Dyadic(k, p) for xy, k in units})
 
 
@@ -328,14 +346,16 @@ def way_below(mu: SimpleValuation, nu: SimpleValuation,
     strict gap is at least 2^-p >= eps * |S| for eps = 2^-(p +
     ceil(log2 |supp mu|)): the condition holds iff the order network still
     saturates with every source capacity raised by eps, so that the flow
-    carries mu's mass and eps more per point of its support. Normalized mode
-    first drops mu's bottom mass, which only the whole poset holds; that
-    set then fails only if mu misses the bottom, and then so does up(supp
-    mu), which has all of mu's mass. A bottom point mass charges nothing.
+    carries mu's mass and eps more per point of its support. The network is
+    written in units of eps, so raising a capacity adds one unit.
+    Normalized mode first drops mu's bottom mass, which only the whole
+    poset holds; that set then fails only if mu misses the bottom, and then
+    so does up(supp mu), which has all of mu's mass. A bottom point mass
+    charges nothing.
 
     The raised network is built and solved here on every call, outside
-    _order_flow's slot: its capacities are raised in place, so neither it
-    nor its flow answers the order question of any pair.
+    _order_flow's slot: neither it nor its flow answers the order question
+    of any pair.
     """
     _same_base(mu, nu)
     if normalized:
@@ -344,13 +364,11 @@ def way_below(mu: SimpleValuation, nu: SimpleValuation,
                 "normalized mode needs probability valuations")
         mu = SimpleValuation(mu.base, {x: w for x, w in mu.weights.items()
                                        if x != mu.base.bottom})
-    net = order_network(mu, nu)
-    p = max(mu.max_exponent(), nu.max_exponent())
-    eps = Dyadic(1, p + (len(net.left) - 1).bit_length())
-    caps = net.source_caps  # the network's own copy of mu's weights
-    for x, c in caps.items():
-        caps[x] = c + eps
-    return flowmod.max_flow(net).value == mu.mass + Dyadic(len(caps), eps.exp)
+    # eps is one unit of 2^-p
+    p = max(mu._top, nu._top) + (len(mu.weights) - 1).bit_length()
+    raised = {x: n + 1 for x, n in _numerators(mu, p).items()}
+    return flowmod.max_flow(
+        _network(mu.base, p, raised, _numerators(nu, p))).saturated
 
 
 @dataclass

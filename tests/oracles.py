@@ -89,11 +89,18 @@ def leq_oracle(mu: SimpleValuation, nu: SimpleValuation) -> bool:
                for u in upper_sets_by_masks(mu.base))
 
 
+def dyadic_caps(net: FlowNetwork, caps: dict) -> dict:
+    """A network's integer capacities of 2^-p as the dyadics they stand
+    for."""
+    return {key: Dyadic(c, net.p) for key, c in caps.items()}
+
+
 def middle_edges(net: FlowNetwork) -> dict:
-    """A network's middle edges as (x, y) -> capacity, read bit by bit off
-    its MaskEdges rows: by left node, then by ascending bit."""
+    """A network's middle edges as (x, y) -> capacity, a dyadic, read bit by
+    bit off its MaskEdges rows: by left node, then by ascending bit."""
     mid = net.mid_caps
-    return {(x, mid.names[b]): mid.cap for x, row in mid.rows.items()
+    cap = Dyadic(mid.cap, net.p)
+    return {(x, mid.names[b]): cap for x, row in mid.rows.items()
             for b in range(row.bit_length()) if row >> b & 1}
 
 
@@ -104,13 +111,18 @@ def network_violations(net: FlowNetwork) -> list:
     The middle edges must be MaskEdges rows that list the left side in
     order, whose set bits, ORed over the rows and read from the lowest,
     name right nodes in the right side's order; terminal capacities sit on
-    nodes of their side; no right name repeats; the middle capacity is
-    above zero and above every sink capacity.
+    nodes of their side; no right name repeats; p and every capacity are
+    integers of at least zero; the middle capacity is above zero and above
+    every sink capacity.
     """
     out = []
     mid = net.mid_caps
     if not isinstance(mid, MaskEdges):
         return ["the middle edges are not MaskEdges rows"]
+    if any(type(c) is not int or c < 0
+           for c in [net.p, mid.cap, *net.source_caps.values(),
+                     *net.sink_caps.values()]):
+        return ["p or a capacity is not an integer of at least zero"]
     if list(mid.rows) != list(net.left):
         out.append("the rows do not list the left side in order")
     position = {y: j for j, y in enumerate(net.right)}
@@ -131,8 +143,8 @@ def network_violations(net: FlowNetwork) -> list:
         out.append("a terminal capacity sits on an unknown node")
     if len(position) != len(net.right):
         out.append("a right name repeats")
-    if not ZERO < mid.cap or any(not c < mid.cap
-                                 for c in net.sink_caps.values()):
+    if not 0 < mid.cap or any(not c < mid.cap
+                              for c in net.sink_caps.values()):
         out.append("the middle capacity %s is not above zero and every sink "
                    "capacity" % (mid.cap,))
     return out
@@ -141,18 +153,20 @@ def network_violations(net: FlowNetwork) -> list:
 def min_cut_by_enumeration(net: FlowNetwork) -> Dyadic:
     """Minimum over all source/sink partitions of the crossing capacity."""
     inner = [("left", x) for x in net.left] + [("right", y) for y in net.right]
+    sources = dyadic_caps(net, net.source_caps)
+    sinks = dyadic_caps(net, net.sink_caps)
     best = None
     for k in range(len(inner) + 1):
         for chosen in combinations(inner, k):
             side = set(chosen) | {"source"}
             value = ZERO
-            for x, c in net.source_caps.items():
+            for x, c in sources.items():
                 if ("left", x) not in side:
                     value = value + c
             for (x, y), c in middle_edges(net).items():
                 if ("left", x) in side and ("right", y) not in side:
                     value = value + c
-            for y, c in net.sink_caps.items():
+            for y, c in sinks.items():
                 if ("right", y) in side:
                     value = value + c
             if best is None or value < best:
@@ -163,17 +177,18 @@ def min_cut_by_enumeration(net: FlowNetwork) -> Dyadic:
 def max_flow_by_shortest_paths(net: FlowNetwork) -> dict:
     """Edmonds-Karp: augment along the breadth-first path, neighbours in
     declaration order, until none is left; the last search marks the cut.
-    Returns the fields of the flow by name."""
+    The capacities are taken as dyadics, so the search runs on dyadics, not
+    on the engine's integers. Returns the fields of the flow by name."""
     nodes = ["source"] + [("left", x) for x in net.left] \
         + [("right", y) for y in net.right] + ["sink"]
     # res[v][w], w in declaration order; the network has no antiparallel
     # edges, so res[w][v] starts at zero for every edge v -> w
     res = {v: dict.fromkeys(nodes, ZERO) for v in nodes}
-    for x, c in net.source_caps.items():
+    for x, c in dyadic_caps(net, net.source_caps).items():
         res["source"][("left", x)] = c
     for (x, y), c in middle_edges(net).items():
         res[("left", x)][("right", y)] = c
-    for y, c in net.sink_caps.items():
+    for y, c in dyadic_caps(net, net.sink_caps).items():
         res[("right", y)]["sink"] = c
     cap = {v: dict(out) for v, out in res.items()}
     while True:

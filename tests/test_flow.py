@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 from posetval import Dyadic, Poset, SimpleValuation, ZERO, flow, leq_witness
 from posetval.flow import FlowNetwork, MaskEdges, max_flow, to_dot
+from posetval.skorohod import represent_target
 from posetval.valuation import order_network
 
 from conftest import random_poset, random_valuation, shuffled_poset
-from oracles import (max_flow_by_shortest_paths, middle_edges,
+from oracles import (dyadic_caps, max_flow_by_shortest_paths, middle_edges,
                      min_cut_by_enumeration, network_violations, up_set,
                      upward_closure, value_on)
 
@@ -41,13 +42,46 @@ def phase_levels(monkeypatch):
     return counts
 
 
+def integer_network(left, right, source_caps, rows, names, cap, sink_caps):
+    """The network of these dyadic capacities, each written as an integer
+    count of 2^-p, p their largest exponent."""
+    p = max(c.exp for c in [cap, *source_caps.values(), *sink_caps.values()])
+
+    def counts(caps):
+        return {key: c.rescale(p) for key, c in caps.items()}
+
+    return FlowNetwork(left, right, counts(source_caps),
+                       MaskEdges(rows, names, cap.rescale(p)),
+                       counts(sink_caps), p)
+
+
 def network(left, right, source_caps, pairs, sink_caps, cap=WIDE):
     """The network whose middle edges are `pairs`, as MaskEdges rows with
-    bit j for right[j]."""
+    bit j for right[j]; capacities are given as dyadics."""
     rows = {x: sum(1 << right.index(y) for x2, y in pairs if x2 == x)
             for x in left}
-    return FlowNetwork(left, right, source_caps, MaskEdges(rows, right, cap),
-                       sink_caps)
+    return integer_network(left, right, source_caps, rows, right, cap,
+                           sink_caps)
+
+
+def scaled(net, s):
+    """net written at 2^-(p + s): every capacity, the middle one too, is
+    2^s times as many units."""
+    def counts(caps):
+        return {key: c << s for key, c in caps.items()}
+
+    mid = net.mid_caps
+    return FlowNetwork(net.left, net.right, counts(net.source_caps),
+                       MaskEdges(mid.rows, mid.names, mid.cap << s),
+                       counts(net.sink_caps), net.p + s)
+
+
+def raised(net):
+    """Way-below's network of the order network net: written in units of
+    eps = 2^-(p + ceil(log2 |left|)), each source capacity one unit more."""
+    wide = scaled(net, (len(net.left) - 1).bit_length())
+    return replace(wide, source_caps={x: c + 1
+                                      for x, c in wide.source_caps.items()})
 
 
 def tagged(f):
@@ -128,13 +162,13 @@ def random_net(rng):
 
 def crossing_capacity(net, side):
     total = ZERO
-    for x, c in net.source_caps.items():
+    for x, c in dyadic_caps(net, net.source_caps).items():
         if ("left", x) not in side:
             total = total + c
     for (x, y), c in middle_edges(net).items():
         if ("left", x) in side and ("right", y) not in side:
             total = total + c
-    for y, c in net.sink_caps.items():
+    for y, c in dyadic_caps(net, net.sink_caps).items():
         if ("right", y) in side:
             total = total + c
     return total
@@ -156,8 +190,7 @@ def test_flows_are_integral_at_common_denominator():
     rng = random.Random(12)
     for _ in range(60):
         net = random_net(rng)
-        p = max(c.exp for c in [*net.source_caps.values(),
-                                *net.sink_caps.values()])
+        p = net.p
         f = max_flow(net)
         assert f.value.exp <= p
         assert f.units[0] == p
@@ -174,9 +207,9 @@ def test_conservation_and_capacity():
         for xy, t in flows["across"].items():
             assert t < middle_edges(net)[xy]  # no middle edge saturates
         for x, t in flows["from_source"].items():
-            assert t <= net.source_caps[x]
+            assert t <= dyadic_caps(net, net.source_caps)[x]
         for y, t in flows["to_sink"].items():
-            assert t <= net.sink_caps[y]
+            assert t <= dyadic_caps(net, net.sink_caps)[y]
         assert sum(flows["from_source"].values(), ZERO) == f.value \
             == sum(flows["to_sink"].values(), ZERO)
 
@@ -282,8 +315,7 @@ def networks(draw):
     sinks = caps(right)
     rows = {x: draw(st.integers(0, (1 << len(right)) - 1)) for x in left}
     cap = max([ZERO, *sinks.values()]) + draw(CAPS.filter(ZERO.__lt__))
-    return FlowNetwork(left, right, caps(left), MaskEdges(rows, right, cap),
-                       sinks)
+    return integer_network(left, right, caps(left), rows, right, cap, sinks)
 
 
 @settings(max_examples=300, deadline=None)
@@ -303,10 +335,7 @@ def test_max_flow_is_the_breadth_first_flow_on_decision_networks(rng):
     nu = random_valuation(rng, base, exp=rng.randint(0, 6))
     net = order_network(mu, nu)
     assert_breadth_first_flow(net)
-    p = max(mu.max_exponent(), nu.max_exponent())
-    eps = Dyadic(1, p + (len(net.left) - 1).bit_length())
-    assert_breadth_first_flow(replace(net, source_caps={
-        x: c + eps for x, c in net.source_caps.items()}))
+    assert_breadth_first_flow(raised(net))
 
 
 def sparse_valuation(rng, base, points, exp=None):
@@ -334,10 +363,7 @@ def test_max_flow_is_the_breadth_first_flow_on_larger_decision_networks(rng):
     # a transport plan lists its entries in this order
     across = [xy for xy, _ in assert_breadth_first_flow(net).units[1]]
     assert across == [e for e in pairs if e in across]
-    p = max(mu.max_exponent(), nu.max_exponent())
-    eps = Dyadic(1, p + (len(net.left) - 1).bit_length())
-    assert_breadth_first_flow(replace(net, source_caps={
-        x: c + eps for x, c in net.source_caps.items()}))
+    assert_breadth_first_flow(raised(net))
 
 
 def test_second_phase_reroutes_along_a_back_edge():
@@ -363,8 +389,7 @@ def test_mask_edges_are_checked_against_the_sides():
     one = Dyadic(1, 0)
 
     def net(left, rows, right, sources={}, sinks={}, cap=WIDE):
-        return FlowNetwork(left, right, sources, MaskEdges(rows, names, cap),
-                           sinks)
+        return integer_network(left, right, sources, rows, names, cap, sinks)
 
     ok = net(["a", "b"], {"a": 0b101, "b": 0b100}, ["u", "w"])
     assert list(middle_edges(ok)) == [("a", "u"), ("a", "w"), ("b", "w")]
@@ -388,9 +413,17 @@ def test_mask_edges_are_checked_against_the_sides():
         broken = net(left, rows, right, sources, sinks, cap)
         assert network_violations(broken), (left, rows, right, sources,
                                             sinks, cap)
-    plain = FlowNetwork(["a"], ["u"], {}, {("a", "u"): WIDE}, {})
+    plain = FlowNetwork(["a"], ["u"], {}, {("a", "u"): WIDE}, {}, 0)
     assert network_violations(plain) == [
         "the middle edges are not MaskEdges rows"]
+    # the engine reads integer capacities of 2^-p, and nothing else
+    for broken in [replace(ok, p=-1), replace(ok, p=Dyadic(1, 0)),
+                   replace(ok, source_caps={"a": Dyadic(1, 1)}),
+                   replace(ok, sink_caps={"u": -1}),
+                   replace(ok, mid_caps=MaskEdges(ok.mid_caps.rows, names,
+                                                  WIDE))]:
+        assert network_violations(broken) == [
+            "p or a capacity is not an integer of at least zero"]
 
 
 def test_first_phase_source_and_sink_saturate_together():
@@ -457,6 +490,65 @@ def test_decide_size_seeds_run_every_kind_of_phase(phase_levels):
     for seed in DECIDE_SEEDS:
         max_flow(order_network(*decide_size_pair(seed)))
     assert {2, 4} <= set(phase_levels) and max(phase_levels) >= 6
+
+
+def assert_scaling_keeps_the_flow(net):
+    # the same capacities written in units 2^s times finer: the solve runs
+    # the same phases and augmentations on integers 2^s times as large, so
+    # the cut masks stay and every unit is 2^s units. This is why a lift
+    # may solve its plan at its new layer's depth, not at its stages'
+    # exponents
+    f = max_flow(net)
+    p, units = f.units
+    for s in range(1, 6):
+        g = max_flow(scaled(net, s))
+        assert g.cut == f.cut
+        assert g.units == (p + s, tuple((xy, k << s) for xy, k in units))
+        assert (g.value, g.saturated) == (f.value, f.saturated)
+
+
+@settings(max_examples=200, deadline=None)
+@given(networks())
+def test_scaled_capacities_keep_the_cut_and_scale_the_units(net):
+    assert_scaling_keeps_the_flow(net)
+
+
+@pytest.mark.parametrize("seed", range(0, 24, 3))
+def test_scaled_capacities_at_decide_size(seed):
+    assert_scaling_keeps_the_flow(order_network(*decide_size_pair(seed)))
+
+
+def lift_size_target(seed):
+    """(target, K): a probability target on a 12-element poset declared
+    out of order, and a schedule length K of 2..4, whose representation has
+    final depth 12..16: the target's largest exponent is that depth less
+    K."""
+    rng = random.Random(seed)
+    base = shuffled_poset(rng, 12, rng.choice([0.1, 0.3]), size=12)
+    steps = rng.randint(2, 4)
+    exp = rng.randint(12, 16) - steps
+    while True:
+        points = rng.sample(base.elements, rng.randint(2, 12))
+        cuts = sorted(rng.sample(range(1, 1 << exp), len(points) - 1))
+        target = SimpleValuation(base, {
+            x: Dyadic(b - a, exp)
+            for x, a, b in zip(points, [0, *cuts], [*cuts, 1 << exp])})
+        if target.max_exponent() == exp:
+            return target, steps
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_breadth_first_flow_at_lift_size(seed, solves):
+    # every lift but the first, from the bottom's one run, solves its plan
+    # on a network written at its new layer's depth, in words of that layer
+    target, steps = lift_size_target(seed)
+    rmap = represent_target(target, steps)
+    assert 12 <= rmap.final_depth <= 16
+    assert [net.p for net in solves] \
+        == [layer.depth for layer in rmap.layers[2:]]
+    for net in solves:
+        assert network_violations(net) == []
+        assert_breadth_first_flow(net)
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -11,7 +11,7 @@ from posetval import (Dyadic, Poset, PosetMap, RepresentationMap,
                       delta, lift_step, lower_adjoint, portmanteau_check,
                       pushforward, represent)
 from posetval.errors import (MixedBase, NotAChain, NotComparable,
-                             NotProbability, OrderViolation)
+                             NotProbability, OrderViolation, TooLarge)
 
 from conftest import make_chain
 from oracles import embed, quantile_leq
@@ -44,6 +44,28 @@ def delete_bits():
     del w.bits
 
 
+def deep_off(base, x, y):
+    """A probability stage at exponent 17, one level past MAX_DEPTH, with
+    all but 2^-17 of its mass at x and the rest at y."""
+    tip = Dyadic(1, 17)
+    return SimpleValuation(base, {x: Dyadic(1, 0) - tip, y: tip})
+
+
+def past_the_bound(halves_first, x, y):
+    """represent from the bottom through halves (two runs) or delta_a (one
+    run) to deep_off(x, y), whose layer would lie past the bound; the plan
+    is made before the depth is checked."""
+    base = diamond()
+    middle = halves(base) if halves_first else delta(base, "a")
+    return represent([delta(base, "bot"), middle, deep_off(base, x, y)])
+
+
+def on_two_posets(probability):
+    other = diamond()
+    stage = halves(other) if probability else half_a(other)
+    return represent([delta(diamond(), "bot"), stage])
+
+
 REFUSALS = {
     "poset without elements": (
         lambda: Poset([], [], "x"),
@@ -59,6 +81,25 @@ REFUSALS = {
         NotComparable, "schedule must start at the bottom mass"),
     "lift toward a subprobability": (
         lambda: lift_step(bottom_layer(), half_a(diamond())),
+        NotProbability, "lift target must have mass 1"),
+    "lift toward a subprobability no plan reaches": (
+        lambda: lift_step(StepMap(1, ends=[1, 2], values=["a", "top"]),
+                          half_a(diamond())),
+        NotProbability, "lift target must have mass 1"),
+    "stage past the depth bound": (
+        lambda: past_the_bound(True, "top", "a"),
+        TooLarge, "representation depth 17 exceeds the bound 16"),
+    "stage past the depth bound, not above a two-run layer's law": (
+        lambda: past_the_bound(True, "b", "top"),
+        NotComparable, "valuations are not ordered; no transport plan"),
+    "stage past the depth bound, not above a one-run layer's law": (
+        lambda: past_the_bound(False, "b", "top"),
+        NotComparable, "valuations are not ordered; no transport plan"),
+    "stage on another poset": (
+        lambda: on_two_posets(True),
+        MixedBase, "valuations live on different posets"),
+    "subprobability stage on another poset": (
+        lambda: on_two_posets(False),
         NotProbability, "lift target must have mass 1"),
     "representation without layers": (
         lambda: RepresentationMap(diamond(), []),
@@ -96,6 +137,15 @@ def test_refusal(case):
     with pytest.raises(kind) as exc:
         call()
     assert type(exc.value) is kind and str(exc.value) == message
+
+
+def test_lift_refuses_a_subprobability_before_any_plan(solves):
+    # a two-run layer would take its plan from a flow; the target's mass is
+    # checked first, so no network is solved
+    with pytest.raises(NotProbability):
+        lift_step(StepMap(1, ends=[1, 2], values=["a", "b"]),
+                  half_a(diamond()))
+    assert solves == []
 
 
 def test_upper_set_membership():

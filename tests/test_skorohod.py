@@ -19,7 +19,7 @@ from posetval.errors import (DepthExceeded, MixedBase, NotComparable,
 from posetval.pipeline import _sequence_report
 from posetval.skorohod import _lift, represent_target
 
-from conftest import grid, random_poset, random_valuation
+from conftest import grid, random_poset, random_valuation, shuffled_poset
 from oracles import (convergence_by_words, level, lift_step_by_slots,
                      pushforward_counting, schedule_by_convex_sums)
 
@@ -144,19 +144,19 @@ def test_lift_step_alone_checks_its_layer_law(m4):
 
 
 def test_lift_refuses_a_law_its_layer_does_not_have(m4):
-    # _lift deals the plan of the law it is given; a law off the layer's
-    # run lengths leaves some run short of budget (the budgets and the
-    # runs both count 2^depth words, so budget left over means a short run
-    # too), and that raises AssertionError, which python -O keeps
+    # _lift deals the plan of the run counts it is given; counts off the
+    # layer's run lengths leave some run short of budget (the budgets and
+    # the runs both count 2^depth words, so budget left over means a short
+    # run too), and that raises AssertionError, which python -O keeps. The
+    # counts and the stage are words of the new level, depth 2: a quarter
+    # is one word
     layer = StepMap(1, ends=[1, 2], values=["a", "b"])
-    quarter = Dyadic(1, 2)
-    short = SimpleValuation(m4, {"a": quarter, "b": Dyadic(3, 2)})
+    top = {"top": 4}
     with pytest.raises(AssertionError, match="slot without budget at '01'"):
-        _lift(layer, short, delta(m4, "top"))
-    over = SimpleValuation(m4, {"a": Dyadic(3, 2), "b": quarter})
+        _lift(m4, layer, {"a": 1, "b": 3}, top, 2)
     with pytest.raises(AssertionError, match="slot without budget at '11'"):
-        _lift(layer, over, delta(m4, "top"))
-    lifted = _lift(layer, half_half(m4), delta(m4, "top"))
+        _lift(m4, layer, {"a": 3, "b": 1}, top, 2)
+    lifted = _lift(m4, layer, {"a": 2, "b": 2}, top, 2)
     if lifted.counts() != {"top": 4}:
         pytest.fail("lifted counts %r" % lifted.counts())
 
@@ -164,8 +164,8 @@ def test_lift_refuses_a_law_its_layer_does_not_have(m4):
 def test_represent_refuses_a_layer_off_its_stage(m4, monkeypatch):
     # represent compares each layer's run lengths with its stage; a lift
     # whose layer pushes forward elsewhere is refused with AssertionError
-    def skewed(current, law, target):
-        layer = _lift(current, law, target)
+    def skewed(*args):
+        layer = _lift(*args)
         return StepMap(layer.depth, ends=layer.ends,
                        values=["top"] * len(layer.values))
 
@@ -318,6 +318,49 @@ def test_represent_matches_slot_by_slot_oracle():
         assert format_map(rmap) == "\n".join(lines) + "\n"
         expected = RepresentationMap(base, [StepMap(d, t) for d, t in tables])
         assert rmap.to_dot() == expected.to_dot()
+
+
+def target_of_kind(rng, base, kind, exp):
+    """A probability target on base: the bottom point mass, one with
+    weights k/2^exp off the bottom, or one with them anywhere."""
+    if kind == "bottom mass" or len(base.elements) == 1:
+        return delta(base, base.bottom)
+    target = random_valuation(rng, base, exp=exp, probability=True)
+    if kind == "anywhere" or base.bottom not in target.weights:
+        return target
+    weights = dict(target.weights)
+    gone = weights.pop(base.bottom)
+    x = rng.choice([y for y in base.elements if y != base.bottom])
+    weights[x] = weights.get(x, Dyadic(0, 0)) + gone
+    return SimpleValuation(base, weights)
+
+
+@pytest.mark.parametrize("kind", ["bottom mass", "off the bottom",
+                                  "anywhere"])
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(1, 5))
+def test_represent_target_lifts_the_convex_sums_like_the_slot_oracle(
+        kind, rng, steps):
+    # represent_target lifts the schedule's integer numerators, and no
+    # stage is made a valuation; the oracle fills word by word through the
+    # stages summed from scaled valuations, each stage's depth taken from
+    # its dyadic weights. The bottom mass's stage k is 2^k at exponent k,
+    # not canonical, so its layers must stay one level apart. Posets are
+    # declared out of order, and the final depth is at most 12
+    base = shuffled_poset(rng, 9, rng.choice([0.2, 0.5]))
+    target = target_of_kind(rng, base, kind, rng.randint(0, 12 - steps))
+    rmap = represent_target(target, steps)
+    depth, table = 0, {"": base.bottom}
+    assert (rmap.layers[0].depth, dict(rmap.layers[0].items())) \
+        == (depth, table)
+    stages = schedule_by_convex_sums(target, steps)
+    assert len(rmap.layers) == len(stages) == steps + 1
+    for layer, stage in zip(rmap.layers[1:], stages[1:]):
+        depth, table = lift_step_by_slots(table, depth, stage)
+        assert (layer.depth, dict(layer.items())) == (depth, table)
+    assert rmap.final_depth <= 12
+    if kind == "bottom mass":
+        assert [layer.depth for layer in rmap.layers] == list(range(steps + 1))
 
 
 def test_layer_runs_round_trip(m4):

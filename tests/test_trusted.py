@@ -69,7 +69,9 @@ def test_represent_builds_maps_the_public_check_accepts(rng, steps):
 @given(st.randoms(use_true_random=False))
 def test_order_networks_pass_the_public_check(rng):
     # every network order_network builds, as the order decisions, both
-    # way-below modes and the lifts solve it, and as it returns it
+    # way-below modes and the lifts solve it, and as it returns it; the
+    # lifts' networks come from a chain of valuations and from a schedule's
+    # integer numerators
     base = shuffled_poset(rng, 9, rng.choice([0.2, 0.5]))
     mu = random_valuation(rng, base, exp=rng.randint(0, 6))
     nu = random_valuation(rng, base, exp=rng.randint(0, 6))
@@ -86,6 +88,7 @@ def test_order_networks_pass_the_public_check(rng):
         way_below(mu, nu)
         way_below(normalize(mu), normalize(nu), normalized=True)
         represent(random_chain(rng, base, 3))
+        represent_target(normalize(nu), 3)
     if len(nets) < 3:
         pytest.fail("only %d networks were solved" % len(nets))
     for net in nets:

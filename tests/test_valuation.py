@@ -19,8 +19,9 @@ from posetval.errors import (MassExceeded, MixedBase, NotComparable,
                              NotMonotone, NotProbability, PartialMap,
                              UnknownElement)
 
-from posetval.valuation import (_check_units, _solve, _transport_units,
-                                order_network)
+from posetval.flow import max_flow
+from posetval.valuation import (_check_units, _network, _numerators,
+                                _transport_units, order_network)
 
 from conftest import (make_chain, normalize, random_poset, random_valuation,
                       random_monotone_integrand, shuffled_poset)
@@ -147,13 +148,14 @@ def test_check_units_refuses_broken_plans(m4):
         ([(("bot", "b"), 2), (("a", "top"), 2)],
          "plan column b exceeds the target's weight"),     # column off nu
     ]
+    sources, sinks = _numerators(mu, 2), _numerators(nu, 2)
     for units, message in broken:
         with pytest.raises(AssertionError) as err:
-            _check_units(mu, nu, 2, units)
+            _check_units(m4, sources, sinks, units)
         if str(err.value) != message:
             pytest.fail("%r, not %r" % (str(err.value), message))
-    _check_units(mu, nu, 2, [(("bot", "a"), 1), (("bot", "top"), 1),
-                             (("a", "a"), 1), (("a", "top"), 1)])
+    _check_units(m4, sources, sinks, [(("bot", "a"), 1), (("bot", "top"), 1),
+                                      (("a", "a"), 1), (("a", "top"), 1)])
 
 
 def test_check_units_refuses_a_negative_entry(m4):
@@ -162,30 +164,36 @@ def test_check_units_refuses_a_negative_entry(m4):
     mu = SimpleValuation(m4, {"bot": Dyadic(1, 2)})
     nu = half_half(m4)
     with pytest.raises(AssertionError, match="bot -> b is not a positive"):
-        _check_units(mu, nu, 2, [(("bot", "a"), 2), (("bot", "b"), -1)])
+        _check_units(m4, _numerators(mu, 2), _numerators(nu, 2),
+                     [(("bot", "a"), 2), (("bot", "b"), -1)])
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2 ** 32))
 def test_transport_plan_is_the_dyadic_form_of_the_lift_units(seed):
-    # the lift takes the checked units; transport_plan writes the same
-    # units as dyadics, in the same order, and both refuse unordered pairs
+    # the lift takes the checked units of the pair's network written at its
+    # new depth d, p or more; transport_plan writes the units at p as
+    # dyadics, in the same order, those at d are 2^(d - p) times as many,
+    # and both refuse unordered pairs
     rng = random.Random(seed)
     base = shuffled_poset(rng, 9, rng.choice([0.2, 0.5]))
     mu = random_valuation(rng, base, exp=rng.randint(0, 6))
     nu = random_valuation(rng, base, exp=rng.randint(0, 6))
     if rng.random() < 0.7:
         nu = normalize(mu)   # a subprobability lies below its normalization
+    p = max(mu.max_exponent(), nu.max_exponent())
+    lifts = [(d, _network(base, d, _numerators(mu, d), _numerators(nu, d)))
+             for d in range(p, p + 4)]
     try:
         plan = transport_plan(mu, nu)
     except NotComparable:
-        with pytest.raises(NotComparable):
-            _transport_units(mu, nu, _solve(mu, nu))
+        for _, net in lifts:
+            with pytest.raises(NotComparable):
+                _transport_units(base, max_flow(net))
         return
-    p, units = _transport_units(mu, nu, _solve(mu, nu))
-    assert list(plan.entries.items()) \
-        == [(xy, Dyadic(k, p)) for xy, k in units]
-    assert p == max(mu.max_exponent(), nu.max_exponent())
+    for d, net in lifts:
+        assert _transport_units(base, max_flow(net)) == (d, tuple(
+            (xy, t.rescale(d)) for xy, t in plan.entries.items()))
 
 
 def test_transport_plan_exponent_bound(m4):
@@ -460,7 +468,7 @@ def test_way_below_leaves_the_kept_network_alone(m4, solves):
     kept = valuation._kept[1]
     assert way_below(mu, top)
     assert valuation._kept[1] is kept
-    assert kept.net.source_caps == mu.weights
+    assert (kept.net.p, kept.net.source_caps) == (2, {"a": 1, "b": 1})
     plan = transport_plan(mu, top)
     plan.verify()
     assert plan.entries == {("a", "top"): Dyadic(1, 2),
