@@ -20,12 +20,20 @@ and the quantile maps of chains are both step maps. Several step maps are
 compared word by word through one walk over their merged runs
 (_segments), which the order of two maps and the settling of a sequence
 both read.
+
+The truncated words of one level are made once and shared
+(_level_words): a sequence's convergence report holds one record per
+grid word, and every record at one depth points at the same immutable
+word. Only the last depth asked is kept, so the words held are at most
+the 2^16 of the deepest level a map can reach (skorohod.MAX_DEPTH),
+about 7.6 MiB, whatever the number of reports made.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import islice, repeat
 
 from .dyadic import ONE, ZERO, Dyadic, _Value
@@ -91,6 +99,15 @@ def _level_bits(depth: int):
     if not depth:
         return iter([""])
     return map(format, range(1 << depth), repeat("0%db" % depth))
+
+
+@lru_cache(maxsize=1)
+def _level_words(depth: int) -> tuple:
+    """The 2^depth words of the level, each the truncation of an infinite
+    word, in word order, made through the public constructor. Callers
+    share them, which is safe since a word is immutable; the cache keeps
+    the last depth asked alone (see the module docstring)."""
+    return tuple([Word(b, True) for b in _level_bits(depth)])
 
 
 def _word_number(r: Dyadic, n: int) -> int:

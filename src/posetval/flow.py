@@ -177,9 +177,9 @@ class Flow:
     that falls to 0. It is the flow's one form: a transport plan travels in
     it, and by conservation a left node's row sum is the flow on its source
     edge, a right node's column sum the flow on its sink edge. It is built
-    on first use, since the decisions need only `value` and the cut, and it
-    is a tuple of tuples, so a flow shared between callers cannot be
-    changed through it. `net` is the network the flow was solved on.
+    on first use, since the decisions need only `saturated` and the cut,
+    and it is a tuple of tuples, so a flow shared between callers cannot
+    be changed through it. `net` is the network the flow was solved on.
     """
 
     def __init__(self, net: FlowNetwork, moved: dict, total: int,
@@ -188,7 +188,13 @@ class Flow:
         # total: the units that left the source
         self.net, self._moved, self.cut = net, moved, cut
         self.saturated = saturated
-        self.value = Dyadic(total, net.p)
+        self._total = total
+
+    @cached_property
+    def value(self) -> Dyadic:
+        """The units that left the source, over 2^p; made on first read,
+        since no decision reads it."""
+        return Dyadic(self._total, self.net.p)
 
     @cached_property
     def units(self) -> tuple:

@@ -12,9 +12,11 @@ Portmanteau rows for its verdict and witness alone, get one map per
 distinct valuation, and report, per grid word, how the witnesses' values
 settle on the limit's: each run of consecutive grid words that settle
 alike is settled once, and its records are made a run at a time, its
-fields copied out to the words of the run. `skorohod` is the one entry
-point for a target of any mass up to 1: the target's own mass decides
-whether its poset is lifted. A target below mass 1 is represented over
+fields copied out to the words of the run. The records of every report at
+one depth share that level's immutable words (cantor._level_words), made
+once per depth, not once per record. `skorohod` is the one entry point
+for a target of any mass up to 1: the target's own mass decides whether
+its poset is lifted. A target below mass 1 is represented over
 its poset lifted under a fresh bottom that takes the missing mass; its
 witness is undefined at the grid points routed there, and its law skips
 them.
@@ -25,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice
 
-from .cantor import StepMap, Word, _level_bits, _segments
+from .cantor import StepMap, Word, _level_words, _segments
 from .dyadic import ONE, Dyadic
 from .errors import NotConvergent
 from .skorohod import RepresentationMap, represent_target
@@ -115,7 +117,7 @@ def represent_sequence(targets, limit: SimpleValuation, steps: int,
     return maps, rep(limit)
 
 
-@dataclass
+@dataclass(slots=True)
 class ConvergenceRecord:
     word: Word
     limit_value: object
@@ -198,17 +200,19 @@ def _sequence_report(maps, limit_map: RepresentationMap) -> SequenceReport:
     unit_to_word says): one record per word in word order, each word the
     truncation of an infinite one. It is settled a run at a time: a run's
     fields are copied out to a record per word of the run, and its length
-    is added to the word counts. Every record is built here, in the call.
-    The family need not pass the weak-convergence gate."""
+    is added to the word counts. The records share the level's words,
+    made once per depth (cantor._level_words), so reports at one depth
+    hold the same immutable word objects. Every record is built here, in
+    the call. The family need not pass the weak-convergence gate."""
     runs = _settling(maps, limit_map)
-    bits = _level_bits(runs.depth)
+    words = iter(_level_words(runs.depth))
     records = []
     maximal = equal = start = 0
     for end, (lv, is_maximal, geq_from, equal_from, ok) in zip(runs.ends,
                                                                runs.values):
-        records += [ConvergenceRecord(Word(b, True), lv, is_maximal,
-                                      geq_from, equal_from, ok)
-                    for b in islice(bits, end - start)]
+        records += [ConvergenceRecord(w, lv, is_maximal, geq_from,
+                                      equal_from, ok)
+                    for w in islice(words, end - start)]
         if is_maximal:
             maximal += end - start
             if equal_from is not None:

@@ -35,6 +35,7 @@ words (against the expansion values and the adjunction with
 
 import weakref
 from collections import deque
+from functools import lru_cache
 from itertools import combinations, product
 
 from posetval import (ONE, Dyadic, SimpleValuation, UpperSet, Word, ZERO,
@@ -258,6 +259,20 @@ def upper_sets_by_masks(base):
     return list(found)
 
 
+@lru_cache(maxsize=1)
+def _upper_sets_checked(base):
+    """Every upper set of base, in ascending bitmask order, each built
+    through the public `UpperSet(...)` check.
+
+    The exhaustive sweep checks every tail of one poset before the next
+    poset, so the last poset's sets alone are kept: an upper set holds its
+    poset, and a table keyed weakly by the poset would keep every poset
+    alive through its own sets.
+    """
+    return tuple(UpperSet(base, members)
+                 for members in upper_sets_by_masks(base))
+
+
 def _approaches_dyadic(values, limit, from_below):
     """The decay certificate of valuation._approaches, on dyadics."""
 
@@ -289,8 +304,7 @@ def portmanteau_by_upper_sets(seq, limit, from_index=0):
     base = limit.base
     tail = seq[from_index:]
     records, witness = [], None
-    for members in upper_sets_by_masks(base):
-        u = UpperSet(base, members)
+    for u in _upper_sets_checked(base):
         values = [v.evaluate(u) for v in tail]
         target = limit.evaluate(u)
         rec = PortmanteauRecord(u, _approaches_dyadic(values, target, True),

@@ -3,6 +3,7 @@ import pickle
 import random
 import time
 import tracemalloc
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import assume, given, settings
@@ -12,7 +13,7 @@ from posetval import (Dyadic, ONE, Poset, SimpleValuation, Word, add, delta,
                       portmanteau_check, sample,
                       scale, skorohod, skorohod_sequence, unit_to_word)
 from posetval.errors import NotConvergent, OutOfRange, TooLarge
-from posetval.pipeline import _settling, represent_sequence
+from posetval.pipeline import _sequence_report, _settling, represent_sequence
 from posetval.valuation import portmanteau_witness
 
 from conftest import grid, make_chain, random_poset, random_valuation
@@ -314,16 +315,20 @@ def test_sequence_report_copies_and_pickles(m4):
     assert bad != conv
 
 
-def test_depth_16_sequence_settles_on_runs():
-    # weights at 2^-12 and blends c = 1, 2 give terms at 2^-14, so K = 2
-    # reaches depth 16: 65536 grid words, but only a handful of runs, and
-    # the family is settled on those runs without a record per word
+def depth_16_family():
+    """Weights at 2^-12 and blends c = 1, 2 give terms at 2^-14, so K = 2
+    reaches depth 16: 65536 grid words, but only a handful of runs."""
     chain = make_chain(4)
     limit = SimpleValuation(chain, {"c0": Dyadic(1, 12), "c1": Dyadic(3, 12),
                                     "c2": Dyadic(5, 12),
                                     "c3": Dyadic((1 << 12) - 9, 12)})
     rho = SimpleValuation(chain, {"c0": HALF, "c2": HALF})
-    seq = blends(limit, rho, 2, 1)
+    return blends(limit, rho, 2, 1), limit
+
+
+def test_depth_16_sequence_settles_on_runs():
+    # the family is settled on its runs without a record per word
+    seq, limit = depth_16_family()
     maps, limit_map = represent_sequence(seq, limit, 2)
     tracemalloc.start()
     try:
@@ -340,6 +345,61 @@ def test_depth_16_sequence_settles_on_runs():
     assert [r.word.bits for r in records[:3]] \
         == ["0" * 16, "0" * 15 + "1", "0" * 14 + "10"]
     assert report.maximal_words == sum(r.maximal for r in records) > 0
+
+
+def test_reports_at_alternating_depths_list_each_level_words(m4):
+    # the level's words are kept for the last depth asked alone, so going
+    # from one depth to another and back again replaces them twice
+    top = delta(m4, "top")
+    seq = attaining_family(m4, top)
+    built = {steps: represent_sequence(seq, top, steps) for steps in (1, 3)}
+    depths = []
+    for steps in (1, 3, 1, 3):
+        report = _sequence_report(*built[steps])
+        records = report.convergence.records
+        d = len(records).bit_length() - 1
+        depths.append(d)
+        assert len(records) == 1 << d
+        assert [r.word for r in records] \
+            == [Word(format(i, "0%db" % d), True) for i in range(1 << d)]
+        assert all(r.word.truncated for r in records)
+    assert depths[0] == depths[2] != depths[1] == depths[3]
+
+
+def test_reports_at_one_depth_share_words_not_records(m4):
+    top = delta(m4, "top")
+    maps, limit_map = represent_sequence(attaining_family(m4, top), top, 2)
+    first = _sequence_report(maps, limit_map).convergence
+    second = _sequence_report(maps, limit_map).convergence
+    assert first == second
+    assert all(a.word is b.word and a is not b
+               for a, b in zip(first.records, second.records))
+    kept = copy.deepcopy(first)
+    rec = second.records[0]
+    rec.equal_from = (rec.equal_from or 0) + 1
+    rec.geq_from = (rec.geq_from or 0) + 1
+    assert first == kept != second
+    with pytest.raises(FrozenInstanceError):
+        rec.word.bits = "1" * len(rec.word)
+    assert first.records[0].word.bits == "0" * len(rec.word)
+
+
+def test_a_second_depth_16_report_holds_little_per_record():
+    # the words of the level are made with the first report; the second
+    # adds a slotted record per word and the list that holds them
+    seq, limit = depth_16_family()
+    maps, limit_map = represent_sequence(seq, limit, 2)
+    first = _sequence_report(maps, limit_map)
+    tracemalloc.start()
+    try:
+        second = _sequence_report(maps, limit_map)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    records = second.convergence.records
+    assert len(records) == 1 << 16
+    assert records == first.convergence.records
+    assert peak < 128 * len(records)
 
 
 @settings(max_examples=120, deadline=None)
